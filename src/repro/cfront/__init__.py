@@ -6,14 +6,13 @@ source text into a typed abstract syntax tree that the static checker
 baseline analyzers (:mod:`repro.analyzers`) all consume.
 """
 
-from repro.cfront.lexer import Lexer, Token, TokenKind, tokenize
+from repro.cfront.lexer import Token, TokenKind, tokenize
 from repro.cfront.preprocessor import Preprocessor, preprocess
 from repro.cfront.parser import Parser, parse, parse_file
 from repro.cfront.printer import CPrinter, ast_equivalent, to_c_source
 from repro.cfront.ctypes import ImplementationProfile
 
 __all__ = [
-    "Lexer",
     "Token",
     "TokenKind",
     "tokenize",

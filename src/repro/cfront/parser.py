@@ -40,6 +40,18 @@ _FUNCTION_SPECIFIERS = frozenset({"inline", "_Noreturn"})
 
 _ASSIGN_OPS = frozenset({"=", "*=", "/=", "%=", "+=", "-=", "<<=", ">>=", "&=", "^=", "|="})
 
+#: Binary operator precedence, higher binds tighter (C11 6.5.5-6.5.14).  The
+#: expression parser climbs it and the printer parenthesizes by it, so a
+#: printed tree parses back to itself.
+BINARY_PRECEDENCE = {
+    "||": 1, "&&": 2, "|": 3, "^": 4, "&": 5,
+    "==": 6, "!=": 6,
+    "<": 7, ">": 7, "<=": 7, ">=": 7,
+    "<<": 8, ">>": 8,
+    "+": 9, "-": 9,
+    "*": 10, "/": 10, "%": 10,
+}
+
 
 class Parser:
     """Parses a token stream into a :class:`repro.cfront.ast.TranslationUnit`."""
@@ -60,8 +72,10 @@ class Parser:
     # Token helpers
     # ------------------------------------------------------------------
     def _peek(self, offset: int = 0) -> Token:
-        idx = min(self.index + offset, len(self.tokens) - 1)
-        return self.tokens[idx]
+        # The token list always ends in EOF and ``_next`` never moves past it.
+        if not offset:
+            return self.tokens[self.index]
+        return self.tokens[min(self.index + offset, len(self.tokens) - 1)]
 
     def _next(self) -> Token:
         token = self.tokens[self.index]
@@ -73,8 +87,10 @@ class Parser:
         return self._peek().kind is TokenKind.EOF
 
     def _accept_punct(self, *names: str) -> Optional[Token]:
-        if self._peek().is_punct(*names):
-            return self._next()
+        token = self.tokens[self.index]
+        if token.kind is TokenKind.PUNCTUATOR and token.text in names:
+            self.index += 1
+            return token
         return None
 
     def _accept_keyword(self, *names: str) -> Optional[Token]:
@@ -83,10 +99,11 @@ class Parser:
         return None
 
     def _expect_punct(self, name: str) -> Token:
-        token = self._peek()
-        if not token.is_punct(name):
+        token = self.tokens[self.index]
+        if token.kind is not TokenKind.PUNCTUATOR or token.text != name:
             raise self._error(f"expected {name!r}, found {token.text!r}")
-        return self._next()
+        self.index += 1
+        return token
 
     def _expect_keyword(self, name: str) -> Token:
         token = self._peek()
@@ -725,7 +742,7 @@ class Parser:
         return left
 
     def _parse_conditional(self) -> c_ast.Expression:
-        condition = self._parse_logical_or()
+        condition = self._parse_binary()
         if self._peek().is_punct("?"):
             token = self._next()
             then = self._parse_expression()
@@ -735,43 +752,21 @@ class Parser:
                                      then=then, otherwise=otherwise)
         return condition
 
-    def _binary_level(self, operators: tuple[str, ...], next_level) -> c_ast.Expression:
-        expr = next_level()
-        while self._peek().kind is TokenKind.PUNCTUATOR and self._peek().text in operators:
-            token = self._next()
-            rhs = next_level()
+    def _parse_binary(self, min_precedence: int = 1) -> c_ast.Expression:
+        """Precedence climbing over ``BINARY_PRECEDENCE``, left-associative.
+
+        Only punctuators spell binary operators, so the token's text alone
+        selects its precedence.
+        """
+        expr = self._parse_cast()
+        while True:
+            token = self.tokens[self.index]
+            precedence = BINARY_PRECEDENCE.get(token.text)
+            if precedence is None or precedence < min_precedence:
+                return expr
+            self.index += 1
+            rhs = self._parse_binary(precedence + 1)
             expr = c_ast.BinaryOp(line=token.line, op=token.text, left=expr, right=rhs)
-        return expr
-
-    def _parse_logical_or(self) -> c_ast.Expression:
-        return self._binary_level(("||",), self._parse_logical_and)
-
-    def _parse_logical_and(self) -> c_ast.Expression:
-        return self._binary_level(("&&",), self._parse_bitwise_or)
-
-    def _parse_bitwise_or(self) -> c_ast.Expression:
-        return self._binary_level(("|",), self._parse_bitwise_xor)
-
-    def _parse_bitwise_xor(self) -> c_ast.Expression:
-        return self._binary_level(("^",), self._parse_bitwise_and)
-
-    def _parse_bitwise_and(self) -> c_ast.Expression:
-        return self._binary_level(("&",), self._parse_equality)
-
-    def _parse_equality(self) -> c_ast.Expression:
-        return self._binary_level(("==", "!="), self._parse_relational)
-
-    def _parse_relational(self) -> c_ast.Expression:
-        return self._binary_level(("<", ">", "<=", ">="), self._parse_shift)
-
-    def _parse_shift(self) -> c_ast.Expression:
-        return self._binary_level(("<<", ">>"), self._parse_additive)
-
-    def _parse_additive(self) -> c_ast.Expression:
-        return self._binary_level(("+", "-"), self._parse_multiplicative)
-
-    def _parse_multiplicative(self) -> c_ast.Expression:
-        return self._binary_level(("*", "/", "%"), self._parse_cast)
 
     def _starts_type_name(self, offset: int = 0) -> bool:
         token = self._peek(offset)

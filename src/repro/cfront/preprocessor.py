@@ -14,8 +14,10 @@ actually use:
   (``defined``, ``!``, ``&&``, ``||``, comparisons, arithmetic),
 * ``#error`` (raises), other directives (``#pragma``, ``#line``) are ignored.
 
-The output is plain C text with original line structure preserved as far as
-possible so that token line numbers still make sense for error reports.
+The output is plain C text with the original line structure preserved, so
+token line numbers still make sense for error reports: directive lines
+become empty lines, and an included header's text is joined onto the line
+of its ``#include``.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from repro.cfront.headers import BUILTIN_HEADERS
+from repro.cfront.lexer import join_lines
 from repro.errors import CParseError
 
 
@@ -45,7 +48,6 @@ _DEFINE_RE = re.compile(
     r"(?P<params>\([^)]*\))?(?P<body>.*)$")
 _INCLUDE_RE = re.compile(r'^\s*#\s*include\s+[<"](?P<name>[^>"]+)[>"]\s*$')
 _DIRECTIVE_RE = re.compile(r"^\s*#\s*(?P<directive>[a-z_]+)\b(?P<rest>.*)$")
-
 
 class Preprocessor:
     """Expand directives and macros in C source text."""
@@ -127,7 +129,10 @@ class Preprocessor:
             elif not active():
                 pass  # ignore all other directives inside a false branch
             elif name == "include":
-                output.extend(self._handle_include(line, lineno, filename))
+                # The header goes on the #include line itself, so every later
+                # line keeps its own number in diagnostics.
+                header = self._handle_include(line, lineno, filename)
+                output.append(join_lines("\n".join(header)))
                 continue
             elif name == "define":
                 self._handle_define(line, lineno)

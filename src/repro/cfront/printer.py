@@ -23,23 +23,16 @@ from typing import Optional, Union
 
 from repro.cfront import ast as c_ast
 from repro.cfront import ctypes as ct
+from repro.cfront.parser import BINARY_PRECEDENCE
 
 
 class PrinterError(ValueError):
     """Raised for AST shapes the printer cannot render faithfully."""
 
 
-#: C operator precedence, highest binds tightest.  Mirrors the parser's
-#: ``_binary_level`` tower so the printer inserts exactly the parentheses the
-#: parser needs to rebuild the same tree.
-_BINARY_PRECEDENCE = {
-    "||": 1, "&&": 2, "|": 3, "^": 4, "&": 5,
-    "==": 6, "!=": 6,
-    "<": 7, ">": 7, "<=": 7, ">=": 7,
-    "<<": 8, ">>": 8,
-    "+": 9, "-": 9,
-    "*": 10, "/": 10, "%": 10,
-}
+# Precedences of the other expression forms, on the scale of the parser's
+# ``BINARY_PRECEDENCE`` table, so the printer inserts exactly the
+# parentheses the parser needs to rebuild the same tree.
 _PREC_COMMA = -1
 _PREC_ASSIGN = 0
 _PREC_CONDITIONAL = 0.5
@@ -57,14 +50,19 @@ _CHAR_ESCAPES = {ord("\n"): "\\n", ord("\t"): "\\t", ord("\r"): "\\r",
                  ord("\v"): "\\v"}
 
 
+_OCTAL_DIGITS = frozenset("01234567")
+
+
 def _escape_string(text: str) -> str:
     out = []
-    for ch in text:
+    for index, ch in enumerate(text):
         code = ord(ch)
         if ch == '"':
             out.append('\\"')
         elif ch == "\\":
             out.append("\\\\")
+        elif ch == "\0" and text[index + 1:index + 2] in _OCTAL_DIGITS:
+            out.append("\\000")  # "\\0" would take the digit into its escape
         elif code in _CHAR_ESCAPES and ch not in ("'",):
             out.append(_CHAR_ESCAPES[code])
         elif 32 <= code < 127:
@@ -246,7 +244,7 @@ class CPrinter:
             return f"sizeof({self.declaration(node.type_name)})", _PREC_UNARY
         if isinstance(node, c_ast.BinaryOp):
             assert node.left is not None and node.right is not None
-            prec = _BINARY_PRECEDENCE[node.op]
+            prec = BINARY_PRECEDENCE[node.op]
             left = self._paren(node.left, prec)
             right = self._paren(node.right, prec, right_operand=True)
             return f"{left} {node.op} {right}", prec
@@ -261,7 +259,7 @@ class CPrinter:
         if isinstance(node, c_ast.Conditional):
             assert node.condition is not None
             assert node.then is not None and node.otherwise is not None
-            cond = self._paren(node.condition, _BINARY_PRECEDENCE["||"])
+            cond = self._paren(node.condition, BINARY_PRECEDENCE["||"])
             then, _ = self._expr(node.then)
             otherwise = self._paren(node.otherwise, _PREC_CONDITIONAL)
             return f"{cond} ? {then} : {otherwise}", _PREC_CONDITIONAL

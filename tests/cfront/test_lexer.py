@@ -1,8 +1,11 @@
 """Unit tests for the C lexer."""
 
+import time
+
 import pytest
 
-from repro.cfront.lexer import IntConstant, FloatConstant, TokenKind, tokenize
+from repro.cfront.lexer import (
+    FloatConstant, IntConstant, TokenKind, join_lines, tokenize)
 from repro.errors import CParseError
 
 
@@ -141,3 +144,68 @@ class TestCharAndStringConstants:
     def test_unterminated_string_raises(self):
         with pytest.raises(CParseError):
             tokenize('"never closed')
+
+
+class TestEscapes:
+    """Octal escapes are 1-3 digits in [0-7] (C11 6.4.4.4)."""
+
+    @pytest.mark.parametrize("source, digit, column", [
+        (r"'\8'", "8", 3), (r"'\9'", "9", 3), (r'"\8"', "8", 3), (r'"a\9b"', "9", 4),
+    ])
+    def test_non_octal_digit_is_an_unknown_escape(self, source, digit, column):
+        with pytest.raises(CParseError) as info:
+            tokenize(source)
+        assert str(info.value) == f"unknown escape sequence \\{digit} at line 1"
+        assert info.value.column == column
+
+    def test_octal_escape_stops_at_a_non_octal_digit(self):
+        token = tokenize(r"'\18'")[0]
+        assert token.text == "'\x018'"
+        assert token.value == ord("8")
+
+    def test_octal_escape_takes_at_most_three_digits(self):
+        assert tokenize(r'"\0123\101\0"')[0].value == "\n3A\0"
+
+    def test_hex_escape_at_end_of_text_is_an_unterminated_literal(self):
+        with pytest.raises(CParseError, match="unterminated string literal"):
+            tokenize('"\\x4a')
+        with pytest.raises(CParseError, match="unterminated character constant"):
+            tokenize("'\\x4a")
+
+    def test_checker_reports_the_bad_escape_as_inconclusive(self):
+        from repro import Checker
+
+        for source in (
+            r"int main(void){ char c = '\8'; return 0; }",
+            r'int main(void){ char *s = "\9"; return 0; }',
+        ):
+            report = Checker().check(source)
+            assert not report.flagged
+            assert "unknown escape sequence" in report.render()
+
+
+class TestTokenObjects:
+    def test_equal_tokens_hash_alike(self):
+        first, second = tokenize("x 1"), tokenize("x 1")
+        assert first == second
+        assert {*first} == {*second}
+        assert first[0] != tokenize(" x")[0]  # same text, other column
+
+    def test_tokens_have_no_instance_dict(self):
+        token = tokenize("x")[0]
+        assert not hasattr(token, "__dict__")
+        assert (token.kind, token.text, token.line, token.column, token.value) == (
+            TokenKind.IDENTIFIER, "x", 1, 1, None)
+        assert token.is_punct() is False and tokenize(";")[0].is_punct(";", ",")
+
+
+class TestMalformedInputCost:
+    """Malformed text costs one pass: a check may be many megabytes long."""
+
+    @pytest.mark.parametrize("piece", ["/* ", "'/*\"", "\"a\\q\n"])
+    def test_repeated_errors_lex_in_linear_time(self, piece):
+        start = time.perf_counter()
+        with pytest.raises(CParseError):
+            tokenize(piece * 20000)
+        join_lines(piece * 20000)
+        assert time.perf_counter() - start < 0.5

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.cfront.lexer import tokenize
 from repro.cfront.preprocessor import preprocess
 from repro.errors import CParseError
 
@@ -133,3 +134,60 @@ class TestLineContinuation:
     def test_backslash_newline_joined(self):
         out = preprocess("#define LONG 1 + \\\n2\nLONG")
         assert "1 +  2" in out
+
+
+class TestIncludeLines:
+    """An included header goes on its #include line: later lines keep their numbers."""
+
+    PRELUDE = "#include <stdio.h>\n#include <stdlib.h>\nint main(void){\n"
+
+    def test_header_text_stays_on_the_include_line(self):
+        out = preprocess(self.PRELUDE + "  return 0;\n}")
+        lines = out.split("\n")
+        assert len(lines) == 5
+        assert "int printf(" in lines[0] and "void *malloc(" in lines[1]
+        assert lines[3] == "  return 0;"
+
+    def test_dynamic_undefinedness_line(self):
+        from repro import Checker
+
+        report = Checker().check(self.PRELUDE + "  int z = 0;\n  return 1 / z;\n}")
+        assert report.flagged
+        assert "Line: 5" in report.render()
+
+    def test_static_violation_line(self):
+        from repro import Checker
+
+        report = Checker().check(self.PRELUDE + "  int a[0];\n  return 0;\n}")
+        [diagnostic] = report.to_dict()["outcome"]["diagnostics"]
+        assert diagnostic["stage"] == "static" and diagnostic["line"] == 4
+
+    def test_parse_error_line(self):
+        from repro.cfront.parser import parse
+
+        with pytest.raises(CParseError) as info:
+            parse(self.PRELUDE + "  int x = ;\n  return 0;\n}")
+        assert (info.value.line, info.value.column) == (4, 11)
+
+    def test_line_comment_in_a_header_ends_at_its_line(self):
+        header = "int a; // the first\nint b; # not a directive\nint c;\n"
+        out = preprocess('#include "h.h"\nint d;', extra_headers={"h.h": header})
+        assert [(t.text, t.line) for t in tokenize(out)][:-1] == [
+            ("int", 1), ("a", 1), (";", 1), ("int", 1), ("b", 1), (";", 1),
+            ("int", 1), ("c", 1), (";", 1), ("int", 2), ("d", 2), (";", 2)]
+
+    def test_literals_in_a_header_are_kept(self):
+        header = "char *s = \"// #\";\nchar c = '#'; /* // */\nint e;\n"
+        out = preprocess('#include "h.h"\nint d;', extra_headers={"h.h": header})
+        assert out == "char *s = \"// #\"; char c = '#';   int e; \nint d;"
+
+    @pytest.mark.parametrize("header, message", [
+        ('char *s = "abc\nint x; // "\n', "newline in string literal"),
+        ("int a; /* open\nint b; // x\n", "unterminated block comment"),
+        ("char c = '\\q'; // '\n", "unknown escape sequence \\q"),
+    ])
+    def test_a_malformed_header_keeps_its_error(self, header, message):
+        out = preprocess('#include "h.h"\nint d;', extra_headers={"h.h": header})
+        with pytest.raises(CParseError) as info:
+            tokenize(out)
+        assert str(info.value).startswith(message + " at line")

@@ -108,3 +108,11 @@ def test_single_statement_and_expression_rendering():
     assert "int x = 1;" in body_text
     return_stmt = main.body.items[-1]
     assert to_c_source(return_stmt).strip() == "return x;"
+
+
+def test_string_escapes_round_trip():
+    # Octal escapes take up to three digits: NUL before a digit and the
+    # control characters need their three-digit form.
+    source = 'char *s = "a\\0" "1\\0012\\033[0m\\0";\nint main(void) { return 0; }'
+    assert parse(source).declarations[0].initializer.value == "a\x001\x012\x1b[0m\x00"
+    round_trip(source)
