@@ -1,9 +1,10 @@
 """Shared fixtures and reporting helpers for the benchmark harness.
 
 Each benchmark module reproduces one table or figure of the paper.  The
-rendered tables are written to ``benchmarks/results/`` and echoed to the
-terminal, so a plain ``pytest benchmarks/ --benchmark-only`` run regenerates
-every figure of the evaluation section.
+rendered tables are echoed to the terminal; ``pytest benchmarks/
+--record-results`` also writes them, with the JSON results, to
+``benchmarks/results/``.  A run without the option leaves the committed
+results untouched.
 """
 
 from __future__ import annotations
@@ -20,10 +21,25 @@ from repro.suites.ubsuite import generate_undefinedness_suite
 RESULTS_DIR = pathlib.Path(__file__).resolve().parent / "results"
 
 
+def pytest_addoption(parser):
+    parser.addoption(
+        "--record-results",
+        action="store_true",
+        default=False,
+        help="write benchmark tables and JSON results to benchmarks/results/",
+    )
+
+
+def record(name: str, text: str, capsys) -> None:
+    """Write one results file, and only under ``--record-results``."""
+    if capsys.request.config.getoption("--record-results", default=False):
+        RESULTS_DIR.mkdir(exist_ok=True)
+        (RESULTS_DIR / name).write_text(text, encoding="utf-8")
+
+
 def publish(name: str, text: str, capsys) -> None:
-    """Write a rendered table to the results directory and to the terminal."""
-    RESULTS_DIR.mkdir(exist_ok=True)
-    (RESULTS_DIR / name).write_text(text + "\n", encoding="utf-8")
+    """Print a rendered table, and record it (see :func:`record`)."""
+    record(name, text + "\n", capsys)
     with capsys.disabled():
         print()
         print(text)

@@ -64,6 +64,7 @@ def main() -> int:
             "-q",
             "benchmarks/test_bench_pool.py",
             "benchmarks/test_bench_fuzz.py::test_fuzz_throughput",
+            "--record-results",
         ],
         cwd=repo,
         env=env,

@@ -24,7 +24,7 @@ from repro.fuzz.campaign import CampaignConfig, run_campaign
 from repro.fuzz.generator import injection_families
 from repro.reporting import render_table
 
-from benchmarks.conftest import RESULTS_DIR, publish
+from benchmarks.conftest import publish, record
 
 #: The acceptance-campaign shape: fixed seed, >= 2000 mixed programs.
 ACCEPTANCE_SEED = 20260729
@@ -117,8 +117,7 @@ def test_fuzz_throughput(capsys):
         title=f"Fuzz campaign throughput ({SPEED_COUNT} programs, "
               "generation + full oracle stack)")
     publish("fuzz_speed.txt", table, capsys)
-    (RESULTS_DIR / "fuzz_speed.json").write_text(
-        json.dumps(results, indent=2) + "\n", encoding="utf-8")
+    record("fuzz_speed.json", json.dumps(results, indent=2) + "\n", capsys)
     # Local sanity only: pooled fan-out must not be pathologically slower
     # than serial.  The real >= 3.0 floor is enforced by compare_results.py
     # on hosts with >= SPEED_JOBS CPUs.

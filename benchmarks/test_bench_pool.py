@@ -31,7 +31,7 @@ from repro.fuzz.campaign import CampaignConfig, run_campaign
 from repro.reporting import render_table
 from repro.service.pool import shutdown_pool
 
-from benchmarks.conftest import RESULTS_DIR, publish
+from benchmarks.conftest import publish, record
 
 BATCH_JOBS = 4
 CHECK_COUNT = 120
@@ -148,8 +148,7 @@ def test_pool_throughput(capsys):
               f"cases; host_cpus={host_cpus}, "
               f"effective parallelism {effective}/{BATCH_JOBS})")
     publish("pool_speed.txt", table, capsys)
-    (RESULTS_DIR / "pool_speed.json").write_text(
-        json.dumps(results, indent=2) + "\n", encoding="utf-8")
+    record("pool_speed.json", json.dumps(results, indent=2) + "\n", capsys)
 
     # A warm batch never re-pays spawn, so it cannot be meaningfully slower
     # than the cold one.  On fork hosts the spawn tax is tiny, so allow

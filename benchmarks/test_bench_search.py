@@ -33,7 +33,7 @@ from repro import (
 from repro.kframework.engine import checkpoint_supported
 from repro.reporting import render_table
 
-from benchmarks.conftest import RESULTS_DIR, publish
+from benchmarks.conftest import publish, record
 
 SET_DENOM = """
 int d = 5;
@@ -223,8 +223,7 @@ def test_search_engine_speed(capsys, benchmark):
         title="Search engine vs seed DFS (runs from main; engine resumes "
               "siblings from checkpoints)")
     publish("search_speed.txt", table, capsys)
-    (RESULTS_DIR / "search_speed.json").write_text(
-        json.dumps(results, indent=2) + "\n", encoding="utf-8")
+    record("search_speed.json", json.dumps(results, indent=2) + "\n", capsys)
 
     # Acceptance gate: on a >= 200-order program the engine reaches the
     # identical verdict set with >= 5x fewer full executions than the seed.

@@ -37,7 +37,7 @@ from repro.core.kcc import KccTool
 from repro.reporting import render_table
 from repro.symbolic import PROVED_DEFINED, PROVED_UNDEFINED, prove_unit
 
-from benchmarks.conftest import RESULTS_DIR, publish
+from benchmarks.conftest import publish, record
 
 #: name -> (source, inputs, expected verdict, gated family?).
 PROGRAMS = {
@@ -167,9 +167,7 @@ def test_symbolic_speed_tables(symbolic_results, capsys):
         name: {key: value for key, value in entry.items()}
         for name, entry in symbolic_results.items()
     }
-    (RESULTS_DIR / "symbolic_speed.json").write_text(
-        json.dumps(payload, indent=2) + "\n", encoding="utf-8"
-    )
+    record("symbolic_speed.json", json.dumps(payload, indent=2) + "\n", capsys)
 
 
 def test_coverage_ratio_floor(symbolic_results):

@@ -246,8 +246,13 @@ def _decode(
     hexadecimal = digits[1:2] in ("x", "X")
     # Besides digits, a decimal constant can only hold "." and an exponent.
     if not hexadecimal and ("f" in suffix or not digits.isdigit()):
+        try:
+            float_value = float(digits)
+        except ValueError as exc:  # a Unicode digit, as in "1.²"
+            message = f"malformed floating constant {digits!r}"
+            raise _error(source, pos, message) from exc
         value = FloatConstant(
-            float(digits),
+            float_value,
             is_float="f" in suffix,
             is_long_double="l" in suffix and "f" not in suffix,
         )

@@ -12,20 +12,30 @@ a single ``while``-loop dispatch in :mod:`repro.core.vm`.
 The native subset
 -----------------
 
-* flat integer (``IntType``/``BoolType``) local scalars -> virtual
-  registers holding raw Python ints (or the ``UNINIT`` sentinel);
+* flat integer (``IntType``/``BoolType``) local scalars and parameters ->
+  virtual registers holding raw Python ints (or the ``UNINIT`` sentinel);
+* locals and parameters of type pointer-to-flat-integer or ``void *`` ->
+  *pointer registers* (see :mod:`repro.core.vm` for their fast form):
+  declaration, array decay, assignment, ``+``/``-`` with an integer,
+  ``++``/``--``, ``+=``/``-=``, comparisons and pointer difference,
+  ``*p`` and ``p[i]`` loads and stores, null constants, truth tests,
+  casts between these pointer types, and pointers as call arguments,
+  results and return values;
 * local one-dimensional flat-integer arrays and unit-level flat scalars /
   arrays -> memory *slots* accessed with pre-derived element sizes against
   the arena-backed byte store;
 * calls to unit functions and builtins, ``if``/``while``/``do``/``for``,
   ``&&``/``||``/``?:``/comma, casts between flat integer types.
 
-Anything else — pointers, floats, structs, ``&`` anywhere in the function,
-``goto``/``switch``/labels, static or extern locals, variadic definitions —
-aborts compilation of that *function* (:class:`_Unsupported`), and the
-function transparently runs on the lowered closures instead.  Falling back
-is always verdict-safe: the compiled engine is an accelerator for the
-common case, never an alternative semantics.
+Registers are sound only because nothing can point at them: a function that
+applies ``&`` anywhere leaves the subset.  Anything else outside it —
+floats, structs, pointers to pointers or records, ``goto``/``switch``/
+labels, static or extern locals, variadic definitions — aborts compilation
+of that *function* (:class:`_Unsupported`), and the function runs on the
+lowered closures instead, with the reason recorded in
+:attr:`CompiledProgram.fallbacks`.  Falling back is always verdict-safe:
+the compiled engine is an accelerator for the common case, never an
+alternative semantics.
 
 Parity contract
 ---------------
@@ -55,8 +65,9 @@ The bytecode replicates the *lowered* engine observation-for-observation:
   the lowered engine produces the report.
 
 Whole-unit compilation is memoized per options on
-:class:`repro.api.kcc.CompiledUnit`; functions that do not compile simply
-stay absent from :attr:`CompiledProgram.functions`.
+:class:`repro.core.kcc.CompiledUnit`; functions that do not compile stay
+absent from :attr:`CompiledProgram.functions` and are listed, with their
+reasons, in :attr:`CompiledProgram.fallbacks`.
 """
 
 from __future__ import annotations
@@ -71,10 +82,12 @@ from repro.core.config import CheckerOptions
 from repro.core.lowering import (
     _FLAT_INT_TYPES,
     _FoldUB,
+    _int_conversion_plan,
     _subtree_step_cost,
     _try_fold,
     LoweringContext,
 )
+from repro.core.values import PointerValue
 from repro.errors import UBKind, UndefinedBehaviorError
 
 
@@ -132,12 +145,23 @@ OP_PUSHSC = 24  # (op,)
 OP_POPSC = 25  # (op,)
 OP_RAISE = 26  # (op, kind, message, line)
 OP_STR = 27  # (op, dst, text)
+# Pointer registers (fast form ``(obj, offset, elem)``, see repro.core.vm).
+OP_PLD = 28  # (op, dst, ptr, idx, esize, elem, signed, slow)
+OP_PADD = 29  # (op, dst, ptr, idx, scale, slow)
+OP_PCMP = 30  # (op, dst, a, b, compare, slow)
+OP_PINC = 31  # (op, reg, old_dst, delta, slow)
+OP_PST = 32  # (op, ptr, src, esize, elem, mask, slow)
+OP_PCONV = 33  # (op, dst, src, slow)
+OP_DECAY = 34  # (op, dst, slot, name)
+OP_PDIFF = 35  # (op, dst, a, b, esize, lo, hi, slow)
+OP_PDCHK = 36  # (op, src, slow)
+OP_BINDP = 37  # (op, dst, name, ctype)
 
 #: Opcodes that can never raise: the only instructions allowed between a
 #: deferred register read and its consuming check without reordering the
 #: report (see :meth:`_FnCompiler.protect_read`).
 _SAFE_OPS = frozenset(
-    (OP_STEP, OP_MOV, OP_LOADI, OP_JMP, OP_SEQPT, OP_PUSHSC, OP_POPSC, OP_STR)
+    (OP_STEP, OP_MOV, OP_LOADI, OP_JMP, OP_SEQPT, OP_PUSHSC, OP_POPSC, OP_STR, OP_DECAY)
 )
 
 #: The register-destination operand positions of each opcode, used by the
@@ -161,6 +185,14 @@ _DST_FIELDS = {
     OP_CALL: (1,),
     OP_BINDR: (1,),
     OP_STR: (1,),
+    OP_PLD: (1,),
+    OP_PADD: (1,),
+    OP_PCMP: (1,),
+    OP_PINC: (1, 2),
+    OP_PCONV: (1,),
+    OP_DECAY: (1,),
+    OP_PDIFF: (1,),
+    OP_BINDP: (1,),
 }
 
 #: ``smode`` load decode: 0 unsigned, 1 signed two's-complement, 2 _Bool.
@@ -204,14 +236,19 @@ class FnCode:
 
 
 class CompiledProgram:
-    """All natively compiled functions of one translation unit."""
+    """The natively compiled functions of one translation unit.
 
-    __slots__ = ("functions", "order_mode", "options")
+    ``fallbacks`` maps every other defined function to the reason it left
+    the native subset; those run on the lowered closures.
+    """
+
+    __slots__ = ("functions", "fallbacks", "order_mode", "options")
 
     def __init__(
-        self, functions: dict, order_mode: int, options: CheckerOptions
+        self, functions: dict, fallbacks: dict, order_mode: int, options: CheckerOptions
     ) -> None:
         self.functions = functions
+        self.fallbacks = fallbacks
         self.order_mode = order_mode
         self.options = options
 
@@ -257,6 +294,16 @@ def raw_conversion_plan(target: ct.CType, profile: ct.ImplementationProfile):
 
 
 _RELATIONAL = {"<": True, ">": True, "<=": True, ">=": True, "==": True, "!=": True}
+
+#: Offset comparisons of two pointers into the same object (0/1 results).
+_OFFSET_COMPARE = {
+    "<": lambda a, b: 1 if a < b else 0,
+    ">": lambda a, b: 1 if a > b else 0,
+    "<=": lambda a, b: 1 if a <= b else 0,
+    ">=": lambda a, b: 1 if a >= b else 0,
+    "==": lambda a, b: 1 if a == b else 0,
+    "!=": lambda a, b: 1 if a != b else 0,
+}
 
 
 def raw_binary_plan(
@@ -506,8 +553,40 @@ def raw_incdec_plan(delta: int, var_type: ct.CType, options: CheckerOptions, lin
 # Compile-time variable model
 # ---------------------------------------------------------------------------
 
+_POINTEES = _FLAT_INT_TYPES + (ct.VoidType,)
+
+
+def _native_pointer(ctype) -> bool:
+    """Whether ``ctype`` lives in a pointer register: a pointer to a flat
+    integer type or to void."""
+    return isinstance(ctype, ct.PointerType) and isinstance(ctype.pointee, _POINTEES)
+
+
+def _access_facts(elem: ct.CType, profile: ct.ImplementationProfile):
+    """``(size, smode, info)`` of a flat-integer access at type ``elem``.
+
+    ``info`` is everything vm's slow paths need to rebuild the exact
+    lowered access: the element type followed by the lowered access plan
+    (size, alignment, uninit flag, const flag, integer conversion).
+    """
+    size = ct.size_of(elem, profile)
+    if isinstance(elem, ct.BoolType):
+        smode = _SMODE_BOOL
+    elif ct.is_signed_type(elem, profile):
+        smode = _SMODE_SIGNED
+    else:
+        smode = _SMODE_UNSIGNED
+    uninit = elem.is_scalar and not ct.is_character_type(elem)
+    try:
+        align = ct.align_of(elem, profile)
+    except ct.LayoutError:
+        align = 1
+    conversion = _int_conversion_plan(elem, profile)
+    return size, smode, (elem, size, align, uninit, elem.const, conversion)
+
+
 class _RegVar:
-    """A flat integer scalar living in a virtual register."""
+    """A flat integer or native pointer scalar living in a virtual register."""
 
     __slots__ = ("reg", "ctype", "read_msg", "signed", "is_bool", "size")
 
@@ -518,7 +597,7 @@ class _RegVar:
         self.ctype = ctype
         self.size = ct.size_of(ctype, profile)
         self.is_bool = isinstance(ctype, ct.BoolType)
-        self.signed = ct.is_signed_type(ctype, profile)
+        self.signed = not _native_pointer(ctype) and ct.is_signed_type(ctype, profile)
         # The message `_read_binding` raises on an uninitialized read of this
         # binding; None when the uninit side condition does not apply
         # (character types stay exempt, matching the walker).
@@ -545,36 +624,50 @@ class _MemVar:
         self.is_array = isinstance(ctype, ct.ArrayType)
         elem = ctype.element if self.is_array else ctype
         self.elem = elem
-        self.esize = ct.size_of(elem, profile)
         self.length = ctype.length if self.is_array else None
-        if isinstance(elem, ct.BoolType):
-            self.smode = _SMODE_BOOL
-        elif ct.is_signed_type(elem, profile):
-            self.smode = _SMODE_SIGNED
-        else:
-            self.smode = _SMODE_UNSIGNED
-        # Slow-path info: everything vm._slow_* needs to rebuild the exact
-        # lowered access (access plan fields + element type + uninit flag).
-        uninit = elem.is_scalar and not ct.is_character_type(elem)
-        try:
-            align = ct.align_of(elem, profile)
-        except ct.LayoutError:
-            align = 1
-        from repro.core.lowering import _int_conversion_plan
-        self.info = (
-            elem,
-            self.esize,
-            align,
-            uninit,
-            elem.const,
-            _int_conversion_plan(elem, profile),
-        )
+        self.esize, self.smode, self.info = _access_facts(elem, profile)
+
+
+#: The unqualified integer types the parser interns (``ct.INT``, ...; not
+#: _Bool).  A fast pointer access compares its target type with the
+#: object's element type by identity, both mapped through this table.
+INTERNED_INTS = {t: t for t in vars(ct).values() if t.__class__ is ct.IntType}
+
+
+#: The fast-access key of a target that always takes the checked path: no
+#: object's element type is this.
+_CHECKED = object()
+
+
+class _Pointee:
+    """What the VM needs to know about the target of a pointer type."""
+
+    __slots__ = ("elem", "scale", "load_elem", "store_elem", "signed", "mask", "info")
+
+    def __init__(self, ctype: ct.PointerType, profile) -> None:
+        elem = ctype.pointee
+        self.elem = elem
+        self.info = None
+        self.load_elem = self.store_elem = _CHECKED
+        if elem.is_void:
+            self.scale = 1  # _pointer_add's step for void * (GNU semantics)
+            return
+        size, smode, self.info = _access_facts(elem, profile)
+        self.scale = size
+        self.signed = smode == _SMODE_SIGNED
+        self.mask = (1 << (size * 8)) - 1
+        # Qualifiers do not change a load (aliasing ignores them); a store
+        # through a const lvalue, like any _Bool access, takes the checked
+        # path.
+        self.load_elem = INTERNED_INTS.get(elem.unqualified(), _CHECKED)
+        if not elem.const:
+            self.store_elem = self.load_elem
 
 
 class _Value:
     """Compile-time description of an expression result."""
 
-    __slots__ = ("reg", "ctype", "read_msg", "read_line")
+    __slots__ = ("reg", "ctype", "read_msg", "read_line", "exact")
 
     def __init__(
         self,
@@ -582,11 +675,30 @@ class _Value:
         ctype: Optional[ct.CType],
         read_msg: Optional[str] = None,
         read_line: int = 0,
+        exact: bool = True,
     ) -> None:
         self.reg = reg
         self.ctype = ctype  # None: void (discard-only)
         self.read_msg = read_msg  # uninit-read message of a direct var read
         self.read_line = read_line  # the read site (where lowered reports)
+        # False when the run-time value's type may differ from ``ctype`` (a
+        # builtin's pointer result): only a conversion may consume it.
+        self.exact = exact
+
+
+def _operands(op: str, line: int, left: _Value, right: _Value) -> tuple:
+    """The slow-path facts of a binary operation: both operands' types and
+    deferred reads, left first."""
+    return (
+        op,
+        line,
+        left.ctype,
+        right.ctype,
+        left.read_msg,
+        left.read_line,
+        right.read_msg,
+        right.read_line,
+    )
 
 
 _BAD = object()  # scope marker: name exists but is not natively accessible
@@ -604,6 +716,7 @@ class _FnCompiler:
         definition: c_ast.FunctionDef,
         unit_globals: dict,
         unit_functions: dict,
+        defined: set,
         options: CheckerOptions,
         order_mode: int,
         L: LoweringContext,
@@ -611,6 +724,8 @@ class _FnCompiler:
         self.definition = definition
         self.unit_globals = unit_globals  # name -> CType (objects)
         self.unit_functions = unit_functions  # name -> FunctionType
+        self.defined = defined  # names of the unit's function definitions
+        self.pointees: dict = {}  # PointerType -> _Pointee
         self.options = options
         self.profile = options.profile
         self.order_mode = order_mode
@@ -695,13 +810,39 @@ class _FnCompiler:
         """
         if value.read_msg is None or not self.check_uninit:
             return
-        if all(ins[0] in _SAFE_OPS for ins in self.code[mark:]):
+        if not self._can_raise(mark):
             return
-        self.code.insert(mark, (OP_RDCHK, value.reg, value.read_msg, value.read_line))
+        self._insert(mark, (OP_RDCHK, value.reg, value.read_msg, value.read_line))
+        value.read_msg = None
+
+    def protect_deref(self, value: _Value, mark: int, line: int) -> None:
+        """``protect_read`` for a pointer about to be dereferenced by a store.
+
+        The lowered engine resolves a store's target (reading the pointer
+        and checking it is dereferenceable) before evaluating the stored
+        value; when code emitted since ``mark`` can raise, check both at
+        ``mark``.
+        """
+        if not self._can_raise(mark):
+            return
+        read_msg = value.read_msg if self.check_uninit else None
+        slow = (value.ctype, read_msg, value.read_line, line)
+        self._insert(mark, (OP_PDCHK, value.reg, slow))
+        value.read_msg = None
+
+    def _can_raise(self, mark: int) -> bool:
+        for ins in self.code[mark:]:
+            op = ins[0]
+            if op in _SAFE_OPS or (op == OP_CONV and ins[4][2] is None):
+                continue  # a conversion without a pending read cannot raise
+            return True
+        return False
+
+    def _insert(self, mark: int, ins: tuple) -> None:
+        self.code.insert(mark, ins)
         for label, pc in self.labels.items():
             if pc >= mark:
                 self.labels[label] = pc + 1
-        value.read_msg = None
 
     def snapshot(self, value: _Value, mark: int) -> _Value:
         """Copy a held register value that later code clobbers.
@@ -726,11 +867,8 @@ class _FnCompiler:
         else:
             return value
         temp = self.new_reg()
-        self.code.insert(mark, (OP_MOV, temp, value.reg))
-        for label, pc in self.labels.items():
-            if pc >= mark:
-                self.labels[label] = pc + 1
-        return _Value(temp, value.ctype, value.read_msg, value.read_line)
+        self._insert(mark, (OP_MOV, temp, value.reg))
+        return _Value(temp, value.ctype, value.read_msg, value.read_line, value.exact)
 
     # -- static sequencing of register operations --------------------------
     #
@@ -790,11 +928,15 @@ class _FnCompiler:
         if definition.body is None:
             raise _Unsupported("definition without a body")
         rtype = ftype.return_type
-        if not (rtype.is_void or isinstance(rtype, _FLAT_INT_TYPES)):
-            raise _Unsupported("non-flat return type")
-        # Parameters: flat scalars become registers bound from the freshly
-        # written parameter objects; any other parameter type poisons its
-        # name (touching it falls back) but not the function.
+        if not (
+            rtype.is_void
+            or isinstance(rtype, _FLAT_INT_TYPES)
+            or _native_pointer(rtype)
+        ):
+            raise _Unsupported(f"return type {rtype}")
+        # Parameters: flat scalars and native pointers become registers bound
+        # from the freshly written parameter objects; any other parameter
+        # type poisons its name (touching it falls back) but not the function.
         scope = self.scopes[0]
         for index, param_type in enumerate(ftype.parameters):
             if index >= len(definition.parameter_names):
@@ -802,10 +944,10 @@ class _FnCompiler:
             name = definition.parameter_names[index]
             if param_type.is_void:
                 continue
-            if isinstance(param_type, _FLAT_INT_TYPES):
+            if isinstance(param_type, _FLAT_INT_TYPES) or _native_pointer(param_type):
                 var = _RegVar(self.new_reg(), param_type, self.profile)
                 scope[name] = var
-                self.emit((OP_BINDR, var.reg, name, var.size, var.signed, var.is_bool))
+                self.emit_bind(var, name)
             else:
                 scope[name] = _BAD
         # The function-body compound charges no step and pushes no scope
@@ -827,6 +969,13 @@ class _FnCompiler:
             rtype,
             self.options.max_steps,
         )
+
+    def emit_bind(self, var: _RegVar, name: str) -> None:
+        """Load a register from its freshly written object."""
+        if _native_pointer(var.ctype):
+            self.emit((OP_BINDP, var.reg, name, var.ctype))
+        else:
+            self.emit((OP_BINDR, var.reg, name, var.size, var.signed, var.is_bool))
 
     def _patch_jumps(self) -> tuple:
         labels = self.labels
@@ -1034,7 +1183,7 @@ class _FnCompiler:
         if ctype is None or isinstance(ctype, ct.FunctionType):
             raise _Unsupported("local function declaration")
         self.pending_steps += 1  # the Declaration statement node
-        if isinstance(ctype, _FLAT_INT_TYPES):
+        if isinstance(ctype, _FLAT_INT_TYPES) or _native_pointer(ctype):
             self._declare_register(decl, ctype)
             return
         if (
@@ -1056,7 +1205,7 @@ class _FnCompiler:
             # then binds from the freshly initialized object bytes.
             self.flush_steps()
             self.emit((OP_DECL, decl, -1, decl.line))
-            self.emit((OP_BINDR, var.reg, decl.name, var.size, var.signed, var.is_bool))
+            self.emit_bind(var, decl.name)
             self.scopes[-1][decl.name] = var
             self.dirty = False  # exec_local_declaration sequence-points
             self.pending_names.clear()
@@ -1142,8 +1291,6 @@ class _FnCompiler:
         self.pending_steps += 1
         dst = self.new_reg()
         self.emit((OP_STR, dst, expr.value))
-        # The register holds a boxed PointerValue; only the call-argument
-        # path may consume it (enforced by ctype=None handling elsewhere).
         return _Value(dst, ct.PointerType(pointee=ct.CHAR))
 
     def expr_identifier(self, expr: c_ast.Identifier, discard) -> _Value:
@@ -1154,9 +1301,11 @@ class _FnCompiler:
         if isinstance(var, _RegVar):
             self.sim_read(expr.name)
             return _Value(var.reg, var.ctype.unqualified(), var.read_msg, expr.line)
-        if var.is_array:
-            raise _Unsupported("array value used outside subscript/call")
         dst = self.new_reg()
+        if var.is_array:
+            # Array-to-pointer decay: the pointer to element 0, no read.
+            self.emit((OP_DECAY, dst, var.slot, expr.name))
+            return _Value(dst, ct.PointerType(pointee=var.elem))
         self.emit(
             (
                 OP_LDG,
@@ -1177,7 +1326,7 @@ class _FnCompiler:
         if op == "!":
             self.pending_steps += 1
             value = self.compile_expr(expr.operand)
-            self._require_flat(value)
+            self._require_scalar(value)
             dst = self.new_reg()
             self.emit(
                 (OP_NOT, dst, value.reg, expr.line, value.read_msg, value.read_line)
@@ -1202,11 +1351,30 @@ class _FnCompiler:
             )
             self.emit((OP_UNOP, dst, value.reg, plan, slow))
             return _Value(dst, result_type)
+        if op == "*":
+            self.pending_steps += 1
+            pointer = self.compile_expr(expr.operand)
+            return self._emit_load(pointer, _Value(self.const_reg(0), ct.INT), expr)
         raise _Unsupported(f"unary operator {op!r}")
 
     def _require_flat(self, value: _Value) -> None:
         if value.ctype is None or not isinstance(value.ctype, _FLAT_INT_TYPES):
             raise _Unsupported("non-flat operand")
+
+    def _require_scalar(self, value: _Value) -> None:
+        """A truth-tested operand: a flat integer or a native pointer."""
+        if not _native_pointer(value.ctype):
+            self._require_flat(value)
+
+    def _require_pointer(self, value: _Value) -> _Pointee:
+        """A native pointer operand whose run-time type is its static type."""
+        if not _native_pointer(value.ctype) or not value.exact:
+            raise _Unsupported(f"pointer operand of type {value.ctype}")
+        pointee = self.pointees.get(value.ctype)
+        if pointee is None:
+            pointee = _Pointee(value.ctype, self.profile)
+            self.pointees[value.ctype] = pointee
+        return pointee
 
     def _compile_incdec(self, expr: c_ast.UnaryOp, discard) -> _Value:
         delta = 1 if expr.op.startswith("++") else -1
@@ -1221,6 +1389,8 @@ class _FnCompiler:
                 self.pending_steps += 1  # the binding resolve step
                 if var.ctype.const:
                     raise _Unsupported("incdec on const lvalue")
+                if _native_pointer(var.ctype):
+                    return self._pointer_incdec(expr, var, delta, is_post)
                 plan = raw_incdec_plan(delta, var.ctype, self.options, expr.line)
                 if plan is None:
                     raise _Unsupported("incdec plan unavailable")
@@ -1278,25 +1448,25 @@ class _FnCompiler:
             return _Value(old if is_post else new, var.elem.unqualified())
         raise _Unsupported("incdec on unsupported lvalue")
 
+    def _pointer_incdec(self, expr, var: _RegVar, delta: int, is_post: bool):
+        facts = self._require_pointer(_Value(var.reg, var.ctype))
+        name = expr.operand.name
+        self.sim_read(name)
+        self.sim_write(name)
+        old_dst = self.new_reg() if is_post else -1
+        ctype = var.ctype.unqualified()
+        slow = (expr.line, ctype, var.read_msg, delta)
+        self.emit((OP_PINC, var.reg, old_dst, delta * facts.scale, slow))
+        return _Value(old_dst if is_post else var.reg, ctype)
+
     def expr_binary(self, expr: c_ast.BinaryOp, discard) -> _Value:
         op = expr.op
         if op == "&&" or op == "||":
             return self._compile_logical(expr)
         self.pending_steps += 1
-        if self.order_mode == 0:
-            left = self.compile_expr(expr.left)
-            mark = len(self.code)
-            right = self.compile_expr(expr.right)
-            grown = len(self.code)
-            self.protect_read(left, mark)
-            left = self.snapshot(left, mark + (len(self.code) - grown))
-        else:
-            right = self.compile_expr(expr.right)
-            mark = len(self.code)
-            left = self.compile_expr(expr.left)
-            grown = len(self.code)
-            self.protect_read(right, mark)
-            right = self.snapshot(right, mark + (len(self.code) - grown))
+        left, right = self._compile_operands(expr.left, expr.right)
+        if _native_pointer(left.ctype) or _native_pointer(right.ctype):
+            return self._pointer_binary(op, expr.line, left, right)
         self._require_flat(left)
         self._require_flat(right)
         planned = raw_binary_plan(op, left.ctype, right.ctype, self.options, expr.line)
@@ -1304,25 +1474,66 @@ class _FnCompiler:
             raise _Unsupported(f"binary {op} on {left.ctype}, {right.ctype}")
         plan, result_type = planned
         dst = self.new_reg()
-        slow = (
-            op,
-            expr.line,
-            left.ctype,
-            right.ctype,
-            left.read_msg,
-            left.read_line,
-            right.read_msg,
-            right.read_line,
-            plan,
-        )
+        slow = _operands(op, expr.line, left, right)
         self.emit((OP_BINOP, dst, left.reg, right.reg, plan, slow))
         return _Value(dst, result_type)
+
+    def _compile_operands(self, left_node, right_node) -> tuple:
+        """Compile two unsequenced operands in the pre-resolved order."""
+        if self.order_mode == 0:
+            left = self.compile_expr(left_node)
+            mark = len(self.code)
+            right = self.compile_expr(right_node)
+            grown = len(self.code)
+            self.protect_read(left, mark)
+            left = self.snapshot(left, mark + (len(self.code) - grown))
+        else:
+            right = self.compile_expr(right_node)
+            mark = len(self.code)
+            left = self.compile_expr(left_node)
+            grown = len(self.code)
+            self.protect_read(right, mark)
+            right = self.snapshot(right, mark + (len(self.code) - grown))
+        return left, right
+
+    def _pointer_binary(self, op: str, line: int, left: _Value, right: _Value):
+        """Pointer arithmetic, difference, and comparison (``apply_binary``)."""
+        slow = _operands(op, line, left, right)
+        dst = self.new_reg()
+        left_ptr = _native_pointer(left.ctype)
+        right_ptr = _native_pointer(right.ctype)
+        if op in _RELATIONAL:
+            for value in (left, right):
+                if _native_pointer(value.ctype):
+                    self._require_pointer(value)
+                else:
+                    self._require_flat(value)
+            self.emit((OP_PCMP, dst, left.reg, right.reg, _OFFSET_COMPARE[op], slow))
+            return _Value(dst, ct.INT)
+        if op == "-" and left_ptr and right_ptr:
+            facts = self._require_pointer(left)
+            self._require_pointer(right)
+            lo, hi = ct.integer_range(ct.LONG, self.profile)
+            scale = facts.scale
+            self.emit((OP_PDIFF, dst, left.reg, right.reg, scale, lo, hi, slow))
+            return _Value(dst, ct.LONG)
+        if op == "+" and right_ptr and not left_ptr:
+            pointer, index, sign = right, left, 1
+        elif op in ("+", "-") and left_ptr and not right_ptr:
+            pointer, index, sign = left, right, 1 if op == "+" else -1
+        else:
+            raise _Unsupported(f"pointer operator {op!r}")
+        facts = self._require_pointer(pointer)
+        self._require_flat(index)
+        slow = (False, pointer is right, slow)
+        self.emit((OP_PADD, dst, pointer.reg, index.reg, sign * facts.scale, slow))
+        return _Value(dst, pointer.ctype)
 
     def _compile_logical(self, expr: c_ast.BinaryOp) -> _Value:
         is_and = expr.op == "&&"
         self.pending_steps += 1
         left = self.compile_expr(expr.left)
-        self._require_flat(left)
+        self._require_scalar(left)
         self.emit_seqpt()
         dst = self.new_reg()
         short_label = self.new_label()
@@ -1333,7 +1544,7 @@ class _FnCompiler:
         else:
             self.emit_jnz(left, short_label, expr.line)
         right = self.compile_expr(expr.right)
-        self._require_flat(right)
+        self._require_scalar(right)
         self.emit((OP_BOOL, dst, right.reg, expr.line, right.read_msg, right.read_line))
         self.emit_jmp(end_label)
         self.bind(short_label)
@@ -1370,7 +1581,8 @@ class _FnCompiler:
             raise _Unsupported("void conditional arm")
         if then_value.ctype != else_value.ctype:
             raise _Unsupported("conditional arms of differing types")
-        return _Value(dst, then_value.ctype)
+        exact = then_value.exact and else_value.exact
+        return _Value(dst, then_value.ctype, exact=exact)
 
     def _emit_arm_result(self, value: _Value, dst: int, node) -> None:
         if value.ctype is None:
@@ -1398,6 +1610,8 @@ class _FnCompiler:
         if target is not None and target.is_void:
             self._discard_check(value, expr.operand)
             return _Value(value.reg, None)
+        if _native_pointer(target):
+            return self._convert_pointer(value, target, expr.line, True)
         if not isinstance(target, _FLAT_INT_TYPES):
             raise _Unsupported(f"cast to {target}")
         self._require_flat(value)
@@ -1411,8 +1625,44 @@ class _FnCompiler:
 
     def expr_subscript(self, expr: c_ast.ArraySubscript, discard) -> _Value:
         self.pending_steps += 1
-        reg, var = self._compile_subscript_load(expr)
-        return _Value(reg, var.elem.unqualified())
+        if self._slot_subscript(expr):
+            reg, var = self._compile_subscript_load(expr)
+            return _Value(reg, var.elem.unqualified())
+        pointer, index, swapped = self._compile_pointer_subscript(expr)
+        return self._emit_load(pointer, index, expr, swapped)
+
+    def _slot_subscript(self, expr: c_ast.ArraySubscript) -> bool:
+        """Whether exactly one operand names a native array (a memory slot)."""
+
+        def is_array(node) -> bool:
+            if isinstance(node, c_ast.Identifier):
+                var = self.lookup(node.name)
+                return isinstance(var, _MemVar) and var.is_array
+            return False
+
+        return is_array(expr.array) != is_array(expr.index)
+
+    def _compile_pointer_subscript(self, expr: c_ast.ArraySubscript):
+        """``p[i]`` or ``i[p]``: (pointer, index, pointer-is-the-index-operand)."""
+        base, index = self._compile_operands(expr.array, expr.index)
+        swapped = not _native_pointer(base.ctype)
+        if swapped:
+            base, index = index, base
+        self._require_pointer(base)
+        self._require_flat(index)
+        return base, index, swapped
+
+    def _emit_load(self, pointer: _Value, index: _Value, expr, swapped=None):
+        """A checked load of ``*pointer`` (``swapped`` None) or of a subscript."""
+        facts = self._require_pointer(pointer)
+        if facts.info is None:
+            raise _Unsupported("dereference of void *")
+        left, right = (index, pointer) if swapped else (pointer, index)
+        slow = (swapped, _operands("[]", expr.line, left, right), facts.info)
+        dst = self.new_reg()
+        ins = (OP_PLD, dst, pointer.reg, index.reg, facts.scale, facts.load_elem)
+        self.emit(ins + (facts.signed, slow))
+        return _Value(dst, facts.elem.unqualified())
 
     def _subscript_parts(self, expr: c_ast.ArraySubscript):
         """Resolve which side is the array; keep syntactic evaluation order."""
@@ -1515,9 +1765,67 @@ class _FnCompiler:
             if var.is_array:
                 raise _Unsupported("assignment to an array")
             return self._assign_global(expr, var)
-        if isinstance(target, c_ast.ArraySubscript):
+        if isinstance(target, c_ast.ArraySubscript) and self._slot_subscript(target):
             return self._assign_element(expr)
+        if isinstance(target, c_ast.ArraySubscript) or (
+            isinstance(target, c_ast.UnaryOp) and target.op == "*"
+        ):
+            return self._assign_through_pointer(expr)
         raise _Unsupported("assignment target outside native subset")
+
+    def _assign_through_pointer(self, expr: c_ast.Assignment) -> _Value:
+        """``*p = v`` and ``p[i] = v``: a checked store through a pointer."""
+        if expr.op != "=":
+            raise _Unsupported("compound assignment through a pointer")
+        self.pending_steps += 1  # the assignment node
+        if self.order_mode == 0:
+            self.pending_steps += 1  # the lvalue node
+            pointer = self._compile_store_target(expr.target)
+            mark = len(self.code)
+            value = self.compile_expr(expr.value)
+            facts = self._require_pointer(pointer)
+            converted = self._convert_store(value, facts, expr.line)
+            grown = len(self.code)
+            if isinstance(expr.target, c_ast.UnaryOp):
+                self.protect_deref(pointer, mark, expr.target.line)
+            pointer = self.snapshot(pointer, mark + (len(self.code) - grown))
+        else:
+            value = self.compile_expr(expr.value)
+            self.pending_steps += 1
+            mark = len(self.code)
+            pointer = self._compile_store_target(expr.target)
+            grown = len(self.code)
+            self.protect_read(value, mark)
+            value = self.snapshot(value, mark + (len(self.code) - grown))
+            facts = self._require_pointer(pointer)
+            converted = self._convert_store(value, facts, expr.line)
+        target_line = expr.target.line
+        ptype, read_msg, read_line = pointer.ctype, pointer.read_msg, pointer.read_line
+        slow = (expr.line, target_line, ptype, read_msg, read_line, facts.info)
+        ins = (OP_PST, pointer.reg, converted.reg, facts.scale, facts.store_elem)
+        self.emit(ins + (facts.mask, slow))
+        if self.check_seq:
+            self.dirty = True
+        return _Value(converted.reg, facts.elem.unqualified())
+
+    def _compile_store_target(self, target) -> _Value:
+        """The pointer a store writes through, resolved like the lowered
+        lvalue: ``*e`` evaluates ``e``; ``p[i]`` also adds (and checks) the
+        index before the stored value is evaluated."""
+        if isinstance(target, c_ast.UnaryOp):
+            return self.compile_expr(target.operand)
+        pointer, index, swapped = self._compile_pointer_subscript(target)
+        facts = self._require_pointer(pointer)
+        left, right = (index, pointer) if swapped else (pointer, index)
+        slow = (True, swapped, _operands("[]", target.line, left, right))
+        dst = self.new_reg()
+        self.emit((OP_PADD, dst, pointer.reg, index.reg, facts.scale, slow))
+        return _Value(dst, pointer.ctype)
+
+    def _convert_store(self, value: _Value, facts: _Pointee, line: int) -> _Value:
+        if facts.info is None:
+            raise _Unsupported("store through void *")
+        return self.convert_to(value, facts.elem, line)
 
     def _assign_register(self, expr: c_ast.Assignment, var: _RegVar) -> _Value:
         name = expr.target.name
@@ -1544,23 +1852,19 @@ class _FnCompiler:
         mark = len(self.code)
         rhs = self.compile_expr(expr.value)
         self.protect_read(old, mark)
+        if _native_pointer(var.ctype):
+            result = self._pointer_binary(op, expr.line, old, rhs)
+            converted = self.convert_to(result, var.ctype, expr.line)
+            self.sim_write(name)
+            self.emit((OP_MOV, var.reg, converted.reg))
+            return _Value(var.reg, var.ctype.unqualified())
         self._require_flat(rhs)
         planned = raw_binary_plan(op, old.ctype, rhs.ctype, self.options, expr.line)
         if planned is None:
             raise _Unsupported(f"compound {op} plan unavailable")
         plan, result_type = planned
         result = self.new_reg()
-        slow = (
-            op,
-            expr.line,
-            old.ctype,
-            rhs.ctype,
-            old.read_msg,
-            old.read_line,
-            rhs.read_msg,
-            rhs.read_line,
-            plan,
-        )
+        slow = _operands(op, expr.line, old, rhs)
         self.emit((OP_BINOP, result, old.reg, rhs.reg, plan, slow))
         converted = self.convert_to(_Value(result, result_type), var.ctype, expr.line)
         self.sim_write(name)
@@ -1605,17 +1909,7 @@ class _FnCompiler:
             raise _Unsupported(f"compound {op} plan unavailable")
         plan, result_type = planned
         result = self.new_reg()
-        slow = (
-            op,
-            expr.line,
-            old.ctype,
-            rhs.ctype,
-            None,
-            0,
-            rhs.read_msg,
-            rhs.read_line,
-            plan,
-        )
+        slow = _operands(op, expr.line, old, rhs)
         self.emit((OP_BINOP, result, old.reg, rhs.reg, plan, slow))
         converted = self.convert_to(_Value(result, result_type), var.elem, expr.line)
         self._emit_store_global(var, name, converted, expr.line)
@@ -1657,17 +1951,7 @@ class _FnCompiler:
             raise _Unsupported(f"compound {op} plan unavailable")
         plan, result_type = planned
         result = self.new_reg()
-        slow = (
-            op,
-            expr.line,
-            old.ctype,
-            rhs.ctype,
-            None,
-            0,
-            rhs.read_msg,
-            rhs.read_line,
-            plan,
-        )
+        slow = _operands(op, expr.line, old, rhs)
         self.emit((OP_BINOP, result, old.reg, rhs.reg, plan, slow))
         converted = self.convert_to(_Value(result, result_type), var.elem, expr.line)
         self._emit_store_element(var, addr, converted, expr.line)
@@ -1710,7 +1994,9 @@ class _FnCompiler:
             self.dirty = True
 
     def convert_to(self, value: _Value, target: ct.CType, line: int) -> _Value:
-        """Convert a flat value to ``target`` (assignment conversion)."""
+        """Convert a value to ``target`` (assignment conversion)."""
+        if _native_pointer(target):
+            return self._convert_pointer(value, target, line, False)
         self._require_flat(value)
         plan = raw_conversion_plan(target, self.profile)
         if plan is None:
@@ -1719,6 +2005,20 @@ class _FnCompiler:
         slow = (target.unqualified(), line, value.read_msg, value.read_line)
         self.emit((OP_CONV, dst, value.reg, plan, slow))
         return _Value(dst, target.unqualified())
+
+    def _convert_pointer(self, value: _Value, target, line: int, explicit: bool):
+        """Convert a pointer or integer to a native pointer type, normalized
+        as a store and reload of a pointer object would leave it."""
+        target = target.unqualified()
+        dst = self.new_reg()
+        if value.reg == self.consts.get(0) and isinstance(value.ctype, _FLAT_INT_TYPES):
+            # The null pointer constant.
+            self.emit((OP_LOADI, dst, PointerValue(base=None, offset=0, type=target)))
+            return _Value(dst, target)
+        self._require_scalar(value)
+        slow = (value.ctype, target, line, value.read_msg, value.read_line, explicit)
+        self.emit((OP_PCONV, dst, value.reg, slow))
+        return _Value(dst, target)
 
     def expr_call(self, expr: c_ast.Call, discard) -> _Value:
         function = expr.function
@@ -1765,9 +2065,11 @@ class _FnCompiler:
         for position, value in enumerate(argument_values):
             if value.ctype is None:
                 raise _Unsupported("void argument")
+            if not value.exact:
+                raise _Unsupported("builtin pointer result passed as an argument")
             args.append((value.reg, value.ctype, value.read_msg, value.read_line))
-        # Result typing: unit functions return their declared type; builtin
-        # results are only usable when discarded (no static type available).
+        # Result typing: unit functions return their declared type; a
+        # builtin's declared type may not be its result's run-time type.
         if ftype is not None:
             rtype = ftype.return_type
         else:
@@ -1775,13 +2077,23 @@ class _FnCompiler:
         if rtype is not None and isinstance(rtype, _FLAT_INT_TYPES):
             dst = self.new_reg()
             result = _Value(dst, rtype.unqualified())
+        elif _native_pointer(rtype):
+            # A unit function converts its result to its return type; a
+            # builtin's result keeps whatever type its implementation gave.
+            dst = self.new_reg()
+            result = _Value(dst, rtype.unqualified(), exact=name in self.defined)
         elif discard or (rtype is not None and rtype.is_void):
             dst = -1
             result = _Value(-1, None)
+        elif rtype is None:
+            # An undeclared builtin: only a conversion may consume the result.
+            dst = self.new_reg()
+            result = _Value(dst, ct.VOID_PTR, exact=False)
         else:
             raise _Unsupported("call result type outside native subset")
         self.flush_steps()
-        self.emit((OP_CALL, dst, name, ftype, tuple(args), expr.line))
+        pointer_result = _native_pointer(result.ctype)
+        self.emit((OP_CALL, dst, name, ftype, tuple(args), expr.line, pointer_result))
         # The call site runs a real sequence point before entering the
         # callee, which clears the sequencing window for register state
         # too.  Unit functions save/restore the (now empty) location set,
@@ -1832,11 +2144,13 @@ _ORDER_MODES = {"left-to-right": 0, "right-to-left": 1}
 def compile_unit_bytecode(
     unit: c_ast.TranslationUnit, options: CheckerOptions
 ) -> Optional[CompiledProgram]:
-    """Compile every native-subset function of ``unit``; None if none fit.
+    """Compile every native-subset function of ``unit``.
 
-    The evaluation order must be pre-resolved (fixed strategies only): the
-    bytecode hard-codes operand order, so scripted/search strategies keep
-    using the walker's decision points.
+    Returns None when the evaluation order is not pre-resolved (fixed
+    strategies only): the bytecode hard-codes operand order, so
+    scripted/search strategies keep using the walker's decision points.
+    Every function that does not compile is listed with its reason in
+    :attr:`CompiledProgram.fallbacks`.
     """
     order_mode = _ORDER_MODES.get(options.evaluation_order)
     if order_mode is None:
@@ -1858,17 +2172,17 @@ def compile_unit_bytecode(
             elif declaration.type is not None:
                 unit_globals[declaration.name] = declaration.type
     functions: dict[str, FnCode] = {}
+    fallbacks: dict[str, str] = {}
+    defined = {definition.name for definition in definitions}
     L = LoweringContext(options)
     for definition in definitions:
         compiler = _FnCompiler(
-            definition, unit_globals, unit_functions, options, order_mode, L
+            definition, unit_globals, unit_functions, defined, options, order_mode, L
         )
         try:
             functions[definition.name] = compiler.compile()
-        except _Unsupported:
-            continue
-        except _FoldUB:
-            continue
-    if not functions:
-        return None
-    return CompiledProgram(functions, order_mode, options)
+        except _Unsupported as reason:
+            fallbacks[definition.name] = str(reason)
+        except _FoldUB as fold_error:
+            fallbacks[definition.name] = f"constant folding: {fold_error.message}"
+    return CompiledProgram(functions, fallbacks, order_mode, options)

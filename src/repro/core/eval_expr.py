@@ -191,12 +191,17 @@ class ExpressionEvaluatorMixin:
     def _subscript_lvalue(self, expr: c_ast.ArraySubscript) -> LValue:
         base_value, index_value = self._eval_unsequenced(
             [expr.array, expr.index], expr.line)
+        return self._subscript_to_lvalue(base_value, index_value, expr.line)
+
+    def _subscript_to_lvalue(self, base_value: CValue, index_value: CValue,
+                             line: int) -> LValue:
+        """The element designated by already-evaluated subscript operands."""
         if isinstance(index_value, PointerValue) and not isinstance(base_value, PointerValue):
             base_value, index_value = index_value, base_value  # i[a] form
-        pointer = self._require_pointer(base_value, expr.line, "subscripted value")
-        index = self._require_int(index_value, expr.line, "array subscript")
+        pointer = self._require_pointer(base_value, line, "subscripted value")
+        index = self._require_int(index_value, line, "array subscript")
         element_type = pointer.pointee_type
-        new_pointer = self._pointer_add(pointer, index, expr.line)
+        new_pointer = self._pointer_add(pointer, index, line)
         return LValue(pointer=new_pointer, type=element_type)
 
     def _eval_ArraySubscript(self, expr: c_ast.ArraySubscript) -> CValue:
@@ -289,21 +294,27 @@ class ExpressionEvaluatorMixin:
         lvalue = self.eval_lvalue(expr.operand)
         old = self.read_lvalue(lvalue, line)
         delta = 1 if op.startswith("++") else -1
-        if isinstance(old, PointerValue):
-            new = self._pointer_add(old, delta, line)
-        elif isinstance(old, FloatValue):
-            new = FloatValue(old.value + delta, old.type)
-        else:
-            old_int = self._require_arithmetic(old, line, "operand of ++/--")
-            promoted = self._promote(old_int)
-            assert isinstance(promoted, IntValue)
-            result = self._arith_result(promoted.value + delta, promoted.type, line)
-            new = convert(result, lvalue.type, self.options, line=line,
-                          pointer_registry=self.pointer_registry)
-        converted_new = new if isinstance(new, (PointerValue, FloatValue)) else convert(
-            new, lvalue.type, self.options, line=line, pointer_registry=self.pointer_registry)
+        converted_new = self._incdec_value(old, delta, lvalue.type, line)
         self.write_lvalue(lvalue, converted_new, line)
         return old if op.endswith("post") else converted_new
+
+    def _incdec_value(self, old: CValue, delta: int, target: ct.CType,
+                      line: int) -> CValue:
+        """The value ``++``/``--`` stores back into an object of type ``target``."""
+        if isinstance(old, PointerValue):
+            return self._pointer_add(old, delta, line)
+        if isinstance(old, FloatValue):
+            return FloatValue(old.value + delta, old.type)
+        old_int = self._require_arithmetic(old, line, "operand of ++/--")
+        promoted = self._promote(old_int)
+        assert isinstance(promoted, IntValue)
+        result = self._arith_result(promoted.value + delta, promoted.type, line)
+        new = convert(result, target, self.options, line=line,
+                      pointer_registry=self.pointer_registry)
+        if isinstance(new, (PointerValue, FloatValue)):
+            return new
+        return convert(new, target, self.options, line=line,
+                       pointer_registry=self.pointer_registry)
 
     def _eval_SizeofType(self, expr: c_ast.SizeofType) -> CValue:
         try:

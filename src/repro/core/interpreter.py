@@ -97,6 +97,8 @@ class Interpreter(ExpressionEvaluatorMixin, StatementExecutorMixin):
         self.unit = unit
         self.options = options
         self.profile = options.profile
+        if compiled is not None and not compiled.functions:
+            compiled = None  # every function falls back
         # The compiled engine addresses object bytes as flat integer offsets,
         # so pair it with the contiguous arena store; everything else keeps
         # the per-object dict store.

@@ -135,21 +135,18 @@ class CompiledUnit:
         """The register-bytecode program of this unit for ``options``
         (memoized), or None.
 
-        Functions outside the compiler's native subset are simply absent
-        from the returned program and run on the lowered closures instead;
-        a compiler defect can therefore cost speed but never a verdict.
-        Returns None outright on parse failure, for evaluation orders the
-        bytecode does not pre-resolve, or if compilation itself fails.
+        Functions outside the compiler's native subset are absent from the
+        returned program, with their reasons in its ``fallbacks``, and run
+        on the lowered closures instead.  Returns None on parse failure and
+        for evaluation orders the bytecode does not pre-resolve.  A defect
+        in the compiler itself propagates: it is a bug to fix, not a
+        fallback.
         """
         if self.unit is None:
             return None
         if options not in self._bytecode:
             from repro.core.bytecode import compile_unit_bytecode
-            try:
-                self._bytecode[options] = compile_unit_bytecode(self.unit,
-                                                                options)
-            except Exception:  # pragma: no cover - safety net, not expected
-                self._bytecode[options] = None
+            self._bytecode[options] = compile_unit_bytecode(self.unit, options)
         return self._bytecode[options]
 
     def diagnostics(self) -> list[Diagnostic]:

@@ -1011,30 +1011,18 @@ def _lower_UnaryOp(expr: c_ast.UnaryOp, L: LoweringContext) -> ExprThunk:
                 access = binding.access_plan
                 intconv = (access[2] if access is not None
                            and access[0] == _PLAN_SCALAR else None)
-                if isinstance(old, PointerValue):
-                    new = interp._pointer_add(old, delta, line)
-                elif isinstance(old, FloatValue):
-                    new = FloatValue(old.value + delta, old.type)
-                else:
+                if intconv is not None and not isinstance(old, (PointerValue,
+                                                                FloatValue)):
                     old_int = interp._require_arithmetic(old, line, "operand of ++/--")
                     promoted = interp._promote(old_int)
                     assert isinstance(promoted, IntValue)
                     result = interp._arith_result(promoted.value + delta,
                                                   promoted.type, line)
-                    if intconv is not None:
-                        # The plan conversion is idempotent, so one application
-                        # equals the legacy walker's convert-then-convert.
-                        converted_plan = intconv(result.value)
-                        _write_binding(interp, binding, converted_plan, line)
-                        return old if is_post else converted_plan
-                    new = convert(result, binding.type, interp.options, line=line,
-                                  pointer_registry=interp.pointer_registry)
-                if isinstance(new, (PointerValue, FloatValue)):
-                    converted_new: CValue = new
+                    # The plan conversion is idempotent, so one application
+                    # equals the legacy walker's convert-then-convert.
+                    converted_new: CValue = intconv(result.value)
                 else:
-                    converted_new = convert(new, binding.type, interp.options,
-                                            line=line,
-                                            pointer_registry=interp.pointer_registry)
+                    converted_new = interp._incdec_value(old, delta, binding.type, line)
                 _write_binding(interp, binding, converted_new, line)
                 return old if is_post else converted_new
             return run_incdec_ident
@@ -1049,20 +1037,7 @@ def _lower_UnaryOp(expr: c_ast.UnaryOp, L: LoweringContext) -> ExprThunk:
                 interp.current_line = line
             lvalue = operand_lv(interp)
             old = interp.read_lvalue(lvalue, line)
-            if isinstance(old, PointerValue):
-                new = interp._pointer_add(old, delta, line)
-            elif isinstance(old, FloatValue):
-                new = FloatValue(old.value + delta, old.type)
-            else:
-                old_int = interp._require_arithmetic(old, line, "operand of ++/--")
-                promoted = interp._promote(old_int)
-                assert isinstance(promoted, IntValue)
-                result = interp._arith_result(promoted.value + delta, promoted.type, line)
-                new = convert(result, lvalue.type, interp.options, line=line,
-                              pointer_registry=interp.pointer_registry)
-            converted_new = new if isinstance(new, (PointerValue, FloatValue)) else convert(
-                new, lvalue.type, interp.options, line=line,
-                pointer_registry=interp.pointer_registry)
+            converted_new = interp._incdec_value(old, delta, lvalue.type, line)
             interp.write_lvalue(lvalue, converted_new, line)
             return old if is_post else converted_new
         return run_incdec
@@ -1529,14 +1504,7 @@ def _subscript_core(expr: c_ast.ArraySubscript, L: LoweringContext):
         else:
             base_value, index_value = _run_unsequenced_pair(interp, site,
                                                             array_run, index_run)
-        if isinstance(index_value, PointerValue) and not isinstance(
-                base_value, PointerValue):
-            base_value, index_value = index_value, base_value  # i[a] form
-        pointer = interp._require_pointer(base_value, line, "subscripted value")
-        index = interp._require_int(index_value, line, "array subscript")
-        element_type = pointer.pointee_type
-        new_pointer = interp._pointer_add(pointer, index, line)
-        return LValue(pointer=new_pointer, type=element_type)
+        return interp._subscript_to_lvalue(base_value, index_value, line)
     return core
 
 

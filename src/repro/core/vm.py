@@ -17,12 +17,28 @@ Design notes
   behavior by calling the *shared* helpers (``_read_binding``,
   ``_write_with_plan``, ``apply_binary``, ``to_boolean``, ...), so error
   kinds, messages, and order never fork from the lowered semantics.
-* **Memory slots** cache ``(data, base, size, binding)`` per activation:
-  local arrays bind at their ``DECL``, globals bind lazily on first touch.
-  ``data`` is the object's arena-backed byte store; flat loads/stores go
-  through its ``read_int``/``write_int`` integer fast path and fall back
-  to the generic byte path whenever exotic (symbolic/indeterminate) bytes
-  are in range.
+* **Memory slots** cache ``(data, base, size, binding, decayed)`` per
+  activation: local arrays bind at their ``DECL``, globals bind lazily on
+  first touch.  ``data`` is the object's arena-backed byte store; flat
+  loads/stores go through its ``read_int``/``write_int`` integer fast path
+  and fall back to the generic byte path whenever exotic
+  (symbolic/indeterminate) bytes are in range.
+* **Pointer registers** hold ``UNINIT``, a boxed ``PointerValue`` (null,
+  function, or dangling-base pointers, and anything stranger a slow path
+  produced), or the fast form ``(obj, offset, elem)``: the
+  ``MemoryObject`` the pointer's base names, the byte offset, and the
+  object's interned element type (None when it has none, e.g. heap
+  storage).  The pointer's type is the instruction's static type, which
+  the compiler keeps equal to the run-time type.  A fast path runs only
+  when it reaches the result the shared helper would: arithmetic needs a
+  live object and an offset within ``0..size``; an access needs a live
+  object, an in-bounds aligned offset, ``elem`` identical to the target
+  type, a writable object (stores), and no pending sequenced write
+  (loads).  Otherwise the slow path boxes the operands and calls
+  ``_pointer_add``, ``apply_binary``, ``_subscript_to_lvalue``,
+  ``_deref_to_lvalue``, ``_read_with_plan``/``_write_with_plan``,
+  ``_incdec_value`` or ``convert``, so every pointer verdict comes from
+  the same code as the closures'.
 * **Sequencing** keeps feeding ``Memory.locs_written`` with plain
   ``(base, offset)`` tuples (hash-equal to the ``ByteLocation`` entries of
   the generic path), so unsequenced-conflict detection composes with any
@@ -39,12 +55,15 @@ from repro.core.bytecode import (
     _SMODE_SIGNED,
     CompiledProgram,
     FnCode,
+    INTERNED_INTS,
+    OP_BINDP,
     OP_BINDR,
     OP_BINOP,
     OP_BOOL,
     OP_CALL,
     OP_CHKE,
     OP_CONV,
+    OP_DECAY,
     OP_DECL,
     OP_INC,
     OP_JMP,
@@ -56,7 +75,15 @@ from repro.core.bytecode import (
     OP_LOADI,
     OP_MOV,
     OP_NOT,
+    OP_PADD,
+    OP_PCMP,
+    OP_PCONV,
+    OP_PDCHK,
+    OP_PDIFF,
+    OP_PINC,
+    OP_PLD,
     OP_POPSC,
+    OP_PST,
     OP_PUSHSC,
     OP_RAISE,
     OP_RDCHK,
@@ -69,7 +96,7 @@ from repro.core.bytecode import (
     OP_UNOP,
     UNINIT,
 )
-from repro.core.conversions import to_boolean
+from repro.core.conversions import convert, to_boolean
 from repro.core.environment import LValue
 from repro.core.lowering import _read_binding, _read_with_plan, _write_with_plan
 from repro.core.memory import ArenaBytes
@@ -77,6 +104,9 @@ from repro.core.values import (
     ConcreteByte,
     IndeterminateValue,
     IntValue,
+    PointerValue,
+    UnknownByte,
+    decode_value,
     unknown_bytes,
 )
 from repro.errors import ResourceLimitError, UBKind, UndefinedBehaviorError
@@ -123,6 +153,8 @@ def _box(value, ctype: ct.CType, profile):
     """Box a register value for a shared helper (slow paths only)."""
     if value.__class__ is int:
         return IntValue(value, ctype)
+    if value.__class__ is tuple:
+        return PointerValue(base=value[0].base, offset=value[1], type=ctype)
     if value is UNINIT:
         try:
             size = ct.size_of(ctype, profile)
@@ -141,8 +173,41 @@ def _unbox(value):
     return value
 
 
+def _elem_of(obj):
+    """The interned integer type a fast pointer into ``obj`` may load and
+    store natively; None for heap objects, aggregates and _Bool."""
+    declared = obj.declared_type
+    if declared.__class__ is ct.ArrayType:
+        declared = declared.element
+    if declared.__class__ is ct.IntType:
+        return INTERNED_INTS.get(declared.unqualified())
+    return None
+
+
+def _unbox_ptr(memory, value):
+    """A shared-helper result as a pointer register value: the fast form
+    ``(obj, offset, elem)`` for a pointer to an existing object."""
+    if value.__class__ is PointerValue:
+        if value.function is None:
+            obj = memory.objects.get(value.base)
+            if obj is not None:
+                return (obj, value.offset, _elem_of(obj))
+        return value
+    if value.__class__ is IndeterminateValue and any(
+        byte.__class__ is UnknownByte for byte in value.data
+    ):
+        return UNINIT
+    return value
+
+
 def _raise_read(msg: str, line: int):
     raise UndefinedBehaviorError(UBKind.UNINITIALIZED_READ, msg, line=line)
+
+
+def _deferred_read(interp, value, msg, line: int) -> None:
+    """Raise a register read's uninitialized-read error, if it applies."""
+    if value is UNINIT and msg is not None and interp.options.check_uninitialized:
+        _raise_read(msg, line)
 
 
 _UNSEQ_WRITE = (
@@ -160,9 +225,17 @@ def _bind_slot(interp, S: list, slot: int, name: str):
     if binding is None:
         binding = interp.global_bindings[name]
     obj = interp.memory.objects[binding.base]
-    record = (obj.data, binding.base, obj.size, binding)
+    record = (obj.data, binding.base, obj.size, binding, (obj, 0, _elem_of(obj)))
     S[slot] = record
     return record
+
+
+def _bind_pointer(interp, name: str, ctype: ct.CType):
+    """Load a pointer register from its freshly written object."""
+    memory = interp.memory
+    obj = memory.objects[interp.frames[-1].lookup(name).base]
+    value = decode_value(obj.data[0 : obj.size], ctype, interp.profile)
+    return _unbox_ptr(memory, value)
 
 
 # ---------------------------------------------------------------------------
@@ -171,39 +244,117 @@ def _bind_slot(interp, S: list, slot: int, name: str):
 
 def _cond_slow(interp, value, rdmsg, rdline: int, line: int) -> bool:
     """A branch condition that is not a raw int (UNINIT or boxed)."""
-    options = interp.options
+    if value.__class__ is tuple:
+        return True  # a pointer to an object is never null
     if value is UNINIT:
-        if rdmsg is not None and options.check_uninitialized:
-            _raise_read(rdmsg, rdline)
+        _deferred_read(interp, value, rdmsg, rdline)
         value = IndeterminateValue(type=ct.INT, data=())
-    return to_boolean(value, options, line=line)
+    return to_boolean(value, interp.options, line=line)
+
+
+def _read_checks(interp, a, lmsg, lline, b, rmsg, rline, order_mode: int) -> None:
+    """Raise the deferred uninitialized reads of two operands, in the order
+    the lowered engine evaluates them."""
+    if order_mode == 0:
+        _deferred_read(interp, a, lmsg, lline)
+        _deferred_read(interp, b, rmsg, rline)
+    else:
+        _deferred_read(interp, b, rmsg, rline)
+        _deferred_read(interp, a, lmsg, lline)
+
+
+def _binop_boxed(interp, a, b, slow, order_mode: int):
+    op, line, ltype, rtype, lmsg, lline, rmsg, rline = slow
+    _read_checks(interp, a, lmsg, lline, b, rmsg, rline, order_mode)
+    profile = interp.profile
+    return interp.apply_binary(
+        op, _box(a, ltype, profile), _box(b, rtype, profile), line
+    )
 
 
 def _binop_slow(interp, a, b, slow, order_mode: int):
-    op, line, ltype, rtype, lmsg, lline, rmsg, rline, _plan = slow
-    check_uninit = interp.options.check_uninitialized
-    if check_uninit:
-        if order_mode == 0:
-            if a is UNINIT and lmsg is not None:
-                _raise_read(lmsg, lline)
-            if b is UNINIT and rmsg is not None:
-                _raise_read(rmsg, rline)
-        else:
-            if b is UNINIT and rmsg is not None:
-                _raise_read(rmsg, rline)
-            if a is UNINIT and lmsg is not None:
-                _raise_read(lmsg, lline)
+    return _unbox(_binop_boxed(interp, a, b, slow, order_mode))
+
+
+def _subscript_slow(interp, left, right, operands, order_mode: int):
+    """The element ``left[right]`` designates, resolved as the lowered
+    subscript does (deferred reads first)."""
+    _op, line, ltype, rtype, lmsg, lline, rmsg, rline = operands
+    _read_checks(interp, left, lmsg, lline, right, rmsg, rline, order_mode)
     profile = interp.profile
-    result = interp.apply_binary(
-        op, _box(a, ltype, profile), _box(b, rtype, profile), line
+    return interp._subscript_to_lvalue(
+        _box(left, ltype, profile), _box(right, rtype, profile), line
     )
-    return _unbox(result)
+
+
+def _padd_slow(interp, pointer, index, slow, order_mode: int):
+    """Pointer plus integer, as ``apply_binary`` or a subscript computes it."""
+    subscript, swapped, operands = slow
+    left, right = (index, pointer) if swapped else (pointer, index)
+    if subscript:
+        result = _subscript_slow(interp, left, right, operands, order_mode).pointer
+    else:
+        result = _binop_boxed(interp, left, right, operands, order_mode)
+    return _unbox_ptr(interp.memory, result)
+
+
+def _pld_slow(interp, pointer, index, slow, order_mode: int):
+    """Load through a pointer (``swapped`` None) or a pointer subscript."""
+    swapped, operands, info = slow
+    _op, line, ptype, _itype, pmsg, pline, _imsg, _iline = operands
+    if swapped is None:
+        _deferred_read(interp, pointer, pmsg, pline)
+        boxed = _box(pointer, ptype, interp.profile)
+        lvalue = interp._deref_to_lvalue(boxed, line)
+    else:
+        left, right = (index, pointer) if swapped else (pointer, index)
+        lvalue = _subscript_slow(interp, left, right, operands, order_mode)
+    return _unbox(_read_with_plan(interp, lvalue, info[1:], line))
+
+
+def _pst_slow(interp, pointer, value, slow):
+    """Store through a pointer that is not on the fast path."""
+    line, target_line, ptype, pmsg, pline, info = slow
+    _deferred_read(interp, pointer, pmsg, pline)
+    profile = interp.profile
+    lvalue = interp._deref_to_lvalue(_box(pointer, ptype, profile), target_line)
+    boxed = _box(value, info[0].unqualified(), profile)
+    _write_with_plan(interp, lvalue, info[1:], boxed, line)
+
+
+def _pdchk_slow(interp, pointer, slow):
+    """A store target's read and dereferenceability, checked early."""
+    ptype, rdmsg, rdline, line = slow
+    if pointer is UNINIT and rdmsg is not None:
+        _raise_read(rdmsg, rdline)
+    interp._deref_to_lvalue(_box(pointer, ptype, interp.profile), line)
+
+
+def _pinc_slow(interp, pointer, slow):
+    line, ptype, rdmsg, delta = slow
+    _deferred_read(interp, pointer, rdmsg, line)
+    boxed = _box(pointer, ptype, interp.profile)
+    return _unbox_ptr(interp.memory, interp._incdec_value(boxed, delta, ptype, line))
+
+
+def _pconv_slow(interp, value, slow):
+    """Convert to a pointer type (a cast, or the value an assignment stores)."""
+    source, target, line, rdmsg, rdline, explicit = slow
+    _deferred_read(interp, value, rdmsg, rdline)
+    converted = convert(
+        _box(value, source, interp.profile),
+        target,
+        interp.options,
+        line=line,
+        explicit=explicit,
+        pointer_registry=interp.pointer_registry,
+    )
+    return _unbox_ptr(interp.memory, converted)
 
 
 def _unop_slow(interp, value, slow):
     what, line, ctype, rdmsg, rdline, plan = slow
-    if value is UNINIT and rdmsg is not None and interp.options.check_uninitialized:
-        _raise_read(rdmsg, rdline)
+    _deferred_read(interp, value, rdmsg, rdline)
     checked = interp._require_arithmetic(_box(value, ctype, interp.profile), line, what)
     return plan(checked.value)
 
@@ -211,8 +362,7 @@ def _unop_slow(interp, value, slow):
 def _conv_slow(interp, value, slow):
     _target, _line, rdmsg, rdline = slow
     if value is UNINIT:
-        if rdmsg is not None and interp.options.check_uninitialized:
-            _raise_read(rdmsg, rdline)
+        _deferred_read(interp, value, rdmsg, rdline)
         return UNINIT  # convert() passes indeterminate values through
     return value  # boxed values never reach native conversions
 
@@ -220,8 +370,7 @@ def _conv_slow(interp, value, slow):
 def _inc_slow(interp, value, slow):
     """Increment of an indeterminate register value; returns (old, new)."""
     line, vtype, rdmsg, plan = slow
-    if value is UNINIT and rdmsg is not None and interp.options.check_uninitialized:
-        _raise_read(rdmsg, line)
+    _deferred_read(interp, value, rdmsg, line)
     checked = interp._require_arithmetic(
         _box(value, vtype, interp.profile), line, "operand of ++/--"
     )
@@ -232,18 +381,12 @@ def _inc_slow(interp, value, slow):
 def _elem_pointer_slow(interp, record, index_value, info, line: int):
     """Replicate the lowered subscript resolution: decay, index, add."""
     _name, idx_ctype, idx_msg, idx_line, vinfo = info
-    elem = vinfo[0]
-    if (
-        index_value is UNINIT
-        and idx_msg is not None
-        and interp.options.check_uninitialized
-    ):
-        _raise_read(idx_msg, idx_line)
-    boxed = _box(index_value, idx_ctype, interp.profile)
-    index = interp._require_int(boxed, line, "array subscript")
-    from repro.core.values import PointerValue
-    decayed = PointerValue(base=record[1], offset=0, type=ct.PointerType(pointee=elem))
-    return interp._pointer_add(decayed, index, line), elem
+    _deferred_read(interp, index_value, idx_msg, idx_line)
+    profile = interp.profile
+    decayed = _box(record[4], ct.PointerType(pointee=vinfo[0]), profile)
+    index = _box(index_value, idx_ctype, profile)
+    lvalue = interp._subscript_to_lvalue(decayed, index, line)
+    return lvalue.pointer, lvalue.type
 
 
 def _lde_slow(interp, record, index_value, info, line: int):
@@ -264,14 +407,12 @@ def _lda_slow(interp, address, value_reg_unused, esize, info, line: int):
 
 def _store_slow(interp, address, value, vinfo, rdmsg, rdline, line: int):
     """Store through a boxed pointer / of a non-int register value."""
-    from repro.core.values import PointerValue
     if type(address) is tuple:
         _data, base, offset = address
         address = PointerValue(
             base=base, offset=offset, type=ct.PointerType(pointee=vinfo[0])
         )
-    if value is UNINIT and rdmsg is not None and interp.options.check_uninitialized:
-        _raise_read(rdmsg, rdline)
+    _deferred_read(interp, value, rdmsg, rdline)
     elem = vinfo[0]
     plan = (vinfo[1], vinfo[2], vinfo[3], vinfo[4], vinfo[5])
     boxed = _box(value, elem.unqualified(), interp.profile)
@@ -281,8 +422,7 @@ def _store_slow(interp, address, value, vinfo, rdmsg, rdline, line: int):
 def _stg_slow(interp, record, value, info, line: int):
     from repro.core.lowering import _write_binding
     _name, _check_seq, rdmsg, rdline, vinfo = info
-    if value is UNINIT and rdmsg is not None and interp.options.check_uninitialized:
-        _raise_read(rdmsg, rdline)
+    _deferred_read(interp, value, rdmsg, rdline)
     boxed = _box(value, vinfo[0].unqualified(), interp.profile)
     _write_binding(interp, record[3], boxed, line)
 
@@ -452,7 +592,6 @@ def run_native(interp, program: CompiledProgram, fn: FnCode):
                 if value is not None and not (check_seq and memory.locs_written):
                     R[ins[1]] = value
                     continue
-                from repro.core.values import PointerValue
                 address = PointerValue(
                     base=address[1],
                     offset=address[2],
@@ -502,7 +641,7 @@ def run_native(interp, program: CompiledProgram, fn: FnCode):
             result = interp.call_function(name, values, line, declared_type=ftype)
             steps = interp._steps
             if _dst >= 0:
-                R[_dst] = _unbox(result)
+                R[_dst] = _unbox_ptr(memory, result) if ins[6] else _unbox(result)
         elif op == OP_RET:
             interp._steps = steps
             if ins[1] < 0:
@@ -510,11 +649,9 @@ def run_native(interp, program: CompiledProgram, fn: FnCode):
             value = R[ins[1]]
             if value.__class__ is int:
                 return IntValue(value, ins[2])
-            if value is UNINIT:
-                if ins[3] is not None and check_uninit:
-                    _raise_read(ins[3], ins[4])
-                return _box(UNINIT, ins[2], interp.profile)
-            return value
+            if value is UNINIT and ins[3] is not None and check_uninit:
+                _raise_read(ins[3], ins[4])
+            return _box(value, ins[2], interp.profile)
         elif op == OP_DECL:
             interp.current_line = ins[3]
             interp._steps = steps
@@ -537,6 +674,100 @@ def run_native(interp, program: CompiledProgram, fn: FnCode):
             interp._steps = steps
             raise UndefinedBehaviorError(ins[1], ins[2], line=ins[3])
         elif op == OP_STR:
-            R[ins[1]] = interp.string_literal_object(ins[2])[0]
+            R[ins[1]] = _unbox_ptr(memory, interp.string_literal_object(ins[2])[0])
+        elif op == OP_PLD:
+            pointer = R[ins[2]]
+            index = R[ins[3]]
+            if pointer.__class__ is tuple and index.__class__ is int:
+                obj = pointer[0]
+                esize = ins[4]
+                offset = pointer[1] + index * esize
+                if (
+                    pointer[2] is ins[5]
+                    and obj.alive
+                    and 0 <= offset <= obj.size - esize
+                    and offset % esize == 0
+                    and not (check_seq and memory.locs_written)
+                ):
+                    value = _read_flat(obj.data, offset, esize, ins[6])
+                    if value is not None:
+                        R[ins[1]] = value
+                        continue
+            R[ins[1]] = _pld_slow(interp, pointer, index, ins[7], order_mode)
+        elif op == OP_PADD:
+            pointer = R[ins[2]]
+            index = R[ins[3]]
+            if pointer.__class__ is tuple and index.__class__ is int:
+                obj = pointer[0]
+                offset = pointer[1] + index * ins[4]
+                if obj.alive and 0 <= offset <= obj.size:
+                    R[ins[1]] = (obj, offset, pointer[2])
+                    continue
+            R[ins[1]] = _padd_slow(interp, pointer, index, ins[5], order_mode)
+        elif op == OP_PCMP:
+            a = R[ins[2]]
+            b = R[ins[3]]
+            if a.__class__ is tuple and b.__class__ is tuple and a[0] is b[0]:
+                R[ins[1]] = ins[4](a[1], b[1])
+            else:
+                R[ins[1]] = _binop_slow(interp, a, b, ins[5], order_mode)
+        elif op == OP_PINC:
+            pointer = R[ins[1]]
+            if pointer.__class__ is tuple:
+                obj = pointer[0]
+                offset = pointer[1] + ins[3]
+                if obj.alive and 0 <= offset <= obj.size:
+                    R[ins[1]] = (obj, offset, pointer[2])
+                    if ins[2] >= 0:
+                        R[ins[2]] = pointer
+                    continue
+            R[ins[1]] = _pinc_slow(interp, pointer, ins[4])
+            if ins[2] >= 0:
+                R[ins[2]] = pointer
+        elif op == OP_PST:
+            pointer = R[ins[1]]
+            value = R[ins[2]]
+            if pointer.__class__ is tuple and value.__class__ is int:
+                obj = pointer[0]
+                offset = pointer[1]
+                esize = ins[3]
+                if (
+                    pointer[2] is ins[4]
+                    and obj.alive
+                    and 0 <= offset <= obj.size - esize
+                    and offset % esize == 0
+                    and obj.base not in memory.not_writable
+                ):
+                    if check_seq:
+                        _seq_conflict_check(memory, obj.base, offset, esize, ins[6][0])
+                    _write_flat(obj.data, offset, esize, value & ins[5])
+                    continue
+            _pst_slow(interp, pointer, value, ins[6])
+        elif op == OP_PCONV:
+            value = R[ins[2]]
+            if value.__class__ is tuple:
+                R[ins[1]] = value
+            else:
+                R[ins[1]] = _pconv_slow(interp, value, ins[3])
+        elif op == OP_DECAY:
+            record = S[ins[2]]
+            if record is None:
+                record = _bind_slot(interp, S, ins[2], ins[3])
+            R[ins[1]] = record[4]
+        elif op == OP_PDIFF:
+            a = R[ins[2]]
+            b = R[ins[3]]
+            if a.__class__ is tuple and b.__class__ is tuple and a[0] is b[0]:
+                value = (a[1] - b[1]) // ins[4]
+                if ins[5] <= value <= ins[6]:
+                    R[ins[1]] = value
+                    continue
+            R[ins[1]] = _binop_slow(interp, a, b, ins[7], order_mode)
+        elif op == OP_PDCHK:
+            pointer = R[ins[1]]
+            if pointer.__class__ is not tuple:
+                _pdchk_slow(interp, pointer, ins[2])
+        elif op == OP_BINDP:
+            R[ins[1]] = _bind_pointer(interp, ins[2], ins[3])
         else:  # pragma: no cover - the compiler only emits known opcodes
             raise AssertionError(f"unknown opcode {op}")

@@ -117,6 +117,19 @@ class TestFloatingConstants:
         token = tokenize("1.5f")[0]
         assert token.value.is_float is True
 
+    def test_unicode_digit_is_a_parse_error(self):
+        # "²" is a digit to str.isdigit but not to float().
+        with pytest.raises(CParseError, match="malformed floating constant") as info:
+            tokenize("double d = 1.\u00b2;")
+        assert (info.value.line, info.value.column) == (1, 12)
+
+    def test_checker_reports_unicode_digit_as_inconclusive(self):
+        from repro.api import Checker
+
+        report = Checker().check("int main(void) { double d = 1.\u00b2; return 0; }")
+        assert report.outcome.kind.name == "INCONCLUSIVE"
+        assert "malformed floating constant" in report.outcome.detail
+
 
 class TestCharAndStringConstants:
     def test_simple_char(self):

@@ -88,26 +88,86 @@ def fuzz_corpus():
     return generate_cases(FUZZ_SEED, FUZZ_COUNT, inject="mixed")
 
 
+#: The loops-warm benchmark programs, copied here so that the benchmark and
+#: this guard can change independently.  All four run entirely on the VM.
+LOOP_PROGRAMS = {
+    "arith-loop": """
+int main(void){
+    long s = 0;
+    int i;
+    for (i = 0; i < 6000; i++) { s += i * 2 + (i % 3); }
+    return s & 0xFF ? 0 : 1;
+}
+""",
+    "array-sweep": """
+int main(void){
+    int a[64];
+    int i, j, s = 0;
+    for (i = 0; i < 64; i++) a[i] = i * i;
+    for (j = 0; j < 90; j++)
+        for (i = 0; i < 64; i++)
+            s += a[i] >> 2;
+    return s == 0;
+}
+""",
+    "call-chain": """
+static int f(int x){ return x * 2 + 1; }
+int main(void){
+    int i, s = 0;
+    for (i = 0; i < 1500; i++) s += f(i) & 7;
+    return s < 0;
+}
+""",
+    "pointer-walk": """
+int main(void){
+    int a[32];
+    int *p;
+    int i, j, s = 0;
+    for (i = 0; i < 32; i++) a[i] = i;
+    for (j = 0; j < 120; j++)
+        for (p = a; p < a + 32; p++)
+            s += *p;
+    return s == 0;
+}
+""",
+}
+
+
 def test_compiled_engine_is_actually_used():
     """Guard against a silent fallback: native functions must be present
     in the bytecode program, and the compiled tool must select them."""
     tool = TOOLS["default"]["compiled"]
-    unit = tool.compile_unit(
-        "int main(void){ int i, s = 0; for (i = 0; i < 9; i++) s += i; "
-        "return s > 0 ? 0 : 1; }")
-    program = unit.compiled_for(tool.options)
-    assert program is not None
-    assert "main" in program.functions
+    for name, source in LOOP_PROGRAMS.items():
+        program = tool.compile_unit(source).compiled_for(tool.options)
+        assert program.fallbacks == {}, name
+        assert "main" in program.functions, name
     # And a function outside the native subset stays absent (per-function
-    # fallback), without poisoning the rest of the program.
+    # fallback) with its reason recorded, without poisoning the rest of the
+    # program.
     mixed = tool.compile_unit(
-        "int f(int *p){ return *p; }\n"
+        "int f(void){ double d = 1.5; return d > 1.0; }\n"
         "int g(void){ return 7; }\n"
-        "int main(void){ int x = 1; return f(&x) - g() + 6; }")
+        "int main(void){ return f() - g() + 6; }")
     mixed_program = mixed.compiled_for(tool.options)
     assert mixed_program is not None
     assert "f" not in mixed_program.functions
+    assert mixed_program.fallbacks == {"f": "declaration of type double"}
     assert "g" in mixed_program.functions
+
+
+def test_compiler_exceptions_reach_the_caller(monkeypatch):
+    """A defect in the bytecode compiler must fail loudly, not hand the
+    program to the lowered closures (where every parity test would pass)."""
+    from repro.core import bytecode
+
+    def broken(self):
+        raise RuntimeError("compiler defect")
+
+    monkeypatch.setattr(bytecode._FnCompiler, "compile", broken)
+    tool = TOOLS["default"]["compiled"]
+    unit = tool.compile_unit("int main(void){ return 0; }")
+    with pytest.raises(RuntimeError, match="compiler defect"):
+        unit.compiled_for(tool.options)
 
 
 def test_engine_option_validation():
@@ -273,3 +333,305 @@ int main(void) {
 def test_new_constructs_under_every_ablation(label):
     for name, source in NEW_CONSTRUCT_PROGRAMS.items():
         assert_matrix(source, name, TOOLS[label], label)
+
+
+#: Pointer programs for the VM's pointer registers: each one's functions
+#: compile natively under every ablation, so the matrix compares the VM's
+#: pointer code (fast paths and the shared helpers behind them), not the
+#: lowered fallback.  Together they cover walking to one past the end and
+#: past it, dangling scopes, cross-object comparison and difference, null
+#: pointers, indeterminate pointers, heap lifetimes, string literals,
+#: misaligned access through casts, and pointer parameters and results.
+POINTER_PROGRAMS = {
+    "walk-to-one-past-end": """
+int main(void) {
+    int a[32];
+    int *p;
+    int s = 0;
+    for (p = a; p < a + 32; p++) { *p = 3; }
+    for (p = a; p != a + 32; p++) { s += *p; }
+    return s == 96 ? 0 : 1;
+}
+""",
+    "deref-one-past-end": """
+int main(void) {
+    int a[32];
+    int *p = a;
+    int i;
+    for (i = 0; i < 32; i++) { a[i] = i; }
+    p = p + 32;
+    return *p;
+}
+""",
+    "offset-33-past-32": """
+int main(void) {
+    int a[32];
+    int *p = a;
+    int *q = p + 33;
+    return q == p;
+}
+""",
+    "inner-scope-array-dangles": """
+int main(void) {
+    int *p;
+    int s = 0;
+    {
+        int inner[4];
+        inner[0] = 1;
+        inner[1] = 2;
+        p = inner;
+        s = *p;
+    }
+    return s + p[1];
+}
+""",
+    "relational-across-arrays": """
+int main(void) {
+    int a[4];
+    int b[4];
+    int *p = a;
+    int *q = b;
+    return p < q;
+}
+""",
+    "difference-across-arrays": """
+int main(void) {
+    int a[4];
+    int b[4];
+    int *p = a + 1;
+    int *q = b;
+    long d = p - q;
+    return d > 0;
+}
+""",
+    "null-dereference": """
+int main(void) {
+    int *p = 0;
+    int x = 5;
+    if (x > 0) { x = *p; }
+    return x;
+}
+""",
+    "null-arithmetic": """
+int main(void) {
+    int *p = (int *)0;
+    int *q = p + 1;
+    return q == p;
+}
+""",
+    "uninitialized-pointer-read": """
+int main(void) {
+    int *p;
+    int x = 1;
+    if (x) { x = *p; }
+    return x;
+}
+""",
+    "uninitialized-pointer-arithmetic": """
+int main(void) {
+    int *p;
+    int *q = p + 1;
+    return q != 0;
+}
+""",
+    "malloc-free-use": """
+int main(void) {
+    int n = 4;
+    int *p = malloc(n * sizeof(int));
+    int i;
+    for (i = 0; i < n; i++) { p[i] = i * i; }
+    int s = p[3];
+    free(p);
+    return s + p[0];
+}
+""",
+    "malloc-clean": """
+int main(void) {
+    int n = 8;
+    int *p = (int *)malloc(n * sizeof(int));
+    int *end = p + n;
+    int *q;
+    int s = 0;
+    for (q = p; q < end; q++) { *q = 2; }
+    for (q = p; q < end; ++q) { s += *q; }
+    free(p);
+    printf("%d\\n", s);
+    return 0;
+}
+""",
+    "store-into-string-literal": """
+int main(void) {
+    char *s = "hello";
+    char c = s[1];
+    s[0] = c;
+    return 0;
+}
+""",
+    "void-char-int-misaligned": """
+int main(void) {
+    int a[4];
+    void *v = a;
+    char *c = (char *)v;
+    int *q;
+    a[0] = 1;
+    a[1] = 2;
+    c = c + 2;
+    q = (int *)c;
+    return *q;
+}
+""",
+    "pointer-parameters": """
+static int sum(int *p, int n) {
+    int s = 0;
+    int *end = p + n;
+    while (p < end) { s += *p++; }
+    return s;
+}
+static int *middle(int *p, int n) { return p + n / 2; }
+int main(void) {
+    int a[6];
+    int i;
+    for (i = 0; i < 6; i++) { a[i] = i + 1; }
+    *middle(a, 6) = 10;
+    printf("%d %d\\n", sum(a, 6), *middle(a, 6));
+    return sum(a, 7);
+}
+""",
+    "pointer-subscripts-and-compound": """
+int main(void) {
+    unsigned char buf[8];
+    unsigned char *p = buf;
+    int i;
+    for (i = 0; i < 8; i++) { p[i] = 250 + i; }
+    p += 2;
+    p -= 1;
+    i = 1[p] + p[-1] + *(p + 6);
+    return i & 255;
+}
+""",
+    "null-compare": """
+#include <stdlib.h>
+int main(void) {
+    int a[3] = {1, 2, 3};
+    int *p = NULL;
+    int *q = a;
+    int n = 0;
+    if (p == NULL) n++;
+    if (q != 0) n++;
+    if (!p) n++;
+    while (q) { n += *q; q = 0; }
+    p = n > 2 ? a + 1 : a;
+    return (p ? *p : 9) + n;
+}
+""",
+    "return-pointer-to-local": """
+int *f(void) { int x[2]; x[0] = 4; return x; }
+int main(void) { int *p = f(); return *p; }
+""",
+    "char-view-of-int": """
+int main(void) {
+    int a[2];
+    unsigned char *c = (unsigned char *)a;
+    a[0] = 258;
+    a[1] = -1;
+    return c[0] + c[1] + c[4];
+}
+""",
+    "const-array-through-cast": """
+int main(void) {
+    const int c[2] = {1, 2};
+    int *p = (int *)c;
+    int x = *p;
+    *p = 5;
+    return x;
+}
+""",
+    "realloc-walk": """
+#include <stdlib.h>
+int main(void) {
+    int *p = malloc(2 * sizeof(int));
+    int *q;
+    p[0] = 1;
+    p[1] = 2;
+    q = realloc(p, 4 * sizeof(int));
+    q[2] = 3;
+    return q[0] + q[2] + p[0];
+}
+""",
+    "store-chain-and-postinc": """
+int main(void) {
+    int a[6];
+    int *p = a;
+    int i;
+    for (i = 0; i < 6; i++) *p++ = i * 3;
+    p = a;
+    *p = *(p + 1) = 7;
+    return a[0] + a[1] + a[5] + (int)(p - a);
+}
+""",
+    "string-walk": """
+#include <stdio.h>
+static int len(const char *s) { const char *t = s; while (*t) t++; return (int)(t - s); }
+int main(void) {
+    char *s = "walk";
+    char buf[8];
+    char *d = buf;
+    while ((*d++ = *s++)) ;
+    printf("%s %d\\n", buf, len(buf));
+    return len("abc");
+}
+""",
+    "bool-pointee": """
+int main(void) {
+    _Bool b[2];
+    _Bool *p = b;
+    unsigned char *c = (unsigned char *)b;
+    c[0] = 2;
+    p[1] = 5;
+    return p[0] + p[1];
+}
+""",
+}
+
+#: A pointer program the VM leaves to the lowered closures on purpose: the
+#: pointer is incremented and read in one unsequenced region, which the
+#: compiler cannot order statically.
+POINTER_FALLBACK_PROGRAM = """
+int main(void) {
+    int a[4] = {1, 2, 3, 4};
+    int *p = a;
+    *p++ = *p;
+    return a[0];
+}
+"""
+
+
+def _native_program(tool: KccTool, source: str):
+    return tool.compile_unit(source).compiled_for(tool.options)
+
+
+#: The pointer corpus also runs right to left, where the compiler orders
+#: deferred reads and store targets the other way round.
+POINTER_TOOLS = {
+    **TOOLS,
+    "right-to-left": _tools(CheckerOptions(evaluation_order="right-to-left")),
+}
+
+
+@pytest.mark.parametrize("label", list(POINTER_TOOLS))
+def test_pointer_programs_under_every_ablation(label):
+    tools = POINTER_TOOLS[label]
+    for name, source in POINTER_PROGRAMS.items():
+        program = _native_program(tools["compiled"], source)
+        assert program.fallbacks == {}, (name, program.fallbacks)
+        assert_matrix(source, name, tools, label)
+        results = {engine: tool.check(source).result for engine, tool in tools.items()}
+        if results["walker"] is not None:  # a defined run: the steps agree too
+            assert len({result.steps for result in results.values()}) == 1, name
+    assert_matrix(POINTER_FALLBACK_PROGRAM, "pointer-fallback", tools, label)
+
+
+def test_pointer_fallback_records_its_reason():
+    program = _native_program(TOOLS["default"]["compiled"], POINTER_FALLBACK_PROGRAM)
+    assert "main" not in program.functions
+    assert program.fallbacks == {"main": "potentially unsequenced register read"}
