@@ -25,7 +25,15 @@ The native subset
   arrays -> memory *slots* accessed with pre-derived element sizes against
   the arena-backed byte store;
 * calls to unit functions and builtins, ``if``/``while``/``do``/``for``,
-  ``&&``/``||``/``?:``/comma, casts between flat integer types.
+  ``&&``/``||``/``?:``/comma, casts between flat integer types.  A call of
+  a native function is linked into a *direct call* (``OP_DCALL``, see
+  :func:`_link_call`) when it is statically clean: both the call-site and
+  the definition types are prototyped, not variadic and compatible, the
+  arity matches, every parameter is a register, each argument is a flat
+  integer for a flat-integer parameter or has the pointer parameter's own
+  type, and the callee is not ``main``.  The VM then passes the converted
+  arguments straight into the callee's registers; every other call goes
+  through the interpreter's generic call path.
 
 Registers are sound only because nothing can point at them: a function that
 applies ``&`` anywhere leaves the subset.  Anything else outside it —
@@ -137,7 +145,10 @@ OP_NOT = 16  # (op, dst, src, line, rdmsg, rdline)
 OP_BOOL = 17  # (op, dst, src, line, rdmsg, rdline)
 OP_LOADI = 18  # (op, dst, value)
 OP_RDCHK = 19  # (op, src, msg, line)
-OP_CALL = 20  # (op, dst, name, ctype, args, line)
+# A statically clean call of a native function (see _link_call); ``call``
+# is the OP_CALL it replaces, which runs whenever an argument value is one
+# the direct path cannot take.
+OP_DCALL = 20  # (op, dst, fn, args, line, call)
 OP_RET = 21  # (op, src, rtype, rdmsg, rdline)
 OP_DECL = 22  # (op, node, slot, line)
 OP_BINDR = 23  # (op, dst, name, size, signed, is_bool)
@@ -156,6 +167,8 @@ OP_DECAY = 34  # (op, dst, slot, name)
 OP_PDIFF = 35  # (op, dst, a, b, esize, lo, hi, slow)
 OP_PDCHK = 36  # (op, src, slow)
 OP_BINDP = 37  # (op, dst, name, ctype)
+# The interpreter's generic call path, whose own cost dwarfs the dispatch.
+OP_CALL = 38  # (op, dst, name, ctype, args, line, pointer_result)
 
 #: Opcodes that can never raise: the only instructions allowed between a
 #: deferred register read and its consuming check without reordering the
@@ -202,15 +215,22 @@ _SMODE_BOOL = 2
 
 
 class FnCode:
-    """One compiled function body."""
+    """One compiled function body.
+
+    ``entry`` is the pc after the parameter prologue (one ``OP_BINDR`` /
+    ``OP_BINDP`` per register parameter, in registers ``0..entry-1``); a
+    direct call seeds those registers and starts there.
+    """
 
     __slots__ = (
         "name",
         "code",
         "n_regs",
         "r_init",
+        "r_tail",
         "n_slots",
-        "rtype",
+        "ftype",
+        "entry",
         "max_steps",
         "limit_message",
     )
@@ -222,15 +242,18 @@ class FnCode:
         n_regs: int,
         r_init: tuple,
         n_slots: int,
-        rtype: ct.CType,
+        ftype: ct.FunctionType,
+        entry: int,
         max_steps: int,
     ) -> None:
         self.name = name
         self.code = code
         self.n_regs = n_regs
         self.r_init = r_init
+        self.r_tail = r_init[entry:]
         self.n_slots = n_slots
-        self.rtype = rtype
+        self.ftype = ftype
+        self.entry = entry
         self.max_steps = max_steps
         self.limit_message = f"execution exceeded {max_steps} steps"
 
@@ -839,9 +862,13 @@ class _FnCompiler:
         return False
 
     def _insert(self, mark: int, ins: tuple) -> None:
+        # A label bound at ``mark`` itself stays put: the value whose stream
+        # ends there is computed on every path that jumps to it (an arm that
+        # starts with a register read, a conditional's end), so the jump
+        # must run the inserted check or snapshot too.
         self.code.insert(mark, ins)
         for label, pc in self.labels.items():
-            if pc >= mark:
+            if pc > mark:
                 self.labels[label] = pc + 1
 
     def snapshot(self, value: _Value, mark: int) -> _Value:
@@ -950,6 +977,7 @@ class _FnCompiler:
                 self.emit_bind(var, name)
             else:
                 scope[name] = _BAD
+        entry = len(self.code)
         # The function-body compound charges no step and pushes no scope
         # (LoweredFunction.run_body runs it with new_scope=False).
         for item in definition.body.items:
@@ -966,7 +994,8 @@ class _FnCompiler:
             self.n_regs,
             tuple(r_init),
             self.n_slots,
-            rtype,
+            ftype,
+            entry,
             self.options.max_steps,
         )
 
@@ -1167,6 +1196,14 @@ class _FnCompiler:
             raise _Unsupported("returning a void value")
         self.emit_seqpt()
         self.flush_steps()
+        # Convert to the return type here, after the step charge, where the
+        # caller's post-processing would (it cannot raise for these types),
+        # so the returned register holds exactly what the caller receives.
+        rtype = self.definition.type.return_type
+        if not rtype.is_void:
+            if not (_native_pointer(rtype) or isinstance(value.ctype, _FLAT_INT_TYPES)):
+                raise _Unsupported("pointer returned as an integer")
+            value = self.convert_to(value, rtype, stmt.line)
         self.emit((OP_RET, value.reg, value.ctype, value.read_msg, value.read_line))
 
     def stmt_static_assert(self, stmt: c_ast.StaticAssert) -> None:
@@ -2185,4 +2222,47 @@ def compile_unit_bytecode(
             fallbacks[definition.name] = str(reason)
         except _FoldUB as fold_error:
             fallbacks[definition.name] = f"constant folding: {fold_error.message}"
+    for fn in functions.values():
+        fn.code = tuple(
+            _link_call(ins, functions, options.profile) if ins[0] == OP_CALL else ins
+            for ins in fn.code
+        )
     return CompiledProgram(functions, fallbacks, order_mode, options)
+
+
+def _link_call(ins: tuple, functions: dict, profile) -> tuple:
+    """``OP_DCALL`` for a statically clean call of a native function, else
+    ``ins`` unchanged.
+
+    Clean means that the interpreter's call path can raise nothing at this
+    site for any argument value the direct path takes: both types are
+    prototyped and not variadic, they are compatible, the arity matches,
+    every parameter is a register, each argument is a flat integer for a
+    flat-integer parameter or has the pointer parameter's own type, and the
+    callee is not ``main`` (whose fall-off return differs).
+    """
+    _op, dst, name, site_type, args, line, _pointer_result = ins
+    callee = functions.get(name)
+    if callee is None or name == "main" or site_type is None:
+        return ins
+    def_type = callee.ftype
+    params = def_type.parameters
+    if (
+        not (site_type.has_prototype and def_type.has_prototype)
+        or site_type.variadic
+        or def_type.variadic
+        or len(args) != len(params)
+        or callee.entry != len(params)
+        or not ct.types_compatible(site_type, def_type)
+    ):
+        return ins
+    plans = []
+    for (reg, ctype, _msg, _line), param in zip(args, params):
+        param = param.unqualified()
+        if isinstance(param, _FLAT_INT_TYPES) and isinstance(ctype, _FLAT_INT_TYPES):
+            plans.append((reg, raw_conversion_plan(param, profile)))
+        elif _native_pointer(param) and ctype == param:
+            plans.append((reg, None))
+        else:
+            return ins
+    return (OP_DCALL, dst, callee, tuple(plans), line, ins)

@@ -9,6 +9,8 @@ defined result (exit code plus program output) or raises
 
 from __future__ import annotations
 
+import sys
+import threading
 from dataclasses import dataclass
 from typing import Optional, Union
 
@@ -74,6 +76,32 @@ _BUILTIN_FALLBACK_BINDINGS: dict[str, FunctionBinding] = {
         has_definition=True, is_builtin=True)
     for name in BUILTIN_FUNCTIONS
 }
+
+
+#: Python frames one C call may take on the deepest engine (the walker needs
+#: about 20 for a call in a small expression; the rest is headroom for
+#: nesting).
+_FRAMES_PER_CALL = 50
+
+#: The highest recursion limit a run sets.  Recursion to three times this
+#: depth was measured to end in ``RecursionError``, not a C stack overflow,
+#: on every engine, on the main thread and on a worker thread with the
+#: default 8 MB stack (CPython 3.11, x86-64 Linux).
+_RECURSION_LIMIT_CAP = 100_000
+
+#: Runs on concurrent threads (``serve`` without a pool) may want different
+#: limits; the check-then-set is atomic so none lowers another's.
+_RECURSION_LIMIT_LOCK = threading.Lock()
+
+
+def _cover_call_depth(max_call_depth: int) -> None:
+    """Raise (never lower) Python's recursion limit so that the checker's
+    ``max_call_depth``, not Python's stack, bounds the C call depth."""
+    wanted = min(_RECURSION_LIMIT_CAP, _FRAMES_PER_CALL * max_call_depth)
+    if sys.getrecursionlimit() < wanted:
+        with _RECURSION_LIMIT_LOCK:
+            if sys.getrecursionlimit() < wanted:
+                sys.setrecursionlimit(wanted)
 
 
 @dataclass
@@ -229,6 +257,7 @@ class Interpreter(ExpressionEvaluatorMixin, StatementExecutorMixin):
     # ------------------------------------------------------------------
     def run(self, argv: Optional[list[str]] = None) -> ExecutionResult:
         """Execute the program's ``main`` function and return its result."""
+        _cover_call_depth(self.options.max_call_depth)
         self._initialize_globals()
         main_def = self.functions.get("main")
         if main_def is None:

@@ -113,9 +113,9 @@ class CompiledUnit:
         carries no instrumentation code at all, which is the compile-time
         "null-probe" specialization that keeps unprobed runs at full speed.
 
-        Returns None when there is nothing to lower (parse failure) or when
-        lowering itself fails — the caller then falls back to the legacy
-        walker, so a lowering defect can cost speed but never a verdict.
+        Returns None when there is nothing to lower (parse failure).  A
+        defect in the lowering itself propagates: it is a bug to fix, not a
+        silent fallback to the walker.
         """
         if self.unit is None:
             return None
@@ -124,11 +124,8 @@ class CompiledUnit:
         key = (options, fold, instrument)
         if key not in self._lowered:
             from repro.core.lowering import lower_unit
-            try:
-                self._lowered[key] = lower_unit(self.unit, options, fold=fold,
-                                                instrument=instrument)
-            except Exception:  # pragma: no cover - safety net, not expected
-                self._lowered[key] = None
+            self._lowered[key] = lower_unit(self.unit, options, fold=fold,
+                                            instrument=instrument)
         return self._lowered[key]
 
     def compiled_for(self, options: CheckerOptions):

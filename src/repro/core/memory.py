@@ -32,7 +32,7 @@ from repro.core.values import (
     UnknownByte,
     unknown_bytes,
 )
-from repro.errors import UBKind, UndefinedBehaviorError
+from repro.errors import ResourceLimitError, UBKind, UndefinedBehaviorError
 from repro.events import (
     FAMILY_CONST,
     FAMILY_EFFECTIVE_TYPES,
@@ -368,6 +368,9 @@ class Memory:
                  data: Optional[list[Byte]] = None,
                  is_const: bool = False) -> MemoryObject:
         """Create a new object and return it."""
+        if kind is StorageKind.HEAP and \
+                self.heap_allocations >= self.options.max_heap_objects:
+            raise ResourceLimitError("heap object limit exceeded")
         base = self._next_base
         self._next_base += 1
         obj = MemoryObject(
@@ -395,6 +398,13 @@ class Memory:
         if self.events is not None:
             self.events.emit(AllocEvent(base, size, kind.value, name))
         return obj
+
+    def reserve_bases(self, count: int) -> None:
+        """Skip ``count`` bases, as allocating that many objects would: the
+        compiled engine's direct calls keep parameters in registers but
+        leave every later object's base (and so ``%p`` output and
+        pointer-to-integer casts) where the generic call would."""
+        self._next_base += count
 
     def object_for(self, base: Optional[int]) -> Optional[MemoryObject]:
         if base is None:

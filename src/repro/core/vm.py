@@ -1,22 +1,27 @@
 """The dispatch loop of the compiled engine.
 
 :func:`run_native` executes one :class:`repro.core.bytecode.FnCode` inside a
-live :class:`~repro.core.interpreter.Interpreter` activation: the caller
-(``Interpreter._execute_call_body``) has already allocated and written the
-parameter objects, and consumes the returned :class:`CValue` through the
+live :class:`~repro.core.interpreter.Interpreter` activation.  Called by
+``Interpreter._execute_call_body``, it finds the parameter objects already
+allocated and written, and its returned :class:`CValue` goes through the
 same return-value post-processing the walker and the lowered closures use.
+Called by a direct call (``OP_DCALL``) from another native function, it
+takes the parameters as raw register values and returns a raw value.
 
 Design notes
 ------------
 
-* **One frame.**  The whole function body runs inside this single Python
-  frame: a ``while`` loop over a tuple of instruction tuples, registers in
-  a plain list.  Fast paths touch raw ints only (``v.__class__ is int``);
-  the ``UNINIT`` sentinel and boxed values automatically fail that test
-  and fall into slow helpers that rebuild the exact lowered-engine
-  behavior by calling the *shared* helpers (``_read_binding``,
-  ``_write_with_plan``, ``apply_binary``, ``to_boolean``, ...), so error
-  kinds, messages, and order never fork from the lowered semantics.
+* **One frame per activation.**  A whole function body runs inside one
+  Python frame: a ``while`` loop over a tuple of instruction tuples,
+  registers in a plain list.  A direct call (``OP_DCALL``) re-enters
+  :func:`run_native` for the callee, so a chain of native calls costs one
+  Python frame per C activation.  Fast paths touch raw ints only
+  (``v.__class__ is int``); the ``UNINIT`` sentinel and boxed values
+  automatically fail that test and fall into slow helpers that rebuild the
+  exact lowered-engine behavior by calling the *shared* helpers
+  (``_read_binding``, ``_write_with_plan``, ``apply_binary``,
+  ``to_boolean``, ...), so error kinds, messages, and order never fork
+  from the lowered semantics.
 * **Memory slots** cache ``(data, base, size, binding, decayed)`` per
   activation: local arrays bind at their ``DECL``, globals bind lazily on
   first touch.  ``data`` is the object's arena-backed byte store; flat
@@ -46,6 +51,14 @@ Design notes
 * **Steps** accumulate in a local and are synchronized with
   ``interp._steps`` around every boundary that can observe them (calls,
   declarations, returns, resource-limit raises).
+* **Direct calls** keep every observable part of the interpreter's call:
+  the call-site sequence point, ``max_call_depth``, a fresh ``Frame``
+  with the next frame id, ``current_function``, the diagnostic's function
+  name, the callee's ``kill_frame`` and an empty ``locs_written`` on
+  return.  The parameters live only in registers, so no parameter object
+  is allocated, but their bases are *reserved* (``Memory.reserve_bases``):
+  every later object gets the base it would get on the generic path, and
+  ``%p`` output and pointer-to-integer casts do not move.
 """
 
 from __future__ import annotations
@@ -63,6 +76,7 @@ from repro.core.bytecode import (
     OP_CALL,
     OP_CHKE,
     OP_CONV,
+    OP_DCALL,
     OP_DECAY,
     OP_DECL,
     OP_INC,
@@ -97,7 +111,7 @@ from repro.core.bytecode import (
     UNINIT,
 )
 from repro.core.conversions import convert, to_boolean
-from repro.core.environment import LValue
+from repro.core.environment import Frame, LValue
 from repro.core.lowering import _read_binding, _read_with_plan, _write_with_plan
 from repro.core.memory import ArenaBytes
 from repro.core.values import (
@@ -444,19 +458,49 @@ def _seq_conflict_check(memory, base: int, start: int, size: int, line: int) -> 
         locs.add((base, offset))
 
 
+def _generic_call(interp, R: list, ins: tuple, order_mode: int) -> None:
+    """``OP_CALL``: the interpreter's own call path.  The deferred argument
+    reads first, in evaluation order, then the boxed arguments through
+    ``_convert_arguments`` and ``call_function``."""
+    dst, name, ftype, args, line, pointer_result = ins[1:]
+    interp.current_line = line
+    if interp.options.check_uninitialized and args:
+        scan = args if order_mode == 0 else reversed(args)
+        for reg, _ctype, rdmsg, rdline in scan:
+            if R[reg] is UNINIT and rdmsg is not None:
+                _raise_read(rdmsg, rdline)
+    profile = interp.profile
+    values = [_box(R[reg], ctype, profile) for reg, ctype, _m, _l in args]
+    values = interp._convert_arguments(values, name, ftype, line)
+    interp.memory.sequence_point()
+    result = interp.call_function(name, values, line, declared_type=ftype)
+    if dst >= 0:
+        R[dst] = _unbox_ptr(interp.memory, result) if pointer_result else _unbox(result)
+
+
 # ---------------------------------------------------------------------------
 # The dispatch loop
 # ---------------------------------------------------------------------------
 
-def run_native(interp, program: CompiledProgram, fn: FnCode):
-    """Run one compiled function body; returns the boxed return value.
+def run_native(interp, program: CompiledProgram, fn: FnCode, args=None):
+    """Run one compiled function body.
 
-    The return value feeds ``Interpreter._execute_call_body``'s shared
-    post-processing (None means "fell off the end", exactly like a lowered
-    body that never raised ``ReturnSignal``).
+    Called by ``Interpreter._execute_call_body`` (``args`` None), it
+    returns the boxed return value for the shared post-processing (None
+    means "fell off the end", exactly like a lowered body that never raised
+    ``ReturnSignal``).  Called by ``OP_DCALL`` with ``args``, the converted
+    parameter values, it seeds the parameter registers, skips the prologue
+    and returns the raw register value the caller receives (UNINIT when the
+    body falls off the end).
     """
     code = fn.code
-    R = list(fn.r_init)
+    if args is None:
+        R = list(fn.r_init)
+        pc = 0
+    else:
+        R = args
+        R += fn.r_tail
+        pc = fn.entry
     S: list = [None] * fn.n_slots
     memory = interp.memory
     options = program.options
@@ -465,7 +509,6 @@ def run_native(interp, program: CompiledProgram, fn: FnCode):
     order_mode = program.order_mode
     max_steps = fn.max_steps
     steps = interp._steps
-    pc = 0
     while True:
         ins = code[pc]
         pc += 1
@@ -625,32 +668,70 @@ def run_native(interp, program: CompiledProgram, fn: FnCode):
         elif op == OP_RDCHK:
             if R[ins[1]] is UNINIT:
                 _raise_read(ins[2], ins[3])
-        elif op == OP_CALL:
-            _dst, name, ftype, args, line = ins[1], ins[2], ins[3], ins[4], ins[5]
+        elif op == OP_DCALL:
+            # The interpreter's call path for a clean site (see _link_call),
+            # minus the parameter objects and the boxing: an argument is a
+            # raw int converted to its parameter type, a fast pointer, or
+            # (with uninitialized reads unchecked) an indeterminate integer.
+            # Any other value, or attached probes, takes the generic path.
+            values = []
+            for reg, plan in ins[3]:
+                value = R[reg]
+                if value.__class__ is int:
+                    value = plan(value)
+                elif value.__class__ is not tuple and (
+                    plan is None or value is not UNINIT or check_uninit
+                ):
+                    values = None
+                    break
+                values.append(value)
+            if values is None or interp.events is not None:
+                interp._steps = steps
+                _generic_call(interp, R, ins[5], order_mode)
+                steps = interp._steps
+                continue
+            callee = ins[2]
+            name = callee.name
+            line = ins[4]
             interp.current_line = line
-            if check_uninit and args:
-                scan = args if order_mode == 0 else reversed(args)
-                for reg, _ctype, rdmsg, rdline in scan:
-                    if R[reg] is UNINIT and rdmsg is not None:
-                        _raise_read(rdmsg, rdline)
-            profile = interp.profile
-            values = [_box(R[reg], ctype, profile) for reg, ctype, _m, _l in args]
-            values = interp._convert_arguments(values, name, ftype, line)
-            memory.sequence_point()
+            memory.locs_written.clear()  # the sequence point before the call
             interp._steps = steps
-            result = interp.call_function(name, values, line, declared_type=ftype)
+            frames = interp.frames
+            if len(frames) >= interp.options.max_call_depth:
+                raise ResourceLimitError("call depth limit exceeded")
+            frame = Frame(
+                interp._next_frame_id(), name, callee.ftype.return_type, call_line=line
+            )
+            frame.push_scope()
+            frames.append(frame)
+            caller = interp.current_function
+            interp.current_function = name
+            memory.reserve_bases(callee.entry)  # the parameter objects' bases
+            try:
+                value = run_native(interp, program, callee, values)
+            except UndefinedBehaviorError as error:
+                if error.function is None:
+                    error.function = name
+                raise
+            finally:
+                memory.kill_frame(frame.frame_id)
+                frames.pop()
+                interp.current_function = caller
+                memory.locs_written = set()
             steps = interp._steps
-            if _dst >= 0:
-                R[_dst] = _unbox_ptr(memory, result) if ins[6] else _unbox(result)
+            if ins[1] >= 0:
+                R[ins[1]] = value
         elif op == OP_RET:
             interp._steps = steps
             if ins[1] < 0:
-                return None
+                return None if args is None else UNINIT
             value = R[ins[1]]
-            if value.__class__ is int:
-                return IntValue(value, ins[2])
             if value is UNINIT and ins[3] is not None and check_uninit:
                 _raise_read(ins[3], ins[4])
+            if args is not None:
+                return value
+            if value.__class__ is int:
+                return IntValue(value, ins[2])
             return _box(value, ins[2], interp.profile)
         elif op == OP_DECL:
             interp.current_line = ins[3]
@@ -769,5 +850,9 @@ def run_native(interp, program: CompiledProgram, fn: FnCode):
                 _pdchk_slow(interp, pointer, ins[2])
         elif op == OP_BINDP:
             R[ins[1]] = _bind_pointer(interp, ins[2], ins[3])
+        elif op == OP_CALL:
+            interp._steps = steps
+            _generic_call(interp, R, ins, order_mode)
+            steps = interp._steps
         else:  # pragma: no cover - the compiler only emits known opcodes
             raise AssertionError(f"unknown opcode {op}")

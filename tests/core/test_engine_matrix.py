@@ -15,6 +15,7 @@ three different tools.
 
 import pytest
 
+from repro.core.bytecode import OP_CALL, OP_DCALL
 from repro.core.config import CheckerOptions
 from repro.core.kcc import KccTool
 from repro.fuzz.generator import generate_cases
@@ -635,3 +636,331 @@ def test_pointer_fallback_records_its_reason():
     program = _native_program(TOOLS["default"]["compiled"], POINTER_FALLBACK_PROGRAM)
     assert "main" not in program.functions
     assert program.fallbacks == {"main": "potentially unsequenced register read"}
+
+
+#: Call programs for the VM's direct calls between native functions.  They
+#: cover recursion, argument conversions, indeterminate arguments, missing
+#: returns, UB inside a callee, object bases after direct calls, pointer
+#: arguments and results, and the sites that must stay on the generic call
+#: path (an incompatible function type, a wrong arity through an
+#: unprototyped declaration, an unprototyped definition, and ``main``).
+CALL_PROGRAMS = {
+    "call-chain": LOOP_PROGRAMS["call-chain"],
+    "recursion": """
+static int fact(int n) { return n <= 1 ? 1 : n * fact(n - 1); }
+static long sum(long n) {
+    if (n == 0) return 0;
+    return n + sum(n - 1);
+}
+static int fib(int n) { return n < 2 ? n : fib(n - 1) + fib(n - 2); }
+int main(void) {
+    printf("%d %ld %d\\n", fact(6), sum(100), fib(12));
+    return fact(10) == 3628800 && sum(300) == 45150 ? fib(9) : 1;
+}
+""",
+    "mutual-recursion": """
+static int is_odd(unsigned n);
+static int is_even(unsigned n) { return n == 0 ? 1 : is_odd(n - 1); }
+static int is_odd(unsigned n) { return n == 0 ? 0 : is_even(n - 1); }
+int main(void) { return is_even(40) + 2 * is_odd(17) + 4 * is_odd(30); }
+""",
+    "recursion-overflows": """
+static int grow(int x, int n) { return n == 0 ? x : grow(x * 2, n - 1); }
+int main(void) { return grow(1, 20) > 0 ? grow(3, 40) : 0; }
+""",
+    "narrowing-arguments": """
+static int sc(signed char c) { return c; }
+static unsigned us(unsigned short u) { return u; }
+static int b(_Bool v) { return v; }
+static long widen(long x) { return x; }
+int main(void) {
+    int big = 300;
+    long huge = 70000;
+    int r = sc(big) + sc(-129) + sc(huge) + b(big) + b(0) + b(huge) + b(-1);
+    unsigned u = us(huge) + us(-1) + us(big);
+    printf("%d %d %u %u %d %ld\\n",
+           sc(big), sc(huge), us(huge), us(-1), b(2), widen(big));
+    return (r + (int)u) & 0xFF;
+}
+""",
+    "uninitialized-argument": """
+static int ignore(int x) { return 7; }
+static int id(int x) { return x; }
+int main(void) {
+    int u;
+    int r = 1;
+    r = ignore(u);
+    return r + id(u);
+}
+""",
+    "uninitialized-char-argument": """
+static int count(char c) { return 3; }
+static int pass(char c) { return c; }
+int main(void) {
+    char c;
+    int n = count(c);
+    return n + pass(c);
+}
+""",
+    "uninitialized-pointer-argument": """
+static int first(int *p) { return 5; }
+int main(void) {
+    int *p;
+    return first(p);
+}
+""",
+    "missing-return-discarded": """
+static int maybe(int x) { if (x > 100) return 1; }
+static void bump(int x) { if (x) return; }
+static void nothing(void) { }
+int main(void) {
+    bump(3);
+    bump(0);
+    nothing();
+    maybe(5);
+    return maybe(500);
+}
+""",
+    "missing-return-used": """
+static int maybe(int x) { if (x > 100) return 1; }
+int main(void) {
+    int v = 0;
+    v = maybe(5);
+    return v + 1;
+}
+""",
+    "ub-inside-callee": """
+static int divide(int a, int b) { return a / b; }
+static int mid(int a) { return divide(a, a - 3); }
+int main(void) {
+    printf("%d\\n", mid(5));
+    return mid(3);
+}
+""",
+    "out-of-bounds-in-callee": """
+static int get(int *p, int i) { return p[i]; }
+static int sum3(int *p) { return get(p, 0) + get(p, 1) + get(p, 3); }
+int main(void) {
+    int a[3];
+    a[0] = 1;
+    a[1] = 2;
+    a[2] = 3;
+    return sum3(a);
+}
+""",
+    "bases-after-calls": """
+#include <stdio.h>
+#include <stdlib.h>
+static int sq(int x) { return x * x; }
+static int work(int n) {
+    int i, s = 0;
+    for (i = 0; i < n; i++) s += sq(i) + sq(n - i);
+    return s;
+}
+int main(void) {
+    int first = work(10);
+    int second = work(5);
+    int later = first + second;
+    int *heap = malloc(sizeof(int));
+    printf("%p %p\\n", (void *)&later, (void *)heap);
+    printf("%ld %ld\\n", (long)&later, (long)heap);
+    *heap = later;
+    free(heap);
+    return later & 0x7F;
+}
+""",
+    "pointer-arguments-and-results": """
+static int *advance(int *p, int n) { return p + n; }
+static int get(int *p) { return *p; }
+static int is_null(int *p) { return !p; }
+static int *pick(int *p, int which) {
+    if (which) return p;
+    return 0;
+}
+static void fill(int *p, int *end, int v) { while (p < end) { *p = v; p++; v++; } }
+int main(void) {
+    int a[8];
+    int *end;
+    fill(a, a + 8, 3);
+    end = advance(a, 8);
+    return get(advance(a, 2)) + is_null(pick(a, 0)) + 2 * is_null(end)
+        + (int)(end - a) + get(pick(a + 1, 1));
+}
+""",
+    "pointer-one-past-end-dereferenced": """
+static int *advance(int *p, int n) { return p + n; }
+static int get(int *p) { return *p; }
+int main(void) {
+    int a[4];
+    int i;
+    for (i = 0; i < 4; i++) a[i] = i;
+    return get(advance(a, 3)) + get(advance(a, 4));
+}
+""",
+    "null-pointer-argument": """
+static int get(int *p) { return *p; }
+static int *none(void) { return 0; }
+int main(void) {
+    int a[1];
+    a[0] = 4;
+    return get(a) + get(none());
+}
+""",
+    "dangling-pointer-result": """
+static int *local(int v) { int x[2]; x[0] = v; x[1] = v; return x; }
+static int get(int *p) { return *p; }
+int main(void) { return get(local(3)); }
+""",
+    "bad-function-type": """
+static int f(int x) { return x + 1; }
+int main(void) { return (int)((long (*)(long))f)(2); }
+""",
+    "wrong-arity-unprototyped": """
+int add();
+int main(void) { return add(1); }
+int add(int a, int b) { return a + b; }
+""",
+    "unprototyped-definition": """
+static int seven() { return 7; }
+int main(void) { return seven() + seven(); }
+""",
+    # An operand that is a register read at the start of a conditional arm
+    # or a loop head, so the snapshot or eager read check that the code
+    # after it forces lands on the label: every jump there must run it.
+    "snapshot-in-conditional-arm": """
+static int twice(int n) { return n * 2; }
+int main(void) {
+    int n = 5;
+    int c = 0;
+    int r = c ? 1 : n * twice(n -= 1);
+    return r;
+}
+""",
+    "read-check-in-conditional-arm": """
+static int id(int v) { return v; }
+int main(void) {
+    int u;
+    int c = 0;
+    return c ? 1 : u + id(3);
+}
+""",
+    "read-check-at-a-loop-head": """
+static int *lost(void) { }
+int main(void) {
+    int a[4];
+    int *p = a;
+    int k = 0;
+    while (p < a + 4) {
+        k++;
+        if (k == 2) p = lost();
+        else p++;
+    }
+    return k;
+}
+""",
+    "main-called-again": """
+static int depth = 0;
+int main(void) {
+    depth++;
+    if (depth < 3) return main() + 1;
+    return 0;
+}
+""",
+}
+
+#: Programs whose every call of a unit function must compile to a direct
+#: call: a silent return to the generic path then fails a test, not only a
+#: timing.
+DIRECT_CALL_PROGRAMS = {
+    "pointer-parameters": POINTER_PROGRAMS["pointer-parameters"],
+    **{
+        name: CALL_PROGRAMS[name]
+        for name in (
+            "call-chain",
+            "recursion",
+            "mutual-recursion",
+            "recursion-overflows",
+            "narrowing-arguments",
+            "pointer-arguments-and-results",
+        )
+    },
+}
+
+
+def _unit_call_sites(tool: KccTool, source: str) -> list:
+    """``(caller, callee, opcode)`` of every call of a unit function."""
+    program = _native_program(tool, source)
+    sites = []
+    for caller, fn in program.functions.items():
+        for ins in fn.code:
+            if ins[0] == OP_DCALL:
+                sites.append((caller, ins[2].name, OP_DCALL))
+            elif ins[0] == OP_CALL and ins[2] in program.functions:
+                sites.append((caller, ins[2], OP_CALL))
+    return sites
+
+
+@pytest.mark.parametrize("label", list(POINTER_TOOLS))
+def test_call_programs_under_every_ablation(label):
+    tools = POINTER_TOOLS[label]
+    for name, source in CALL_PROGRAMS.items():
+        assert_matrix(source, name, tools, label)
+        results = {engine: tool.check(source).result for engine, tool in tools.items()}
+        if results["walker"] is not None:  # a defined run: the steps agree too
+            assert len({result.steps for result in results.values()}) == 1, name
+
+
+@pytest.mark.parametrize("label", list(POINTER_TOOLS))
+def test_clean_call_sites_are_direct_calls(label):
+    tool = POINTER_TOOLS[label]["compiled"]
+    for name, source in DIRECT_CALL_PROGRAMS.items():
+        assert _native_program(tool, source).fallbacks == {}, name
+        sites = _unit_call_sites(tool, source)
+        assert sites, name
+        assert {opcode for _caller, _callee, opcode in sites} == {OP_DCALL}, (
+            name,
+            sites,
+        )
+
+
+def test_unclean_call_sites_stay_generic():
+    tool = TOOLS["default"]["compiled"]
+    bad_type = _native_program(tool, CALL_PROGRAMS["bad-function-type"])
+    assert bad_type.fallbacks == {"main": "call through a non-identifier designator"}
+    for name, callee in (
+        ("wrong-arity-unprototyped", "add"),
+        ("unprototyped-definition", "seven"),
+        ("main-called-again", "main"),
+    ):
+        sites = _unit_call_sites(tool, CALL_PROGRAMS[name])
+        assert sites and all(
+            site[1] == callee and site[2] == OP_CALL for site in sites
+        ), (name, sites)
+
+
+def test_step_limit_inside_a_callee():
+    # Every step limit over call-chain's first three calls (about 19 steps
+    # an iteration), so that one runs out at each point of a direct call:
+    # before it, in the callee's body and after its return; then limits
+    # deep inside a mutual recursion (814 steps in all).
+    for name, limits in (
+        ("call-chain", range(1, 60)),
+        ("mutual-recursion", (400, 401, 402, 403, 813, 814)),
+    ):
+        for max_steps in limits:
+            tools = _tools(CheckerOptions(max_steps=max_steps))
+            assert_matrix(CALL_PROGRAMS[name], f"{name} max_steps={max_steps}", tools)
+
+
+def test_lowering_exceptions_reach_the_caller(monkeypatch):
+    """A defect in the lowering must fail loudly, not hand the program to
+    the walker (where every parity test would pass)."""
+    from repro import Checker
+    from repro.core import lowering
+
+    def broken(*args, **kwargs):
+        raise RuntimeError("lowering defect")
+
+    monkeypatch.setattr(lowering, "lower_unit", broken)
+    with pytest.raises(RuntimeError, match="lowering defect"):
+        Checker().check("int main(void){ return 0; }")
