@@ -248,15 +248,19 @@ def test_dedup_alone_cuts_full_runs():
 
 
 def test_walker_engine_matches_lowered_engine_counts():
-    """Search over the legacy walker sees the identical decision tree."""
+    """Search runs on the walker under every engine setting: a checker set
+    to the lowered closures explores the walker's decision tree and builds
+    no closure IR."""
     walker = Checker(CheckerOptions(enable_lowering=False))
-    lowered = Checker()
+    lowered = Checker(CheckerOptions(engine="lowered"))
     for source in (SET_DENOM, DEEP_CONVERGING):
+        compiled = lowered.compile(source)
         a = walker.search(source, budget=BIG_BUDGET, stop_at_first=False).search
-        b = lowered.search(source, budget=BIG_BUDGET, stop_at_first=False).search
+        b = lowered.search(compiled, budget=BIG_BUDGET, stop_at_first=False).search
         assert a.explored == b.explored
         assert a.merged_paths == b.merged_paths
         assert a.pruned_orders == b.pruned_orders
+        assert compiled._lowered == {} and compiled._bytecode == {}
 
 
 def test_bench_search_cost(benchmark):

@@ -201,6 +201,8 @@ def run_probe_group(tools: Sequence["SemanticsBasedTool"], source: str, *,
                     checker: Optional[Checker] = None) -> list[ToolResult]:
     """Run one observed execution of ``source`` feeding every tool's probe.
 
+    The probes continue past UB, so the execution runs on the walker.
+
     Returns one :class:`ToolResult` per tool, in order.  All results carry
     the same ``runtime_seconds`` — the dynamic stage they shared.
     """
@@ -223,9 +225,6 @@ def run_probe_group(tools: Sequence["SemanticsBasedTool"], source: str, *,
     compiled = checker.compile(source, filename=filename)
     if not compiled.ok:
         return [tool._parse_failure_result(compiled) for tool in tools]
-    if union.enable_lowering:
-        # Warm the instrumented IR with the compile, outside the timed window.
-        compiled.lowered_for(union, instrument=True)
     probes = [tool.make_probe() for tool in tools]
     start = time.perf_counter()
     try:
@@ -317,16 +316,9 @@ class SemanticsBasedTool(AnalysisTool):
         return compile_shared(source, filename=filename, options=self.options)
 
     def warm_compile(self, source: str, *, filename: str = "<input>") -> None:
-        compiled = self.compile(source, filename=filename)
-        if not compiled.ok or not self.options.enable_lowering:
-            return
-        if self.can_share_execution:
-            # The probe path runs the instrumented IR under the (single-tool)
-            # union profile — which is this tool's own options.
-            compiled.lowered_for(self.options, instrument=True)
-        else:
-            compiled.lowered_for(
-                self.options, fold=not self.search_evaluation_order)
+        # Probed runs and searches run on the walker: the parse is all
+        # there is to warm.
+        self.compile(source, filename=filename)
 
     # -- analysis ------------------------------------------------------------
     def analyze(self, source: str, *, filename: str = "<input>") -> ToolResult:

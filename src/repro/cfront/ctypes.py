@@ -141,10 +141,6 @@ class CType:
         return isinstance(self, FunctionType)
 
     @property
-    def is_struct(self) -> bool:
-        return isinstance(self, StructType)
-
-    @property
     def is_union(self) -> bool:
         return isinstance(self, UnionType)
 
@@ -592,6 +588,13 @@ def wrap_unsigned(value: int, ctype: CType, profile: ImplementationProfile) -> i
     return value & ((1 << bits) - 1)
 
 
+def trunc_div(a: int, b: int) -> int:
+    """C's integer division, truncating toward zero (§6.5.5:6), exact at
+    any magnitude."""
+    q = abs(a) // abs(b)
+    return -q if (a < 0) != (b < 0) else q
+
+
 def fits_in(value: int, ctype: CType, profile: ImplementationProfile) -> bool:
     lo, hi = integer_range(ctype, profile)
     return lo <= value <= hi
@@ -731,11 +734,6 @@ def types_compatible(a: CType, b: CType) -> bool:
     return False
 
 
-def is_null_pointer_constant_type(ctype: CType) -> bool:
-    return ctype.is_integer or (
-        isinstance(ctype, PointerType) and isinstance(ctype.pointee, VoidType))
-
-
 def decay(ctype: CType) -> CType:
     """Array-to-pointer and function-to-pointer decay (§6.3.2.1)."""
     if isinstance(ctype, ArrayType):
@@ -747,10 +745,6 @@ def decay(ctype: CType) -> CType:
 
 def is_character_type(ctype: CType) -> bool:
     return isinstance(ctype, IntType) and ctype.kind in ("char", "signed char", "unsigned char")
-
-
-def is_unsigned_char_type(ctype: CType) -> bool:
-    return isinstance(ctype, IntType) and ctype.kind == "unsigned char"
 
 
 def aliasing_compatible(lvalue_type: CType, effective_type: CType,

@@ -977,12 +977,11 @@ def fold_constant(expr: c_ast.Expression,
             if op == "/":
                 if right == 0:
                     return None
-                return int(left / right) if (left < 0) != (right < 0) else left // right
+                return ct.trunc_div(left, right)
             if op == "%":
                 if right == 0:
                     return None
-                quotient = int(left / right) if (left < 0) != (right < 0) else left // right
-                return left - quotient * right
+                return left - ct.trunc_div(left, right) * right
             if op == "<<":
                 return left << right if right >= 0 else None
             if op == ">>":

@@ -1295,20 +1295,16 @@ class _FnCompiler:
     # -- expressions -------------------------------------------------------
 
     def compile_expr(self, expr, discard: bool = False) -> _Value:
-        L = self.L
-        if L.fold:
-            try:
-                folded = _try_fold(expr, L)
-            except _FoldUB as fold_error:
-                self.pending_steps += _subtree_step_cost(expr)
-                self.flush_steps()
-                self.emit(
-                    (OP_RAISE, fold_error.kind, fold_error.message, fold_error.line)
-                )
-                return _Value(self.const_reg(0), ct.INT)
-            if folded is not None:
-                self.pending_steps += _subtree_step_cost(expr)
-                return _Value(self.const_reg(folded.value), folded.type)
+        try:
+            folded = _try_fold(expr, self.L)
+        except _FoldUB as fold_error:
+            self.pending_steps += _subtree_step_cost(expr)
+            self.flush_steps()
+            self.emit((OP_RAISE, fold_error.kind, fold_error.message, fold_error.line))
+            return _Value(self.const_reg(0), ct.INT)
+        if folded is not None:
+            self.pending_steps += _subtree_step_cost(expr)
+            return _Value(self.const_reg(folded.value), folded.type)
         handler = self._EXPRS.get(type(expr))
         if handler is None:
             raise _Unsupported(f"expression {type(expr).__name__}")
@@ -2180,18 +2176,14 @@ _ORDER_MODES = {"left-to-right": 0, "right-to-left": 1}
 
 def compile_unit_bytecode(
     unit: c_ast.TranslationUnit, options: CheckerOptions
-) -> Optional[CompiledProgram]:
+) -> CompiledProgram:
     """Compile every native-subset function of ``unit``.
 
-    Returns None when the evaluation order is not pre-resolved (fixed
-    strategies only): the bytecode hard-codes operand order, so
-    scripted/search strategies keep using the walker's decision points.
+    The bytecode hard-codes the operand order of ``options.evaluation_order``.
     Every function that does not compile is listed with its reason in
     :attr:`CompiledProgram.fallbacks`.
     """
-    order_mode = _ORDER_MODES.get(options.evaluation_order)
-    if order_mode is None:
-        return None
+    order_mode = _ORDER_MODES[options.evaluation_order]
     unit_globals: dict[str, ct.CType] = {}
     unit_functions: dict[str, ct.FunctionType] = {}
     definitions: list[c_ast.FunctionDef] = []

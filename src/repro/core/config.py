@@ -15,6 +15,11 @@ from dataclasses import dataclass, field, replace
 
 from repro.cfront.ctypes import ImplementationProfile, LP64
 
+#: The values :attr:`CheckerOptions.engine` accepts.
+ENGINES = ("walker", "lowered", "compiled")
+#: The values :attr:`CheckerOptions.evaluation_order` accepts.
+EVALUATION_ORDERS = ("left-to-right", "right-to-left")
+
 
 @dataclass(frozen=True)
 class CheckerOptions:
@@ -60,19 +65,27 @@ class CheckerOptions:
     #: Dynamic-stage engine: ``"compiled"`` (flat register bytecode on the
     #: VM of :mod:`repro.core.vm`, falling back per function to the lowered
     #: closures), ``"lowered"`` (closure trees only), or ``"walker"`` (the
-    #: legacy recursive AST walker).  Verdicts are identical across all
+    #: reference recursive AST walker).  Verdicts are identical across all
     #: three (held to by the three-way differential matrix in
-    #: ``tests/core/test_engine_matrix.py``).  The compiled engine applies
-    #: to single non-search runs; evaluation-order search always keeps the
-    #: walker's decision points, and runs whose probes subscribe to events
-    #: use the instrumented closure engine.
+    #: ``tests/core/test_engine_matrix.py``).  The setting governs
+    #: unobserved single runs only: runs whose probes subscribe to events,
+    #: and every evaluation-order search, run on the walker.
     engine: str = "compiled"
 
-    #: Evaluation-order strategy: "left-to-right", "right-to-left" or
-    #: "search" (explore orders of unsequenced subexpressions, §2.5.2).
+    #: The one fixed evaluation order of unsequenced subexpressions:
+    #: "left-to-right" or "right-to-left".  Exploring every order (§2.5.2)
+    #: is ``search_evaluation_order=True`` on the tool, not an order here.
     evaluation_order: str = "left-to-right"
     #: Bound on the number of evaluation orders explored in search mode.
     max_search_paths: int = 64
+
+    def __post_init__(self) -> None:
+        if self.engine not in ENGINES:
+            raise ValueError(f"unknown engine {self.engine!r}; "
+                             f"expected one of {', '.join(ENGINES)}")
+        if self.evaluation_order not in EVALUATION_ORDERS:
+            raise ValueError(f"unknown evaluation order {self.evaluation_order!r}; "
+                             f"expected one of {', '.join(EVALUATION_ORDERS)}")
 
     def effective_engine(self) -> str:
         """The dynamic-stage engine this configuration selects.
@@ -81,9 +94,6 @@ class CheckerOptions:
         forces the walker regardless of :attr:`engine`, so existing ablation
         call sites keep their meaning.
         """
-        if self.engine not in ("walker", "lowered", "compiled"):
-            raise ValueError(f"unknown engine {self.engine!r}; "
-                             f"expected 'walker', 'lowered' or 'compiled'")
         if not self.enable_lowering:
             return "walker"
         return self.engine

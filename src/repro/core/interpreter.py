@@ -60,12 +60,7 @@ from repro.events import (
     report_undefined,
 )
 from repro.kframework.cells import Configuration, make_configuration
-from repro.kframework.strategy import (
-    EvaluationStrategy,
-    LeftToRightStrategy,
-    RightToLeftStrategy,
-    strategy_for,
-)
+from repro.kframework.strategy import EvaluationStrategy, strategy_for
 
 
 _BUILTIN_FALLBACK_BINDINGS: dict[str, FunctionBinding] = {
@@ -140,19 +135,19 @@ class Interpreter(ExpressionEvaluatorMixin, StatementExecutorMixin):
         #: Attached :class:`repro.events.ProbeSet`, or None (the common case).
         #: Set via :meth:`attach_probes`; every emission site is guarded on it.
         self.events: Optional[ProbeSet] = None
-        self.strategy = strategy or strategy_for(options.evaluation_order)
+        own_strategy = strategy_for(options.evaluation_order)
+        if (strategy is not None and type(strategy) is not type(own_strategy)
+                and (lowered is not None or compiled is not None)):
+            # The closures and the bytecode fix the options' own operand
+            # order when they are built; any other order runs on the walker.
+            raise ValueError(
+                f"the lowered closures and the bytecode run only the "
+                f"{options.evaluation_order!r} order of their options; run a "
+                f"{strategy.name!r} strategy on the walker")
+        self.strategy = strategy or own_strategy
         #: Lowered IR of the unit (:class:`repro.core.lowering.LoweredUnit`),
         #: or None to interpret raw AST nodes (the legacy walker).
         self.lowered = lowered
-        #: Pre-resolved evaluation order for the lowered fast path: 0 for
-        #: left-to-right, 1 for right-to-left, None to consult the strategy
-        #: at every unsequenced group (scripted strategies / search).
-        if type(self.strategy) is LeftToRightStrategy:
-            self.order_mode: Optional[int] = 0
-        elif type(self.strategy) is RightToLeftStrategy:
-            self.order_mode = 1
-        else:
-            self.order_mode = None
         self.functions: dict[str, c_ast.FunctionDef] = {}
         self.function_bindings: dict[str, FunctionBinding] = {}
         self.global_bindings: dict[str, ObjectBinding] = {}

@@ -61,8 +61,9 @@ def _probes_need_events(probes) -> bool:
     """Whether any probe actually subscribes to execution events.
 
     A probe whose ``subscribes`` is an empty tuple only wants ``finish``
-    (the run's end), so the run can keep an uninstrumented engine; a probe
-    that continues past UB needs the observed trajectory either way.
+    (the run's end), so the run keeps the selected engine; a probe that
+    continues past UB needs the observed trajectory either way, and an
+    observed run goes to the walker.
     """
     for probe in probes:
         if getattr(probe, "continue_past_ub", False):
@@ -92,9 +93,9 @@ class CompiledUnit:
     static_violations: list[StaticViolation] = field(default_factory=list)
     parse_error: Optional[str] = None
     profile: Optional[ct.ImplementationProfile] = None
-    #: Lazily computed lowered IRs, keyed by (options, fold).  Constant
-    #: folding honors the check flags, so one unit may carry one lowered
-    #: form per checker configuration that runs it.
+    #: Lazily computed lowered IRs, keyed by options.  Constant folding
+    #: honors the check flags, so one unit may carry one lowered form per
+    #: checker configuration that runs it.
     _lowered: dict = field(default_factory=dict, repr=False, compare=False)
     #: Lazily computed register-bytecode programs, keyed by options.
     _bytecode: dict = field(default_factory=dict, repr=False, compare=False)
@@ -104,40 +105,31 @@ class CompiledUnit:
         """True when parsing succeeded (static violations may still exist)."""
         return self.unit is not None
 
-    def lowered_for(self, options: CheckerOptions, *, fold: bool = True,
-                    instrument: bool = False):
-        """The lowered IR of this unit for ``options`` (memoized).
+    def lowered_for(self, options: CheckerOptions):
+        """The lowered IR of this unit for ``options`` (memoized): one IR
+        per options, folded, fixed-order and free of event emission.
 
-        ``instrument=True`` selects the event-emitting variant used by runs
-        with probes attached (it implies ``fold=False``); the plain variant
-        carries no instrumentation code at all, which is the compile-time
-        "null-probe" specialization that keeps unprobed runs at full speed.
-
-        Returns None when there is nothing to lower (parse failure).  A
-        defect in the lowering itself propagates: it is a bug to fix, not a
-        silent fallback to the walker.
+        Only unobserved fixed-order runs execute it; runs whose probes
+        subscribe to events and every evaluation-order search run on the
+        walker.  Returns None when there is nothing to lower (parse
+        failure).  A defect in the lowering itself propagates: it is a bug
+        to fix, not a silent fallback to the walker.
         """
         if self.unit is None:
             return None
-        if instrument:
-            fold = False
-        key = (options, fold, instrument)
-        if key not in self._lowered:
+        if options not in self._lowered:
             from repro.core.lowering import lower_unit
-            self._lowered[key] = lower_unit(self.unit, options, fold=fold,
-                                            instrument=instrument)
-        return self._lowered[key]
+            self._lowered[options] = lower_unit(self.unit, options)
+        return self._lowered[options]
 
     def compiled_for(self, options: CheckerOptions):
         """The register-bytecode program of this unit for ``options``
-        (memoized), or None.
+        (memoized), or None on parse failure.
 
         Functions outside the compiler's native subset are absent from the
         returned program, with their reasons in its ``fallbacks``, and run
-        on the lowered closures instead.  Returns None on parse failure and
-        for evaluation orders the bytecode does not pre-resolve.  A defect
-        in the compiler itself propagates: it is a bug to fix, not a
-        fallback.
+        on the lowered closures instead.  A defect in the compiler itself
+        propagates: it is a bug to fix, not a fallback.
         """
         if self.unit is None:
             return None
@@ -275,6 +267,10 @@ class KccTool:
         detection profiles (the outcome still reports the first check this
         checker's own options would have stopped at, though ``stdout`` may
         then include output from past that point).
+
+        A run whose probes subscribe to events, observed runs included,
+        goes to the walker whatever ``engine`` says; probes that subscribe
+        to nothing keep the selected engine.
         """
         if probes and self.search_evaluation_order:
             raise ValueError("probes cannot observe an evaluation-order search; "
@@ -305,19 +301,19 @@ class KccTool:
             report = self._check_with_search(compiled, argv=argv, stdin=stdin)
         else:
             engine = self.options.effective_engine()
-            # Pay-per-subscription instrumentation: probes that subscribe to
-            # no event kinds (and do not continue past UB) cost nothing —
-            # the run keeps the uninstrumented stream of whichever engine is
-            # selected.  Any subscribed kind needs the event-emitting
-            # closure IR, whose stream is walker-identical.
-            instrument = bool(probes) and _probes_need_events(probes)
-            lowered = (compiled.lowered_for(self.options, instrument=instrument)
+            # Pay-per-subscription: probes that subscribe to no event kinds
+            # (and do not continue past UB) cost nothing, so the run keeps
+            # the selected engine.  Any subscription runs on the walker,
+            # the engine that emits the events.
+            if probes and _probes_need_events(probes):
+                engine = "walker"
+            lowered = (compiled.lowered_for(self.options)
                        if engine != "walker" else None)
             native = (compiled.compiled_for(self.options)
-                      if engine == "compiled" and not instrument else None)
-            outcome, result = self._run_once(compiled.unit, strategy=None,
-                                             argv=argv, stdin=stdin, lowered=lowered,
-                                             native=native, probes=probes)
+                      if engine == "compiled" else None)
+            outcome, result = self._run_once(compiled.unit, argv=argv, stdin=stdin,
+                                             lowered=lowered, native=native,
+                                             probes=probes)
             report = CheckReport(outcome=outcome, result=result, unit=compiled.unit)
         report.filename = compiled.filename
         return report
@@ -342,10 +338,10 @@ class KccTool:
         return self.run_unit(self.compile_unit(source, filename=filename),
                              argv=argv, stdin=stdin)
 
-    def _run_once(self, unit: c_ast.TranslationUnit, *, strategy, argv, stdin,
+    def _run_once(self, unit: c_ast.TranslationUnit, *, argv, stdin,
                   lowered=None, native=None, probes=None,
                   ) -> tuple[Outcome, Optional[ExecutionResult]]:
-        interpreter = Interpreter(unit, self.options, strategy=strategy, stdin=stdin,
+        interpreter = Interpreter(unit, self.options, stdin=stdin,
                                   lowered=lowered, compiled=native)
         probe_set = ProbeSet(probes) if probes else None
         recorder = None
@@ -426,7 +422,8 @@ class KccTool:
         hash, and orders whose operand footprints commute are skipped.  The
         verdict is undefined iff any explored order is undefined; the
         report's ``search`` field says why exploration stopped and how much
-        of the interleaving space it covered.
+        of the interleaving space it covered.  Every explored order runs on
+        the walker, whatever ``engine`` says.
         """
         search = search if search is not None else self.default_search_options()
         from repro.kframework.engine import resolve_checkpoint
@@ -446,8 +443,7 @@ class KccTool:
                               static_violations=list(compiled.static_violations))
             return CheckReport(outcome=outcome, unit=compiled.unit,
                                filename=compiled.filename)
-        host = _SearchHost(self, compiled, argv=argv, stdin=stdin,
-                           instrument=search.prune_commuting)
+        host = _SearchHost(self, compiled, argv=argv, stdin=stdin)
         if search.jobs and search.jobs > 1:
             result = self._parallel_search(compiled, host, search)
         else:
@@ -562,16 +558,16 @@ class KccTool:
 
 
 class _SearchHost:
-    """Execution host the search engine drives: one interpreter per order.
+    """Execution host the search engine drives: one walker run per order.
 
-    ``instrument`` selects the event-emitting lowered variant so the
-    engine's commutativity filter can observe per-operand read/write
-    footprints; without pruning the plain fold-free lowering (identical
-    decision points, no event plumbing) is used instead.
+    Every order runs on the walker, whatever ``engine`` says: it consults
+    the scripted strategy at each unsequenced group and emits the
+    read/write events the engine's commutativity filter segments into
+    per-operand footprints.
     """
 
-    def __init__(self, tool: KccTool, compiled: CompiledUnit, *, argv, stdin,
-                 instrument: bool) -> None:
+    def __init__(self, tool: KccTool, compiled: CompiledUnit, *, argv,
+                 stdin) -> None:
         self.tool = tool
         self.unit = compiled.unit
         self.argv = argv
@@ -585,15 +581,10 @@ class _SearchHost:
         #: with many defined orders would otherwise hold one stdout
         #: buffer per explored path).
         self._defined_result: Optional[tuple[Outcome, ExecutionResult]] = None
-        if tool.options.enable_lowering:
-            self.lowered = compiled.lowered_for(tool.options, fold=False,
-                                                instrument=instrument)
-        else:
-            self.lowered = None
 
     def new_interpreter(self, strategy) -> Interpreter:
         return Interpreter(self.unit, self.tool.options, strategy=strategy,
-                           stdin=self.stdin, lowered=self.lowered)
+                           stdin=self.stdin)
 
     def run(self, interpreter: Interpreter) -> PathOutcome:
         outcome, result = self.tool._classify_execution(interpreter, self.argv)
@@ -635,8 +626,7 @@ def run_search_shard(header: tuple, scripts) -> SearchResult:
     tool = tool_for(options)
     compiled = compile_shared(source, filename=filename, options=options)
     assert compiled.unit is not None, "shard worker got an uncompilable program"
-    host = _SearchHost(tool, compiled, argv=argv, stdin=stdin,
-                       instrument=search.prune_commuting)
+    host = _SearchHost(tool, compiled, argv=argv, stdin=stdin)
     engine = SearchEngine(host, search, initial_scripts=[tuple(s) for s in scripts])
     return engine.run()
 
@@ -667,8 +657,7 @@ def search_root_expansion(source: str, *, filename: str = "<input>",
         raise ValueError(
             f"cannot search {filename}: program does not compile"
         )
-    host = _SearchHost(tool, compiled, argv=argv, stdin=stdin or "",
-                       instrument=False)
+    host = _SearchHost(tool, compiled, argv=argv, stdin=stdin or "")
     strategy = ScriptedStrategy()
     strategy.reset()
     host.run_scripted(strategy)

@@ -23,12 +23,14 @@ What is resolved at lowering time:
   binding is built once and memoized on the binding itself
   (:attr:`ObjectBinding.cached_lvalue`), instead of reconstructing the
   pointer dataclasses on every read;
-* **evaluation order** — groups of unsequenced subexpressions are lowered
-  into explicit interleaving points: under a fixed strategy the closure runs
-  the pre-selected order straight-line, and under a scripted strategy
-  (:mod:`repro.kframework.search`) it consults ``interp.operand_order`` at
-  exactly the decision points the legacy walker has, so the search explores
-  the same schedules over the lowered form.
+* **evaluation order** — every group of unsequenced subexpressions runs
+  straight-line in the one order ``options.evaluation_order`` fixes, chosen
+  at lowering time as the bytecode does.
+
+The closures run unobserved checks only.  Runs whose probes subscribe to
+execution events, and every evaluation-order search, run on the walker,
+which emits the events and consults the strategy at each unsequenced group;
+so the IR holds no emission code and no scripted-order branches.
 
 Every undefinedness check still fires identically: the closures call the same
 helper methods (``read_lvalue``, ``write_lvalue``, ``apply_binary``,
@@ -73,7 +75,6 @@ from repro.errors import (
     UndefinedBehaviorError,
     UnsupportedFeatureError,
 )
-from repro.events import BranchEvent
 
 #: A lowered expression: run it against an interpreter, get a value.
 ExprThunk = Callable[["Interpreter"], CValue]  # noqa: F821  (runtime duck type)
@@ -84,27 +85,20 @@ StmtThunk = Callable[["Interpreter"], None]  # noqa: F821
 class LoweringContext:
     """Compile-time state shared by all lowering functions of one unit.
 
-    ``instrument=True`` compiles the *instrumented* variant of the IR: the
-    closures emit execution events (branches, interleave choices) and route
-    every load/store/arith through the generic interpreter helpers — which
-    are the shared emission points — instead of the pre-derived plan fast
-    paths.  Instrumented lowering never folds: folding elides the events of
-    constant subtrees, and the golden-trace tests hold the instrumented
-    lowered engine to *exact* event-sequence equality with the legacy
-    walker.  The default (``instrument=False``) IR contains no emission
-    code at all — this compile-time specialization is what keeps the
-    null-probe fast path at PR-2 speed.
+    One context yields one IR per options: constant subtrees are always
+    folded, and ``right_to_left`` fixes the operand order of every
+    unsequenced group from ``options.evaluation_order``.  The IR carries no
+    event emission and no scripted orders; observed runs and searches run
+    on the walker instead.
     """
 
-    __slots__ = ("options", "profile", "max_steps", "fold", "folder", "instrument")
+    __slots__ = ("options", "profile", "max_steps", "folder", "right_to_left")
 
-    def __init__(self, options: CheckerOptions, *, fold: bool = True,
-                 instrument: bool = False) -> None:
+    def __init__(self, options: CheckerOptions) -> None:
         self.options = options
         self.profile = options.profile
         self.max_steps = options.max_steps
-        self.fold = fold and not instrument
-        self.instrument = instrument
+        self.right_to_left = options.evaluation_order == "right-to-left"
         self.folder = _FoldContext(options)
 
 
@@ -499,26 +493,17 @@ def _int_binary_plan(op: str, left_type: ct.CType, right_type: ct.CType,
 
 
 class _BinaryPlanCache:
-    """Per-site cache of integer binary-op plans, keyed by operand types.
+    """Per-site cache of integer binary-op plans, keyed by operand types."""
 
-    ``disabled=True`` (instrumented lowering) always answers None, keeping
-    every operation on the generic ``apply_binary`` path whose checks emit
-    the arith-check / UB events.
-    """
+    __slots__ = ("op", "options", "line", "plans")
 
-    __slots__ = ("op", "options", "line", "plans", "disabled")
-
-    def __init__(self, op: str, options: CheckerOptions, line: int,
-                 disabled: bool = False) -> None:
+    def __init__(self, op: str, options: CheckerOptions, line: int) -> None:
         self.op = op
         self.options = options
         self.line = line
         self.plans: dict = {}
-        self.disabled = disabled
 
     def lookup(self, left_type: ct.CType, right_type: ct.CType):
-        if self.disabled:
-            return None
         key = (left_type, right_type)
         plans = self.plans
         if key in plans:
@@ -537,22 +522,14 @@ class _BinaryPlanCache:
 # type (within one translation unit a tag means one record type).
 
 class _AccessPlanCache:
-    """Per-site cache of (size, align, uninit-check, const) per lvalue type.
+    """Per-site cache of (size, align, uninit-check, const) per lvalue type."""
 
-    ``disabled=True`` (instrumented lowering) always answers None, keeping
-    every access on the generic ``read_lvalue``/``write_lvalue`` path whose
-    lvalue-conversion events the probes observe.
-    """
+    __slots__ = ("plans",)
 
-    __slots__ = ("plans", "disabled")
-
-    def __init__(self, disabled: bool = False) -> None:
+    def __init__(self) -> None:
         self.plans: dict = {}
-        self.disabled = disabled
 
     def plan_for(self, ltype: ct.CType, profile: ct.ImplementationProfile):
-        if self.disabled:
-            return None
         plans = self.plans
         if ltype in plans:
             return plans[ltype]
@@ -718,13 +695,12 @@ def _write_binding(interp, binding, value: CValue, line: int) -> None:
 
 def lower_expr(expr: c_ast.Expression, L: LoweringContext) -> ExprThunk:
     """Lower an expression to a value-producing closure."""
-    if L.fold:
-        try:
-            folded = _try_fold(expr, L)
-        except _FoldUB as fold_error:
-            return _lower_fold_error(expr, fold_error, L)
-        if folded is not None:
-            return _lower_constant(expr, folded, L)
+    try:
+        folded = _try_fold(expr, L)
+    except _FoldUB as fold_error:
+        return _lower_fold_error(expr, fold_error, L)
+    if folded is not None:
+        return _lower_constant(expr, folded, L)
     lowerer = _EXPR_LOWERERS.get(type(expr))
     if lowerer is None:
         return _lower_unsupported_expr(expr, L)
@@ -806,10 +782,6 @@ def _lower_unsupported_expr(expr: c_ast.Expression, L: LoweringContext) -> ExprT
     return run
 
 
-def _lower_IntegerLiteral(expr: c_ast.IntegerLiteral, L: LoweringContext) -> ExprThunk:
-    return _lower_constant(expr, IntValue(expr.value, expr.type or ct.INT), L)
-
-
 def _lower_FloatLiteral(expr: c_ast.FloatLiteral, L: LoweringContext) -> ExprThunk:
     line = expr.line
     max_steps = L.max_steps
@@ -823,10 +795,6 @@ def _lower_FloatLiteral(expr: c_ast.FloatLiteral, L: LoweringContext) -> ExprThu
             interp.current_line = line
         return value
     return run
-
-
-def _lower_CharLiteral(expr: c_ast.CharLiteral, L: LoweringContext) -> ExprThunk:
-    return _lower_constant(expr, IntValue(expr.value, ct.INT), L)
 
 
 def _lower_StringLiteral(expr: c_ast.StringLiteral, L: LoweringContext) -> ExprThunk:
@@ -906,22 +874,6 @@ def _lower_Identifier(expr: c_ast.Identifier, L: LoweringContext) -> ExprThunk:
     line = expr.line
     max_steps = L.max_steps
 
-    if L.instrument:
-        # Instrumented: load through the generic read_lvalue so the
-        # lvalue-conversion event fires exactly where the walker's does.
-        def run_instr(interp) -> CValue:
-            interp._steps += 1
-            if interp._steps > max_steps:
-                raise ResourceLimitError(f"execution exceeded {max_steps} steps")
-            if line:
-                interp.current_line = line
-            binding = _lookup_binding(interp, name, line)
-            if isinstance(binding, FunctionBinding):
-                return PointerValue(base=None, offset=0, function=binding.name,
-                                    type=ct.PointerType(pointee=binding.type))
-            return interp.read_lvalue(_binding_lvalue(binding), line)
-        return run_instr
-
     def run(interp) -> CValue:
         interp._steps += 1
         if interp._steps > max_steps:
@@ -958,7 +910,7 @@ def _lower_UnaryOp(expr: c_ast.UnaryOp, L: LoweringContext) -> ExprThunk:
 
     if op == "*":
         operand_run = lower_expr(expr.operand, L)
-        deref_plans = _AccessPlanCache(L.instrument)
+        deref_plans = _AccessPlanCache()
 
         def run_deref(interp) -> CValue:
             interp._steps += 1
@@ -997,7 +949,7 @@ def _lower_UnaryOp(expr: c_ast.UnaryOp, L: LoweringContext) -> ExprThunk:
         delta = 1 if op.startswith("++") else -1
         is_post = op.endswith("post")
 
-        if isinstance(expr.operand, c_ast.Identifier) and not L.instrument:
+        if isinstance(expr.operand, c_ast.Identifier):
             resolve_binding = _lower_object_binding(expr.operand, L)
 
             def run_incdec_ident(interp) -> CValue:
@@ -1090,27 +1042,6 @@ def _lower_UnaryOp(expr: c_ast.UnaryOp, L: LoweringContext) -> ExprThunk:
     return run_unsupported
 
 
-def _lower_SizeofType(expr: c_ast.SizeofType, L: LoweringContext) -> ExprThunk:
-    # Normally folded; this path only runs with folding disabled.
-    type_name = expr.type_name
-    line = expr.line
-    max_steps = L.max_steps
-
-    def run(interp) -> CValue:
-        interp._steps += 1
-        if interp._steps > max_steps:
-            raise ResourceLimitError(f"execution exceeded {max_steps} steps")
-        if line:
-            interp.current_line = line
-        try:
-            size = ct.size_of(type_name, interp.profile)
-        except ct.LayoutError as exc:
-            raise UndefinedBehaviorError(
-                UBKind.INCOMPLETE_TYPE_OBJECT, f"sizeof: {exc}", line=line)
-        return IntValue(size, ct.ULONG)
-    return run
-
-
 def _lower_Cast(expr: c_ast.Cast, L: LoweringContext) -> ExprThunk:
     target = expr.target_type
     line = expr.line
@@ -1142,31 +1073,6 @@ def _lower_Cast(expr: c_ast.Cast, L: LoweringContext) -> ExprThunk:
     return run
 
 
-def _run_unsequenced_pair(interp, site, run0, run1):
-    """Evaluate two unsequenced operands in the strategy-chosen order.
-
-    Only reached when the interpreter's order is not pre-resolved (scripted
-    strategies and the evaluation-order search).  The ``note_operand`` /
-    ``note_group_end`` boundary hooks let the search engine segment the
-    execution-event stream into per-operand footprints — its commutativity
-    filter — and are no-ops on every other strategy.
-    """
-    order = interp.operand_order(2, site)
-    strategy = interp.strategy
-    if order[0] == 0:
-        strategy.note_operand(site, 0)
-        value0 = run0(interp)
-        strategy.note_operand(site, 1)
-        value1 = run1(interp)
-    else:
-        strategy.note_operand(site, 1)
-        value1 = run1(interp)
-        strategy.note_operand(site, 0)
-        value0 = run0(interp)
-    strategy.note_group_end(site)
-    return value0, value1
-
-
 def _lower_BinaryOp(expr: c_ast.BinaryOp, L: LoweringContext) -> ExprThunk:
     op = expr.op
     line = expr.line
@@ -1176,28 +1082,6 @@ def _lower_BinaryOp(expr: c_ast.BinaryOp, L: LoweringContext) -> ExprThunk:
 
     if op == "&&" or op == "||":
         is_and = op == "&&"
-
-        if L.instrument:
-            def run_logical_instr(interp) -> CValue:
-                interp._steps += 1
-                if interp._steps > max_steps:
-                    raise ResourceLimitError(f"execution exceeded {max_steps} steps")
-                if line:
-                    interp.current_line = line
-                left = left_run(interp)
-                interp.memory.sequence_point()
-                left_true = to_boolean(left, interp.options, line=line)
-                if interp.events is not None:
-                    interp.events.emit(BranchEvent(left_true, line))
-                if is_and:
-                    if not left_true:
-                        return IntValue(0, ct.INT)
-                elif left_true:
-                    return IntValue(1, ct.INT)
-                right = right_run(interp)
-                return IntValue(1 if to_boolean(right, interp.options, line=line) else 0,
-                                ct.INT)
-            return run_logical_instr
 
         def run_logical(interp) -> CValue:
             interp._steps += 1
@@ -1218,27 +1102,10 @@ def _lower_BinaryOp(expr: c_ast.BinaryOp, L: LoweringContext) -> ExprThunk:
                             ct.INT)
         return run_logical
 
-    # The value computations of the two operands are unsequenced: this is an
-    # explicit interleaving point.  The site object handed to the strategy is
-    # the same node the legacy walker passes (``exprs[0]`` of
-    # ``_eval_unsequenced``), so scripted searches see identical decision
-    # points in identical order.
-    site = expr.left
-    plan_cache = _BinaryPlanCache(op, L.options, line, L.instrument)
-
-    if L.instrument:
-        # Instrumented: consult the strategy at every interleaving point
-        # (the choice event fires inside operand_order, as in the walker)
-        # and apply the operator through the generic checked path.
-        def run_instr(interp) -> CValue:
-            interp._steps += 1
-            if interp._steps > max_steps:
-                raise ResourceLimitError(f"execution exceeded {max_steps} steps")
-            if line:
-                interp.current_line = line
-            left, right = _run_unsequenced_pair(interp, site, left_run, right_run)
-            return interp.apply_binary(op, left, right, line)
-        return run_instr
+    # The value computations of the two operands are unsequenced; they run
+    # in the one order the options fix.
+    plan_cache = _BinaryPlanCache(op, L.options, line)
+    right_to_left = L.right_to_left
 
     def run(interp) -> CValue:
         interp._steps += 1
@@ -1246,15 +1113,12 @@ def _lower_BinaryOp(expr: c_ast.BinaryOp, L: LoweringContext) -> ExprThunk:
             raise ResourceLimitError(f"execution exceeded {max_steps} steps")
         if line:
             interp.current_line = line
-        mode = interp.order_mode
-        if mode == 0:
-            left = left_run(interp)
-            right = right_run(interp)
-        elif mode == 1:
+        if right_to_left:
             right = right_run(interp)
             left = left_run(interp)
         else:
-            left, right = _run_unsequenced_pair(interp, site, left_run, right_run)
+            left = left_run(interp)
+            right = right_run(interp)
         if type(left) is IntValue and type(right) is IntValue:
             plan = plan_cache.lookup(left.type, right.type)
             if plan is not None:
@@ -1267,32 +1131,14 @@ def _lower_Assignment(expr: c_ast.Assignment, L: LoweringContext) -> ExprThunk:
     line = expr.line
     max_steps = L.max_steps
     value_run = lower_expr(expr.value, L)
-    target_is_identifier = isinstance(expr.target, c_ast.Identifier) and not L.instrument
+    target_is_identifier = isinstance(expr.target, c_ast.Identifier)
     if target_is_identifier:
         resolve_binding = _lower_object_binding(expr.target, L)
     else:
         target_lv = lower_lvalue(expr.target, L)
 
     if expr.op == "=":
-        site = expr
-
-        if L.instrument:
-            def run_simple_instr(interp) -> CValue:
-                interp._steps += 1
-                if interp._steps > max_steps:
-                    raise ResourceLimitError(f"execution exceeded {max_steps} steps")
-                if line:
-                    interp.current_line = line
-                lvalue, value = _run_unsequenced_pair(interp, site, target_lv,
-                                                      value_run)
-                if isinstance(value, StructValue) and lvalue.type.is_record:
-                    converted: CValue = value
-                else:
-                    converted = convert(value, lvalue.type, interp.options, line=line,
-                                        pointer_registry=interp.pointer_registry)
-                interp.write_lvalue(lvalue, converted, line)
-                return converted
-            return run_simple_instr
+        right_to_left = L.right_to_left
 
         if target_is_identifier:
             def run_simple_ident(interp) -> CValue:
@@ -1301,17 +1147,12 @@ def _lower_Assignment(expr: c_ast.Assignment, L: LoweringContext) -> ExprThunk:
                     raise ResourceLimitError(f"execution exceeded {max_steps} steps")
                 if line:
                     interp.current_line = line
-                mode = interp.order_mode
-                if mode == 0:
-                    binding = resolve_binding(interp)
-                    value = value_run(interp)
-                elif mode == 1:
+                if right_to_left:
                     value = value_run(interp)
                     binding = resolve_binding(interp)
                 else:
-                    binding, value = _run_unsequenced_pair(interp, site,
-                                                           resolve_binding,
-                                                           value_run)
+                    binding = resolve_binding(interp)
+                    value = value_run(interp)
                 plan = binding.access_plan
                 if plan is None:
                     plan = _binding_access_plan(binding, interp.profile)
@@ -1327,7 +1168,7 @@ def _lower_Assignment(expr: c_ast.Assignment, L: LoweringContext) -> ExprThunk:
                 return converted
             return run_simple_ident
 
-        write_plans = _AccessPlanCache(L.instrument)
+        write_plans = _AccessPlanCache()
 
         def run_simple(interp) -> CValue:
             interp._steps += 1
@@ -1335,16 +1176,12 @@ def _lower_Assignment(expr: c_ast.Assignment, L: LoweringContext) -> ExprThunk:
                 raise ResourceLimitError(f"execution exceeded {max_steps} steps")
             if line:
                 interp.current_line = line
-            mode = interp.order_mode
-            if mode == 0:
-                lvalue = target_lv(interp)
-                value = value_run(interp)
-            elif mode == 1:
+            if right_to_left:
                 value = value_run(interp)
                 lvalue = target_lv(interp)
             else:
-                lvalue, value = _run_unsequenced_pair(interp, site, target_lv,
-                                                      value_run)
+                lvalue = target_lv(interp)
+                value = value_run(interp)
             plan = write_plans.plan_for(lvalue.type, interp.profile)
             if type(value) is IntValue and plan is not None and plan[4] is not None:
                 converted: CValue = plan[4](value.value)
@@ -1361,7 +1198,7 @@ def _lower_Assignment(expr: c_ast.Assignment, L: LoweringContext) -> ExprThunk:
         return run_simple
 
     op = expr.op[:-1]
-    plan_cache = _BinaryPlanCache(op, L.options, line, L.instrument)
+    plan_cache = _BinaryPlanCache(op, L.options, line)
 
     if target_is_identifier:
         def run_compound_ident(interp) -> CValue:
@@ -1394,7 +1231,7 @@ def _lower_Assignment(expr: c_ast.Assignment, L: LoweringContext) -> ExprThunk:
             return converted
         return run_compound_ident
 
-    access_plans = _AccessPlanCache(L.instrument)
+    access_plans = _AccessPlanCache()
 
     def run_compound(interp) -> CValue:
         interp._steps += 1
@@ -1436,23 +1273,6 @@ def _lower_Conditional(expr: c_ast.Conditional, L: LoweringContext) -> ExprThunk
     then_run = lower_expr(expr.then, L)
     otherwise_run = lower_expr(expr.otherwise, L)
 
-    if L.instrument:
-        def run_instr(interp) -> CValue:
-            interp._steps += 1
-            if interp._steps > max_steps:
-                raise ResourceLimitError(f"execution exceeded {max_steps} steps")
-            if line:
-                interp.current_line = line
-            condition = condition_run(interp)
-            interp.memory.sequence_point()
-            taken = to_boolean(condition, interp.options, line=line)
-            if interp.events is not None:
-                interp.events.emit(BranchEvent(taken, line))
-            if taken:
-                return then_run(interp)
-            return otherwise_run(interp)
-        return run_instr
-
     def run(interp) -> CValue:
         interp._steps += 1
         if interp._steps > max_steps:
@@ -1490,20 +1310,15 @@ def _subscript_core(expr: c_ast.ArraySubscript, L: LoweringContext):
     line = expr.line
     array_run = lower_expr(expr.array, L)
     index_run = lower_expr(expr.index, L)
-    site = expr.array
-    instrument = L.instrument
+    right_to_left = L.right_to_left
 
     def core(interp) -> LValue:
-        mode = None if instrument else interp.order_mode
-        if mode == 0:
-            base_value = array_run(interp)
-            index_value = index_run(interp)
-        elif mode == 1:
+        if right_to_left:
             index_value = index_run(interp)
             base_value = array_run(interp)
         else:
-            base_value, index_value = _run_unsequenced_pair(interp, site,
-                                                            array_run, index_run)
+            base_value = array_run(interp)
+            index_value = index_run(interp)
         return interp._subscript_to_lvalue(base_value, index_value, line)
     return core
 
@@ -1512,7 +1327,7 @@ def _lower_ArraySubscript(expr: c_ast.ArraySubscript, L: LoweringContext) -> Exp
     line = expr.line
     max_steps = L.max_steps
     core = _subscript_core(expr, L)
-    plan_cache = _AccessPlanCache(L.instrument)
+    plan_cache = _AccessPlanCache()
 
     def run(interp) -> CValue:
         interp._steps += 1
@@ -1577,7 +1392,7 @@ def _lower_Member(expr: c_ast.Member, L: LoweringContext) -> ExprThunk:
     line = expr.line
     max_steps = L.max_steps
     core = _member_core(expr, L)
-    plan_cache = _AccessPlanCache(L.instrument)
+    plan_cache = _AccessPlanCache()
 
     def run(interp) -> CValue:
         interp._steps += 1
@@ -1597,8 +1412,8 @@ def _lower_Call(expr: c_ast.Call, L: LoweringContext) -> ExprThunk:
     line = expr.line
     max_steps = L.max_steps
     argument_runs = [lower_expr(argument, L) for argument in expr.arguments]
-    argument_count = len(argument_runs)
-    site = expr.arguments[0] if expr.arguments else None
+    reversed_runs = argument_runs[::-1]
+    right_to_left = L.right_to_left
     function_node = expr.function
 
     if isinstance(function_node, c_ast.Identifier):
@@ -1628,8 +1443,6 @@ def _lower_Call(expr: c_ast.Call, L: LoweringContext) -> ExprThunk:
         def resolve(interp):
             return interp._function_from_value(function_run(interp), line)
 
-    instrument = L.instrument
-
     def run(interp) -> CValue:
         interp._steps += 1
         if interp._steps > max_steps:
@@ -1637,29 +1450,11 @@ def _lower_Call(expr: c_ast.Call, L: LoweringContext) -> ExprThunk:
         if line:
             interp.current_line = line
         callee_name, callee_type = resolve(interp)
-        if argument_count:
-            mode = None if instrument else interp.order_mode
-            if mode == 0:
-                values = [argument_run(interp) for argument_run in argument_runs]
-            elif mode == 1:
-                values = [None] * argument_count
-                for index in range(argument_count - 1, -1, -1):
-                    values[index] = argument_runs[index](interp)
-            elif argument_count == 1:
-                order = interp.operand_order(argument_count, site)
-                values = [None] * argument_count
-                for position in order:
-                    values[position] = argument_runs[position](interp)
-            else:
-                order = interp.operand_order(argument_count, site)
-                strategy = interp.strategy
-                values = [None] * argument_count
-                for position in order:
-                    strategy.note_operand(site, position)
-                    values[position] = argument_runs[position](interp)
-                strategy.note_group_end(site)
+        if right_to_left:
+            values = [argument_run(interp) for argument_run in reversed_runs]
+            values.reverse()
         else:
-            values = []
+            values = [argument_run(interp) for argument_run in argument_runs]
         arguments = interp._convert_arguments(values, callee_name, callee_type, line)
         # Sequence point after evaluating the designator and the arguments,
         # before the call (§6.5.2.2:10).
@@ -1685,13 +1480,10 @@ def _lower_InitList(expr: c_ast.InitList, L: LoweringContext) -> ExprThunk:
 
 
 _EXPR_LOWERERS = {
-    c_ast.IntegerLiteral: _lower_IntegerLiteral,
     c_ast.FloatLiteral: _lower_FloatLiteral,
-    c_ast.CharLiteral: _lower_CharLiteral,
     c_ast.StringLiteral: _lower_StringLiteral,
     c_ast.Identifier: _lower_Identifier,
     c_ast.UnaryOp: _lower_UnaryOp,
-    c_ast.SizeofType: _lower_SizeofType,
     c_ast.Cast: _lower_Cast,
     c_ast.BinaryOp: _lower_BinaryOp,
     c_ast.Assignment: _lower_Assignment,
@@ -2133,25 +1925,6 @@ def _lower_If(stmt: c_ast.If, L: LoweringContext) -> StmtThunk:
     then_run = lower_stmt(stmt.then, L) if stmt.then is not None else None
     otherwise_run = lower_stmt(stmt.otherwise, L) if stmt.otherwise is not None else None
 
-    if L.instrument:
-        def run_instr(interp) -> None:
-            interp._steps += 1
-            if interp._steps > max_steps:
-                raise ResourceLimitError(f"execution exceeded {max_steps} steps")
-            if line:
-                interp.current_line = line
-            condition = condition_run(interp)
-            interp.memory.sequence_point()
-            taken = to_boolean(condition, interp.options, line=line)
-            if interp.events is not None:
-                interp.events.emit(BranchEvent(taken, line))
-            if taken:
-                if then_run is not None:
-                    then_run(interp)
-            elif otherwise_run is not None:
-                otherwise_run(interp)
-        return run_instr
-
     def run(interp) -> None:
         interp._steps += 1
         if interp._steps > max_steps:
@@ -2173,7 +1946,6 @@ def _lower_While(stmt: c_ast.While, L: LoweringContext) -> StmtThunk:
     max_steps = L.max_steps
     condition_run = lower_expr(stmt.condition, L)
     body_run = lower_stmt(stmt.body, L) if stmt.body is not None else None
-    instrument = L.instrument
 
     def run(interp) -> None:
         interp._steps += 1
@@ -2189,10 +1961,7 @@ def _lower_While(stmt: c_ast.While, L: LoweringContext) -> StmtThunk:
                 raise ResourceLimitError(f"execution exceeded {max_steps} steps")
             condition = condition_run(interp)
             memory.sequence_point()
-            taken = to_boolean(condition, options, line=line)
-            if instrument and interp.events is not None:
-                interp.events.emit(BranchEvent(taken, line))
-            if not taken:
+            if not to_boolean(condition, options, line=line):
                 return
             try:
                 if body_run is not None:
@@ -2209,7 +1978,6 @@ def _lower_DoWhile(stmt: c_ast.DoWhile, L: LoweringContext) -> StmtThunk:
     max_steps = L.max_steps
     condition_run = lower_expr(stmt.condition, L)
     body_run = lower_stmt(stmt.body, L) if stmt.body is not None else None
-    instrument = L.instrument
 
     def run(interp) -> None:
         interp._steps += 1
@@ -2232,10 +2000,7 @@ def _lower_DoWhile(stmt: c_ast.DoWhile, L: LoweringContext) -> StmtThunk:
                 pass
             condition = condition_run(interp)
             memory.sequence_point()
-            taken = to_boolean(condition, options, line=line)
-            if instrument and interp.events is not None:
-                interp.events.emit(BranchEvent(taken, line))
-            if not taken:
+            if not to_boolean(condition, options, line=line):
                 return
     return run
 
@@ -2259,7 +2024,6 @@ def _lower_For(stmt: c_ast.For, L: LoweringContext) -> StmtThunk:
     condition_run = lower_expr(stmt.condition, L) if stmt.condition is not None else None
     step_run = lower_expr(stmt.step, L) if stmt.step is not None else None
     body_run = lower_stmt(stmt.body, L) if stmt.body is not None else None
-    instrument = L.instrument
 
     def run(interp) -> None:
         interp._steps += 1
@@ -2284,10 +2048,7 @@ def _lower_For(stmt: c_ast.For, L: LoweringContext) -> StmtThunk:
                 if condition_run is not None:
                     condition = condition_run(interp)
                     memory.sequence_point()
-                    taken = to_boolean(condition, options, line=line)
-                    if instrument and interp.events is not None:
-                        interp.events.emit(BranchEvent(taken, line))
-                    if not taken:
+                    if not to_boolean(condition, options, line=line):
                         return
                 try:
                     if body_run is not None:
@@ -2427,38 +2188,22 @@ class LoweredFunction:
 
 class LoweredUnit:
     """All lowered function bodies of one translation unit, for one options
-    fingerprint (constant folding honors the check flags, so a unit lowered
-    for one configuration must not serve another)."""
+    fingerprint (constant folding honors the check flags and the operand
+    order follows ``evaluation_order``, so a unit lowered for one
+    configuration must not serve another)."""
 
-    __slots__ = ("functions", "fold", "instrument")
+    __slots__ = ("functions",)
 
-    def __init__(self, functions: dict[str, LoweredFunction], *, fold: bool,
-                 instrument: bool = False) -> None:
+    def __init__(self, functions: dict[str, LoweredFunction]) -> None:
         self.functions = functions
-        self.fold = fold
-        self.instrument = instrument
 
 
-def lower_unit(unit: c_ast.TranslationUnit, options: CheckerOptions, *,
-               fold: bool = True, instrument: bool = False) -> LoweredUnit:
-    """Lower every function body of ``unit`` for the given configuration.
-
-    ``fold=False`` disables constant folding; the evaluation-order search
-    uses it so that scripted strategies meet exactly the decision points the
-    legacy walker presents (folding erases interleaving points of constant
-    subexpressions, which is unobservable for a fixed order but would shift
-    a script's decision indices).
-
-    ``instrument=True`` compiles the event-emitting variant of the IR for
-    runs with probes attached (see :class:`LoweringContext`); it implies
-    ``fold=False`` so the instrumented lowered engine and the legacy walker
-    produce identical event sequences (folding would elide the events of
-    constant subtrees).
-    """
-    L = LoweringContext(options, fold=fold, instrument=instrument)
+def lower_unit(unit: c_ast.TranslationUnit, options: CheckerOptions) -> LoweredUnit:
+    """Lower every function body of ``unit`` for the given configuration."""
+    L = LoweringContext(options)
     functions: dict[str, LoweredFunction] = {}
     for declaration in unit.declarations:
         if isinstance(declaration, c_ast.FunctionDef) and declaration.body is not None:
             functions[declaration.name] = LoweredFunction(
                 declaration.name, lower_block(declaration.body, L))
-    return LoweredUnit(functions, fold=L.fold, instrument=instrument)
+    return LoweredUnit(functions)

@@ -681,15 +681,6 @@ class Memory:
     def mark_not_writable(self, base: int) -> None:
         self.not_writable.add(base)
 
-    def object_count(self, kind: Optional[StorageKind] = None) -> int:
-        if kind is None:
-            return len(self.objects)
-        return sum(1 for obj in self.objects.values() if obj.kind is kind)
-
-    def live_heap_objects(self) -> list[MemoryObject]:
-        return [obj for obj in self.objects.values()
-                if obj.kind is StorageKind.HEAP and obj.alive]
-
     def _stuck(self, kind: UBKind, message: str, line: Optional[int], *,
                family: Optional[str] = None, check: Optional[str] = None,
                data: Optional[dict] = None) -> None:

@@ -204,14 +204,6 @@ class IndeterminateValue(CValue):
 # Encoding values to bytes and back
 # ---------------------------------------------------------------------------
 
-class DecodeResult:
-    """Outcome of decoding bytes at a given type."""
-
-    def __init__(self, value: CValue, determinate: bool) -> None:
-        self.value = value
-        self.determinate = determinate
-
-
 def encode_int(value: int, size: int, signed: bool) -> list[Byte]:
     """Two's-complement little-endian encoding of an integer."""
     mask = (1 << (size * 8)) - 1
@@ -350,10 +342,3 @@ def decode_value(data: Sequence[Byte], ctype: ct.CType,
         return StructValue(data=tuple(data), type=ctype.unqualified())
     return IndeterminateValue(type=ctype, data=tuple(data))
 
-
-def is_fully_concrete(data: Sequence[Byte]) -> bool:
-    return all(isinstance(b, ConcreteByte) for b in data)
-
-
-def contains_unknown(data: Sequence[Byte]) -> bool:
-    return any(isinstance(b, UnknownByte) for b in data)

@@ -32,10 +32,15 @@ are *terminal*: every detection profile reports them, so the run stops there
 and the terminal error is delivered to all probes as a final
 ``family=None`` :class:`UBEvent`.
 
+The walker is the one engine that emits events: a run whose probes
+subscribe to any kind (observed runs included) goes to it whatever
+``engine`` says, and so does every evaluation-order search.  The lowered
+closures and the bytecode VM carry no emission code at all and run only
+unobserved checks in one fixed order.
+
 Performance contract: when no probe is attached, no event objects are
 constructed — every emission site is guarded by an ``events is not None``
-test, and the lowered fast path is *compile-time specialized*: the
-uninstrumented lowered IR contains no emission code at all (see
+test, and a probe subscribing to no kinds keeps the selected engine (see
 ``benchmarks/test_bench_interp_speed.py``, which gates the null-probe
 overhead at 5% on the arith-loop benchmark).
 """
@@ -273,10 +278,6 @@ class UBEvent(Event):
                 data[name] = value
         return data
 
-    def to_error(self) -> UndefinedBehaviorError:
-        return UndefinedBehaviorError(self.ub_kind, self.message,
-                                      function=self.function, line=self.line)
-
 
 class RunEnd:
     """How the observed execution terminated; passed to ``Probe.finish``."""
@@ -317,7 +318,8 @@ class Probe:
     #: None for everything.  Subscription is pay-per-use: kinds outside the
     #: set are never delivered to :meth:`on_event`, and a probe subscribing
     #: to *no* kinds (``subscribes = ()``) lets the checker keep the
-    #: uninstrumented engine — only :meth:`finish` is called.
+    #: selected engine — only :meth:`finish` is called.  Any subscription
+    #: runs the check on the walker.
     subscribes: Optional[tuple[str, ...]] = None
 
     def on_event(self, event: Event) -> None:
@@ -358,12 +360,6 @@ class ProbeSet:
 
     def __iter__(self) -> Iterator[Probe]:
         return iter(self.probes)
-
-    def subscribed_kinds(self) -> Optional[frozenset]:
-        """The union of the probes' subscriptions; None means everything."""
-        if self._broadcast:
-            return None
-        return frozenset(self._by_kind)
 
     def emit(self, event: Event) -> None:
         for probe in self._broadcast:

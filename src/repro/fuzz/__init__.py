@@ -11,9 +11,10 @@ process pool — into an *unbounded, seedable* source of labeled C programs:
   exactly one known defect from templates keyed to the undefinedness
   catalog's check families;
 * :mod:`repro.fuzz.oracles` — the differential oracle stack run per
-  program: walker-vs-lowered equality, strict-vs-observed consistency,
-  event-stream equality, ground-truth verdicts, ablation monotonicity,
-  optional bounded evaluation-order-search agreement;
+  program: unprobed walker/lowered/compiled equality, the closures' strict
+  verdict against the walker's observed run, ground-truth verdicts,
+  ablation monotonicity, optional bounded evaluation-order-search
+  agreement (searches and probed runs go to the walker);
 * :mod:`repro.fuzz.campaign` — the corpus driver: fans a campaign out over
   the process pool (verdict-identical to serial), streams mismatches to a
   replayable JSON corpus, dedups by diagnostic signature;

@@ -50,8 +50,9 @@ a blocker category, so the allowlist states *why* an entry cannot graduate.
 Every template below is pinned verdict-equal across all three execution
 engines (tree walker, lowered closures, compiled bytecode VM) by the engine
 matrix (`tests/core/test_engine_matrix.py`), and exercised against the full
-oracle stack — engine differential, event-stream identity, ground truth,
-strict/observed agreement, and ablation monotonicity — by the fuzz suite.
+oracle stack — engine differential, ground truth, the closures' strict
+verdict against the walker's observed run, and ablation monotonicity — by the
+fuzz suite.
 """
 
 

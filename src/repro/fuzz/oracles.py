@@ -5,20 +5,19 @@ failure is a mismatch worth a corpus entry, because every one of them is a
 hard invariant of the system:
 
 * ``engine-differential`` — the lowered fast path, the compiled bytecode
-  VM, and the legacy walker must produce the same verdict, the same
+  VM, and the reference walker must produce the same verdict, the same
   structured diagnostics, the same stdout, and the same exit code (PR 2's
   two-engine guarantee, extended to three engines by PR 7, under generated
-  load instead of the fixed suites).  The compiled leg runs *unprobed* —
-  probed runs route to the instrumented lowered IR, so only an unprobed
-  run actually exercises the register-bytecode VM;
-* ``event-stream`` — with trace probes attached, the two engines must emit
-  the identical execution-event sequence (PR 3's guarantee);
+  load instead of the fixed suites).  Every leg runs *unprobed*: a probed
+  run goes to the walker whatever the engine, so only an unprobed run
+  exercises the closures and the register-bytecode VM;
 * ``ground-truth`` — a clean case must be DEFINED with exactly the stdout
   and exit code the generator's simulation predicted; an injected case must
   be flagged with one of its template's expected :class:`UBKind`\\ s;
 * ``strict-observed`` — an observed run (a ``continue_past_ub`` probe
-  attached) must reach the same verdict as the strict run, and the probe's
-  own first-matched event must agree with it;
+  attached, so it runs on the walker) must reach the same verdict as the
+  closures' strict run, and the probe's own first-matched event must agree
+  with it;
 * ``ablation`` — disabling the planted defect's check family must
   *un-detect* it (the planted kinds disappear from the verdict), pinning
   the check-to-family wiring;
@@ -45,7 +44,6 @@ from repro.analyzers.base import UBVerdictProbe
 from repro.core.config import CheckerOptions, DEFAULT_OPTIONS
 from repro.core.kcc import CheckReport, KccTool
 from repro.errors import OutcomeKind
-from repro.events import TraceRecorderProbe
 from repro.fuzz.generator import FuzzCase
 from repro.kframework.search import SearchBudget, SearchOptions
 
@@ -54,7 +52,6 @@ from repro.kframework.search import SearchBudget, SearchOptions
 class OracleConfig:
     """Which oracles run, and how hard the optional ones try."""
 
-    check_events: bool = True
     check_observed: bool = True
     check_ablation: bool = True
     #: Bounded evaluation-order-search agreement; costs a search per case.
@@ -67,7 +64,6 @@ class OracleConfig:
 
     def to_dict(self) -> dict[str, Any]:
         return {
-            "check_events": self.check_events,
             "check_observed": self.check_observed,
             "check_ablation": self.check_ablation,
             "check_search": self.check_search,
@@ -170,13 +166,9 @@ def run_oracles(
         return report
     walker_compiled = walker_tool.compile_unit(case.source, filename=case.name)
 
-    # One strict run per engine; trace probes are passive, so attaching them
-    # leaves the verdicts identical to unprobed runs while also feeding the
-    # event-stream oracle — two runs cover two oracles.
-    lowered_probe = TraceRecorderProbe(filename=case.name)
-    walker_probe = TraceRecorderProbe(filename=case.name)
-    lowered_report = lowered_tool.run_unit(compiled, probes=[lowered_probe])
-    walker_report = walker_tool.run_unit(walker_compiled, probes=[walker_probe])
+    # One strict, unprobed run per engine.
+    lowered_report = lowered_tool.run_unit(compiled)
+    walker_report = walker_tool.run_unit(walker_compiled)
     report.verdict = lowered_report.outcome.kind.value
     kinds = lowered_report.outcome.ub_kinds
     report.detected_kind = kinds[0].name if kinds else None
@@ -196,8 +188,8 @@ def run_oracles(
             signature=signature,
         )
 
-    # The third leg: an unprobed run on the compiled VM (per-function
-    # bytecode with closure fallback), held to the same walker facts.
+    # The third leg: the compiled VM (per-function bytecode with closure
+    # fallback), held to the same walker facts.
     vm_report = vm_tool.run_unit(compiled)
     vm_facts = _verdict_facts(vm_report)
     if vm_facts != walker_facts:
@@ -213,19 +205,6 @@ def run_oracles(
             signature=signature,
         )
 
-    if oracle_config.check_events:
-        lowered_events = lowered_probe.trace.events
-        walker_events = walker_probe.trace.events
-        if lowered_events != walker_events:
-            index = _first_divergence(lowered_events, walker_events)
-            report.add(
-                "event-stream",
-                f"engines diverge at event {index}: "
-                f"lowered={_event_at(lowered_events, index)} "
-                f"walker={_event_at(walker_events, index)}",
-                signature=f"events:{_event_kind_at(lowered_events, index)}",
-            )
-
     _ground_truth_oracle(report, lowered_report)
 
     if oracle_config.check_observed:
@@ -240,23 +219,6 @@ def run_oracles(
     if oracle_config.check_symbolic and case.hole_name is not None:
         _symbolic_oracle(report, options, oracle_config)
     return report
-
-
-def _first_divergence(left: list, right: list) -> int:
-    for index, (a, b) in enumerate(zip(left, right)):
-        if a != b:
-            return index
-    return min(len(left), len(right))
-
-
-def _event_at(events: list, index: int) -> str:
-    return repr(events[index]) if index < len(events) else "<end>"
-
-
-def _event_kind_at(events: list, index: int) -> str:
-    if index < len(events):
-        return str(events[index].get("event", "?"))
-    return "length"
 
 
 def _ground_truth_oracle(report: OracleReport, strict: CheckReport) -> None:
@@ -316,6 +278,8 @@ def _observed_oracle(
     strict: CheckReport,
     options: CheckerOptions,
 ) -> None:
+    # The probe continues past UB, so this run goes to the walker: the
+    # oracle compares the closures' strict verdict across engines.
     probe = UBVerdictProbe("fuzz-oracle", options)
     observed = tool.run_unit(compiled, probes=[probe])
     strict_kind = strict.outcome.kind

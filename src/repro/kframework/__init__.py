@@ -30,7 +30,6 @@ from repro.kframework.search import (
     SearchBudget,
     SearchOptions,
     SearchResult,
-    search_evaluation_orders,
 )
 from repro.kframework.strategy import (
     EvaluationStrategy,
@@ -55,5 +54,4 @@ __all__ = [
     "SearchOptions",
     "SearchResult",
     "checkpoint_supported",
-    "search_evaluation_orders",
 ]

@@ -15,18 +15,15 @@ that reports — honestly — how it ended (:class:`SearchResult`, whose
 what fraction of the discovered interleaving space was covered).
 
 The engine that executes the search lives in
-:mod:`repro.kframework.engine`; the callback-style driver of the seed,
-:func:`search_evaluation_orders`, is kept for callers that enumerate orders
-of an arbitrary run function without an interpreter attached.
+:mod:`repro.kframework.engine`.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Optional
 
-from repro.kframework.strategy import ScriptedStrategy
 from repro.seeding import derive_rng
 
 #: ``SearchResult.stop_reason`` values.  ``exhausted`` is the only one that
@@ -351,13 +348,6 @@ def make_frontier(name: str, seed: int = 0) -> Frontier:
     raise ValueError(f"unknown search strategy {name!r}; expected one of {FRONTIERS}")
 
 
-# ---------------------------------------------------------------------------
-# The callback-style driver (the seed's API, with honest exhaustion)
-# ---------------------------------------------------------------------------
-
-RunCallback = Callable[[ScriptedStrategy], PathOutcome]
-
-
 def expand_scripts(script: tuple[int, ...], arity: list[int]) -> list[tuple[int, ...]]:
     """Sibling scripts diverging from ``script``'s default continuation."""
     out = []
@@ -366,48 +356,3 @@ def expand_scripts(script: tuple[int, ...], arity: list[int]) -> list[tuple[int,
         for choice in range(1, arity[index]):
             out.append(script + pad + (choice,))
     return out
-
-
-def search_evaluation_orders(
-    run: RunCallback, *, max_paths: int = 64, stop_at_first: bool = False
-) -> SearchResult:
-    """Explore evaluation orders depth-first through a run callback.
-
-    ``run`` executes the program with the given scripted strategy and
-    returns a :class:`PathOutcome` (the strategy's ``observed_arity`` after
-    the run tells the driver how many alternatives each decision point had).
-
-    Unlike the seed driver, the result reports honest exhaustion semantics:
-    ``stop_reason`` is ``max-paths`` only when genuinely unexplored
-    alternatives were dropped, and a ``stop_at_first`` short-circuit that
-    happens to land on the last pending order still reports ``exhausted``.
-    """
-    result = SearchResult()
-    frontier = DepthFirstFrontier()
-    frontier.push(())
-    while True:
-        script = frontier.pop()
-        if script is None:
-            break
-        if max_paths is not None and len(result.paths) >= max_paths:
-            # The cap is enforced against *pending* work: this script (and
-            # whatever is still queued) is genuinely unexplored.
-            result.stop_reason = STOP_MAX_PATHS
-            result.skipped_alternatives += 1 + len(frontier)
-            break
-        strategy = ScriptedStrategy(decisions=list(script))
-        strategy.reset()
-        outcome = run(strategy)
-        outcome.script = script
-        result.paths.append(outcome)
-        result.full_executions += 1
-        for sibling in expand_scripts(script, strategy.observed_arity):
-            frontier.push(sibling)
-        if outcome.undefined and stop_at_first:
-            # Honest short-circuit: only a stop that leaves work behind is
-            # a non-exhausted stop.
-            if len(frontier):
-                result.stop_reason = STOP_FIRST_UNDEFINED
-                result.skipped_alternatives += len(frontier)
-            break
-    return result

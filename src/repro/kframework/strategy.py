@@ -113,6 +113,4 @@ def strategy_for(name: str) -> EvaluationStrategy:
         return LeftToRightStrategy()
     if name == "right-to-left":
         return RightToLeftStrategy()
-    if name == "search":
-        return ScriptedStrategy()
     raise ValueError(f"unknown evaluation order strategy {name!r}")

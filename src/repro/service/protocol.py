@@ -312,7 +312,10 @@ def options_from_dict(data: Optional[dict[str, Any]]) -> CheckerOptions:
         if expected is str and not isinstance(value, str):
             raise _bad(f"option {key!r} must be a string")
         fields[key] = value
-    return CheckerOptions(**fields)
+    try:
+        return CheckerOptions(**fields)
+    except ValueError as error:  # an engine or evaluation order it rejects
+        raise _bad(str(error)) from None
 
 
 # ---------------------------------------------------------------------------

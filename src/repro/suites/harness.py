@@ -44,10 +44,6 @@ class TestCase:
     description: str = ""
     expected_kinds: tuple = ()
 
-    @property
-    def kind_label(self) -> str:
-        return "bad" if self.is_bad else "good"
-
 
 @dataclass
 class TestSuite:
@@ -100,14 +96,6 @@ class CaseRecord:
         if self.case.is_bad:
             return self.result.flagged
         return not self.result.flagged
-
-    @property
-    def false_positive(self) -> bool:
-        return (not self.case.is_bad) and self.result.flagged
-
-    @property
-    def false_negative(self) -> bool:
-        return self.case.is_bad and not self.result.flagged
 
 
 @dataclass

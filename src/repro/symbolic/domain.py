@@ -402,14 +402,6 @@ def abstract_to_bool(value: AbstractInt) -> AbstractInt:
     return AbstractInt(0, 1, ct.BOOL)
 
 
-def _certainly(kind: UBKind, message: str, line: int, witness: Interval) -> PossibleUB:
-    return PossibleUB(kind, message, line, certain=True, witness=witness)
-
-
-def _possibly(kind: UBKind, message: str, line: int, witness: Interval) -> PossibleUB:
-    return PossibleUB(kind, message, line, certain=False, witness=witness)
-
-
 def _arith_result_abs(
     facts: IntBinaryFacts,
     lo: int,
@@ -448,12 +440,6 @@ def _arith_result_abs(
     return abstract_wrap(common, lo, hi, stride, offset)
 
 
-def _trunc_div(a: int, b: int) -> int:
-    """C's truncating division (round toward zero)."""
-    q = abs(a) // abs(b)
-    return -q if (a < 0) != (b < 0) else q
-
-
 def _div_bounds(a: AbstractInt, b_lo: int, b_hi: int) -> tuple[int, int]:
     """Bounds of ``a / b`` (truncating) for a divisor range excluding 0.
 
@@ -470,7 +456,7 @@ def _div_bounds(a: AbstractInt, b_lo: int, b_hi: int) -> tuple[int, int]:
     for seg_lo, seg_hi in segments:
         for a_end in (a.lo, a.hi):
             for b_end in (seg_lo, seg_hi):
-                candidates.append(_trunc_div(a_end, b_end))
+                candidates.append(ct.trunc_div(a_end, b_end))
     return min(candidates), max(candidates)
 
 
@@ -604,7 +590,7 @@ def abstract_binary(facts: IntBinaryFacts, left: AbstractInt,
         r_lo = 0 if a.lo >= 0 else -magnitude
         r_hi = 0 if a.hi <= 0 else magnitude
         if a.is_constant and divisor.is_constant:
-            exact = a.value - _trunc_div(a.value, divisor.value) * divisor.value
+            exact = a.value - ct.trunc_div(a.value, divisor.value) * divisor.value
             r_lo = r_hi = exact
         return _arith_result_abs(facts, r_lo, r_hi, 1, 0, True, ubs), ubs
 

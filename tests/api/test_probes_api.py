@@ -89,13 +89,17 @@ class TestCheckerRunProbes:
         assert report.outcome.error.kind.name == "DIVISION_BY_ZERO"
         assert collector.seen == ["DIVISION_BY_ZERO", "SIGNED_OVERFLOW"]
 
-    def test_legacy_walker_emits_the_same_events(self):
-        lowered = Checker()
+    def test_probed_runs_go_to_the_walker(self):
+        default = Checker()
         walker = Checker(CheckerOptions(enable_lowering=False))
         a, b = TraceRecorderProbe(), TraceRecorderProbe()
-        lowered.run(lowered.compile(LOOP), probes=[a])
+        compiled = default.compile(LOOP)
+        default.run(compiled, probes=[a])
         walker.run(walker.compile(LOOP), probes=[b])
+        # The default (compiled-engine) checker ran the probed check on the
+        # walker: the same events, and neither faster engine was built.
         assert a.trace.events == b.trace.events
+        assert compiled._lowered == {} and compiled._bytecode == {}
 
 
 class TestBatchProbes:

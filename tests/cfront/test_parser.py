@@ -332,6 +332,25 @@ class TestConstantFolding:
         assert self._fold("-7 / 2") == -3
         assert self._fold("-7 % 2") == -1
 
+    @pytest.mark.parametrize("left, right", [
+        (-9007199254740993, 1),      # -(2**53 + 1): not a double
+        (9007199254740993, -1),
+        (-9007199254740993, 10),
+        (-(2**62) - 3, 7),
+        (2**62 + 3, -7),
+        (-(2**63) + 1, 3),
+    ])
+    def test_mixed_sign_division_is_exact_beyond_2_53(self, left, right):
+        # C truncates toward zero (§6.5.5:6) and (a/b)*b + a%b == a; the
+        # folder must not round through a double on the way.
+        quotient = self._fold(f"({left}LL) / ({right}LL)")
+        remainder = self._fold(f"({left}LL) % ({right}LL)")
+        assert abs(quotient) == abs(left) // abs(right)
+        assert (quotient < 0) == ((left < 0) != (right < 0))
+        assert quotient * right + remainder == left
+        assert abs(remainder) < abs(right)
+        assert remainder == 0 or (remainder < 0) == (left < 0)
+
     def test_shifts_and_bitwise(self):
         assert self._fold("1 << 4") == 16
         assert self._fold("0xFF & 0x0F") == 15

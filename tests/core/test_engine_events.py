@@ -1,18 +1,17 @@
-"""Event-stream contracts of the compiled engine (PR 7).
+"""Event-stream contracts of the compiled-default tool.
 
-Three guarantees pin down the pay-per-subscription instrumentation model:
+Three guarantees pin down the pay-per-subscription model:
 
-* **Stream identity** — when a probe subscribes to everything, the
-  compiled-default tool must emit the *identical* event sequence the
-  legacy walker emits, over the whole undefinedness suite.  (Probed runs
-  route through the instrumented lowered IR, never the bytecode VM; this
-  test pins the routing as much as the stream.)
+* **Routing** — when a probe subscribes to events, the compiled-default
+  tool runs the check on the walker: it emits the walker's event sequence
+  over the whole undefinedness suite and builds neither the closure IR nor
+  the bytecode.
 * **Kind filtering** — a probe subscribing to a strict subset of kinds
   sees exactly the broadcast stream filtered to those kinds, in order,
   and an unsubscribed kind is never delivered.
 * **Null subscription** — a probe subscribing to *no* kinds keeps the run
-  on the uninstrumented engine: no instrumented IR is built, the bytecode
-  program runs, the probe sees zero events, and only ``finish`` fires.
+  on the selected engine: the bytecode program runs, the probe sees zero
+  events, and only ``finish`` fires.
 
 The hypothesis property tests at the bottom pin the arena memory store:
 an :class:`~repro.core.memory.ArenaBytes` view must be observationally
@@ -63,20 +62,28 @@ def run_probed(tool, source, name, *probes):
     return tool.run_unit(compiled, probes=list(probes)), compiled
 
 
+def assert_ran_on_the_walker(compiled):
+    """Neither the closure IR nor the bytecode was built for the unit."""
+    assert compiled._lowered == {}
+    assert compiled._bytecode == {}
+
+
 # ---------------------------------------------------------------------------
-# Stream identity: all-kinds subscription == walker's stream
+# Routing: an all-kinds subscription runs on the walker
 # ---------------------------------------------------------------------------
 
 @pytest.mark.parametrize("case", SUITE.cases, ids=lambda c: c.name)
 def test_compiled_tool_event_stream_is_walker_identical(case):
     compiled_probe = TraceRecorderProbe(filename=case.name)
     walker_probe = TraceRecorderProbe(filename=case.name)
-    compiled_report, _ = run_probed(COMPILED, case.source, case.name,
-                                    compiled_probe)
+    compiled_report, compiled = run_probed(COMPILED, case.source, case.name,
+                                           compiled_probe)
     walker_report, _ = run_probed(WALKER, case.source, case.name, walker_probe)
     if compiled_report is None:
         assert walker_report is None
         return
+    # The compiled-default tool sent the probed run to the walker.
+    assert_ran_on_the_walker(compiled)
     assert compiled_report.outcome.describe() == walker_report.outcome.describe()
     assert compiled_probe.trace.events == walker_probe.trace.events
 
@@ -126,17 +133,19 @@ def test_unsubscribed_kind_is_never_delivered():
     assert broadcast.events
 
 
-def test_selective_streams_agree_across_engines():
+def test_selective_subscription_runs_on_the_walker():
     for kinds in (("call", "return"), ("read", "write"), ("branch",)):
         compiled_probe = KindRecorder(subscribes=kinds)
         walker_probe = KindRecorder(subscribes=kinds)
-        run_probed(COMPILED, FILTER_PROGRAM, "filter.c", compiled_probe)
+        _, compiled = run_probed(COMPILED, FILTER_PROGRAM, "filter.c",
+                                 compiled_probe)
         run_probed(WALKER, FILTER_PROGRAM, "filter.c", walker_probe)
+        assert_ran_on_the_walker(compiled)
         assert compiled_probe.events == walker_probe.events
 
 
 # ---------------------------------------------------------------------------
-# Null subscription: the uninstrumented engine survives probing
+# Null subscription: the selected engine survives probing
 # ---------------------------------------------------------------------------
 
 def test_zero_subscription_probe_keeps_the_native_engine():
@@ -157,12 +166,11 @@ def test_zero_subscription_probe_keeps_the_native_engine():
     assert probed.outcome.describe() == unprobed.outcome.describe()
     assert probed.outcome.stdout == unprobed.outcome.stdout
 
-    # And the engine really stayed native: the bytecode program was built
-    # and no instrumented (fold-free, event-emitting) IR ever was.
-    assert compiled.compiled_for(tool.options) is not None
-    assert tool.options in compiled._bytecode
-    instrumented_keys = [key for key in compiled._lowered if key[2]]
-    assert instrumented_keys == []
+    # And the engine really stayed native: the run built the bytecode and
+    # the one closure IR of these options (for functions that fall back),
+    # as the unprobed run did; a subscribing probe builds neither.
+    assert list(compiled._bytecode) == [tool.options]
+    assert list(compiled._lowered) == [tool.options]
 
 
 # ---------------------------------------------------------------------------

@@ -18,6 +18,7 @@ import pytest
 from repro.core.bytecode import OP_CALL, OP_DCALL
 from repro.core.config import CheckerOptions
 from repro.core.kcc import KccTool
+from repro.errors import OutcomeKind
 from repro.fuzz.generator import generate_cases
 from repro.suites.juliet import generate_juliet_suite
 from repro.suites.ubsuite import generate_undefinedness_suite
@@ -177,6 +178,55 @@ def test_engine_option_validation():
     # The historical --no-lowering ablation still forces the walker.
     assert CheckerOptions(enable_lowering=False).effective_engine() == "walker"
     assert CheckerOptions().effective_engine() == "compiled"
+
+
+@pytest.mark.parametrize("fields", [
+    {"engine": "jit"},
+    {"engine": "Compiled"},
+    {"evaluation_order": "bogus"},
+    # Search is search_evaluation_order=True, never an order name: the
+    # closures and the bytecode take one fixed order from the options.
+    {"evaluation_order": "search"},
+])
+def test_options_reject_unknown_engines_and_orders_when_built(fields):
+    with pytest.raises(ValueError, match="unknown"):
+        CheckerOptions(**fields)
+    with pytest.raises(ValueError, match="unknown"):
+        CheckerOptions().without(**fields)
+
+
+#: A case label and a static assertion whose constants divide mixed-sign
+#: operands beyond 2**53, where a float-rounding folder is off by one.
+EXACT_DIVISION_PROGRAMS = {
+    "switch-case-label": (
+        "int main(void){ long x = -9007199254740993L; switch (x) {"
+        " case -9007199254740993L / 1: return 1; default: return 0; } }",
+        1,
+    ),
+    "static-assert": (
+        "_Static_assert(-9007199254740993LL / 1 == -9007199254740993LL,"
+        ' "exact division");\n'
+        "int main(void){ return (-9007199254740993LL % 10) == -3; }",
+        1,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(EXACT_DIVISION_PROGRAMS))
+@pytest.mark.parametrize("engine", ["walker", "lowered", "compiled"])
+def test_constant_division_is_exact_beyond_2_53(engine, name):
+    source, exit_code = EXACT_DIVISION_PROGRAMS[name]
+    report = KccTool(CheckerOptions(engine=engine)).check(source, filename=name)
+    assert report.outcome.kind is OutcomeKind.DEFINED, report.outcome.describe()
+    assert report.outcome.exit_code == exit_code
+
+
+def test_options_accept_every_engine_and_fixed_order():
+    for engine in ("walker", "lowered", "compiled"):
+        for order in ("left-to-right", "right-to-left"):
+            options = CheckerOptions(engine=engine, evaluation_order=order)
+            assert options.engine == engine
+            assert options.evaluation_order == order
 
 
 def test_every_ubsuite_case_is_engine_equivalent(ubsuite):

@@ -1,11 +1,10 @@
-"""Execution-event stream: golden-trace equality between the two engines.
+"""Execution-event stream: the walker tells the story of every probed run.
 
-The instrumented lowered IR and the legacy walker must tell the same story:
-for every program of the undefinedness suite, attaching a trace recorder to
-both engines yields the *identical* event sequence.  (Instrumented lowering
-never constant-folds, precisely so the comparison is exact rather than
-"modulo fold-elided constant subtrees"; a separate test pins down that the
-plain, folding IR is what unprobed runs execute.)
+The walker is the one engine that emits events.  A tool configured for the
+lowered closures sends every run with a trace recorder attached to the
+walker, so for every program of the undefinedness suite it yields the
+walker's event sequence and builds no closure IR; a separate test pins
+that unprobed runs still execute the one folded closure IR.
 """
 
 import pytest
@@ -20,13 +19,15 @@ SUITE = generate_undefinedness_suite()
 
 def trace_of(source: str, name: str, *, lowering: bool,
              continue_past_ub: bool = False):
-    tool = KccTool(CheckerOptions(enable_lowering=lowering),
+    tool = KccTool(CheckerOptions(enable_lowering=lowering, engine="lowered"),
                    run_static_checks=False)
     compiled = tool.compile_unit(source, filename=name)
     if not compiled.ok:
         return None, None
     probe = TraceRecorderProbe(filename=name, continue_past_ub=continue_past_ub)
     report = tool.run_unit(compiled, probes=[probe])
+    # Whatever the engine, the probed run went to the walker.
+    assert compiled._lowered == {} and compiled._bytecode == {}
     return probe.trace, report
 
 
@@ -45,8 +46,8 @@ def test_golden_trace_walker_vs_lowered(case):
 
 @pytest.mark.parametrize("case", SUITE.cases[:20], ids=lambda c: c.name)
 def test_golden_trace_in_observed_mode(case):
-    # With continuation past gated checks the engines must *still* agree —
-    # this exercises the observed-mode fallbacks on both engines.
+    # An observed run (continuation past gated checks) goes to the walker
+    # too, with its observed-mode fallbacks.
     lowered_trace, _ = trace_of(case.source, case.name, lowering=True,
                                 continue_past_ub=True)
     walker_trace, _ = trace_of(case.source, case.name, lowering=False,
@@ -58,19 +59,20 @@ def test_golden_trace_in_observed_mode(case):
 
 
 def test_unprobed_lowered_ir_is_the_plain_fast_path():
-    # The compile-time null-probe specialization: an unprobed run uses the
-    # folding, uninstrumented IR; a probed run the fold-free instrumented one.
-    tool = KccTool(CheckerOptions())
+    # An unprobed run builds the one closure IR of its options, folded:
+    # ``1 + 2`` lowers to a single constant closure.  A probed run adds no
+    # second variant; it runs on the walker.
+    tool = KccTool(CheckerOptions(engine="lowered"))
     compiled = tool.compile_unit("int main(void){ return 1 + 2; }")
-    tool.run_unit(compiled)
-    tool.run_unit(compiled, probes=[TraceRecorderProbe()])
-    keys = set(compiled._lowered)
-    assert (tool.options, True, False) in keys    # plain: folded, no events
-    assert (tool.options, False, True) in keys    # instrumented: fold-free
-    plain = compiled._lowered[(tool.options, True, False)]
-    instrumented = compiled._lowered[(tool.options, False, True)]
-    assert plain.fold and not plain.instrument
-    assert instrumented.instrument and not instrumented.fold
+    assert tool.run_unit(compiled).outcome.exit_code == 3
+    assert list(compiled._lowered) == [tool.options]
+    lowered = compiled._lowered[tool.options]
+    probe = TraceRecorderProbe()
+    assert tool.run_unit(compiled, probes=[probe]).outcome.exit_code == 3
+    assert compiled._lowered == {tool.options: lowered}
+    assert compiled._bytecode == {}
+    # The walker steps through both operands; the folded closure does not.
+    assert probe.trace.count("arith-check") == 1
 
 
 def test_passive_probe_leaves_the_report_identical():

@@ -128,7 +128,10 @@ def test_compiled_unit_caches_lowered_ir_per_options():
     compiled = tool.compile_unit("int main(void){ return 1 + 2; }")
     first = compiled.lowered_for(tool.options)
     assert compiled.lowered_for(tool.options) is first
-    other = compiled.lowered_for(CheckerOptions().without(check_arithmetic=False))
+    relaxed = CheckerOptions().without(check_arithmetic=False)
+    other = compiled.lowered_for(relaxed)
     assert other is not first  # folding honors the flags, so the IR differs
-    nofold = compiled.lowered_for(tool.options, fold=False)
-    assert nofold is not first and nofold.fold is False
+    reversed_order = CheckerOptions(evaluation_order="right-to-left")
+    assert compiled.lowered_for(reversed_order) is not first  # operand order
+    # One IR per options, and nothing else.
+    assert set(compiled._lowered) == {tool.options, relaxed, reversed_order}

@@ -140,15 +140,14 @@ class TestFoldedPrograms:
             assert report.outcome.kind is OutcomeKind.DEFINED
             assert report.outcome.exit_code == 1
 
-    def test_search_mode_uses_fold_free_lowering(self):
+    def test_search_mode_builds_no_closure_ir(self):
         tool = KccTool(CheckerOptions(), search_evaluation_order=True)
         compiled = tool.compile_unit(
             "int main(void){ int x = 0; return (x = 1) + (x = 2); }")
         report = tool.run_unit(compiled)
         assert report.outcome.kind is OutcomeKind.UNDEFINED
-        # The search engine observes per-operand footprints through the
-        # event stream, so it runs on the instrumented (and therefore
-        # fold-free) lowering: scripted schedules meet exactly the legacy
-        # walker's decision points.
-        assert (CheckerOptions(), False, True) in compiled._lowered
-        assert (CheckerOptions(), True, False) not in compiled._lowered  # no folds
+        # The search runs every order on the walker, which consults the
+        # scripted strategy at each unsequenced group and emits the
+        # footprint events: no folded (or any) closure IR is built.
+        assert compiled._lowered == {}
+        assert compiled._bytecode == {}

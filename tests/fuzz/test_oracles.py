@@ -68,8 +68,7 @@ def test_unparseable_program_is_a_generator_failure():
 
 def test_oracles_can_be_selectively_disabled():
     case = generate_case(SEED, 3, inject="memory")
-    config = OracleConfig(check_events=False, check_observed=False,
-                          check_ablation=False)
+    config = OracleConfig(check_observed=False, check_ablation=False)
     report = run_oracles(case, oracle_config=config)
     assert report.ok
 

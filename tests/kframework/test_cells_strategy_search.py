@@ -1,7 +1,12 @@
-"""Unit tests for the K-style substrate: cells, strategies, and order search."""
+"""Unit tests for the K-style substrate: cells and evaluation-order strategies.
+
+The search over orders is tested through ``Checker.search`` in
+``test_search_engine.py``.
+"""
+
+import pytest
 
 from repro.kframework.cells import Cell, Configuration, make_configuration
-from repro.kframework.search import PathOutcome, search_evaluation_orders
 from repro.kframework.strategy import (
     LeftToRightStrategy,
     RightToLeftStrategy,
@@ -60,66 +65,15 @@ class TestStrategies:
         assert tuple(strategy.order(3)) == (2, 1, 0)
 
     def test_strategy_for_names(self):
+        # Only the two fixed orders have configuration names; exploring
+        # every order is a search (search_evaluation_order=True), which
+        # drives its own ScriptedStrategy on the walker.
         assert isinstance(strategy_for("left-to-right"), LeftToRightStrategy)
         assert isinstance(strategy_for("right-to-left"), RightToLeftStrategy)
-        assert isinstance(strategy_for("search"), ScriptedStrategy)
+        with pytest.raises(ValueError, match="search"):
+            strategy_for("search")
 
     def test_strategy_for_unknown_raises(self):
-        import pytest
         with pytest.raises(ValueError):
             strategy_for("random")
 
-
-class TestSearch:
-    def test_single_path_program(self):
-        def run(strategy):
-            return PathOutcome(script=(), undefined=False)
-
-        result = search_evaluation_orders(run)
-        assert result.explored == 1
-        assert not result.any_undefined
-        assert result.exhausted
-
-    def test_explores_both_orders_of_one_decision(self):
-        seen = []
-
-        def run(strategy):
-            order = tuple(strategy.order(2))
-            seen.append(order)
-            return PathOutcome(script=(), undefined=order == (1, 0))
-
-        result = search_evaluation_orders(run)
-        assert (0, 1) in seen and (1, 0) in seen
-        assert result.any_undefined
-        assert result.first_undefined is not None
-
-    def test_stop_at_first_undefined(self):
-        def run(strategy):
-            strategy.order(2)
-            return PathOutcome(script=(), undefined=True)
-
-        result = search_evaluation_orders(run, stop_at_first=True)
-        assert result.explored == 1
-
-    def test_max_paths_bound(self):
-        def run(strategy):
-            for _ in range(6):
-                strategy.order(2)
-            return PathOutcome(script=(), undefined=False)
-
-        result = search_evaluation_orders(run, max_paths=5)
-        assert result.explored == 5
-        assert not result.exhausted
-
-    def test_exhaustive_for_two_decisions(self):
-        observed = set()
-
-        def run(strategy):
-            first = tuple(strategy.order(2))
-            second = tuple(strategy.order(2))
-            observed.add((first, second))
-            return PathOutcome(script=(), undefined=False)
-
-        result = search_evaluation_orders(run, max_paths=16)
-        assert len(observed) == 4
-        assert result.exhausted

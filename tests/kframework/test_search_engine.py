@@ -1,7 +1,7 @@
 """The evaluation-order search engine: checkpoints, dedup, budgets, shards.
 
 These tests drive the engine through the public ``Checker.search`` API so
-they cover the whole stack: the lowered (instrumented) IR, the engine
+they cover the whole stack: the walker every order runs on, the engine
 strategy, footprint pruning, state dedup, fork checkpoints with the replay
 fallback, honest budget semantics, and parallel frontier sharding.
 """
@@ -16,8 +16,6 @@ from repro.kframework.search import (
     STOP_MAX_PATHS,
     STOP_MAX_STATES,
     STOP_WALL_CLOCK,
-    PathOutcome,
-    search_evaluation_orders,
 )
 from repro.suites.ubsuite import generate_undefinedness_suite
 
@@ -98,10 +96,15 @@ class TestEngineVerdicts:
         assert summary.coverage() == 1.0
 
     def test_walker_engine_agrees(self):
-        lowered = Checker()
+        # Search runs on the walker whatever the engine setting: the default
+        # checker reaches the walker checker's verdicts and builds neither
+        # the closure IR nor the bytecode for the unit it searches.
+        default = Checker()
         walker = Checker(CheckerOptions(enable_lowering=False))
         for source in (SET_DENOM, ORDER_DEPENDENT_CONFLICT, CONVERGING_CHAIN):
-            assert verdict(walker.search(source)) == verdict(lowered.search(source))
+            compiled = default.compile(source)
+            assert verdict(walker.search(source)) == verdict(default.search(compiled))
+            assert compiled._lowered == {} and compiled._bytecode == {}
 
 
 class TestCheckpointing:
@@ -203,6 +206,23 @@ class TestBudgets:
         )
         assert report.search.explored == 16
         assert report.search.exhausted
+
+    def test_stop_at_first_on_the_last_order_is_still_exhaustive(self):
+        report = Checker().search(ORDER_DEPENDENT_CONFLICT, checkpoint="replay")
+        summary = report.search
+        assert summary.any_undefined
+        assert summary.stop_reason == STOP_EXHAUSTED and summary.exhausted
+        assert summary.skipped_alternatives == 0
+
+    def test_stop_at_first_with_pending_work_is_not_exhaustive(self):
+        report = Checker().search(
+            ORDER_DEPENDENT_CONFLICT, checkpoint="replay", prune_commuting=False
+        )
+        summary = report.search
+        assert summary.any_undefined
+        assert summary.stop_reason == STOP_FIRST_UNDEFINED
+        assert not summary.exhausted
+        assert summary.skipped_alternatives == 1
 
     def test_max_states_bounds_the_dedup_table(self):
         report = Checker().search(
@@ -323,40 +343,3 @@ int main(void){ int x = f(1) + f(2); return x != 3; }
         ).search
         assert {p.script for p in parallel.paths} == {p.script for p in serial.paths}
 
-
-class TestLegacyDriverHonesty:
-    """The seed's callback driver, kept with honest exhaustion semantics."""
-
-    def test_stop_at_first_on_last_order_is_still_exhaustive(self):
-        def run(strategy):
-            order = tuple(strategy.order(2))
-            return PathOutcome(script=(), undefined=order == (1, 0))
-
-        result = search_evaluation_orders(run, stop_at_first=True)
-        assert result.any_undefined
-        assert result.stop_reason == STOP_EXHAUSTED
-        assert result.exhausted
-
-    def test_stop_at_first_with_pending_work_is_not_exhaustive(self):
-        def run(strategy):
-            strategy.order(2)
-            strategy.order(2)
-            return PathOutcome(script=(), undefined=True)
-
-        result = search_evaluation_orders(run, stop_at_first=True)
-        assert result.explored == 1
-        assert result.stop_reason == STOP_FIRST_UNDEFINED
-        assert not result.exhausted
-        assert result.skipped_alternatives == 2
-
-    def test_max_paths_cap_checked_against_pending_work(self):
-        def run(strategy):
-            strategy.order(2)
-            return PathOutcome(script=(), undefined=False)
-
-        capped = search_evaluation_orders(run, max_paths=1)
-        assert capped.explored == 1
-        assert capped.stop_reason == STOP_MAX_PATHS and not capped.exhausted
-        exact = search_evaluation_orders(run, max_paths=2)
-        assert exact.explored == 2
-        assert exact.stop_reason == STOP_EXHAUSTED and exact.exhausted

@@ -107,12 +107,27 @@ def test_options_round_trip_non_default_fields():
         ({"check_memory": "yes"}, "must be a boolean"),
         ({"max_steps": True}, "must be an integer"),
         ({"evaluation_order": 3}, "must be a string"),
+        ({"evaluation_order": "bogus"}, "unknown evaluation order"),
+        ({"evaluation_order": "search"}, "unknown evaluation order"),
         ("not-a-dict", "must be a JSON object"),
     ],
 )
 def test_options_validation_errors(data, match):
-    with pytest.raises(ProtocolError, match=match):
+    with pytest.raises(ProtocolError, match=match) as caught:
         protocol.options_from_dict(data)
+    assert caught.value.code == protocol.ERROR_BAD_REQUEST
+
+
+def test_rejected_options_make_the_request_a_bad_request():
+    frame = {
+        "op": "check",
+        "id": "j",
+        "sources": ["int main(void){ return 0; }"],
+        "options": {"evaluation_order": "bogus"},
+    }
+    with pytest.raises(ProtocolError, match="unknown evaluation order") as caught:
+        protocol.validate_request(frame)
+    assert caught.value.code == protocol.ERROR_BAD_REQUEST
 
 
 # -- request validation errors ----------------------------------------------

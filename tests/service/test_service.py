@@ -149,6 +149,29 @@ def test_malformed_requests_get_error_frames(endpoint):
         sock.close()
 
 
+def test_unknown_evaluation_order_is_a_bad_request(endpoint):
+    # Rejected when the options are built, so the job never starts.
+    sock, reader = _raw_connection(endpoint)
+    try:
+        for job, order in (("o1", "bogus"), ("o2", "search")):
+            request = {
+                "op": "check",
+                "id": job,
+                "sources": [PROGRAMS[0]],
+                "options": {"evaluation_order": order},
+            }
+            sock.sendall((json.dumps(request) + "\n").encode())
+            frame = json.loads(reader.readline())
+            assert frame["event"] == "error"
+            assert frame["code"] == "bad-request"
+            assert frame.get("job") == job
+            assert "unknown evaluation order" in frame["message"]
+        sock.sendall(b'{"op": "ping"}\n')
+        assert json.loads(reader.readline())["event"] == "pong"
+    finally:
+        sock.close()
+
+
 def test_duplicate_job_id_is_rejected(endpoint):
     sock, reader = _raw_connection(endpoint)
     try:
