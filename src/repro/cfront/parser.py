@@ -22,7 +22,7 @@ semantics must contain extra checks that correct programs never need.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Callable, Optional
 
 from repro.cfront import ast as c_ast
 from repro.cfront import ctypes as ct
@@ -129,31 +129,46 @@ class Parser:
         while not self._at_eof():
             if self._accept_punct(";"):
                 continue
-            unit.declarations.extend(self._parse_external_declaration())
+            if self._peek().is_keyword("_Static_assert"):
+                unit.declarations.append(self._parse_static_assert())
+            else:
+                unit.declarations.extend(self._parse_declaration(file_scope=True))
         return unit
+
+    def parse_constant_expression(self) -> c_ast.Expression:
+        """Parse the whole token list as one conditional expression."""
+        expr = self._parse_conditional()
+        if not self._at_eof():
+            raise self._error(f"unexpected token {self._peek().text!r} after expression")
+        return expr
 
     # ------------------------------------------------------------------
     # Declarations
     # ------------------------------------------------------------------
-    def _parse_external_declaration(self) -> list[c_ast.Node]:
-        if self._peek().is_keyword("_Static_assert"):
-            return [self._parse_static_assert()]
+    def _parse_declaration(self, file_scope: bool) -> list[c_ast.Node]:
+        """Parse a declaration (C11 6.7), or at file scope a function definition.
+
+        Only the first declarator at file scope may take a function body, and
+        only a file-scope ``extern`` without an initializer declares without
+        defining.
+        """
         start = self._peek()
         base_type, storage = self._parse_declaration_specifiers()
+        declarations: list[c_ast.Node] = []
         if self._accept_punct(";"):
             # struct/union/enum declaration with no declarators
-            return []
-        declarations: list[c_ast.Node] = []
-        first = True
+            return declarations
+        may_define = file_scope
         while True:
-            name, full_type, param_names = self._parse_declarator(base_type)
-            if first and isinstance(full_type, ct.FunctionType) and self._peek().is_punct("{"):
+            name, build, param_names = self._parse_declarator()
+            full_type = build(base_type)
+            if may_define and isinstance(full_type, ct.FunctionType) and self._peek().is_punct("{"):
                 body = self._parse_compound_statement()
                 declarations.append(c_ast.FunctionDef(
                     line=start.line, name=name or "", type=full_type,
-                    parameter_names=param_names, body=body, storage=storage))
+                    parameter_names=param_names or [], body=body, storage=storage))
                 return declarations
-            first = False
+            may_define = False
             initializer = None
             if self._accept_punct("="):
                 initializer = self._parse_initializer()
@@ -164,11 +179,12 @@ class Parser:
                 declarations.append(c_ast.Declaration(
                     line=start.line, name=name or "", type=full_type,
                     initializer=initializer, storage=storage,
-                    is_definition=storage != "extern" or initializer is not None))
-            if self._accept_punct(","):
-                continue
-            self._expect_punct(";")
-            return declarations
+                    is_definition=(not file_scope or storage != "extern"
+                                   or initializer is not None)))
+            if not self._accept_punct(","):
+                break
+        self._expect_punct(";")
+        return declarations
 
     def _parse_static_assert(self) -> c_ast.StaticAssert:
         token = self._expect_keyword("_Static_assert")
@@ -309,10 +325,11 @@ class Parser:
                     name = None
                     full_type = base_type
                 else:
-                    name, full_type, _ = self._parse_declarator(base_type)
+                    name, build, _ = self._parse_declarator()
+                    full_type = build(base_type)
                 if self._accept_punct(":"):
                     width_expr = self._parse_conditional()
-                    bit_width = self._fold_const(width_expr)
+                    bit_width = fold_constant(width_expr, self.profile)
                 if name is not None:
                     fields.append(ct.StructField(name=name, type=full_type, bit_width=bit_width))
                 if not self._accept_punct(","):
@@ -333,7 +350,7 @@ class Parser:
                 value = next_value
                 if self._accept_punct("="):
                     expr = self._parse_conditional()
-                    folded = self._fold_const(expr)
+                    folded = fold_constant(expr, self.profile)
                     if folded is None:
                         raise self._error("enumerator value is not a constant expression")
                     value = folded
@@ -355,13 +372,15 @@ class Parser:
         return enum_type
 
     # -- declarators ---------------------------------------------------------
-    def _parse_declarator(self, base_type: ct.CType,
-                          abstract_ok: bool = True) -> tuple[Optional[str], ct.CType, list[str]]:
-        """Parse a (possibly abstract) declarator.
+    def _parse_declarator(self) -> tuple[Optional[str], Callable[[ct.CType], ct.CType],
+                                         Optional[list[str]]]:
+        """Parse a possibly abstract declarator (C11 6.7.6).
 
-        Returns ``(name, type, parameter_names)``.  ``parameter_names`` is
-        only meaningful when the resulting type is a function type (it is the
-        ordered list of parameter identifiers used by function definitions).
+        Returns ``(name, build, parameter_names)``.  ``build`` wraps a base
+        type in the declarator's pointers, arrays and functions, folding the
+        array sizes.  ``parameter_names`` are those of the function
+        declarator nearest the name, the ones a function definition binds,
+        or None if there is no function declarator.
         """
         pointer_layers: list[tuple[bool, bool]] = []
         while self._peek().is_punct("*"):
@@ -374,20 +393,16 @@ class Parser:
             pointer_layers.append((const, volatile))
 
         name: Optional[str] = None
-        nested: Optional[tuple[Optional[str], list, list[str]]] = None
+        inner: Optional[Callable[[ct.CType], ct.CType]] = None
+        param_names: Optional[list[str]] = None
         if self._peek().is_punct("(") and self._is_nested_declarator():
             self._next()
-            inner_name, inner_type_marker, inner_params = self._parse_declarator_shape()
+            name, inner, param_names = self._parse_declarator()
             self._expect_punct(")")
-            nested = (inner_name, inner_type_marker, inner_params)
-            name = inner_name
         elif self._peek().kind is TokenKind.IDENTIFIER:
             name = self._next().text
-        elif not abstract_ok and not self._peek().is_punct("(", "["):
-            raise self._error("expected declarator")
 
         suffixes: list[tuple] = []
-        param_names: list[str] = []
         while True:
             if self._accept_punct("["):
                 if self._accept_punct("]"):
@@ -396,110 +411,35 @@ class Parser:
                     size_expr = self._parse_conditional()
                     self._expect_punct("]")
                     suffixes.append(("array", size_expr))
-            elif self._peek().is_punct("(") and not self._is_call_like_context():
-                self._next()
+            elif self._accept_punct("("):
                 params, variadic, names, has_prototype = self._parse_parameter_list()
                 self._expect_punct(")")
                 suffixes.append(("function", params, variadic, has_prototype))
-                if not param_names:
+                if param_names is None:
                     param_names = names
             else:
                 break
 
-        result = base_type
-        for const, volatile in pointer_layers:
-            result = ct.PointerType(pointee=result, const=const, volatile=volatile)
-        for suffix in reversed(suffixes):
-            if suffix[0] == "array":
-                size = None
-                if suffix[1] is not None:
-                    size = self._fold_const(suffix[1])
-                    if size is None:
-                        raise UnsupportedFeatureError(
-                            "variable length arrays are not supported")
-                result = ct.ArrayType(element=result, length=size)
-            else:
-                _, params, variadic, has_prototype = suffix
-                result = ct.FunctionType(
-                    return_type=result, parameters=tuple(params),
-                    variadic=variadic, has_prototype=has_prototype)
-        if nested is not None:
-            name, result, inner_param_names = self._apply_nested(nested, result)
-            if inner_param_names:
-                param_names = inner_param_names
-        return name, result, param_names
-
-    def _parse_declarator_shape(self) -> tuple[Optional[str], list, list[str]]:
-        """Parse the inside of a parenthesised declarator without a base type.
-
-        Returns the name, a list of "type builders" (recorded operations to
-        apply around the base type later), and function parameter names.
-        """
-        pointer_layers: list[tuple[bool, bool]] = []
-        while self._peek().is_punct("*"):
-            self._next()
-            const = volatile = False
-            while self._peek().kind is TokenKind.KEYWORD and self._peek().text in _QUALIFIER_KEYWORDS:
-                qual = self._next().text
-                const = const or qual == "const"
-                volatile = volatile or qual == "volatile"
-            pointer_layers.append((const, volatile))
-        name: Optional[str] = None
-        nested: Optional[tuple[Optional[str], list, list[str]]] = None
-        if self._peek().is_punct("(") and self._is_nested_declarator():
-            self._next()
-            nested = self._parse_declarator_shape()
-            self._expect_punct(")")
-            name = nested[0]
-        elif self._peek().kind is TokenKind.IDENTIFIER:
-            name = self._next().text
-        suffixes: list[tuple] = []
-        param_names: list[str] = []
-        while True:
-            if self._accept_punct("["):
-                if self._accept_punct("]"):
-                    suffixes.append(("array", None))
+        def build(result: ct.CType) -> ct.CType:
+            for const, volatile in pointer_layers:
+                result = ct.PointerType(pointee=result, const=const, volatile=volatile)
+            for suffix in reversed(suffixes):
+                if suffix[0] == "array":
+                    size = None
+                    if suffix[1] is not None:
+                        size = fold_constant(suffix[1], self.profile)
+                        if size is None:
+                            raise UnsupportedFeatureError(
+                                "variable length arrays are not supported")
+                    result = ct.ArrayType(element=result, length=size)
                 else:
-                    size_expr = self._parse_conditional()
-                    self._expect_punct("]")
-                    suffixes.append(("array", size_expr))
-            elif self._peek().is_punct("("):
-                self._next()
-                params, variadic, names, has_prototype = self._parse_parameter_list()
-                self._expect_punct(")")
-                suffixes.append(("function", params, variadic, has_prototype))
-                if not param_names:
-                    param_names = names
-            else:
-                break
-        builders: list = [("pointers", pointer_layers), ("suffixes", suffixes), ("nested", nested)]
-        return name, builders, param_names
+                    _, params, variadic, has_prototype = suffix
+                    result = ct.FunctionType(
+                        return_type=result, parameters=tuple(params),
+                        variadic=variadic, has_prototype=has_prototype)
+            return result if inner is None else inner(result)
 
-    def _apply_nested(self, nested: tuple[Optional[str], list, list[str]],
-                      base: ct.CType) -> tuple[Optional[str], ct.CType, list[str]]:
-        name, builders, param_names = nested
-        pointer_layers = builders[0][1]
-        suffixes = builders[1][1]
-        inner = builders[2][1]
-        result = base
-        for const, volatile in pointer_layers:
-            result = ct.PointerType(pointee=result, const=const, volatile=volatile)
-        for suffix in reversed(suffixes):
-            if suffix[0] == "array":
-                size = None
-                if suffix[1] is not None:
-                    size = self._fold_const(suffix[1])
-                    if size is None:
-                        raise UnsupportedFeatureError("variable length arrays are not supported")
-                result = ct.ArrayType(element=result, length=size)
-            else:
-                _, params, variadic, has_prototype = suffix
-                result = ct.FunctionType(
-                    return_type=result, parameters=tuple(params),
-                    variadic=variadic, has_prototype=has_prototype)
-        if inner is not None:
-            return self._apply_nested(inner, result)
-        return name, result, param_names
+        return name, build, param_names
 
     def _is_nested_declarator(self) -> bool:
         """Disambiguate ``(declarator)`` from a parameter list after '('."""
@@ -508,10 +448,6 @@ class Parser:
             return True
         if nxt.kind is TokenKind.IDENTIFIER and nxt.text not in self.typedefs:
             return True
-        return False
-
-    def _is_call_like_context(self) -> bool:
-        """Declarators never treat '(' as a call; always False (placeholder)."""
         return False
 
     def _parse_parameter_list(self) -> tuple[list[ct.CType], bool, list[str], bool]:
@@ -530,9 +466,9 @@ class Parser:
                 variadic = True
                 break
             base_type, storage = self._parse_declaration_specifiers()
-            name, full_type, _ = self._parse_declarator(base_type)
+            name, build, _ = self._parse_declarator()
             # Parameters of array/function type adjust to pointers (§6.7.6.3).
-            full_type = ct.decay(full_type)
+            full_type = ct.decay(build(base_type))
             params.append(full_type)
             names.append(name or "")
             if not self._accept_punct(","):
@@ -543,7 +479,8 @@ class Parser:
         base_type, storage = self._parse_declaration_specifiers()
         if storage is not None:
             raise self._error("storage class in type name")
-        name, full_type, _ = self._parse_declarator(base_type, abstract_ok=True)
+        name, build, _ = self._parse_declarator()
+        full_type = build(base_type)
         if name is not None:
             raise self._error("type name must not declare an identifier")
         return full_type
@@ -577,31 +514,8 @@ class Parser:
         if self._peek().is_keyword("_Static_assert"):
             return [self._parse_static_assert()]
         if self._starts_declaration():
-            return self._parse_local_declaration()
+            return self._parse_declaration(file_scope=False)
         return [self._parse_statement()]
-
-    def _parse_local_declaration(self) -> list[c_ast.Node]:
-        start = self._peek()
-        base_type, storage = self._parse_declaration_specifiers()
-        declarations: list[c_ast.Node] = []
-        if self._accept_punct(";"):
-            return declarations
-        while True:
-            name, full_type, _ = self._parse_declarator(base_type)
-            initializer = None
-            if self._accept_punct("="):
-                initializer = self._parse_initializer()
-            if storage == "typedef":
-                if name:
-                    self.typedefs[name] = full_type
-            else:
-                declarations.append(c_ast.Declaration(
-                    line=start.line, name=name or "", type=full_type,
-                    initializer=initializer, storage=storage))
-            if not self._accept_punct(","):
-                break
-        self._expect_punct(";")
-        return declarations
 
     def _parse_statement(self) -> c_ast.Statement:
         token = self._peek()
@@ -695,8 +609,7 @@ class Parser:
         init: Optional[object] = None
         if not self._peek().is_punct(";"):
             if self._starts_declaration():
-                declarations = self._parse_local_declaration()
-                init = declarations
+                init = self._parse_declaration(file_scope=False)
             else:
                 init = self._parse_expression()
                 self._expect_punct(";")
@@ -910,11 +823,11 @@ class Parser:
                 return candidate
         return candidates[-1] if candidates else ct.ULLONG
 
-    # ------------------------------------------------------------------
-    # Constant folding (for array bounds, enum values, case labels)
-    # ------------------------------------------------------------------
-    def _fold_const(self, expr: c_ast.Expression) -> Optional[int]:
-        return fold_constant(expr, self.profile)
+
+#: ``fold_constant`` gives up on a left shift by more than this: far beyond
+#: the widest integer type of any profile, yet ``1 << MAX_FOLDED_SHIFT``
+#: stays a small number to build.
+MAX_FOLDED_SHIFT = 4096
 
 
 def fold_constant(expr: c_ast.Expression,
@@ -983,7 +896,7 @@ def fold_constant(expr: c_ast.Expression,
                     return None
                 return left - ct.trunc_div(left, right) * right
             if op == "<<":
-                return left << right if right >= 0 else None
+                return left << right if 0 <= right <= MAX_FOLDED_SHIFT else None
             if op == ">>":
                 return left >> right if right >= 0 else None
             if op == "&":

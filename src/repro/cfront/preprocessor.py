@@ -10,8 +10,10 @@ actually use:
 * object-like and function-like ``#define`` / ``#undef`` with recursive
   expansion protection,
 * conditional compilation: ``#if`` / ``#ifdef`` / ``#ifndef`` / ``#elif`` /
-  ``#else`` / ``#endif`` with an integer constant-expression evaluator
-  (``defined``, ``!``, ``&&``, ``||``, comparisons, arithmetic),
+  ``#else`` / ``#endif``.  After ``defined`` and macro expansion, an ``#if``
+  condition is tokenized by the lexer, every identifier or keyword left in
+  it becomes ``0`` (C11 6.10.1), and it is parsed with the parser's own
+  expression grammar and folded by its ``fold_constant``,
 * ``#error`` (raises), other directives (``#pragma``, ``#line``) are ignored.
 
 The output is plain C text with the original line structure preserved, so
@@ -27,7 +29,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from repro.cfront.headers import BUILTIN_HEADERS
-from repro.cfront.lexer import join_lines
+from repro.cfront.lexer import IntConstant, Token, TokenKind, join_lines, tokenize
 from repro.errors import CParseError
 
 
@@ -337,175 +339,22 @@ class Preprocessor:
             r"defined\s*(?:\(\s*(?P<name>[A-Za-z_][A-Za-z0-9_]*)\s*\)|(?P<bare>[A-Za-z_][A-Za-z0-9_]*))",
             replace_defined, text)
         text = self._expand_text(text, lineno, frozenset())
-        # Remaining identifiers evaluate to 0 per the standard.
-        text = _IDENTIFIER_RE.sub("0", text)
-        # Strip integer suffixes.
-        text = re.sub(r"(\d)[uUlL]+", r"\1", text)
-        return _ConstExprParser(text, lineno).parse()
+        # Imported here because the parser module imports this one.
+        from repro.cfront.parser import Parser, fold_constant
 
-
-class _ConstExprParser:
-    """Tiny recursive-descent evaluator for #if constant expressions."""
-
-    _TOKEN_RE = re.compile(
-        r"\s*(?:(?P<num>0[xX][0-9a-fA-F]+|\d+)|(?P<op><<|>>|<=|>=|==|!=|&&|\|\||[-+*/%()<>!~&|^?:]))")
-
-    def __init__(self, text: str, lineno: int) -> None:
-        self.tokens: list[str] = []
-        self.lineno = lineno
-        pos = 0
-        while pos < len(text):
-            match = self._TOKEN_RE.match(text, pos)
-            if not match:
-                if text[pos:].strip() == "":
-                    break
-                raise CParseError(f"bad #if expression near {text[pos:]!r}", lineno)
-            self.tokens.append(match.group("num") or match.group("op"))
-            pos = match.end()
-        self.index = 0
-
-    def parse(self) -> int:
-        if not self.tokens:
-            raise CParseError("empty #if expression", self.lineno)
-        value = self._ternary()
-        return value
-
-    def _peek(self) -> Optional[str]:
-        return self.tokens[self.index] if self.index < len(self.tokens) else None
-
-    def _next(self) -> str:
-        token = self.tokens[self.index]
-        self.index += 1
-        return token
-
-    def _accept(self, token: str) -> bool:
-        if self._peek() == token:
-            self.index += 1
-            return True
-        return False
-
-    def _expect(self, token: str) -> None:
-        if not self._accept(token):
-            raise CParseError(f"expected {token!r} in #if expression", self.lineno)
-
-    def _ternary(self) -> int:
-        cond = self._logical_or()
-        if self._accept("?"):
-            then = self._ternary()
-            self._expect(":")
-            other = self._ternary()
-            return then if cond else other
-        return cond
-
-    def _logical_or(self) -> int:
-        value = self._logical_and()
-        while self._accept("||"):
-            rhs = self._logical_and()
-            value = 1 if (value or rhs) else 0
-        return value
-
-    def _logical_and(self) -> int:
-        value = self._bitwise()
-        while self._accept("&&"):
-            rhs = self._bitwise()
-            value = 1 if (value and rhs) else 0
-        return value
-
-    def _bitwise(self) -> int:
-        value = self._equality()
-        while True:
-            if self._accept("&"):
-                value &= self._equality()
-            elif self._accept("|"):
-                value |= self._equality()
-            elif self._accept("^"):
-                value ^= self._equality()
-            else:
-                return value
-
-    def _equality(self) -> int:
-        value = self._relational()
-        while True:
-            if self._accept("=="):
-                value = 1 if value == self._relational() else 0
-            elif self._accept("!="):
-                value = 1 if value != self._relational() else 0
-            else:
-                return value
-
-    def _relational(self) -> int:
-        value = self._shift()
-        while True:
-            if self._accept("<="):
-                value = 1 if value <= self._shift() else 0
-            elif self._accept(">="):
-                value = 1 if value >= self._shift() else 0
-            elif self._accept("<"):
-                value = 1 if value < self._shift() else 0
-            elif self._accept(">"):
-                value = 1 if value > self._shift() else 0
-            else:
-                return value
-
-    def _shift(self) -> int:
-        value = self._additive()
-        while True:
-            if self._accept("<<"):
-                value <<= self._additive()
-            elif self._accept(">>"):
-                value >>= self._additive()
-            else:
-                return value
-
-    def _additive(self) -> int:
-        value = self._multiplicative()
-        while True:
-            if self._accept("+"):
-                value += self._multiplicative()
-            elif self._accept("-"):
-                value -= self._multiplicative()
-            else:
-                return value
-
-    def _multiplicative(self) -> int:
-        value = self._unary()
-        while True:
-            if self._accept("*"):
-                value *= self._unary()
-            elif self._accept("/"):
-                rhs = self._unary()
-                if rhs == 0:
-                    raise CParseError("division by zero in #if expression", self.lineno)
-                value = int(value / rhs)
-            elif self._accept("%"):
-                rhs = self._unary()
-                if rhs == 0:
-                    raise CParseError("modulo by zero in #if expression", self.lineno)
-                value = int(value - int(value / rhs) * rhs)
-            else:
-                return value
-
-    def _unary(self) -> int:
-        if self._accept("-"):
-            return -self._unary()
-        if self._accept("+"):
-            return self._unary()
-        if self._accept("!"):
-            return 0 if self._unary() else 1
-        if self._accept("~"):
-            return ~self._unary()
-        if self._accept("("):
-            value = self._ternary()
-            self._expect(")")
-            return value
-        token = self._peek()
-        if token is None:
-            raise CParseError("unexpected end of #if expression", self.lineno)
-        self._next()
+        zero = IntConstant(0)
         try:
-            return int(token, 0)
-        except ValueError as exc:
-            raise CParseError(f"bad token {token!r} in #if expression", self.lineno) from exc
+            # Identifiers left after expansion, keywords too, are 0 (C11 6.10.1).
+            tokens = [Token(TokenKind.INT_CONST, "0", token.line, token.column, zero)
+                      if token.kind is TokenKind.IDENTIFIER or token.kind is TokenKind.KEYWORD
+                      else token for token in tokenize(text)]
+            value = fold_constant(Parser(tokens).parse_constant_expression())
+        except CParseError as error:
+            raise CParseError(f"bad #if expression {text.strip()!r}", lineno) from error
+        if value is None:
+            raise CParseError(
+                f"#if expression {text.strip()!r} is not an integer constant", lineno)
+        return value
 
 
 def preprocess(source: str, *, extra_headers: Optional[dict[str, str]] = None,

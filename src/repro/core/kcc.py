@@ -241,13 +241,6 @@ class KccTool:
             compiled.unit, self.options.profile)
         return compiled
 
-    def compile(self, source: str, *, filename: str = "<input>") -> tuple[
-            Optional[c_ast.TranslationUnit], list[StaticViolation], Optional[str]]:
-        """Back-compat tuple view of the compile stage: (unit, violations, parse_error)."""
-        compiled = self.compile_unit(source, filename=filename)
-        violations = compiled.static_violations if self.run_static_checks else []
-        return compiled.unit, violations, compiled.parse_error
-
     # ------------------------------------------------------------------
     # Stage 2: running a compiled unit
     # ------------------------------------------------------------------

@@ -142,7 +142,11 @@ def run_oracles(
     options: CheckerOptions = DEFAULT_OPTIONS,
     oracle_config: OracleConfig = OracleConfig(),
 ) -> OracleReport:
-    """Run the full oracle stack over one generated case."""
+    """Run the full oracle stack over one generated case.
+
+    The case is parsed once: every leg runs the one compiled unit, since no
+    engine writes to the AST.
+    """
     report = OracleReport(case=case)
     lowered_tool = KccTool(options.without(engine="lowered"))
     walker_tool = KccTool(options.without(enable_lowering=False))
@@ -164,11 +168,10 @@ def run_oracles(
             signature=f"static:{first.kind.name}",
         )
         return report
-    walker_compiled = walker_tool.compile_unit(case.source, filename=case.name)
 
     # One strict, unprobed run per engine.
     lowered_report = lowered_tool.run_unit(compiled)
-    walker_report = walker_tool.run_unit(walker_compiled)
+    walker_report = walker_tool.run_unit(compiled)
     report.verdict = lowered_report.outcome.kind.value
     kinds = lowered_report.outcome.ub_kinds
     report.detected_kind = kinds[0].name if kinds else None
@@ -211,7 +214,7 @@ def run_oracles(
         _observed_oracle(report, lowered_tool, compiled, lowered_report, options)
 
     if oracle_config.check_ablation and case.is_bad and case.family is not None:
-        _ablation_oracle(report, options)
+        _ablation_oracle(report, compiled, options)
 
     if oracle_config.check_search:
         _search_oracle(report, lowered_tool, compiled, lowered_report, oracle_config)
@@ -320,7 +323,7 @@ def _observed_oracle(
         )
 
 
-def _ablation_oracle(report: OracleReport, options: CheckerOptions) -> None:
+def _ablation_oracle(report: OracleReport, compiled, options: CheckerOptions) -> None:
     case = report.case
     from repro.fuzz.generator import template_for
 
@@ -328,7 +331,7 @@ def _ablation_oracle(report: OracleReport, options: CheckerOptions) -> None:
     if not template.gated:
         return
     ablated_options = options.without(**{f"check_{case.family}": False})
-    ablated = KccTool(ablated_options).check(case.source, filename=case.name)
+    ablated = KccTool(ablated_options).run_unit(compiled)
     if any(kind in case.expected_kinds for kind in ablated.outcome.ub_kinds):
         report.add(
             "ablation",

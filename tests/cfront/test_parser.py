@@ -1,11 +1,15 @@
 """Unit tests for the parser."""
 
+import tracemalloc
+
 import pytest
 
 from repro.cfront import ast as c_ast
 from repro.cfront import ctypes as ct
-from repro.cfront.parser import fold_constant, parse
-from repro.errors import CParseError
+from repro.cfront.parser import MAX_FOLDED_SHIFT, fold_constant, parse
+from repro.cfront.preprocessor import preprocess
+from repro.core.kcc import KccTool
+from repro.errors import CParseError, OutcomeKind, UBKind
 
 
 def parse_decls(source):
@@ -105,6 +109,19 @@ class TestDeclarations:
         decls = parse_decls("typedef unsigned long word; word w;")
         assert decls[0].name == "w"
         assert decls[0].type == ct.ULONG
+
+    def test_function_returning_function_pointer(self):
+        # f takes an int and returns a pointer to a function taking a char.
+        decl = parse_decls("int (*(f)(int a))(char b);")[0]
+        returned = ct.PointerType(pointee=ct.FunctionType(
+            return_type=ct.INT, parameters=(ct.CHAR,), has_prototype=True))
+        assert decl.type == ct.FunctionType(
+            return_type=returned, parameters=(ct.INT,), has_prototype=True)
+
+    def test_array_of_pointers_to_arrays(self):
+        decl = parse_decls("int (*table[2])[3];")[0]
+        row = ct.PointerType(pointee=ct.ArrayType(element=ct.INT, length=3))
+        assert decl.type == ct.ArrayType(element=row, length=2)
 
     def test_typedef_function_pointer(self):
         decls = parse_decls("typedef int (*cmp)(int, int); cmp comparator;")
@@ -317,6 +334,36 @@ class TestFunctionDefinitions:
         unit = parse("void nothing(void) { return; } int main(void) { nothing(); return 0; }")
         assert unit.functions()["nothing"].type.return_type == ct.VOID
 
+    def test_parameter_names_come_from_the_declarator_nearest_the_name(self):
+        func = only_function("int (*(f)(int a))(char b) { return 0; }", name="f")
+        assert func.parameter_names == ["a"]
+
+    def test_function_returning_a_function_pointer_binds_its_own_parameter(self):
+        # The parameter of the returned pointer's type, b, is not in scope
+        # in f's body; a is.
+        source = ("static int g(char b) { return b; } "
+                  "int (*(f)(int a))(char b) { return a ? g : 0; } "
+                  "int main(void) { return f(1) != 0 ? 0 : 1; }")
+        report = KccTool().check(source)
+        assert report.outcome.kind is OutcomeKind.DEFINED, report.render()
+        assert report.outcome.exit_code == 0
+
+    def test_function_body_only_at_file_scope(self):
+        with pytest.raises(CParseError):
+            parse("int main(void) { int inner(void) { return 0; } return 0; }")
+
+
+class TestDeclarationScopes:
+    def test_file_scope_extern_declares_without_defining(self):
+        extern, defined = parse_decls("extern int x; extern int y = 1;")
+        assert extern.is_definition is False
+        assert defined.is_definition is True
+
+    def test_block_scope_declarations_stay_definitions(self):
+        items = only_function("int main(void) { extern int x; static int y; return 0; }").body.items
+        assert [(d.name, d.storage, d.is_definition) for d in items[:2]] == [
+            ("x", "extern", True), ("y", "static", True)]
+
 
 class TestConstantFolding:
     def _fold(self, text):
@@ -374,6 +421,52 @@ class TestConstantFolding:
 
     def test_division_by_zero_returns_none(self):
         assert self._fold("1 / 0") is None
+
+    def test_left_shift_count_is_bounded(self):
+        assert self._fold(f"1 << {MAX_FOLDED_SHIFT}") == 1 << MAX_FOLDED_SHIFT
+        assert self._fold(f"1 << {MAX_FOLDED_SHIFT + 1}") is None
+        assert self._fold("-1 << 3") == -8
+
+
+#: A shift count far past the folding limit: ``1 << HUGE_SHIFT`` alone
+#: would take 50 MB, and each place that folded it paid that again.
+HUGE_SHIFT = 400_000_000
+
+
+def _traced(action):
+    """``action()`` and the peak of the memory it allocated."""
+    tracemalloc.start()
+    try:
+        return action(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestHugeShiftsStayCheap:
+    """A huge constant shift count costs no memory wherever it is folded."""
+
+    LIMIT = 8 << 20
+
+    def test_in_an_expression_checked_by_sema(self):
+        source = f"int main(void){{ return ((1 << {HUGE_SHIFT}) + 1) > 0; }}"
+        compiled, peak = _traced(lambda: KccTool().compile_unit(source))
+        assert peak < self.LIMIT
+        [violation] = compiled.static_violations
+        assert violation.kind is UBKind.SHIFT_TOO_FAR
+
+    def test_in_an_array_size(self):
+        source = f"int a[1 << {HUGE_SHIFT}]; int main(void){{ return 0; }}"
+        compiled, peak = _traced(lambda: KccTool().compile_unit(source))
+        assert peak < self.LIMIT
+        assert "variable length arrays" in compiled.parse_error
+
+    def test_in_an_if_directive(self):
+        def run():
+            with pytest.raises(CParseError):
+                preprocess(f"#if (1 << {HUGE_SHIFT}) > 0\nint x;\n#endif\n")
+
+        _, peak = _traced(run)
+        assert peak < self.LIMIT
 
 
 class TestParseErrors:

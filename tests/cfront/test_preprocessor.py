@@ -102,6 +102,44 @@ class TestConditionals:
         assert "int ok;" in out
 
 
+class TestIfExpressions:
+    """``#if`` conditions are C constant expressions, parsed by the parser."""
+
+    TRUE_CONDITIONS = [
+        "(1 | 2 & 0) == 1",
+        "(3 ^ 1 & 2) == 3",
+        "010 == 8",
+        "'a' == 97",
+        "9007199254740993 / 1 == 9007199254740993",
+        "0x10 == 16 && 1UL == 1",
+        "UNDEFINED_NAME == 0 && !sizeof",
+        "-7 / 2 == -3 && -7 % 2 == -1",
+        "1 ? 2 : 0",
+    ]
+
+    @pytest.mark.parametrize("condition", TRUE_CONDITIONS)
+    def test_if_takes_its_branch(self, condition):
+        out = preprocess(f"#if {condition}\nint yes;\n#else\nint no;\n#endif")
+        assert "int yes;" in out and "int no;" not in out
+
+    @pytest.mark.parametrize("condition", TRUE_CONDITIONS)
+    def test_elif_takes_its_branch(self, condition):
+        out = preprocess(f"#if 0\nint no;\n#elif {condition}\nint yes;\n#endif")
+        assert "int yes;" in out and "int no;" not in out
+
+    def test_macros_expand_before_evaluation(self):
+        out = preprocess("#define WIDTH 010\n#define TWICE(x) ((x) * 2)\n"
+                         "#if TWICE(WIDTH) == 16\nint yes;\n#endif")
+        assert "int yes;" in out
+
+    @pytest.mark.parametrize("condition", ["", "1 +", "(1", "1 2", "1/0", "1.5", "x = 1"])
+    def test_malformed_conditions_raise_at_the_directive_line(self, condition):
+        for directive, line in ((f"#if {condition}", 3), (f"#if 0\n#elif {condition}", 4)):
+            with pytest.raises(CParseError) as info:
+                preprocess(f"int a;\n\n{directive}\n#endif\n")
+            assert info.value.line == line
+
+
 class TestIncludes:
     def test_builtin_header(self):
         out = preprocess("#include <stddef.h>\nsize_t n;")

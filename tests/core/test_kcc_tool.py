@@ -217,7 +217,7 @@ class TestConfigurationView:
 
     def test_compile_reports_static_violations(self):
         tool = KccTool(CheckerOptions())
-        _unit, violations, error = tool.compile("int main(void){ int bad[0]; return 0; }")
-        assert error is None
-        assert violations
-        assert violations[0].kind is UBKind.ARRAY_SIZE_NOT_POSITIVE
+        compiled = tool.compile_unit("int main(void){ int bad[0]; return 0; }")
+        assert compiled.parse_error is None
+        assert compiled.static_violations
+        assert compiled.static_violations[0].kind is UBKind.ARRAY_SIZE_NOT_POSITIVE

@@ -106,3 +106,23 @@ def test_symbolic_oracle_config_round_trips():
     rebuilt = OracleConfig.from_dict(config.to_dict())
     assert rebuilt.check_symbolic is True
     assert rebuilt.symbolic_samples == 3
+
+
+@pytest.mark.parametrize("index", [0, 3])
+def test_run_oracles_parses_each_case_once(index, monkeypatch):
+    # Case 0 plants a gated defect, so the ablation oracle runs too; case 3
+    # is clean.  Every leg runs the one compiled unit.
+    import repro.core.kcc as kcc
+
+    parses = []
+    real_parse = kcc.parse
+
+    def counting_parse(*args, **kwargs):
+        parses.append(args)
+        return real_parse(*args, **kwargs)
+
+    monkeypatch.setattr(kcc, "parse", counting_parse)
+    case = generate_case(SEED, index, inject="mixed")
+    report = run_oracles(case)
+    assert report.ok, [failure.to_dict() for failure in report.failures]
+    assert len(parses) == 1
