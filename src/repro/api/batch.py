@@ -25,7 +25,6 @@ from repro.core.kcc import CheckReport, KccTool
 from repro.service.pool import (
     get_pool,
     resolve_jobs,
-    run_pooled,
     run_staged,
 )
 
@@ -39,7 +38,6 @@ __all__ = [
     "check_many",
     "iter_check_many",
     "resolve_jobs",
-    "run_pooled",
 ]
 
 

@@ -7,9 +7,10 @@ then run/search many times over one translation unit):
 
 * :meth:`Checker.compile` parses + statically checks a program into a
   :class:`~repro.core.kcc.CompiledUnit`, memoized by content hash and
-  implementation profile; the unit also carries the lowered closure-tree IR
-  (:mod:`repro.core.lowering`) the dynamic stage executes, materialized
-  lazily per checker configuration;
+  implementation profile; the unit also carries the register bytecode
+  (:mod:`repro.core.bytecode`) the dynamic stage executes (the closure-tree
+  IR of :mod:`repro.core.lowering` under ``engine="lowered"``),
+  materialized lazily per checker configuration;
 * :meth:`Checker.run` executes a compiled unit — any number of times, with
   different stdin/argv or evaluation-order search, without re-parsing;
 * :meth:`Checker.check` is the one-shot composition of the two;

@@ -1,13 +1,12 @@
-"""Compile the lowered IR into flat register bytecode (the compiled engine).
+"""Compile function bodies into flat register bytecode (the compiled engine).
 
-The PR-2 lowered closures removed per-node *dispatch*, but every mini-step
-still pays a CPython frame: one closure call per AST node per execution.
-This module removes the frames as well, the way a template-JIT baseline
-tier does: each function whose body fits the *native subset* is compiled
-once into a flat ``tuple``-of-tuples instruction array (integer opcodes,
-pre-resolved register/slot operands, the same pre-derived arithmetic plans
-the lowered engine builds inlined into the instruction stream) executed by
-a single ``while``-loop dispatch in :mod:`repro.core.vm`.
+The walker re-dispatches on every AST node at every step, and pays a
+CPython frame per node.  This module removes both, the way a template-JIT
+baseline tier does: each function whose body fits the *native subset* is
+compiled once into a flat ``tuple``-of-tuples instruction array (integer
+opcodes, pre-resolved register/slot operands, the pre-derived arithmetic
+plans of :mod:`repro.core.plans` inlined into the instruction stream)
+executed by a single ``while``-loop dispatch in :mod:`repro.core.vm`.
 
 The native subset
 -----------------
@@ -40,7 +39,7 @@ applies ``&`` anywhere leaves the subset.  Anything else outside it —
 floats, structs, pointers to pointers or records, ``goto``/``switch``/
 labels, static or extern locals, variadic definitions — aborts compilation
 of that *function* (:class:`_Unsupported`), and the function runs on the
-lowered closures instead, with the reason recorded in
+walker instead, with the reason recorded in
 :attr:`CompiledProgram.fallbacks`.  Falling back is always verdict-safe:
 the compiled engine is an accelerator for the common case, never an
 alternative semantics.
@@ -48,29 +47,29 @@ alternative semantics.
 Parity contract
 ---------------
 
-The bytecode replicates the *lowered* engine observation-for-observation:
+The bytecode replicates the walker observation-for-observation:
 
 * **steps** are aggregated per basic block and flushed before every
   side-effecting boundary (calls, declarations, returns, jumps), so
   ``max_steps`` resource verdicts and stdout prefixes agree;
-* **arithmetic** uses raw-int ports of the same
-  :func:`~repro.core.lowering._int_binary_plan` /
-  :func:`~repro.core.lowering._int_conversion_plan` rules with identical
-  messages, and every slow path boxes the value back into a
-  :class:`~repro.core.values.CValue` and calls the *actual* shared helper
-  (``_read_binding``, ``_write_with_plan``, ``_pointer_add``,
+* **arithmetic** uses the raw-int plans of :mod:`repro.core.plans`
+  (:func:`~repro.core.plans.raw_binary_plan`,
+  :func:`~repro.core.plans.raw_conversion_plan`, ...), which raise the
+  walker's error kinds and messages, and every slow path boxes the value
+  back into a :class:`~repro.core.values.CValue` and calls the *actual*
+  shared helper (``_read_binding``, ``_write_with_plan``, ``_pointer_add``,
   ``_check_usable``, ``to_boolean``, ...), so error kinds, messages, and
-  report order are the lowered engine's by construction;
+  report order are the walker's by construction;
 * **uninitialized reads**: a register read of an indeterminate value
-  raises exactly where the lowered ``_read_binding`` would — consumers
+  raises exactly where the walker's identifier read would — consumers
   carry the read-site message and check the ``UNINIT`` sentinel on their
   (free) slow path; value-discard positions get an explicit ``RDCHK``;
 * **sequencing**: memory writes keep feeding ``Memory.locs_written``
   (plain ``(base, offset)`` tuples, equal to the ``ByteLocation`` entries
-  the generic path adds) and ``SEQPT`` clears them at every lowered
-  sequence point; conflicts *between register operations* are resolved
-  statically — any potential conflict makes the function fall back, so
-  the lowered engine produces the report.
+  the generic path adds) and ``SEQPT`` clears them at every sequence
+  point the walker performs; conflicts *between register operations* are
+  resolved statically — any potential conflict makes the function fall
+  back, so the walker produces the report.
 
 Whole-unit compilation is memoized per options on
 :class:`repro.core.kcc.CompiledUnit`; functions that do not compile stay
@@ -87,16 +86,19 @@ from repro.cfront import ast as c_ast
 from repro.cfront import ctypes as ct
 from repro.cfront.headers import BUILTIN_FUNCTIONS
 from repro.core.config import CheckerOptions
-from repro.core.lowering import (
+from repro.core.plans import (
     _FLAT_INT_TYPES,
+    _FoldContext,
     _FoldUB,
-    _int_conversion_plan,
     _subtree_step_cost,
     _try_fold,
-    LoweringContext,
+    access_plan,
+    raw_binary_plan,
+    raw_conversion_plan,
+    raw_incdec_plan,
+    raw_unary_plan,
 )
 from repro.core.values import PointerValue
-from repro.errors import UBKind, UndefinedBehaviorError
 
 
 class UninitType:
@@ -110,7 +112,7 @@ class UninitType:
 
 #: The indeterminate register value.  Consumers test ``value.__class__ is
 #: int`` on the fast path, so the sentinel automatically routes to the slow
-#: path that replicates the lowered engine's indeterminate-value handling.
+#: path that replicates the walker's indeterminate-value handling.
 UNINIT = UninitType()
 
 
@@ -262,7 +264,7 @@ class CompiledProgram:
     """The natively compiled functions of one translation unit.
 
     ``fallbacks`` maps every other defined function to the reason it left
-    the native subset; those run on the lowered closures.
+    the native subset; those run on the walker.
     """
 
     __slots__ = ("functions", "fallbacks", "order_mode", "options")
@@ -277,46 +279,8 @@ class CompiledProgram:
 
 
 # ---------------------------------------------------------------------------
-# Raw arithmetic plans
+# Compile-time variable model
 # ---------------------------------------------------------------------------
-#
-# Raw-int ports of lowering's `_int_binary_plan` / `_int_conversion_plan`:
-# same rules, same error kinds and messages, but ``int -> int`` so the VM
-# never boxes on the fast path.  Comparisons yield 0/1.
-
-_RAW_CONV_PLANS: dict = {}
-
-
-def raw_conversion_plan(target: ct.CType, profile: ct.ImplementationProfile):
-    """``int -> int`` port of ``_int_conversion_plan`` (None if unplanable)."""
-    if not isinstance(target, _FLAT_INT_TYPES):
-        return None
-    key = (target, profile)
-    plan = _RAW_CONV_PLANS.get(key)
-    if plan is None and key not in _RAW_CONV_PLANS:
-        if isinstance(target, ct.BoolType):
-            def plan(value: int) -> int:
-                return 1 if value != 0 else 0
-        else:
-            lo, hi = ct.integer_range(target, profile)
-            bits = ct.integer_bits(target, profile)
-            signed = ct.is_signed_type(target, profile)
-            mask = (1 << bits) - 1
-            half = 1 << (bits - 1)
-
-            def plan(value: int) -> int:
-                if lo <= value <= hi:
-                    return value
-                wrapped = value & mask
-                if signed and wrapped >= half:
-                    wrapped -= 1 << bits
-                return wrapped
-        if len(_RAW_CONV_PLANS) < 65536:
-            _RAW_CONV_PLANS[key] = plan
-    return plan
-
-
-_RELATIONAL = {"<": True, ">": True, "<=": True, ">=": True, "==": True, "!=": True}
 
 #: Offset comparisons of two pointers into the same object (0/1 results).
 _OFFSET_COMPARE = {
@@ -329,253 +293,6 @@ _OFFSET_COMPARE = {
 }
 
 
-def raw_binary_plan(
-    op: str,
-    left_type: ct.CType,
-    right_type: ct.CType,
-    options: CheckerOptions,
-    line: int,
-):
-    """``(int, int) -> int`` port of ``_int_binary_plan``.
-
-    Returns ``(plan, common_type)`` or ``None`` when the operand types are
-    not planable — which makes the compiling function fall back, keeping
-    the generic checked path authoritative.
-    """
-    if not isinstance(left_type, _FLAT_INT_TYPES) or not isinstance(
-        right_type, _FLAT_INT_TYPES
-    ):
-        return None
-    profile = options.profile
-    try:
-        common = ct.usual_arithmetic_conversions(left_type, right_type, profile)
-    except (TypeError, AssertionError):
-        return None
-    if not isinstance(common, ct.IntType):
-        return None
-    lo, hi = ct.integer_range(common, profile)
-    bits = ct.integer_bits(common, profile)
-    signed = ct.is_signed_type(common, profile)
-    mask = (1 << bits) - 1
-    half = 1 << (bits - 1)
-    check_arithmetic = options.check_arithmetic
-
-    def conv(value: int) -> int:
-        if lo <= value <= hi:
-            return value
-        wrapped = value & mask
-        if signed and wrapped >= half:
-            wrapped -= 1 << bits
-        return wrapped
-
-    def arith_result(value: int, overflow_possible: bool = True) -> int:
-        if lo <= value <= hi:
-            return value
-        if signed:
-            if check_arithmetic and overflow_possible:
-                raise UndefinedBehaviorError(
-                    UBKind.SIGNED_OVERFLOW,
-                    f"Signed integer overflow: result {value} does not fit in {common}.",
-                    line=line,
-                )
-            wrapped = value & mask
-            if wrapped >= half:
-                wrapped -= 1 << bits
-            return wrapped
-        return value & mask
-
-    if op in _RELATIONAL:
-        import operator as _operator
-        comparator = {
-            "<": _operator.lt,
-            ">": _operator.gt,
-            "<=": _operator.le,
-            ">=": _operator.ge,
-            "==": _operator.eq,
-            "!=": _operator.ne,
-        }[op]
-
-        def compare(a: int, b: int) -> int:
-            return 1 if comparator(conv(a), conv(b)) else 0
-        return compare, ct.INT
-
-    if op == "+":
-        def add(a: int, b: int) -> int:
-            return arith_result(conv(a) + conv(b))
-        return add, common
-    if op == "-":
-        def sub(a: int, b: int) -> int:
-            return arith_result(conv(a) - conv(b))
-        return sub, common
-    if op == "*":
-        def mul(a: int, b: int) -> int:
-            return arith_result(conv(a) * conv(b))
-        return mul, common
-    if op in ("/", "%"):
-        is_div = op == "/"
-
-        def divmod_(a: int, b: int) -> int:
-            a = conv(a)
-            b = conv(b)
-            if b == 0:
-                if check_arithmetic:
-                    raise UndefinedBehaviorError(
-                        UBKind.DIVISION_BY_ZERO,
-                        "Division or modulus by zero.",
-                        line=line,
-                    )
-                return 0
-            quotient = abs(a) // abs(b)
-            if (a < 0) != (b < 0):
-                quotient = -quotient
-            if is_div:
-                return arith_result(quotient)
-            return arith_result(a - quotient * b)
-        return divmod_, common
-    if op in ("&", "|", "^"):
-        import operator as _operator
-        bitop = {"&": _operator.and_, "|": _operator.or_, "^": _operator.xor}[op]
-
-        def bitwise(a: int, b: int) -> int:
-            return arith_result(bitop(conv(a), conv(b)), overflow_possible=False)
-        return bitwise, common
-    if op in ("<<", ">>"):
-        is_left = op == "<<"
-
-        def shift(a: int, b: int) -> int:
-            a = conv(a)
-            b = conv(b)
-            if check_arithmetic and (b < 0 or b >= bits):
-                raise UndefinedBehaviorError(
-                    UBKind.SHIFT_TOO_FAR,
-                    f"Shift amount {b} is negative or >= width of the type "
-                    f"({bits} bits).",
-                    line=line,
-                )
-            b = max(0, min(b, bits - 1))
-            if is_left:
-                if check_arithmetic and signed and a < 0:
-                    raise UndefinedBehaviorError(
-                        UBKind.SHIFT_NEGATIVE,
-                        "Left shift of a negative value.",
-                        line=line,
-                    )
-                result = a << b
-                if signed and check_arithmetic and not lo <= result <= hi:
-                    raise UndefinedBehaviorError(
-                        UBKind.SHIFT_OVERFLOW,
-                        f"Left shift of {a} by {b} overflows {common}.",
-                        line=line,
-                    )
-                return arith_result(result, overflow_possible=not signed)
-            return a >> b
-        return shift, common
-    return None
-
-
-def raw_unary_plan(op: str, operand_type: ct.CType, options: CheckerOptions, line: int):
-    """Raw plan for unary ``+``/``-``/``~`` (promote, operate, overflow-check).
-
-    Returns ``(plan, promoted_type)`` or None.  Mirrors the lowered
-    ``run_arith`` path: ``_promote`` then ``_arith_result`` on the promoted
-    type — the overflow message names the promoted type.
-    """
-    if not isinstance(operand_type, _FLAT_INT_TYPES):
-        return None
-    profile = options.profile
-    promoted = ct.promote_integer(operand_type, profile)
-    if not isinstance(promoted, _FLAT_INT_TYPES):
-        return None
-    to_promoted = raw_conversion_plan(promoted, profile)
-    if to_promoted is None:
-        return None
-    lo, hi = ct.integer_range(promoted, profile)
-    bits = ct.integer_bits(promoted, profile)
-    signed = ct.is_signed_type(promoted, profile)
-    mask = (1 << bits) - 1
-    half = 1 << (bits - 1)
-    check_arithmetic = options.check_arithmetic
-    result_type = promoted.unqualified()
-
-    def arith_result(value: int) -> int:
-        if lo <= value <= hi:
-            return value
-        if signed:
-            if check_arithmetic:
-                raise UndefinedBehaviorError(
-                    UBKind.SIGNED_OVERFLOW,
-                    f"Signed integer overflow: result {value} does not fit in "
-                    f"{result_type}.",
-                    line=line,
-                )
-            wrapped = value & mask
-            if wrapped >= half:
-                wrapped -= 1 << bits
-            return wrapped
-        return value & mask
-
-    if op == "+":
-        return to_promoted, result_type
-    if op == "-":
-        def negate(value: int) -> int:
-            return arith_result(-to_promoted(value))
-        return negate, result_type
-    if op == "~":
-        def invert(value: int) -> int:
-            return arith_result(~to_promoted(value))
-        return invert, result_type
-    return None
-
-
-def raw_incdec_plan(delta: int, var_type: ct.CType, options: CheckerOptions, line: int):
-    """Raw plan for ``++``/``--`` on a register variable.
-
-    Composes promote -> ``_arith_result(value + delta)`` at the promoted
-    type -> conversion back to the variable type, exactly the lowered
-    ``run_incdec_ident`` integer path.
-    """
-    if not isinstance(var_type, _FLAT_INT_TYPES):
-        return None
-    profile = options.profile
-    promoted = ct.promote_integer(var_type, profile)
-    if not isinstance(promoted, _FLAT_INT_TYPES):
-        return None
-    to_promoted = raw_conversion_plan(promoted, profile)
-    to_var = raw_conversion_plan(var_type, profile)
-    if to_promoted is None or to_var is None:
-        return None
-    lo, hi = ct.integer_range(promoted, profile)
-    bits = ct.integer_bits(promoted, profile)
-    signed = ct.is_signed_type(promoted, profile)
-    mask = (1 << bits) - 1
-    half = 1 << (bits - 1)
-    check_arithmetic = options.check_arithmetic
-    promoted_type = promoted.unqualified()
-
-    def plan(value: int) -> int:
-        result = to_promoted(value) + delta
-        if not lo <= result <= hi:
-            if signed:
-                if check_arithmetic:
-                    raise UndefinedBehaviorError(
-                        UBKind.SIGNED_OVERFLOW,
-                        f"Signed integer overflow: result {result} does not fit "
-                        f"in {promoted_type}.",
-                        line=line,
-                    )
-                result = result & mask
-                if result >= half:
-                    result -= 1 << bits
-            else:
-                result = result & mask
-        return to_var(result)
-    return plan
-
-
-# ---------------------------------------------------------------------------
-# Compile-time variable model
-# ---------------------------------------------------------------------------
-
 _POINTEES = _FLAT_INT_TYPES + (ct.VoidType,)
 
 
@@ -585,27 +302,11 @@ def _native_pointer(ctype) -> bool:
     return isinstance(ctype, ct.PointerType) and isinstance(ctype.pointee, _POINTEES)
 
 
-def _access_facts(elem: ct.CType, profile: ct.ImplementationProfile):
-    """``(size, smode, info)`` of a flat-integer access at type ``elem``.
-
-    ``info`` is everything vm's slow paths need to rebuild the exact
-    lowered access: the element type followed by the lowered access plan
-    (size, alignment, uninit flag, const flag, integer conversion).
-    """
-    size = ct.size_of(elem, profile)
+def _smode(elem: ct.CType, profile: ct.ImplementationProfile) -> int:
+    """How a load decodes the bytes of the flat integer type ``elem``."""
     if isinstance(elem, ct.BoolType):
-        smode = _SMODE_BOOL
-    elif ct.is_signed_type(elem, profile):
-        smode = _SMODE_SIGNED
-    else:
-        smode = _SMODE_UNSIGNED
-    uninit = elem.is_scalar and not ct.is_character_type(elem)
-    try:
-        align = ct.align_of(elem, profile)
-    except ct.LayoutError:
-        align = 1
-    conversion = _int_conversion_plan(elem, profile)
-    return size, smode, (elem, size, align, uninit, elem.const, conversion)
+        return _SMODE_BOOL
+    return _SMODE_SIGNED if ct.is_signed_type(elem, profile) else _SMODE_UNSIGNED
 
 
 class _RegVar:
@@ -648,7 +349,11 @@ class _MemVar:
         elem = ctype.element if self.is_array else ctype
         self.elem = elem
         self.length = ctype.length if self.is_array else None
-        self.esize, self.smode, self.info = _access_facts(elem, profile)
+        # What vm's slow paths need to rebuild the exact access: the element
+        # type followed by its access plan.
+        self.info = (elem,) + access_plan(elem, profile)
+        self.esize = self.info[1]
+        self.smode = _smode(elem, profile)
 
 
 #: The unqualified integer types the parser interns (``ct.INT``, ...; not
@@ -675,9 +380,9 @@ class _Pointee:
         if elem.is_void:
             self.scale = 1  # _pointer_add's step for void * (GNU semantics)
             return
-        size, smode, self.info = _access_facts(elem, profile)
-        self.scale = size
-        self.signed = smode == _SMODE_SIGNED
+        self.info = (elem,) + access_plan(elem, profile)
+        size = self.scale = self.info[1]
+        self.signed = _smode(elem, profile) == _SMODE_SIGNED
         self.mask = (1 << (size * 8)) - 1
         # Qualifiers do not change a load (aliasing ignores them); a store
         # through a const lvalue, like any _Bool access, takes the checked
@@ -703,7 +408,7 @@ class _Value:
         self.reg = reg
         self.ctype = ctype  # None: void (discard-only)
         self.read_msg = read_msg  # uninit-read message of a direct var read
-        self.read_line = read_line  # the read site (where lowered reports)
+        self.read_line = read_line  # the read site (where the walker reports)
         # False when the run-time value's type may differ from ``ctype`` (a
         # builtin's pointer result): only a conversion may consume it.
         self.exact = exact
@@ -742,7 +447,7 @@ class _FnCompiler:
         defined: set,
         options: CheckerOptions,
         order_mode: int,
-        L: LoweringContext,
+        folder: _FoldContext,
     ) -> None:
         self.definition = definition
         self.unit_globals = unit_globals  # name -> CType (objects)
@@ -752,7 +457,7 @@ class _FnCompiler:
         self.options = options
         self.profile = options.profile
         self.order_mode = order_mode
-        self.L = L
+        self.folder = folder
         self.code: list = []
         self.scopes: list[dict] = [{}]
         self.n_regs = 0
@@ -814,7 +519,7 @@ class _FnCompiler:
         self.emit((OP_JNZ, value.reg, label, line, value.read_msg, value.read_line))
 
     def emit_seqpt(self) -> None:
-        """A lowered ``memory.sequence_point()`` site."""
+        """A walker ``memory.sequence_point()`` site."""
         if self.dirty:
             self.emit((OP_SEQPT,))
             self.dirty = False
@@ -828,7 +533,7 @@ class _FnCompiler:
         while nothing between the read site and the consumer can raise.
         When a potentially raising instruction was emitted after ``mark``
         (the end of the read's own stream) — a sibling operand with a
-        bounds check, a folded-UB raise, a call — the lowered engine would
+        bounds check, a folded-UB raise, a call — the walker would
         report the read *first*, so insert the check eagerly at ``mark``.
         """
         if value.read_msg is None or not self.check_uninit:
@@ -841,7 +546,7 @@ class _FnCompiler:
     def protect_deref(self, value: _Value, mark: int, line: int) -> None:
         """``protect_read`` for a pointer about to be dereferenced by a store.
 
-        The lowered engine resolves a store's target (reading the pointer
+        The walker resolves a store's target (reading the pointer
         and checking it is dereferenceable) before evaluating the stored
         value; when code emitted since ``mark`` can raise, check both at
         ``mark``.
@@ -899,7 +604,7 @@ class _FnCompiler:
 
     # -- static sequencing of register operations --------------------------
     #
-    # The lowered engine detects unsequenced conflicts through the byte
+    # The walker detects unsequenced conflicts through the byte
     # locations of *memory* writes.  Register variables never touch memory
     # here, so conflicts between register operations are resolved at compile
     # time instead: a read or write of a register written earlier in the
@@ -979,7 +684,7 @@ class _FnCompiler:
                 scope[name] = _BAD
         entry = len(self.code)
         # The function-body compound charges no step and pushes no scope
-        # (LoweredFunction.run_body runs it with new_scope=False).
+        # (the walker runs it with new_scope=False).
         for item in definition.body.items:
             self.compile_block_item(item)
         self.flush_steps()
@@ -1025,7 +730,7 @@ class _FnCompiler:
         if isinstance(item, c_ast.Declaration):
             self.compile_declaration(item)
         elif isinstance(item, c_ast.StaticAssert):
-            self.pending_steps += 1  # lowered charges the node, then no-ops
+            self.pending_steps += 1  # the walker charges the node, then no-ops
         elif isinstance(item, c_ast.Statement):
             self.compile_statement(item)
         else:
@@ -1046,7 +751,7 @@ class _FnCompiler:
 
     def _discard_check(self, value: _Value, expr) -> None:
         """A discarded value whose computation was a bare variable read still
-        raises the lowered uninitialized-read error; check it explicitly."""
+        raises the walker's uninitialized-read error; check it explicitly."""
         if value.read_msg is not None and self.check_uninit:
             self.emit((OP_RDCHK, value.reg, value.read_msg, value.read_line))
 
@@ -1207,7 +912,7 @@ class _FnCompiler:
         self.emit((OP_RET, value.reg, value.ctype, value.read_msg, value.read_line))
 
     def stmt_static_assert(self, stmt: c_ast.StaticAssert) -> None:
-        self.pending_steps += 1  # lowered charges the node, then no-ops
+        self.pending_steps += 1  # the walker charges the node, then no-ops
 
     _STMTS = {}
 
@@ -1296,7 +1001,7 @@ class _FnCompiler:
 
     def compile_expr(self, expr, discard: bool = False) -> _Value:
         try:
-            folded = _try_fold(expr, self.L)
+            folded = _try_fold(expr, self.folder)
         except _FoldUB as fold_error:
             self.pending_steps += _subtree_step_cost(expr)
             self.flush_steps()
@@ -1535,7 +1240,7 @@ class _FnCompiler:
         dst = self.new_reg()
         left_ptr = _native_pointer(left.ctype)
         right_ptr = _native_pointer(right.ctype)
-        if op in _RELATIONAL:
+        if op in _OFFSET_COMPARE:
             for value in (left, right):
                 if _native_pointer(value.ctype):
                     self._require_pointer(value)
@@ -1842,7 +1547,7 @@ class _FnCompiler:
         return _Value(converted.reg, facts.elem.unqualified())
 
     def _compile_store_target(self, target) -> _Value:
-        """The pointer a store writes through, resolved like the lowered
+        """The pointer a store writes through, resolved like the walker's
         lvalue: ``*e`` evaluates ``e``; ``p[i]`` also adds (and checks) the
         index before the stored value is evaluated."""
         if isinstance(target, c_ast.UnaryOp):
@@ -2058,7 +1763,7 @@ class _FnCompiler:
         if not isinstance(function, c_ast.Identifier):
             raise _Unsupported("call through a non-identifier designator")
         name = function.name
-        # Compile-time designator resolution mirroring the lowered resolve:
+        # Compile-time designator resolution mirroring the walker's call:
         # a local or global *object* shadowing the name forces the function-
         # pointer path (unsupported); a unit function or builtin resolves.
         for scope in reversed(self.scopes):
@@ -2069,7 +1774,7 @@ class _FnCompiler:
         ftype = self.unit_functions.get(name)
         if ftype is None:
             if name not in BUILTIN_FUNCTIONS:
-                # Undeclared: the lowered engine reports at run time, with
+                # Undeclared: the walker reports at run time, with
                 # argument evaluation unreached; fall back to preserve that.
                 raise _Unsupported(f"call to undeclared '{name}'")
         self.pending_steps += 1
@@ -2203,10 +1908,16 @@ def compile_unit_bytecode(
     functions: dict[str, FnCode] = {}
     fallbacks: dict[str, str] = {}
     defined = {definition.name for definition in definitions}
-    L = LoweringContext(options)
+    folder = _FoldContext(options)
     for definition in definitions:
         compiler = _FnCompiler(
-            definition, unit_globals, unit_functions, defined, options, order_mode, L
+            definition,
+            unit_globals,
+            unit_functions,
+            defined,
+            options,
+            order_mode,
+            folder,
         )
         try:
             functions[definition.name] = compiler.compile()

@@ -56,15 +56,15 @@ class CheckerOptions:
     max_call_depth: int = 400
     max_heap_objects: int = 100_000
 
-    #: Use the lowered closure-tree fast path for the dynamic stage
-    #: (:mod:`repro.core.lowering`).  Verdicts are identical either way (held
-    #: to by the differential tests); turning it off (``--no-lowering`` on
-    #: the CLI) falls back to the legacy recursive AST walker.
+    #: Leave the walker for the selected :attr:`engine` in the dynamic
+    #: stage.  Verdicts are identical either way (held to by the
+    #: differential tests); turning it off (``--no-lowering`` on the CLI)
+    #: runs the reference recursive AST walker whatever ``engine`` says.
     enable_lowering: bool = True
 
     #: Dynamic-stage engine: ``"compiled"`` (flat register bytecode on the
-    #: VM of :mod:`repro.core.vm`, falling back per function to the lowered
-    #: closures), ``"lowered"`` (closure trees only), or ``"walker"`` (the
+    #: VM of :mod:`repro.core.vm`, falling back per function to the
+    #: walker), ``"lowered"`` (closure trees only), or ``"walker"`` (the
     #: reference recursive AST walker).  Verdicts are identical across all
     #: three (held to by the three-way differential matrix in
     #: ``tests/core/test_engine_matrix.py``).  The setting governs

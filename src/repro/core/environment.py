@@ -39,13 +39,14 @@ class ObjectBinding:
     type: ct.CType
     is_const: bool = False
     #: Memoized lvalue for this binding (base and type never change once the
-    #: object exists), filled in by the lowered fast path so identifier reads
-    #: do not rebuild the pointer dataclasses on every access.
+    #: object exists), filled in by the planned identifier accesses of
+    #: :mod:`repro.core.plans` so identifier reads do not rebuild the
+    #: pointer dataclasses on every access.
     cached_lvalue: Optional[LValue] = field(default=None, repr=False, compare=False)
-    #: Memoized access plan (see :mod:`repro.core.lowering`): pre-derived
-    #: load/store facts — access size, uninitialized-read applicability,
-    #: const-ness, pre-selected integer conversion — for this binding.
-    access_plan: Optional[tuple] = field(default=None, repr=False, compare=False)
+    #: Memoized access plan (see :func:`repro.core.plans._binding_access_plan`):
+    #: the scalar access plan of the binding's type, an array's decayed
+    #: pointer, or a marker for the generic read/write path.
+    access_plan: Optional[object] = field(default=None, repr=False, compare=False)
 
 
 @dataclass

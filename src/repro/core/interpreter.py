@@ -130,7 +130,7 @@ class Interpreter(ExpressionEvaluatorMixin, StatementExecutorMixin):
         #: Compiled register-bytecode of the unit
         #: (:class:`repro.core.bytecode.CompiledProgram`), or None.  Functions
         #: present in ``compiled.functions`` run on the VM; everything else
-        #: falls back to the lowered closures (or the walker).
+        #: runs on the walker.
         self.compiled = compiled
         #: Attached :class:`repro.events.ProbeSet`, or None (the common case).
         #: Set via :meth:`attach_probes`; every emission site is guarded on it.

@@ -93,9 +93,9 @@ class CompiledUnit:
     static_violations: list[StaticViolation] = field(default_factory=list)
     parse_error: Optional[str] = None
     profile: Optional[ct.ImplementationProfile] = None
-    #: Lazily computed lowered IRs, keyed by options.  Constant folding
-    #: honors the check flags, so one unit may carry one lowered form per
-    #: checker configuration that runs it.
+    #: Lazily computed lowered IRs (``engine="lowered"`` only), keyed by
+    #: options.  Constant folding honors the check flags, so one unit may
+    #: carry one lowered form per checker configuration that runs it.
     _lowered: dict = field(default_factory=dict, repr=False, compare=False)
     #: Lazily computed register-bytecode programs, keyed by options.
     _bytecode: dict = field(default_factory=dict, repr=False, compare=False)
@@ -109,11 +109,12 @@ class CompiledUnit:
         """The lowered IR of this unit for ``options`` (memoized): one IR
         per options, folded, fixed-order and free of event emission.
 
-        Only unobserved fixed-order runs execute it; runs whose probes
-        subscribe to events and every evaluation-order search run on the
-        walker.  Returns None when there is nothing to lower (parse
-        failure).  A defect in the lowering itself propagates: it is a bug
-        to fix, not a silent fallback to the walker.
+        Only unobserved fixed-order runs under ``engine="lowered"`` execute
+        it; runs whose probes subscribe to events and every
+        evaluation-order search run on the walker.  This is the one place
+        that loads :mod:`repro.core.lowering`.  Returns None when there is
+        nothing to lower (parse failure).  A defect in the lowering itself
+        propagates: it is a bug to fix, not a silent fallback to the walker.
         """
         if self.unit is None:
             return None
@@ -128,7 +129,7 @@ class CompiledUnit:
 
         Functions outside the compiler's native subset are absent from the
         returned program, with their reasons in its ``fallbacks``, and run
-        on the lowered closures instead.  A defect in the compiler itself
+        on the walker instead.  A defect in the compiler itself
         propagates: it is a bug to fix, not a fallback.
         """
         if self.unit is None:
@@ -263,7 +264,8 @@ class KccTool:
 
         A run whose probes subscribe to events, observed runs included,
         goes to the walker whatever ``engine`` says; probes that subscribe
-        to nothing keep the selected engine.
+        to nothing keep the selected engine.  Under ``engine="compiled"``
+        the functions the VM cannot compile run on the walker.
         """
         if probes and self.search_evaluation_order:
             raise ValueError("probes cannot observe an evaluation-order search; "
@@ -301,7 +303,7 @@ class KccTool:
             if probes and _probes_need_events(probes):
                 engine = "walker"
             lowered = (compiled.lowered_for(self.options)
-                       if engine != "walker" else None)
+                       if engine == "lowered" else None)
             native = (compiled.compiled_for(self.options)
                       if engine == "compiled" else None)
             outcome, result = self._run_once(compiled.unit, argv=argv, stdin=stdin,
@@ -494,24 +496,16 @@ class KccTool:
 
         from repro.service.pool import run_staged
 
-        strategy = ScriptedStrategy()
-        strategy.reset()
-        root_outcome = host.run_scripted(strategy)
-        # The root run takes the default (first) alternative everywhere;
-        # record its script explicitly so shard paths and serial paths
-        # carry comparable decision vectors.
-        root_outcome.script = tuple([0] * len(strategy.observed_arity))
+        root_outcome, scripts = host.expand_root()
         serial = _dc.replace(search, jobs=1)
         result = SearchResult()
         result.paths.append(root_outcome)
         result.full_executions = 1
         if root_outcome.undefined and search.stop_at_first:
-            pending = expand_scripts((), strategy.observed_arity)
-            if pending:
+            if scripts:
                 result.stop_reason = STOP_FIRST_UNDEFINED
-                result.skipped_alternatives = len(pending)
+                result.skipped_alternatives = len(scripts)
             return result
-        scripts = expand_scripts((), strategy.observed_arity)
         if not scripts:
             return result
         from repro.kframework.engine import shard_scripts
@@ -520,7 +514,7 @@ class KccTool:
         shards = shard_scripts(scripts, jobs)
         header = (compiled.source, compiled.filename, self.options,
                   host.argv, host.stdin, serial)
-        shard_results = run_staged(_search_shard, header, shards,
+        shard_results = run_staged(run_search_shard, header, shards,
                                    jobs=len(shards), chunksize=1)
         for shard_result in shard_results:
             result.absorb(shard_result)
@@ -593,11 +587,19 @@ class _SearchHost:
             return entry[1]
         return None
 
-    def run_scripted(self, strategy: ScriptedStrategy) -> PathOutcome:
-        """Run one scripted order outside the engine (the parallel root run)."""
+    def expand_root(self) -> tuple[PathOutcome, list[tuple[int, ...]]]:
+        """Run the root order outside the engine; return its outcome and
+        every sibling script diverging from it.
+
+        The root run takes the default (first) alternative everywhere; its
+        outcome carries that all-zeros script explicitly, so shard paths
+        and serial paths carry comparable decision vectors.
+        """
+        strategy = ScriptedStrategy()
+        strategy.reset()
         outcome = self.run(self.new_interpreter(strategy))
-        outcome.script = tuple(strategy.decisions)
-        return outcome
+        outcome.script = tuple([0] * len(strategy.observed_arity))
+        return outcome, expand_scripts((), strategy.observed_arity)
 
 
 def run_search_shard(header: tuple, scripts) -> SearchResult:
@@ -624,11 +626,6 @@ def run_search_shard(header: tuple, scripts) -> SearchResult:
     return engine.run()
 
 
-#: Backward-compatible name; the staged-submission callers pickle by
-#: reference, so both names resolve to the same function object.
-_search_shard = run_search_shard
-
-
 def search_root_expansion(source: str, *, filename: str = "<input>",
                           options: CheckerOptions = DEFAULT_OPTIONS,
                           argv: Optional[list[str]] = None,
@@ -636,11 +633,12 @@ def search_root_expansion(source: str, *, filename: str = "<input>",
                                                     list[tuple[int, ...]]]:
     """Run a program's root evaluation order; return (root script, siblings).
 
-    This is the discovery step of :meth:`KccTool._parallel_search`, exposed
-    so the campaign partitioner can turn one search into relocatable root
-    shards: the root script (the all-defaults decision vector) plus every
-    sibling script diverging from it.  Deterministic for a given program
-    and options — the same partition on every machine.
+    This is the discovery step of :meth:`KccTool._parallel_search`
+    (:meth:`_SearchHost.expand_root`), exposed so the campaign partitioner
+    can turn one search into relocatable root shards: the root script (the
+    all-defaults decision vector) plus every sibling script diverging from
+    it.  Deterministic for a given program and options — the same
+    partition on every machine.
     """
     from repro.api.session import compile_shared, tool_for
 
@@ -651,12 +649,8 @@ def search_root_expansion(source: str, *, filename: str = "<input>",
             f"cannot search {filename}: program does not compile"
         )
     host = _SearchHost(tool, compiled, argv=argv, stdin=stdin or "")
-    strategy = ScriptedStrategy()
-    strategy.reset()
-    host.run_scripted(strategy)
-    root_script = tuple([0] * len(strategy.observed_arity))
-    scripts = expand_scripts((), strategy.observed_arity)
-    return root_script, scripts
+    root, scripts = host.expand_root()
+    return root.script, scripts
 
 
 # ---------------------------------------------------------------------------

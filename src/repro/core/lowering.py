@@ -1,4 +1,4 @@
-"""Lowering pass: compile the AST once into a closure tree (the fast path).
+"""Lowering pass: compile the AST once into a closure tree (``engine="lowered"``).
 
 The legacy dynamic stage (:mod:`repro.core.eval_expr` /
 :mod:`repro.core.eval_stmt`) re-dispatches on every AST node at every step:
@@ -6,7 +6,9 @@ The legacy dynamic stage (:mod:`repro.core.eval_expr` /
 repeated for every loop iteration of the checked program.  This module removes
 that overhead the way pre-compiled monitor representations do in runtime
 verification: each node is resolved **once**, at compile time, into a Python
-closure, and the closures call each other directly.
+closure, and the closures call each other directly.  Only
+``engine="lowered"`` runs the closures; the compiled engine falls back to the
+walker.
 
 What is resolved at lowering time:
 
@@ -14,11 +16,13 @@ What is resolved at lowering time:
   (``_EXPR_LOWERERS`` / ``_STMT_LOWERERS`` dispatch tables) instead of an
   f-string + ``getattr`` per node per execution;
 * **constant folding** — pure integer constant subexpressions are evaluated
-  once, through the *same* arithmetic rules as the runtime
-  (:class:`_FoldContext` reuses :class:`ExpressionEvaluatorMixin`), so a UB
-  hit during folding (``INT_MAX + 1``, ``1/0``, an overflowing constant cast)
-  becomes a closure that raises the identical catalogued error if and when
-  the expression is actually reached;
+  once by :func:`repro.core.plans._try_fold`, through the *same* arithmetic
+  rules as the runtime, so a UB hit during folding (``INT_MAX + 1``,
+  ``1/0``, an overflowing constant cast) becomes a closure that raises the
+  identical catalogued error if and when the expression is actually reached;
+* **operation plans** — integer arithmetic, conversions and scalar accesses
+  use the plans of :mod:`repro.core.plans`, derived once per site and
+  operand types; the closures box the raw results;
 * **identifier access** — the ``LValue`` (pointer + type) for an object
   binding is built once and memoized on the binding itself
   (:attr:`ObjectBinding.cached_lvalue`), instead of reconstructing the
@@ -42,7 +46,6 @@ verdict equality over the whole ubsuite and the Juliet sample.
 
 from __future__ import annotations
 
-import operator
 from typing import Callable, Optional
 
 from repro.cfront import ast as c_ast
@@ -58,16 +61,26 @@ from repro.core.environment import (
     LValue,
     ReturnSignal,
 )
-from repro.core.eval_expr import ExpressionEvaluatorMixin
+from repro.core.plans import (
+    _binding_access_plan,
+    _binding_lvalue,
+    _FoldContext,
+    _FoldUB,
+    _read_binding,
+    _read_with_plan,
+    _subtree_step_cost,
+    _try_fold,
+    _write_binding,
+    _write_with_plan,
+    access_plan,
+    raw_binary_plan,
+)
 from repro.core.values import (
     CValue,
     FloatValue,
-    IndeterminateValue,
     IntValue,
     PointerValue,
     StructValue,
-    decode_value,
-    encode_value,
 )
 from repro.errors import (
     ResourceLimitError,
@@ -102,398 +115,9 @@ class LoweringContext:
         self.folder = _FoldContext(options)
 
 
-class _FoldContext(ExpressionEvaluatorMixin):
-    """A compile-time evaluator for constant expressions.
-
-    It inherits the *actual* runtime arithmetic rules — ``apply_binary``,
-    ``_arith_result``, ``_shift`` and friends from
-    :class:`ExpressionEvaluatorMixin` only touch ``self.options`` /
-    ``self.profile`` / ``self.pointer_registry`` — so whatever a constant
-    expression would do at run time (including raising a catalogued
-    :class:`UndefinedBehaviorError`) it does identically at fold time.
-    """
-
-    def __init__(self, options: CheckerOptions) -> None:
-        self.options = options
-        self.profile = options.profile
-        self.pointer_registry: dict[int, PointerValue] = {}
-        self.events = None  # folding is never observed by probes
-
-
-#: Binary operators that are safe to fold over integer constants.  ``&&`` and
-#: ``||`` are excluded: they sequence their operands (a fold would erase the
-#: sequence point the legacy walker performs).
-_FOLDABLE_BINARY_OPS = frozenset(
-    ["+", "-", "*", "/", "%", "<<", ">>", "&", "|", "^",
-     "==", "!=", "<", ">", "<=", ">="])
-
-_FOLDABLE_UNARY_OPS = frozenset(["+", "-", "~", "!"])
-
-
-class _FoldUB(Exception):
-    """A constant expression turned out undefined while folding.
-
-    Folding must not report the error at compile time — the expression might
-    be dynamically unreachable (``if (0) { int x = 1/0; }`` is a defined
-    program) — so the error's identity is captured and re-raised by the
-    lowered closure if execution actually reaches the node.
-    """
-
-    def __init__(self, error: UndefinedBehaviorError) -> None:
-        self.kind = error.kind
-        self.message = error.message
-        self.line = error.line
-        super().__init__(error.message)
-
-
-def _try_fold(expr: c_ast.Expression, L: LoweringContext) -> Optional[IntValue]:
-    """Fold ``expr`` to an :class:`IntValue`, or return None if not constant.
-
-    Raises :class:`_FoldUB` when the expression is constant but undefined
-    under the current options (the UB-on-fold case).
-    """
-    folder = L.folder
-    if isinstance(expr, c_ast.IntegerLiteral):
-        return IntValue(expr.value, expr.type or ct.INT)
-    if isinstance(expr, c_ast.CharLiteral):
-        return IntValue(expr.value, ct.INT)
-    if isinstance(expr, c_ast.SizeofType):
-        try:
-            return IntValue(ct.size_of(expr.type_name, L.profile), ct.ULONG)
-        except ct.LayoutError as exc:
-            raise _FoldUB(UndefinedBehaviorError(
-                UBKind.INCOMPLETE_TYPE_OBJECT, f"sizeof: {exc}", line=expr.line))
-    if isinstance(expr, c_ast.UnaryOp) and expr.op in _FOLDABLE_UNARY_OPS:
-        operand = _try_fold(expr.operand, L)
-        if operand is None:
-            return None
-        line = expr.line
-        try:
-            if expr.op == "!":
-                return IntValue(
-                    0 if to_boolean(operand, L.options, line=line) else 1, ct.INT)
-            promoted = folder._promote(operand)
-            assert isinstance(promoted, IntValue)
-            if expr.op == "+":
-                return promoted
-            if expr.op == "-":
-                return folder._arith_result(-promoted.value, promoted.type, line)
-            return folder._arith_result(~promoted.value, promoted.type, line)
-        except UndefinedBehaviorError as error:
-            raise _FoldUB(error)
-    if isinstance(expr, c_ast.BinaryOp) and expr.op in _FOLDABLE_BINARY_OPS:
-        left = _try_fold(expr.left, L)
-        if left is None:
-            return None
-        right = _try_fold(expr.right, L)
-        if right is None:
-            return None
-        try:
-            result = folder.apply_binary(expr.op, left, right, expr.line)
-        except UndefinedBehaviorError as error:
-            raise _FoldUB(error)
-        except UnsupportedFeatureError:
-            return None
-        return result if isinstance(result, IntValue) else None
-    if isinstance(expr, c_ast.Cast) and expr.target_type is not None \
-            and expr.target_type.is_integer and not isinstance(expr.operand, c_ast.InitList):
-        operand = _try_fold(expr.operand, L)
-        if operand is None:
-            return None
-        try:
-            converted = convert(operand, expr.target_type, L.options, line=expr.line,
-                                explicit=True, pointer_registry=folder.pointer_registry)
-        except UndefinedBehaviorError as error:
-            raise _FoldUB(error)
-        return converted if isinstance(converted, IntValue) else None
-    return None
-
-
-# ---------------------------------------------------------------------------
-# Pre-selected operation plans
-# ---------------------------------------------------------------------------
-#
-# The legacy walker re-derives, on every single evaluation, facts that are a
-# pure function of the operand *types*: the common type of a binary operation,
-# the representable range it overflows at, which conversion applies, how many
-# bytes an identifier load moves.  The plans below compute those facts once
-# per (site, type) pair and capture them in a specialized closure.  Plans are
-# built from the same :mod:`repro.cfront.ctypes` rules the generic helpers
-# use, and every raise reproduces the generic helper's error kind and message
-# verbatim — the differential test suite holds the two to verdict equality.
-
-#: Types whose equality/hash is structural (no nominal tag): safe keys for
-#: process-wide plan caches.
-_FLAT_INT_TYPES = (ct.IntType, ct.BoolType)
-
-
-class IntTypeFacts:
-    """Pre-derived representation facts of one flat integer type.
-
-    This is the single source of truth for "what can this type hold":
-    the representable range, the bit width, the wrap mask, and the sign
-    threshold.  The concrete plans below capture these numbers in
-    specialized closures; the abstract evaluator (:mod:`repro.symbolic`)
-    consumes the *same* facts objects for its interval containment and
-    emptiness tests, so a concrete overflow check and the symbolic proof
-    of its absence can never disagree about the bounds.
-    """
-
-    __slots__ = ("type", "lo", "hi", "bits", "signed", "mask", "half")
-
-    def __init__(self, result_type: ct.CType, lo: int, hi: int, bits: int,
-                 signed: bool, mask: int, half: int) -> None:
-        self.type = result_type
-        self.lo = lo
-        self.hi = hi
-        self.bits = bits
-        self.signed = signed
-        self.mask = mask
-        self.half = half
-
-    def wrap(self, value: int) -> int:
-        """``conversions._int_to_int`` on the value alone (no IntValue)."""
-        if self.lo <= value <= self.hi:
-            return value
-        wrapped = value & self.mask
-        if self.signed and wrapped >= self.half:
-            wrapped -= 1 << self.bits
-        return wrapped
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (f"IntTypeFacts({self.type}, [{self.lo}, {self.hi}], "
-                f"bits={self.bits}, signed={self.signed})")
-
-
-_INT_TYPE_FACTS: dict = {}
-
-
-def int_type_facts(target: ct.CType,
-                   profile: ct.ImplementationProfile) -> Optional[IntTypeFacts]:
-    """The :class:`IntTypeFacts` of a flat integer type (process-wide memo).
-
-    None for anything that is not a plain :class:`ct.IntType` (records,
-    pointers, floats, ``_Bool`` — the latter converts by ``!= 0``, not by
-    wrapping, so it has no wrap facts).
-    """
-    if not isinstance(target, ct.IntType) or isinstance(target, ct.BoolType):
-        return None
-    key = (target, profile)
-    facts = _INT_TYPE_FACTS.get(key)
-    if facts is None and key not in _INT_TYPE_FACTS:
-        lo, hi = ct.integer_range(target, profile)
-        bits = ct.integer_bits(target, profile)
-        signed = ct.is_signed_type(target, profile)
-        facts = IntTypeFacts(target.unqualified(), lo, hi, bits, signed,
-                             (1 << bits) - 1, 1 << (bits - 1))
-        if len(_INT_TYPE_FACTS) < 65536:
-            _INT_TYPE_FACTS[key] = facts
-    return facts
-
-
-class IntBinaryFacts:
-    """Pre-derived facts of one integer binary-operation site.
-
-    ``common`` carries the usual-arithmetic-conversions result type's
-    representation facts; ``check_arithmetic`` whether the site's overflow /
-    shift / division side conditions are armed.  Shared verbatim between the
-    concrete closure plans and the abstract transfer functions.
-    """
-
-    __slots__ = ("op", "common", "check_arithmetic", "line")
-
-    def __init__(self, op: str, common: IntTypeFacts, check_arithmetic: bool,
-                 line: int) -> None:
-        self.op = op
-        self.common = common
-        self.check_arithmetic = check_arithmetic
-        self.line = line
-
-
-def int_binary_facts(op: str, left_type: ct.CType, right_type: ct.CType,
-                     options: CheckerOptions,
-                     line: int = 0) -> Optional[IntBinaryFacts]:
-    """Facts of a binary site over two flat integer operand types, or None.
-
-    None exactly when :func:`_int_binary_plan` would decline the site:
-    non-flat operand types, or a common type that is not a plain integer
-    type — those stay on the generic checked path (concretely) and are
-    INCONCLUSIVE territory (symbolically).
-    """
-    if not isinstance(left_type, _FLAT_INT_TYPES) or \
-            not isinstance(right_type, _FLAT_INT_TYPES):
-        return None
-    profile = options.profile
-    try:
-        common = ct.usual_arithmetic_conversions(left_type, right_type, profile)
-    except (TypeError, AssertionError):
-        return None
-    facts = int_type_facts(common, profile)
-    if facts is None:
-        return None
-    return IntBinaryFacts(op, facts, options.check_arithmetic, line)
-
-
-_INT_CONV_PLANS: dict = {}
-
-
-def _int_conversion_plan(target: ct.CType, profile: ct.ImplementationProfile):
-    """A ``int -> IntValue`` closure replicating ``conversions._int_to_int``
-    for a fixed integer target type, or None if the target is not planable."""
-    if not isinstance(target, _FLAT_INT_TYPES):
-        return None
-    key = (target, profile)
-    plan = _INT_CONV_PLANS.get(key)
-    if plan is None and key not in _INT_CONV_PLANS:
-        if isinstance(target, ct.BoolType):
-            def plan(value: int) -> IntValue:
-                return IntValue(1 if value != 0 else 0, ct.BOOL)
-        else:
-            facts = int_type_facts(target, profile)
-            lo, hi = facts.lo, facts.hi
-            bits, signed = facts.bits, facts.signed
-            mask, half = facts.mask, facts.half
-            result_type = facts.type
-
-            def plan(value: int) -> IntValue:
-                if lo <= value <= hi:
-                    return IntValue(value, result_type)
-                wrapped = value & mask
-                if signed and wrapped >= half:
-                    wrapped -= 1 << bits
-                return IntValue(wrapped, result_type)
-        if len(_INT_CONV_PLANS) < 65536:
-            _INT_CONV_PLANS[key] = plan
-    return plan
-
-
-_RELATIONAL_OPS = frozenset(["<", ">", "<=", ">="])
-_EQUALITY_OPS = frozenset(["==", "!="])
-
-_INT_ZERO = IntValue(0, ct.INT)
-_INT_ONE = IntValue(1, ct.INT)
-
-
-def _int_binary_plan(op: str, left_type: ct.CType, right_type: ct.CType,
-                     options: CheckerOptions, line: int):
-    """An ``(int, int) -> IntValue`` closure replicating ``apply_binary`` for
-    two fixed integer operand types, or None when not planable.
-
-    Only built for flat integer operand types whose common type is an
-    integer type; everything else (floats, pointers, enums, indeterminate
-    operands) stays on the generic checked path.
-    """
-    facts = int_binary_facts(op, left_type, right_type, options, line)
-    if facts is None:
-        return None
-    common_facts = facts.common
-    common = common_facts.type
-    lo, hi = common_facts.lo, common_facts.hi
-    bits, signed = common_facts.bits, common_facts.signed
-    mask, half = common_facts.mask, common_facts.half
-    check_arithmetic = facts.check_arithmetic
-
-    def conv(value: int) -> int:
-        # _int_to_int on the way to the common type (value only).
-        if lo <= value <= hi:
-            return value
-        wrapped = value & mask
-        if signed and wrapped >= half:
-            wrapped -= 1 << bits
-        return wrapped
-
-    def arith_result(value: int, overflow_possible: bool = True) -> IntValue:
-        # Replicates ExpressionEvaluatorMixin._arith_result for `common`.
-        if lo <= value <= hi:
-            return IntValue(value, common)
-        if signed:
-            if check_arithmetic and overflow_possible:
-                raise UndefinedBehaviorError(
-                    UBKind.SIGNED_OVERFLOW,
-                    f"Signed integer overflow: result {value} does not fit in {common}.",
-                    line=line)
-            wrapped = value & mask
-            if wrapped >= half:
-                wrapped -= 1 << bits
-            return IntValue(wrapped, common)
-        return IntValue(value & mask, common)
-
-    if op in _RELATIONAL_OPS or op in _EQUALITY_OPS:
-        comparator = {"<": operator.lt, ">": operator.gt, "<=": operator.le,
-                      ">=": operator.ge, "==": operator.eq, "!=": operator.ne}[op]
-
-        def compare(a: int, b: int) -> IntValue:
-            return _INT_ONE if comparator(conv(a), conv(b)) else _INT_ZERO
-        return compare
-
-    if op == "+":
-        def add(a: int, b: int) -> IntValue:
-            return arith_result(conv(a) + conv(b))
-        return add
-    if op == "-":
-        def sub(a: int, b: int) -> IntValue:
-            return arith_result(conv(a) - conv(b))
-        return sub
-    if op == "*":
-        def mul(a: int, b: int) -> IntValue:
-            return arith_result(conv(a) * conv(b))
-        return mul
-    if op in ("/", "%"):
-        is_div = op == "/"
-
-        def divmod_(a: int, b: int) -> IntValue:
-            a = conv(a)
-            b = conv(b)
-            if b == 0:
-                if check_arithmetic:
-                    raise UndefinedBehaviorError(
-                        UBKind.DIVISION_BY_ZERO, "Division or modulus by zero.",
-                        line=line)
-                return IntValue(0, common)
-            quotient = abs(a) // abs(b)
-            if (a < 0) != (b < 0):
-                quotient = -quotient
-            if is_div:
-                return arith_result(quotient)
-            return arith_result(a - quotient * b)
-        return divmod_
-    if op in ("&", "|", "^"):
-        bitop = {"&": operator.and_, "|": operator.or_, "^": operator.xor}[op]
-
-        def bitwise(a: int, b: int) -> IntValue:
-            return arith_result(bitop(conv(a), conv(b)), overflow_possible=False)
-        return bitwise
-    if op in ("<<", ">>"):
-        is_left = op == "<<"
-
-        def shift(a: int, b: int) -> IntValue:
-            a = conv(a)
-            b = conv(b)
-            if check_arithmetic and (b < 0 or b >= bits):
-                raise UndefinedBehaviorError(
-                    UBKind.SHIFT_TOO_FAR,
-                    f"Shift amount {b} is negative or >= width of the type "
-                    f"({bits} bits).", line=line)
-            b = max(0, min(b, bits - 1))
-            if is_left:
-                if check_arithmetic and signed and a < 0:
-                    raise UndefinedBehaviorError(
-                        UBKind.SHIFT_NEGATIVE, "Left shift of a negative value.",
-                        line=line)
-                result = a << b
-                if signed and check_arithmetic and not lo <= result <= hi:
-                    raise UndefinedBehaviorError(
-                        UBKind.SHIFT_OVERFLOW,
-                        f"Left shift of {a} by {b} overflows {common}.", line=line)
-                return arith_result(result, overflow_possible=not signed)
-            # Arithmetic right shift, as in the generic rule.
-            return IntValue(a >> b, common)
-        return shift
-    return None
-
-
 class _BinaryPlanCache:
-    """Per-site cache of integer binary-op plans, keyed by operand types."""
+    """One binary site's ``apply_binary``: through the raw plan of the
+    operand types (cached per type pair) when both are plain integers."""
 
     __slots__ = ("op", "options", "line", "plans")
 
@@ -503,26 +127,24 @@ class _BinaryPlanCache:
         self.line = line
         self.plans: dict = {}
 
-    def lookup(self, left_type: ct.CType, right_type: ct.CType):
-        key = (left_type, right_type)
-        plans = self.plans
-        if key in plans:
-            return plans[key]
-        plan = _int_binary_plan(self.op, left_type, right_type, self.options, self.line)
-        plans[key] = plan
-        return plan
+    def apply(self, interp, left: CValue, right: CValue) -> CValue:
+        if type(left) is IntValue and type(right) is IntValue:
+            key = (left.type, right.type)
+            plans = self.plans
+            if key in plans:
+                planned = plans[key]
+            else:
+                planned = plans[key] = raw_binary_plan(
+                    self.op, left.type, right.type, self.options, self.line)
+            if planned is not None:
+                plan, result_type = planned
+                return IntValue(plan(left.value, right.value), result_type)
+        return interp.apply_binary(self.op, left, right, self.line)
 
-
-# -- lvalue access plans ----------------------------------------------------
-#
-# For loads/stores through computed lvalues (subscripts, members, derefs) the
-# pointer offset varies but the lvalue *type* at a given site almost never
-# does.  A per-site cache keyed by lvalue type pre-derives the access size,
-# alignment, and check applicability once; a site-local cache is safe for any
-# type (within one translation unit a tag means one record type).
 
 class _AccessPlanCache:
-    """Per-site cache of (size, align, uninit-check, const) per lvalue type."""
+    """Per-site cache of :func:`access_plan`, keyed by lvalue type (within
+    one translation unit a tag means one record type)."""
 
     __slots__ = ("plans",)
 
@@ -533,154 +155,8 @@ class _AccessPlanCache:
         plans = self.plans
         if ltype in plans:
             return plans[ltype]
-        if isinstance(ltype, (ct.ArrayType, ct.FunctionType)):
-            plan = None    # decay / function designator: generic path
-        elif ltype.is_record:
-            # Whole-record accesses stay on read_lvalue/write_lvalue: the
-            # generic store attaches copy provenance and runs the
-            # overlapping-assignment check (§6.5.16.1:3).
-            plan = None
-        else:
-            try:
-                size = ct.size_of(ltype, profile)
-            except ct.LayoutError:
-                plan = None  # incomplete type: generic path raises identically
-            else:
-                try:
-                    align = ct.align_of(ltype, profile)
-                except ct.LayoutError:
-                    align = 1  # check_alignment swallows LayoutError
-                uninit = ltype.is_scalar and not ct.is_character_type(ltype)
-                plan = (size, align, uninit, ltype.const,
-                        _int_conversion_plan(ltype, profile))
-        plans[ltype] = plan
+        plan = plans[ltype] = access_plan(ltype, profile)
         return plan
-
-
-def _read_with_plan(interp, lvalue: LValue, plan, line: int) -> CValue:
-    """Replicates ``read_lvalue`` with the type facts pre-derived."""
-    size, align, uninit, _const, _intconv = plan
-    pointer = lvalue.pointer
-    ltype = lvalue.type
-    if align > 1 and interp.options.check_memory and pointer.offset % align != 0:
-        raise UndefinedBehaviorError(
-            UBKind.UNALIGNED_ACCESS,
-            f"Access at offset {pointer.offset} is not aligned to {align} bytes "
-            f"for type {ltype}.", line=line)
-    data = interp.memory.read_bytes(pointer, size, line=line, lvalue_type=ltype)
-    value = decode_value(data, ltype, interp.profile)
-    if (uninit and interp.options.check_uninitialized
-            and isinstance(value, IndeterminateValue)
-            and any(type(b).__name__ == "UnknownByte" for b in data)):
-        raise UndefinedBehaviorError(
-            UBKind.UNINITIALIZED_READ,
-            f"Read of an uninitialized (indeterminate) value of type {ltype}.",
-            line=line)
-    return value
-
-
-def _write_with_plan(interp, lvalue: LValue, plan, value: CValue, line: int) -> None:
-    """Replicates ``write_lvalue`` with the type facts pre-derived."""
-    _size, align, _uninit, is_const, _intconv = plan
-    ltype = lvalue.type
-    if is_const and interp.options.check_const:
-        raise UndefinedBehaviorError(
-            UBKind.CONST_VIOLATION,
-            "Assignment to an lvalue with const-qualified type.", line=line)
-    pointer = lvalue.pointer
-    if align > 1 and interp.options.check_memory and pointer.offset % align != 0:
-        raise UndefinedBehaviorError(
-            UBKind.UNALIGNED_ACCESS,
-            f"Access at offset {pointer.offset} is not aligned to {align} bytes "
-            f"for type {ltype}.", line=line)
-    data = encode_value(value, ltype, interp.profile)
-    interp.memory.write_bytes(pointer, data, line=line, lvalue_type=ltype)
-
-
-# -- binding access plans ---------------------------------------------------
-#
-# Loads/stores through a plain identifier always hit offset 0 of the bound
-# object, so the alignment check can never fire; what remains is the size of
-# the access, whether the uninitialized-read side condition applies, and the
-# const-ness of the lvalue — all fixed per binding.
-
-_PLAN_ARRAY = 0       # array-to-pointer decay: return the cached pointer
-_PLAN_SCALAR = 1      # sized load/store with pre-derived check flags
-_PLAN_GENERIC = 2     # anything exotic: defer to the generic helpers
-
-
-def _binding_access_plan(binding, profile: ct.ImplementationProfile):
-    plan = binding.access_plan
-    if plan is None:
-        btype = binding.type
-        if isinstance(btype, ct.ArrayType):
-            decayed = PointerValue(base=binding.base, offset=0,
-                                   type=ct.PointerType(pointee=btype.element))
-            plan = (_PLAN_ARRAY, decayed, None, False, False)
-        elif isinstance(btype, ct.FunctionType):
-            plan = (_PLAN_GENERIC, None, None, False, False)
-        elif btype.is_record:
-            # Generic path for whole-record loads/stores: provenance and the
-            # overlapping-assignment check live in read/write_lvalue.
-            plan = (_PLAN_GENERIC, None, None, False, False)
-        else:
-            try:
-                size = ct.size_of(btype, profile)
-            except ct.LayoutError:
-                plan = (_PLAN_GENERIC, None, None, False, False)
-            else:
-                uninit_check = btype.is_scalar and not ct.is_character_type(btype)
-                plan = (_PLAN_SCALAR, size, _int_conversion_plan(btype, profile),
-                        uninit_check, btype.const)
-        binding.access_plan = plan
-    return plan
-
-
-def _read_binding(interp, binding, line: int) -> CValue:
-    """Replicates ``read_lvalue`` for a whole-object identifier lvalue."""
-    plan = binding.access_plan
-    if plan is None:
-        plan = _binding_access_plan(binding, interp.profile)
-    tag = plan[0]
-    if tag == _PLAN_SCALAR:
-        btype = binding.type
-        lvalue = binding.cached_lvalue
-        if lvalue is None:
-            lvalue = _binding_lvalue(binding)
-        data = interp.memory.read_bytes(lvalue.pointer, plan[1], line=line,
-                                        lvalue_type=btype)
-        value = decode_value(data, btype, interp.profile)
-        if (plan[3] and interp.options.check_uninitialized
-                and isinstance(value, IndeterminateValue)
-                and any(type(b).__name__ == "UnknownByte" for b in data)):
-            raise UndefinedBehaviorError(
-                UBKind.UNINITIALIZED_READ,
-                f"Read of an uninitialized (indeterminate) value of type {btype}.",
-                line=line)
-        return value
-    if tag == _PLAN_ARRAY:
-        return plan[1]
-    return interp.read_lvalue(_binding_lvalue(binding), line)
-
-
-def _write_binding(interp, binding, value: CValue, line: int) -> None:
-    """Replicates ``write_lvalue`` for a whole-object identifier lvalue."""
-    plan = binding.access_plan
-    if plan is None:
-        plan = _binding_access_plan(binding, interp.profile)
-    if plan[0] != _PLAN_SCALAR:
-        interp.write_lvalue(_binding_lvalue(binding), value, line)
-        return
-    btype = binding.type
-    if plan[4] and interp.options.check_const:
-        raise UndefinedBehaviorError(
-            UBKind.CONST_VIOLATION,
-            "Assignment to an lvalue with const-qualified type.", line=line)
-    lvalue = binding.cached_lvalue
-    if lvalue is None:
-        lvalue = _binding_lvalue(binding)
-    data = encode_value(value, btype, interp.profile)
-    interp.memory.write_bytes(lvalue.pointer, data, line=line, lvalue_type=btype)
 
 
 # ---------------------------------------------------------------------------
@@ -696,7 +172,7 @@ def _write_binding(interp, binding, value: CValue, line: int) -> None:
 def lower_expr(expr: c_ast.Expression, L: LoweringContext) -> ExprThunk:
     """Lower an expression to a value-producing closure."""
     try:
-        folded = _try_fold(expr, L)
+        folded = _try_fold(expr, L.folder)
     except _FoldUB as fold_error:
         return _lower_fold_error(expr, fold_error, L)
     if folded is not None:
@@ -705,19 +181,6 @@ def lower_expr(expr: c_ast.Expression, L: LoweringContext) -> ExprThunk:
     if lowerer is None:
         return _lower_unsupported_expr(expr, L)
     return lowerer(expr, L)
-
-
-def _subtree_step_cost(expr: c_ast.Expression) -> int:
-    """Steps the legacy walker charges for evaluating a constant subtree.
-
-    The walker steps once per node it visits, and for the foldable node
-    kinds it visits every node of the subtree (no short-circuiting), so a
-    folded closure charges the subtree's node count — keeping the step
-    accounting, and hence the ``max_steps`` resource verdicts, aligned
-    between the two engines.  (``sizeof(type)`` carries no children in the
-    AST, so its count is naturally 1.)
-    """
-    return sum(1 for _ in c_ast.walk(expr))
 
 
 def lower_lvalue(expr: c_ast.Expression, L: LoweringContext) -> Callable:
@@ -828,18 +291,6 @@ def _lookup_binding(interp, name: str, line: int):
         return binding
     raise UndefinedBehaviorError(
         UBKind.BAD_FUNCTION_CALL, f"Use of undeclared identifier '{name}'.", line=line)
-
-
-def _binding_lvalue(binding) -> LValue:
-    """The (memoized) lvalue designating an object binding."""
-    lvalue = binding.cached_lvalue
-    if lvalue is None:
-        lvalue = LValue(
-            pointer=PointerValue(base=binding.base, offset=0,
-                                 type=ct.PointerType(pointee=binding.type)),
-            type=binding.type)
-        binding.cached_lvalue = lvalue
-    return lvalue
 
 
 def _lower_object_binding(expr: c_ast.Identifier, L: LoweringContext):
@@ -961,18 +412,17 @@ def _lower_UnaryOp(expr: c_ast.UnaryOp, L: LoweringContext) -> ExprThunk:
                 binding = resolve_binding(interp)
                 old = _read_binding(interp, binding, line)
                 access = binding.access_plan
-                intconv = (access[2] if access is not None
-                           and access[0] == _PLAN_SCALAR else None)
-                if intconv is not None and not isinstance(old, (PointerValue,
-                                                                FloatValue)):
+                if access.__class__ is tuple and access[4] is not None \
+                        and not isinstance(old, (PointerValue, FloatValue)):
                     old_int = interp._require_arithmetic(old, line, "operand of ++/--")
                     promoted = interp._promote(old_int)
                     assert isinstance(promoted, IntValue)
                     result = interp._arith_result(promoted.value + delta,
                                                   promoted.type, line)
                     # The plan conversion is idempotent, so one application
-                    # equals the legacy walker's convert-then-convert.
-                    converted_new: CValue = intconv(result.value)
+                    # equals the walker's convert-then-convert.
+                    converted_new: CValue = IntValue(access[4](result.value),
+                                                     access[5])
                 else:
                     converted_new = interp._incdec_value(old, delta, binding.type, line)
                 _write_binding(interp, binding, converted_new, line)
@@ -1119,11 +569,7 @@ def _lower_BinaryOp(expr: c_ast.BinaryOp, L: LoweringContext) -> ExprThunk:
         else:
             left = left_run(interp)
             right = right_run(interp)
-        if type(left) is IntValue and type(right) is IntValue:
-            plan = plan_cache.lookup(left.type, right.type)
-            if plan is not None:
-                return plan(left.value, right.value)
-        return interp.apply_binary(op, left, right, line)
+        return plan_cache.apply(interp, left, right)
     return run
 
 
@@ -1156,9 +602,9 @@ def _lower_Assignment(expr: c_ast.Assignment, L: LoweringContext) -> ExprThunk:
                 plan = binding.access_plan
                 if plan is None:
                     plan = _binding_access_plan(binding, interp.profile)
-                if type(value) is IntValue and plan[0] == _PLAN_SCALAR \
-                        and plan[2] is not None:
-                    converted: CValue = plan[2](value.value)
+                if type(value) is IntValue and plan.__class__ is tuple \
+                        and plan[4] is not None:
+                    converted: CValue = IntValue(plan[4](value.value), plan[5])
                 elif isinstance(value, StructValue) and binding.type.is_record:
                     converted = value
                 else:
@@ -1184,7 +630,7 @@ def _lower_Assignment(expr: c_ast.Assignment, L: LoweringContext) -> ExprThunk:
                 value = value_run(interp)
             plan = write_plans.plan_for(lvalue.type, interp.profile)
             if type(value) is IntValue and plan is not None and plan[4] is not None:
-                converted: CValue = plan[4](value.value)
+                converted: CValue = IntValue(plan[4](value.value), plan[5])
             elif isinstance(value, StructValue) and lvalue.type.is_record:
                 converted = value
             else:
@@ -1210,19 +656,14 @@ def _lower_Assignment(expr: c_ast.Assignment, L: LoweringContext) -> ExprThunk:
             binding = resolve_binding(interp)
             old = _read_binding(interp, binding, line)
             rhs = value_run(interp)
-            if type(old) is IntValue and type(rhs) is IntValue:
-                plan = plan_cache.lookup(old.type, rhs.type)
-                result = (plan(old.value, rhs.value) if plan is not None
-                          else interp.apply_binary(op, old, rhs, line))
-            else:
-                result = interp.apply_binary(op, old, rhs, line)
+            result = plan_cache.apply(interp, old, rhs)
             if isinstance(result, PointerValue):
                 converted: CValue = result
             else:
                 access = binding.access_plan
-                if type(result) is IntValue and access is not None \
-                        and access[0] == _PLAN_SCALAR and access[2] is not None:
-                    converted = access[2](result.value)
+                if type(result) is IntValue and access.__class__ is tuple \
+                        and access[4] is not None:
+                    converted = IntValue(access[4](result.value), access[5])
                 else:
                     converted = convert(result, binding.type, interp.options,
                                         line=line,
@@ -1244,17 +685,12 @@ def _lower_Assignment(expr: c_ast.Assignment, L: LoweringContext) -> ExprThunk:
         old = (_read_with_plan(interp, lvalue, access, line) if access is not None
                else interp.read_lvalue(lvalue, line))
         rhs = value_run(interp)
-        if type(old) is IntValue and type(rhs) is IntValue:
-            plan = plan_cache.lookup(old.type, rhs.type)
-            result = (plan(old.value, rhs.value) if plan is not None
-                      else interp.apply_binary(op, old, rhs, line))
-        else:
-            result = interp.apply_binary(op, old, rhs, line)
+        result = plan_cache.apply(interp, old, rhs)
         if isinstance(result, PointerValue):
             converted = result
         elif type(result) is IntValue and access is not None \
                 and access[4] is not None:
-            converted = access[4](result.value)
+            converted = IntValue(access[4](result.value), access[5])
         else:
             converted = convert(result, lvalue.type, interp.options, line=line,
                                 pointer_registry=interp.pointer_registry)

@@ -4,7 +4,7 @@
 live :class:`~repro.core.interpreter.Interpreter` activation.  Called by
 ``Interpreter._execute_call_body``, it finds the parameter objects already
 allocated and written, and its returned :class:`CValue` goes through the
-same return-value post-processing the walker and the lowered closures use.
+same return-value post-processing the walker uses.
 Called by a direct call (``OP_DCALL``) from another native function, it
 takes the parameters as raw register values and returns a raw value.
 
@@ -18,10 +18,10 @@ Design notes
   Python frame per C activation.  Fast paths touch raw ints only
   (``v.__class__ is int``); the ``UNINIT`` sentinel and boxed values
   automatically fail that test and fall into slow helpers that rebuild the
-  exact lowered-engine behavior by calling the *shared* helpers
-  (``_read_binding``, ``_write_with_plan``, ``apply_binary``,
-  ``to_boolean``, ...), so error kinds, messages, and order never fork
-  from the lowered semantics.
+  walker's exact behavior by calling the *shared* helpers of
+  :mod:`repro.core.plans` and the walker (``_read_binding``,
+  ``_write_with_plan``, ``apply_binary``, ``to_boolean``, ...), so error
+  kinds, messages, and order never fork from the walker's semantics.
 * **Memory slots** cache ``(data, base, size, binding, decayed)`` per
   activation: local arrays bind at their ``DECL``, globals bind lazily on
   first touch.  ``data`` is the object's arena-backed byte store; flat
@@ -43,7 +43,7 @@ Design notes
   ``_pointer_add``, ``apply_binary``, ``_subscript_to_lvalue``,
   ``_deref_to_lvalue``, ``_read_with_plan``/``_write_with_plan``,
   ``_incdec_value`` or ``convert``, so every pointer verdict comes from
-  the same code as the closures'.
+  the same code as the walker's.
 * **Sequencing** keeps feeding ``Memory.locs_written`` with plain
   ``(base, offset)`` tuples (hash-equal to the ``ByteLocation`` entries of
   the generic path), so unsequenced-conflict detection composes with any
@@ -112,8 +112,13 @@ from repro.core.bytecode import (
 )
 from repro.core.conversions import convert, to_boolean
 from repro.core.environment import Frame, LValue
-from repro.core.lowering import _read_binding, _read_with_plan, _write_with_plan
 from repro.core.memory import ArenaBytes
+from repro.core.plans import (
+    _read_binding,
+    _read_with_plan,
+    _write_binding,
+    _write_with_plan,
+)
 from repro.core.values import (
     ConcreteByte,
     IndeterminateValue,
@@ -268,7 +273,7 @@ def _cond_slow(interp, value, rdmsg, rdline: int, line: int) -> bool:
 
 def _read_checks(interp, a, lmsg, lline, b, rmsg, rline, order_mode: int) -> None:
     """Raise the deferred uninitialized reads of two operands, in the order
-    the lowered engine evaluates them."""
+    the walker evaluates them."""
     if order_mode == 0:
         _deferred_read(interp, a, lmsg, lline)
         _deferred_read(interp, b, rmsg, rline)
@@ -291,7 +296,7 @@ def _binop_slow(interp, a, b, slow, order_mode: int):
 
 
 def _subscript_slow(interp, left, right, operands, order_mode: int):
-    """The element ``left[right]`` designates, resolved as the lowered
+    """The element ``left[right]`` designates, resolved as the walker's
     subscript does (deferred reads first)."""
     _op, line, ltype, rtype, lmsg, lline, rmsg, rline = operands
     _read_checks(interp, left, lmsg, lline, right, rmsg, rline, order_mode)
@@ -393,7 +398,7 @@ def _inc_slow(interp, value, slow):
 
 
 def _elem_pointer_slow(interp, record, index_value, info, line: int):
-    """Replicate the lowered subscript resolution: decay, index, add."""
+    """Replicate the walker's subscript resolution: decay, index, add."""
     _name, idx_ctype, idx_msg, idx_line, vinfo = info
     _deferred_read(interp, index_value, idx_msg, idx_line)
     profile = interp.profile
@@ -405,18 +410,14 @@ def _elem_pointer_slow(interp, record, index_value, info, line: int):
 
 def _lde_slow(interp, record, index_value, info, line: int):
     pointer, elem = _elem_pointer_slow(interp, record, index_value, info, line)
-    vinfo = info[4]
-    plan = (vinfo[1], vinfo[2], vinfo[3], vinfo[4], vinfo[5])
-    value = _read_with_plan(interp, LValue(pointer=pointer, type=elem), plan, line)
-    return _unbox(value)
+    lvalue = LValue(pointer=pointer, type=elem)
+    return _unbox(_read_with_plan(interp, lvalue, info[4][1:], line))
 
 
 def _lda_slow(interp, address, value_reg_unused, esize, info, line: int):
     """Load through a slow (boxed-pointer) element address."""
-    elem = info[0]
-    plan = (info[1], info[2], info[3], info[4], info[5])
-    value = _read_with_plan(interp, LValue(pointer=address, type=elem), plan, line)
-    return _unbox(value)
+    lvalue = LValue(pointer=address, type=info[0])
+    return _unbox(_read_with_plan(interp, lvalue, info[1:], line))
 
 
 def _store_slow(interp, address, value, vinfo, rdmsg, rdline, line: int):
@@ -428,13 +429,11 @@ def _store_slow(interp, address, value, vinfo, rdmsg, rdline, line: int):
         )
     _deferred_read(interp, value, rdmsg, rdline)
     elem = vinfo[0]
-    plan = (vinfo[1], vinfo[2], vinfo[3], vinfo[4], vinfo[5])
     boxed = _box(value, elem.unqualified(), interp.profile)
-    _write_with_plan(interp, LValue(pointer=address, type=elem), plan, boxed, line)
+    _write_with_plan(interp, LValue(pointer=address, type=elem), vinfo[1:], boxed, line)
 
 
 def _stg_slow(interp, record, value, info, line: int):
-    from repro.core.lowering import _write_binding
     _name, _check_seq, rdmsg, rdline, vinfo = info
     _deferred_read(interp, value, rdmsg, rdline)
     boxed = _box(value, vinfo[0].unqualified(), interp.profile)
@@ -487,7 +486,7 @@ def run_native(interp, program: CompiledProgram, fn: FnCode, args=None):
 
     Called by ``Interpreter._execute_call_body`` (``args`` None), it
     returns the boxed return value for the shared post-processing (None
-    means "fell off the end", exactly like a lowered body that never raised
+    means "fell off the end", exactly like a walker body that never raised
     ``ReturnSignal``).  Called by ``OP_DCALL`` with ``args``, the converted
     parameter values, it seeds the parameter registers, skips the prologue
     and returns the raw register value the caller receives (UNINIT when the

@@ -27,7 +27,6 @@ from repro.service.pool import (
     WarmPool,
     get_pool,
     pool_stats,
-    run_pooled,
     run_staged,
     shutdown_pool,
 )
@@ -42,7 +41,6 @@ __all__ = [
     "WarmPool",
     "get_pool",
     "pool_stats",
-    "run_pooled",
     "run_staged",
     "serve_in_background",
     "shutdown_pool",

@@ -1,10 +1,9 @@
 """The process-wide warm worker pool (Layer 1 of :mod:`repro.service`).
 
-The PR-1 pool stood up a fresh :class:`~concurrent.futures.ProcessPoolExecutor`
-for every ``run_pooled`` call: each batch paid a full worker spawn, a probe
-round-trip, cold imports in every worker, and per-item pickled tasks — on
-small batches the overhead exceeded the work, and ``jobs=4`` measured *slower*
-than serial.  This module replaces that with a **persistent** pool:
+A fresh :class:`~concurrent.futures.ProcessPoolExecutor` per batch would pay
+a full worker spawn, a probe round-trip, cold imports in every worker, and
+per-item pickled tasks — on small batches the overhead exceeds the work.
+This module keeps a **persistent** pool instead:
 
 * **One pool per process, spawned lazily and kept warm.**  ``get_pool(jobs)``
   returns a process-wide singleton whose workers outlive any single batch;
@@ -19,12 +18,11 @@ than serial.  This module replaces that with a **persistent** pool:
   tool cache across tasks, so repeated batches re-use parses instead of
   re-warming from scratch.
 
-* **Batched submission with explicit chunk framing.**  Work ships as chunk
-  tasks (``fn`` + a slice of items in one future) rather than per-item
+* **Staged, chunked submission.**  Work ships as chunk tasks (``fn``, a
+  ``header`` and a slice of items in one future) rather than per-item
   futures, amortizing pickling and future bookkeeping; results preserve
-  input order.  :func:`run_staged` additionally splits a task into a
-  ``header`` pickled once per chunk and per-item payloads, so batch callers
-  stop shipping their configuration ``len(tasks)`` times.
+  input order.  :func:`run_staged` pickles the ``header`` once per chunk,
+  so batch callers do not ship their configuration ``len(items)`` times.
 
 * **File-backed corpus handoff.**  When a staged item list pickles past
   :data:`STAGE_THRESHOLD_BYTES`, it is written to a spool file once and
@@ -56,7 +54,6 @@ __all__ = [
     "get_pool",
     "pool_stats",
     "resolve_jobs",
-    "run_pooled",
     "run_staged",
     "shutdown_pool",
 ]
@@ -94,7 +91,6 @@ def _warm_worker() -> None:  # pragma: no cover - runs in the worker process
     import repro.api.session  # noqa: F401  (SHARED_COMPILE_CACHE lives here)
     import repro.core.interpreter  # noqa: F401
     import repro.core.kcc  # noqa: F401
-    import repro.core.lowering  # noqa: F401
     import repro.fuzz.generator  # noqa: F401
     import repro.fuzz.oracles  # noqa: F401
     import repro.kframework.engine  # noqa: F401
@@ -143,14 +139,6 @@ def _reap_after_task() -> None:
     reap_stray_children()
 
 
-def _run_chunk(fn: Callable[[Any], Any], items: Sequence[Any]) -> list:
-    """Chunk task: apply ``fn`` to each item (module-level: picklable)."""
-    try:
-        return [fn(item) for item in items]
-    finally:
-        _reap_after_task()
-
-
 def _run_staged_chunk(
     fn: Callable[[Any, Any], Any],
     header: Any,
@@ -188,10 +176,6 @@ class WarmPool:
         self._executor.submit(_probe).result()
 
     # -- submission -----------------------------------------------------------
-    def submit_chunk(self, fn: Callable[[Any], Any], items: Sequence[Any]) -> Future:
-        """Submit one chunk; the future resolves to the list of results."""
-        return self._executor.submit(_run_chunk, fn, list(items))
-
     def submit_staged_chunk(
         self,
         fn: Callable[[Any, Any], Any],
@@ -201,19 +185,6 @@ class WarmPool:
     ) -> Future:
         """Submit one staged chunk (``fn(header, item)`` per item)."""
         return self._executor.submit(_run_staged_chunk, fn, header, payload, span)
-
-    def run_batched(
-        self,
-        fn: Callable[[Any], Any],
-        tasks: Sequence[Any],
-        *,
-        chunksize: Optional[int] = None,
-    ) -> list:
-        """Map ``fn`` over ``tasks`` in order, one future per chunk."""
-        tasks = list(tasks)
-        size = self._effective_chunksize(len(tasks), chunksize)
-        futures = [self.submit_chunk(fn, chunk) for chunk in _chunked(tasks, size)]
-        return self._collect(futures)
 
     def run_staged(
         self,
@@ -298,10 +269,6 @@ class WarmPool:
         self._executor.shutdown(wait=wait, cancel_futures=True)
 
 
-def _chunked(items: list, size: int) -> list[list]:
-    return [items[start : start + size] for start in range(0, len(items), size)]
-
-
 def _stage_blob(blob: bytes) -> tuple[str, str]:
     """Write a pickled payload to a spool file; returns (path, digest)."""
     digest = hashlib.sha256(blob).hexdigest()
@@ -383,29 +350,8 @@ atexit.register(shutdown_pool, wait=False)
 
 
 # ---------------------------------------------------------------------------
-# Call-site conveniences (the run_pooled shape the rest of the tree uses)
+# The call-site entry point
 # ---------------------------------------------------------------------------
-
-
-def run_pooled(
-    fn: Callable[[Any], Any],
-    tasks: Sequence,
-    *,
-    jobs: Optional[int],
-    chunksize: Optional[int] = None,
-) -> list:
-    """Map ``fn`` over ``tasks`` on the warm pool, preserving order.
-
-    Falls back to the calling process when ``jobs`` resolves to 1 or the
-    host cannot spawn workers.  ``fn`` and the tasks must be picklable.
-    """
-    worker_count = resolve_jobs(jobs)
-    if worker_count <= 1 or len(tasks) <= 1:
-        return [fn(task) for task in tasks]
-    pool = get_pool(min(worker_count, len(tasks)))
-    if pool is None:  # pragma: no cover - sandboxed hosts
-        return [fn(task) for task in tasks]
-    return pool.run_batched(fn, tasks, chunksize=chunksize)
 
 
 def run_staged(

@@ -45,6 +45,7 @@ request cannot take down the stream of a well-formed concurrent job.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 from typing import Any, Iterable, Optional
 
@@ -259,22 +260,13 @@ def validate_request(frame: dict[str, Any]) -> dict[str, Any]:
 # CheckerOptions over the wire
 # ---------------------------------------------------------------------------
 
-#: Option fields a client may set, with the expected scalar type of each.
+#: Option fields a client may set, with the expected scalar type of each:
+#: every field of :class:`CheckerOptions` but ``profile``, which travels by
+#: name.  Derived from the dataclass, so a new option cannot miss the wire.
 _OPTION_FIELDS: dict[str, type] = {
-    "check_arithmetic": bool,
-    "check_memory": bool,
-    "check_sequencing": bool,
-    "check_const": bool,
-    "check_pointer_provenance": bool,
-    "check_uninitialized": bool,
-    "check_effective_types": bool,
-    "check_functions": bool,
-    "max_steps": int,
-    "max_call_depth": int,
-    "max_heap_objects": int,
-    "enable_lowering": bool,
-    "evaluation_order": str,
-    "max_search_paths": int,
+    field.name: type(getattr(DEFAULT_OPTIONS, field.name))
+    for field in dataclasses.fields(CheckerOptions)
+    if field.name != "profile"
 }
 
 

@@ -2,11 +2,10 @@
 
 ``repro.symbolic`` is the first *static* engine in the reproduction: an
 interval-with-congruence abstract interpreter that consumes the same
-per-site arithmetic facts (:func:`repro.core.lowering.int_type_facts` /
-:func:`repro.core.lowering.int_binary_facts`) as the concrete walker,
-lowered and compiled engines, so every ``check_*`` family becomes an
-interval emptiness or containment test over the exact bounds the dynamic
-engines enforce.
+per-site arithmetic facts (:func:`repro.core.plans.int_type_facts` /
+:func:`repro.core.plans.int_binary_facts`) as the compiled and lowered
+engines, so every ``check_*`` family becomes an interval emptiness or
+containment test over the exact bounds the dynamic engines enforce.
 
 Modules:
 

@@ -2,8 +2,8 @@
 
 This walks the parsed AST of the supported fuzz subset with
 :class:`repro.symbolic.domain.AbstractInt` values, driven by the *same*
-per-site facts (:func:`repro.core.lowering.int_type_facts` /
-:func:`repro.core.lowering.int_binary_facts`) that specialize the concrete
+per-site facts (:func:`repro.core.plans.int_type_facts` /
+:func:`repro.core.plans.int_binary_facts`) that specialize the concrete
 engines, so every armed ``check_*`` becomes an interval test.
 
 Design contract — three ways out, all honest:
@@ -35,7 +35,7 @@ from typing import Optional, Union
 from repro.cfront import ast as c_ast
 from repro.cfront import ctypes as ct
 from repro.core.config import DEFAULT_OPTIONS, CheckerOptions
-from repro.core.lowering import IntTypeFacts, int_binary_facts, int_type_facts
+from repro.core.plans import IntTypeFacts, int_binary_facts, int_type_facts
 from repro.errors import UBKind
 from repro.symbolic.domain import (
     AbstractInt,

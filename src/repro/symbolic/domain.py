@@ -11,8 +11,8 @@ Three layers live here:
   is the element the abstract evaluator pushes through expressions.
 * The transfer functions (:func:`abstract_convert`, :func:`abstract_binary`,
   :func:`abstract_negate`, ...) — these consume the *same*
-  :class:`repro.core.lowering.IntTypeFacts` / ``IntBinaryFacts`` objects
-  that specialize the concrete engines' closures, so the abstract semantics
+  :class:`repro.core.plans.IntTypeFacts` / ``IntBinaryFacts`` objects
+  that specialize the concrete engines' plans, so the abstract semantics
   can never disagree with the dynamic semantics about a bound, a wrap mask
   or whether a check is armed.  Each ``check_*`` family maps to an interval
   test; the result is the surviving abstract value plus a list of
@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from repro.cfront import ctypes as ct
-from repro.core.lowering import IntBinaryFacts, IntTypeFacts, int_type_facts
+from repro.core.plans import IntBinaryFacts, IntTypeFacts, int_type_facts
 from repro.errors import UBKind
 
 
@@ -343,7 +343,7 @@ class PossibleUB:
 
 
 # ---------------------------------------------------------------------------
-# Transfer functions over the lowering facts
+# Transfer functions over the shared integer facts
 # ---------------------------------------------------------------------------
 
 def abstract_wrap(
@@ -384,7 +384,7 @@ def abstract_wrap(
 def abstract_convert(facts: IntTypeFacts, value: AbstractInt) -> AbstractInt:
     """Convert an abstract integer to the type described by ``facts``.
 
-    Mirrors ``_int_conversion_plan``: in-range values are retyped, anything
+    Mirrors ``plans.raw_conversion_plan``: in-range values are retyped, anything
     else wraps modularly.  Integer conversions never raise in this
     semantics, so no :class:`PossibleUB` can come out of here.
     """
@@ -492,7 +492,7 @@ def _shift_candidates(a: AbstractInt, b_lo: int, b_hi: int, left: bool) -> tuple
 def abstract_binary(facts: IntBinaryFacts, left: AbstractInt,
                     right: AbstractInt,
                     ) -> tuple[Optional[AbstractInt], list[PossibleUB]]:
-    """Abstract twin of ``_int_binary_plan``'s specialized closures.
+    """Abstract twin of ``plans.raw_binary_plan``'s specialized closures.
 
     Returns ``(survivor, ubs)``: the abstract result for the executions
     that did not stop at a check, plus every undefined behavior the

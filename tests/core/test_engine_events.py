@@ -166,11 +166,11 @@ def test_zero_subscription_probe_keeps_the_native_engine():
     assert probed.outcome.describe() == unprobed.outcome.describe()
     assert probed.outcome.stdout == unprobed.outcome.stdout
 
-    # And the engine really stayed native: the run built the bytecode and
-    # the one closure IR of these options (for functions that fall back),
-    # as the unprobed run did; a subscribing probe builds neither.
+    # And the engine really stayed native: the run built the bytecode of
+    # these options, as the unprobed run did, and no closure IR (functions
+    # that fall back run on the walker); a subscribing probe builds neither.
     assert list(compiled._bytecode) == [tool.options]
-    assert list(compiled._lowered) == [tool.options]
+    assert compiled._lowered == {}
 
 
 # ---------------------------------------------------------------------------

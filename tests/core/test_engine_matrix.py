@@ -159,7 +159,7 @@ def test_compiled_engine_is_actually_used():
 
 def test_compiler_exceptions_reach_the_caller(monkeypatch):
     """A defect in the bytecode compiler must fail loudly, not hand the
-    program to the lowered closures (where every parity test would pass)."""
+    program to the walker (where every parity test would pass)."""
     from repro.core import bytecode
 
     def broken(self):
@@ -389,7 +389,7 @@ def test_new_constructs_under_every_ablation(label):
 #: Pointer programs for the VM's pointer registers: each one's functions
 #: compile natively under every ablation, so the matrix compares the VM's
 #: pointer code (fast paths and the shared helpers behind them), not the
-#: lowered fallback.  Together they cover walking to one past the end and
+#: walker fallback.  Together they cover walking to one past the end and
 #: past it, dangling scopes, cross-object comparison and difference, null
 #: pointers, indeterminate pointers, heap lifetimes, string literals,
 #: misaligned access through casts, and pointer parameters and results.
@@ -644,7 +644,7 @@ int main(void) {
 """,
 }
 
-#: A pointer program the VM leaves to the lowered closures on purpose: the
+#: A pointer program the VM leaves to the walker on purpose: the
 #: pointer is incremented and read in one unsequenced region, which the
 #: compiler cannot order statically.
 POINTER_FALLBACK_PROGRAM = """
@@ -1013,4 +1013,4 @@ def test_lowering_exceptions_reach_the_caller(monkeypatch):
 
     monkeypatch.setattr(lowering, "lower_unit", broken)
     with pytest.raises(RuntimeError, match="lowering defect"):
-        Checker().check("int main(void){ return 0; }")
+        Checker(CheckerOptions(engine="lowered")).check("int main(void){ return 0; }")

@@ -6,10 +6,18 @@ scripted evaluation order.  Whatever ``engine`` says, a run whose probes
 subscribe to events (observed, continue-past-UB runs included) and every
 evaluation-order search run on it and build neither the closure IR nor the
 bytecode.  A probe that subscribes to no kinds keeps the selected engine.
+Under ``engine="compiled"`` the functions the VM cannot compile run on the
+walker too, so only ``engine="lowered"`` builds the closure IR.
 """
+
+import os
+import subprocess
+import sys
+import textwrap
 
 import pytest
 
+import repro
 from repro import Checker
 from repro.core import interpreter as interpreter_module
 from repro.core.config import ENGINES, CheckerOptions
@@ -57,6 +65,14 @@ CALLS = """
 int a = 0;
 int f(int v){ a = a * 3 + v; return v; }
 int main(void){ int x = f(1) + f(2) + f(3); return a == 0 ? x : 1; }
+"""
+
+
+#: ``g`` takes an address, so it leaves the VM; ``f`` and ``main`` stay.
+WITH_FALLBACK = """
+int f(int *p) { return *p + 1; }
+int g(void) { int x = 41; return f(&x); }
+int main(void) { return g() == 42 ? 0 : 1; }
 """
 
 
@@ -148,6 +164,57 @@ def test_zero_subscription_probe_still_runs_the_vm(monkeypatch):
     assert CheckerOptions() in compiled._bytecode
     assert probe.events == [] and probe.end == "defined"
     assert report.outcome.exit_code == 18 & 7
+
+
+def test_compiled_run_falls_back_to_the_walker_without_closures(monkeypatch):
+    walked, native = [], []
+    exec_compound = Interpreter.exec_compound
+    run_native = interpreter_module.run_native
+
+    def walking(self, block, *, new_scope=True):
+        if not new_scope:  # a function body
+            walked.append(self.current_function)
+        return exec_compound(self, block, new_scope=new_scope)
+
+    def counting(interp, program, fn):
+        native.append(fn.name)
+        return run_native(interp, program, fn)
+
+    monkeypatch.setattr(Interpreter, "exec_compound", walking)
+    monkeypatch.setattr(interpreter_module, "run_native", counting)
+    tool = KccTool(CheckerOptions())
+    compiled = tool.compile_unit(WITH_FALLBACK)
+    assert tool.run_unit(compiled).outcome.exit_code == 0
+    assert set(compiled.compiled_for(tool.options).fallbacks) == {"g"}
+    assert walked == ["g"]
+    assert native == ["main", "f"]
+    assert compiled._lowered == {}
+
+    # engine="lowered" still builds (and runs) the closure IR.
+    lowered = KccTool(CheckerOptions(engine="lowered"))
+    assert lowered.run_unit(compiled).outcome.exit_code == 0
+    assert list(compiled._lowered) == [lowered.options]
+
+
+def test_compiled_runs_never_load_the_closure_module():
+    """Only ``CompiledUnit.lowered_for`` imports ``repro.core.lowering``;
+    the engines and the symbolic evaluator share their helpers through
+    ``repro.core.plans``."""
+    script = textwrap.dedent(f"""
+        import sys
+        from repro import Checker
+        report = Checker().check({WITH_FALLBACK!r})
+        assert report.outcome.exit_code == 0, report.render()
+        import repro.core.bytecode, repro.core.vm, repro.symbolic
+        print("repro.core.lowering" in sys.modules)
+    """)
+    src_dir = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = src_dir + os.pathsep + env.get("PYTHONPATH", "")
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 #: Today's counts of a default (pruned) search with ``stop_at_first=False``:

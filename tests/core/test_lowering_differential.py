@@ -15,7 +15,7 @@ from repro.core.kcc import KccTool
 from repro.suites.juliet import generate_juliet_suite
 from repro.suites.ubsuite import generate_undefinedness_suite
 
-FAST = KccTool(CheckerOptions())
+FAST = KccTool(CheckerOptions(engine="lowered"))
 LEGACY = KccTool(CheckerOptions(enable_lowering=False))
 
 
@@ -88,7 +88,7 @@ def test_ablation_configurations_are_verdict_equivalent(ubsuite):
     sample = ubsuite.cases[::7]
     for overrides in ({"check_arithmetic": False}, {"check_memory": False},
                       {"check_sequencing": False}, {"check_uninitialized": False}):
-        fast = KccTool(CheckerOptions().without(**overrides))
+        fast = KccTool(CheckerOptions(engine="lowered").without(**overrides))
         legacy = KccTool(CheckerOptions(enable_lowering=False).without(**overrides))
         for case in sample:
             rf = fast.check(case.source, filename=case.name)

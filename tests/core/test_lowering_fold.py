@@ -1,4 +1,4 @@
-"""Constant folding in the lowering pass — including UB-on-fold.
+"""Constant folding (:mod:`repro.core.plans`) — including UB-on-fold.
 
 Folding evaluates constant subexpressions once at compile time, but it uses
 the *same* arithmetic rules as the runtime, so a constant expression that is
@@ -12,7 +12,7 @@ import pytest
 from repro.cfront.parser import parse
 from repro.core.config import CheckerOptions
 from repro.core.kcc import KccTool
-from repro.core.lowering import LoweringContext, _FoldUB, _try_fold
+from repro.core.plans import _FoldContext, _FoldUB, _try_fold
 from repro.core.values import IntValue
 from repro.errors import OutcomeKind, UBKind
 
@@ -34,11 +34,11 @@ def first_expression(source: str):
 
 class TestFoldValues:
     def setup_method(self):
-        self.L = LoweringContext(CheckerOptions())
+        self.folder = _FoldContext(CheckerOptions())
 
     def fold(self, c_expr: str):
         return _try_fold(first_expression(
-            f"int main(void){{ return {c_expr}; }}"), self.L)
+            f"int main(void){{ return {c_expr}; }}"), self.folder)
 
     def test_folds_arithmetic(self):
         value = self.fold("2 + 3 * 4")
@@ -59,7 +59,7 @@ class TestFoldValues:
 
     def test_does_not_fold_identifiers(self):
         expr = first_expression("int main(void){ int x = 1; return x + 1; }")
-        assert _try_fold(expr, self.L) is None
+        assert _try_fold(expr, self.folder) is None
 
     def test_constant_overflow_raises_fold_ub(self):
         with pytest.raises(_FoldUB) as excinfo:
@@ -72,7 +72,7 @@ class TestFoldValues:
         assert excinfo.value.kind is UBKind.DIVISION_BY_ZERO
 
     def test_fold_respects_disabled_arithmetic_checks(self):
-        relaxed = LoweringContext(CheckerOptions().without(check_arithmetic=False))
+        relaxed = _FoldContext(CheckerOptions().without(check_arithmetic=False))
         expr = first_expression(f"int main(void){{ return {INT_MAX} + 1; }}")
         value = _try_fold(expr, relaxed)
         assert isinstance(value, IntValue)

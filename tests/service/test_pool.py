@@ -6,14 +6,9 @@ from repro.service.pool import (
     get_pool,
     pool_stats,
     resolve_jobs,
-    run_pooled,
     run_staged,
     shutdown_pool,
 )
-
-
-def _square(value):
-    return value * value
 
 
 def _tag(header, item):
@@ -34,18 +29,6 @@ def test_resolve_jobs_clamps_and_defaults():
     assert resolve_jobs(-3) == 1
     assert resolve_jobs(7) == 7
     assert resolve_jobs(None) >= 1
-
-
-def test_run_pooled_serial_fallback_matches_comprehension():
-    values = list(range(20))
-    assert run_pooled(_square, values, jobs=1) == [v * v for v in values]
-
-
-def test_run_pooled_parallel_identical_to_serial():
-    values = list(range(25))
-    serial = run_pooled(_square, values, jobs=1)
-    parallel = run_pooled(_square, values, jobs=3)
-    assert parallel == serial
 
 
 def test_run_staged_preserves_order_and_ships_header_once():
@@ -100,5 +83,5 @@ def test_large_item_lists_travel_by_file_reference():
 def test_shutdown_then_respawn():
     shutdown_pool(wait=True)
     assert pool_stats()["workers"] == 0
-    values = list(range(6))
-    assert run_pooled(_square, values, jobs=2) == [v * v for v in values]
+    items = [str(index) for index in range(6)]
+    assert run_staged(_tag, "h", items, jobs=2) == [f"h:{item}" for item in items]

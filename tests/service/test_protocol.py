@@ -1,9 +1,16 @@
 """Protocol layer: frame round-trips, validation, options serialization."""
 
+import json
+
 import pytest
 
 from repro.cfront import ctypes as ct
-from repro.core.config import CheckerOptions, DEFAULT_OPTIONS
+from repro.core.config import (
+    DEFAULT_OPTIONS,
+    ENGINES,
+    EVALUATION_ORDERS,
+    CheckerOptions,
+)
 from repro.service import protocol
 from repro.service.protocol import ProtocolError
 
@@ -99,6 +106,24 @@ def test_options_round_trip_non_default_fields():
     assert protocol.options_from_dict(data) == options
 
 
+@pytest.mark.parametrize("engine", ENGINES)
+@pytest.mark.parametrize("order", EVALUATION_ORDERS)
+def test_options_round_trip_every_engine_and_order(engine, order):
+    options = CheckerOptions(engine=engine, evaluation_order=order)
+    wire = json.loads(json.dumps(protocol.options_to_dict(options)))
+    assert protocol.options_from_dict(wire) == options
+
+
+def test_enable_lowering_still_loads():
+    options = protocol.options_from_dict({"enable_lowering": False})
+    assert options == CheckerOptions(enable_lowering=False)
+    assert options.effective_engine() == "walker"
+    assert protocol.options_to_dict(options) == {
+        "profile": "lp64",
+        "enable_lowering": False,
+    }
+
+
 @pytest.mark.parametrize(
     "data, match",
     [
@@ -109,6 +134,7 @@ def test_options_round_trip_non_default_fields():
         ({"evaluation_order": 3}, "must be a string"),
         ({"evaluation_order": "bogus"}, "unknown evaluation order"),
         ({"evaluation_order": "search"}, "unknown evaluation order"),
+        ({"engine": "bogus"}, "unknown engine"),
         ("not-a-dict", "must be a JSON object"),
     ],
 )

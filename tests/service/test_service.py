@@ -172,6 +172,31 @@ def test_unknown_evaluation_order_is_a_bad_request(endpoint):
         sock.close()
 
 
+def test_engine_option_is_accepted_by_serve(endpoint, expected_reports):
+    # A raw frame that names ``engine`` is a job, not a bad request.
+    sock, reader = _raw_connection(endpoint)
+    try:
+        request = {
+            "op": "check",
+            "id": "w1",
+            "sources": PROGRAMS,
+            "options": {"engine": "walker"},
+        }
+        sock.sendall((json.dumps(request) + "\n").encode())
+        reports = {}
+        while True:
+            frame = json.loads(reader.readline())
+            assert frame["event"] != "error", frame
+            if frame["event"] == "report":
+                reports[frame["index"]] = frame["report"]
+            if frame["event"] == "done":
+                assert frame["status"] == "ok"
+                break
+        assert [reports[i] for i in range(len(PROGRAMS))] == expected_reports
+    finally:
+        sock.close()
+
+
 def test_duplicate_job_id_is_rejected(endpoint):
     sock, reader = _raw_connection(endpoint)
     try:

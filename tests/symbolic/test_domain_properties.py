@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 from repro.cfront import ctypes as ct
 from repro.core.config import DEFAULT_OPTIONS
 from repro.core.kcc import KccTool
-from repro.core.lowering import int_binary_facts, int_type_facts
+from repro.core.plans import int_binary_facts, int_type_facts
 from repro.errors import OutcomeKind
 from repro.symbolic.domain import (
     AbstractInt,
