@@ -22,13 +22,16 @@ semantics must contain extra checks that correct programs never need.
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from typing import TYPE_CHECKING, Callable, Optional
 
 from repro.cfront import ast as c_ast
 from repro.cfront import ctypes as ct
 from repro.cfront.lexer import IntConstant, FloatConstant, Token, TokenKind, tokenize
-from repro.cfront.preprocessor import preprocess
+from repro.cfront.preprocessor import preprocess, source_lines
 from repro.errors import CParseError, UnsupportedFeatureError
+
+if TYPE_CHECKING:
+    from repro.cfront.prelude import Prelude
 
 _TYPE_SPECIFIER_KEYWORDS = frozenset({
     "void", "char", "short", "int", "long", "float", "double",
@@ -931,16 +934,34 @@ def fold_constant(expr: c_ast.Expression,
 # ---------------------------------------------------------------------------
 
 def parse(source: str, *, filename: str = "<input>",
-          profile: ct.ImplementationProfile = ct.LP64,
-          extra_headers: Optional[dict[str, str]] = None,
-          run_preprocessor: bool = True) -> c_ast.TranslationUnit:
+          profile: ct.ImplementationProfile = ct.LP64) -> c_ast.TranslationUnit:
     """Preprocess, tokenize and parse C source text."""
-    text = preprocess(source, extra_headers=extra_headers, filename=filename) \
-        if run_preprocessor else source
-    tokens = tokenize(text, filename)
+    return parse_unit(source, filename=filename, profile=profile)[0]
+
+
+def parse_unit(source: str, *, filename: str = "<input>",
+               profile: ct.ImplementationProfile = ct.LP64
+               ) -> tuple[c_ast.TranslationUnit, Optional[Prelude]]:
+    """:func:`parse`, and the prelude snapshot the unit starts from, or None.
+
+    A unit whose opening lines are only builtin ``#include`` lines starts from
+    their prelude (:mod:`repro.cfront.prelude`): only the lines after them are
+    preprocessed, tokenized and parsed, and the header declarations head the
+    unit's ``declarations``.
+    """
+    # Imported here because the prelude module imports this one.
+    from repro.cfront.prelude import find_prelude
+
+    lines = source_lines(source)
+    prelude = find_prelude(lines, profile)
+    tokens = tokenize(preprocess(lines, filename=filename, prelude=prelude), filename)
     parser = Parser(tokens, filename=filename, profile=profile)
+    if prelude is not None:
+        parser.typedefs.update(prelude.typedefs)
     unit = parser.parse_translation_unit()
-    return unit
+    if prelude is not None:
+        unit.declarations[:0] = prelude.declarations
+    return unit, prelude
 
 
 def parse_file(path: str, *, profile: ct.ImplementationProfile = ct.LP64) -> c_ast.TranslationUnit:

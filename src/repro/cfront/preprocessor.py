@@ -1,7 +1,18 @@
 """A small, self-contained C preprocessor.
 
-The preprocessor supports the features our test suites and example programs
-actually use:
+Before any directive runs, the source goes through translation phases 2
+and 3 (C11 5.1.1.2), in a form that keeps every line where it was:
+
+* a backslash-newline splice is deleted, and the newlines it removed go
+  after the logical line, so a token spliced in the middle stays whole and
+  the lines after it keep their numbers;
+* each comment outside string literals and character constants becomes
+  spaces, its own newlines kept, so no token's line or column moves and a
+  directive or macro inside a comment does nothing.  An unterminated ``/*``
+  stays for the lexer to report.
+
+The preprocessor then supports the features our test suites and example
+programs actually use:
 
 * ``#include <header>`` / ``#include "header"`` resolved against the builtin
   header table (:mod:`repro.cfront.headers`) plus an optional user-provided
@@ -20,17 +31,25 @@ The output is plain C text with the original line structure preserved, so
 token line numbers still make sense for error reports: directive lines
 become empty lines, and an included header's text is joined onto the line
 of its ``#include``.
+
+A preprocessor may start from a prelude snapshot
+(:mod:`repro.cfront.prelude`): the macros and included headers after the
+``#include`` lines that open the unit (:func:`opening_includes`).  Those
+lines then come out empty, as their header text is already parsed.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Optional
+from typing import TYPE_CHECKING, Optional, Union
 
 from repro.cfront.headers import BUILTIN_HEADERS
 from repro.cfront.lexer import IntConstant, Token, TokenKind, join_lines, tokenize
 from repro.errors import CParseError
+
+if TYPE_CHECKING:
+    from repro.cfront.prelude import Prelude
 
 
 @dataclass
@@ -44,37 +63,93 @@ class MacroDefinition:
         return self.parameters is not None
 
 
-_IDENTIFIER_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+# A string literal or character constant (to its closing quote or the end of
+# the text), or an identifier: what macro expansion looks at.
+_LITERAL_OR_NAME_RE = re.compile(
+    r"""(["'])(?:\\.|(?!\1)[^\\])*\1?|[A-Za-z_]\w*""", re.S | re.A)
 _DEFINE_RE = re.compile(
     r"^\s*#\s*define\s+(?P<name>[A-Za-z_][A-Za-z0-9_]*)"
     r"(?P<params>\([^)]*\))?(?P<body>.*)$")
 _INCLUDE_RE = re.compile(r'^\s*#\s*include\s+[<"](?P<name>[^>"]+)[>"]\s*$')
 _DIRECTIVE_RE = re.compile(r"^\s*#\s*(?P<directive>[a-z_]+)\b(?P<rest>.*)$")
+# Phase 2: a run of physical lines that end in a backslash, and the line
+# that ends the run.
+_SPLICE_RE = re.compile(r"^(?:[^\n]*\\\n)+[^\n]*", re.M)
+# Phase 3: a comment, or a literal that may hold comment-like text.  A
+# literal stops at the end of its line.
+_COMMENT_RE = re.compile(
+    r"//[^\n]*|/\*.*?\*/"
+    r"""|"(?:[^"\\\n]++|\\[^\n])*+"?|'(?:[^'\\\n]++|\\[^\n])*+'?""",
+    re.S)
+
+
+def source_lines(source: str) -> list[str]:
+    """The lines of ``source`` after translation phases 2 and 3: as many lines
+    as ``source`` has."""
+    if "\\\n" in source:
+        source = _SPLICE_RE.sub(_splice, source)
+    if "//" in source or "/*" in source:
+        source = _COMMENT_RE.sub(_blank_comment, source)
+    return source.split("\n")
+
+
+def _splice(match: re.Match[str]) -> str:
+    text = match[0]
+    return text.replace("\\\n", "") + "\n" * text.count("\\\n")
+
+
+def _blank_comment(match: re.Match[str]) -> str:
+    text = match[0]
+    if text[0] != "/":
+        return text
+    if "\n" not in text:
+        return " " * len(text)
+    return "\n".join(" " * len(part) for part in text.split("\n"))
+
+
+def opening_includes(lines: list[str]) -> tuple[tuple[int, str], ...]:
+    """``(line, header)`` of each ``#include`` of a builtin header that opens
+    ``lines``: before the first line that is neither blank nor such an include.
+    """
+    includes = []
+    for lineno, line in enumerate(lines, start=1):
+        match = _INCLUDE_RE.match(line)
+        if match is not None and match.group("name") in BUILTIN_HEADERS:
+            includes.append((lineno, match.group("name")))
+        elif line.strip():
+            break
+    return tuple(includes)
+
 
 class Preprocessor:
     """Expand directives and macros in C source text."""
 
     def __init__(self, extra_headers: Optional[dict[str, str]] = None,
-                 predefined: Optional[dict[str, str]] = None) -> None:
+                 predefined: Optional[dict[str, str]] = None,
+                 prelude: Optional[Prelude] = None) -> None:
         self.headers = dict(BUILTIN_HEADERS)
         if extra_headers:
             self.headers.update(extra_headers)
         self.macros: dict[str, MacroDefinition] = {}
+        self.included: set[str] = set()
+        self.prelude = prelude
+        if prelude is not None:
+            self.macros.update(prelude.macros)
+            self.included.update(prelude.included)
         for name, body in (predefined or {}).items():
             self.macros[name] = MacroDefinition(name, body)
-        self._included: set[str] = set()
 
     # ------------------------------------------------------------------
     # Driver
     # ------------------------------------------------------------------
-    def preprocess(self, source: str, filename: str = "<input>") -> str:
-        lines = self._join_continuations(source).split("\n")
+    def preprocess(self, source: Union[str, list[str]], filename: str = "<input>") -> str:
+        """Preprocess C source text, or the lines :func:`source_lines` made of it."""
+        lines = source_lines(source) if isinstance(source, str) else source
+        if self.prelude is not None:
+            # The prelude holds what the opening #include lines produce.
+            lines = [""] * self.prelude.last_line + lines[self.prelude.last_line:]
         out = self._process_lines(lines, filename)
         return "\n".join(out)
-
-    @staticmethod
-    def _join_continuations(source: str) -> str:
-        return source.replace("\\\n", " ")
 
     def _process_lines(self, lines: list[str], filename: str) -> list[str]:
         output: list[str] = []
@@ -170,13 +245,12 @@ class Preprocessor:
         if not match:
             raise CParseError(f"malformed #include: {line.strip()!r}", lineno)
         name = match.group("name")
-        if name in self._included:
+        if name in self.included:
             return [""]
         if name not in self.headers:
             raise CParseError(f"unknown header {name!r} (no host includes available)", lineno)
-        self._included.add(name)
-        header_lines = self._join_continuations(self.headers[name]).split("\n")
-        return self._process_lines(header_lines, name)
+        self.included.add(name)
+        return self._process_lines(source_lines(self.headers[name]), name)
 
     def _handle_define(self, line: str, lineno: int) -> None:
         match = _DEFINE_RE.match(line)
@@ -203,39 +277,27 @@ class Preprocessor:
 
     def _expand_text(self, text: str, lineno: int, active: frozenset[str]) -> str:
         result: list[str] = []
-        index = 0
-        length = len(text)
-        while index < length:
-            ch = text[index]
-            if ch == '"' or ch == "'":
-                end = self._skip_literal(text, index)
-                result.append(text[index:end])
-                index = end
-                continue
-            if ch == "/" and index + 1 < length and text[index + 1] in "/*":
-                result.append(text[index:])
-                break
-            match = _IDENTIFIER_RE.match(text, index)
-            if not match:
-                result.append(ch)
-                index += 1
-                continue
-            name = match.group(0)
-            index = match.end()
-            macro = self.macros.get(name)
-            if macro is None or name in active:
-                result.append(name)
+        copied = pos = 0  # text[:copied] is in result
+        while (match := _LITERAL_OR_NAME_RE.search(text, pos)) is not None:
+            pos = match.end()
+            name = match[0]
+            macro = None if match[1] or name in active else self.macros.get(name)
+            if macro is None:
                 continue
             if macro.is_function_like:
-                call_end, args = self._parse_macro_args(text, index)
+                call_end, args = self._parse_macro_args(text, pos)
                 if args is None:
-                    result.append(name)
                     continue
-                index = call_end
+                pos = call_end
                 expansion = self._substitute(macro, args, lineno, active)
             else:
                 expansion = self._expand_text(macro.body, lineno, active | {name})
+            result.append(text[copied:match.start()])
             result.append(expansion)
+            copied = pos
+        if not result:
+            return text
+        result.append(text[copied:])
         return "".join(result)
 
     @staticmethod
@@ -298,25 +360,10 @@ class Preprocessor:
             args = []
         expanded_args = [self._expand_text(a, lineno, active) for a in args]
         mapping = dict(zip(params, expanded_args))
-        body = macro.body
-        out: list[str] = []
-        index = 0
-        while index < len(body):
-            ch = body[index]
-            if ch in "\"'":
-                end = self._skip_literal(body, index)
-                out.append(body[index:end])
-                index = end
-                continue
-            match = _IDENTIFIER_RE.match(body, index)
-            if match:
-                name = match.group(0)
-                out.append(mapping.get(name, name))
-                index = match.end()
-            else:
-                out.append(ch)
-                index += 1
-        return self._expand_text("".join(out), lineno, active | {macro.name})
+        body = _LITERAL_OR_NAME_RE.sub(
+            lambda match: match[0] if match[1] else mapping.get(match[0], match[0]),
+            macro.body)
+        return self._expand_text(body, lineno, active | {macro.name})
 
     # ------------------------------------------------------------------
     # #if expression evaluation
@@ -357,9 +404,11 @@ class Preprocessor:
         return value
 
 
-def preprocess(source: str, *, extra_headers: Optional[dict[str, str]] = None,
+def preprocess(source: Union[str, list[str]], *,
+               extra_headers: Optional[dict[str, str]] = None,
                predefined: Optional[dict[str, str]] = None,
-               filename: str = "<input>") -> str:
-    """Convenience wrapper: preprocess ``source`` with a fresh preprocessor."""
-    return Preprocessor(extra_headers=extra_headers, predefined=predefined).preprocess(
-        source, filename)
+               filename: str = "<input>", prelude: Optional[Prelude] = None) -> str:
+    """Convenience wrapper: preprocess ``source`` with a fresh preprocessor,
+    started from ``prelude`` when that is the snapshot of its opening."""
+    return Preprocessor(extra_headers=extra_headers, predefined=predefined,
+                        prelude=prelude).preprocess(source, filename)

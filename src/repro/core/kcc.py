@@ -23,7 +23,7 @@ from typing import Any, Optional, Sequence
 
 from repro.cfront import ast as c_ast
 from repro.cfront import ctypes as ct
-from repro.cfront.parser import parse
+from repro.cfront.parser import parse_unit
 from repro.core.config import CheckerOptions, DEFAULT_OPTIONS
 from repro.core.interpreter import ExecutionResult, Interpreter
 from repro.errors import (
@@ -231,7 +231,8 @@ class KccTool:
                                 profile_name=self.options.profile.name,
                                 profile=self.options.profile)
         try:
-            compiled.unit = parse(source, filename=filename, profile=self.options.profile)
+            compiled.unit, prelude = parse_unit(source, filename=filename,
+                                                profile=self.options.profile)
         except CParseError as error:
             compiled.parse_error = str(error)
             return compiled
@@ -239,7 +240,7 @@ class KccTool:
             compiled.parse_error = f"unsupported feature: {error}"
             return compiled
         compiled.static_violations = check_translation_unit(
-            compiled.unit, self.options.profile)
+            compiled.unit, self.options.profile, prelude)
         return compiled
 
     # ------------------------------------------------------------------

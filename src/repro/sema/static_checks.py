@@ -11,13 +11,16 @@ tests of the suites do not produce false positives.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 from repro.cfront import ast as c_ast
 from repro.cfront import ctypes as ct
 from repro.cfront.parser import fold_constant
 from repro.errors import StaticViolation, UBKind
 from repro.sema.symtab import SymbolInfo, SymbolTable
+
+if TYPE_CHECKING:
+    from repro.cfront.prelude import Prelude
 
 _RESERVED_PREFIXES = ("__",)
 
@@ -40,8 +43,16 @@ class StaticChecker:
     # ------------------------------------------------------------------
     # Entry point
     # ------------------------------------------------------------------
-    def check(self, unit: c_ast.TranslationUnit) -> list[StaticViolation]:
-        for declaration in unit.declarations:
+    def check(self, unit: c_ast.TranslationUnit,
+              prelude: Optional[Prelude] = None) -> list[StaticViolation]:
+        declarations = unit.declarations
+        if prelude is not None:
+            skipped = len(prelude.declarations)
+            if tuple(declarations[:skipped]) != prelude.declarations:
+                raise ValueError("the unit does not start with the prelude's declarations")
+            self.symbols.scopes[0].update(prelude.file_scope)
+            declarations = declarations[skipped:]
+        for declaration in declarations:
             if isinstance(declaration, c_ast.FunctionDef):
                 self._check_function(declaration)
             elif isinstance(declaration, c_ast.Declaration):
@@ -465,6 +476,12 @@ class StaticChecker:
 
 
 def check_translation_unit(unit: c_ast.TranslationUnit,
-                           profile: ct.ImplementationProfile = ct.LP64) -> list[StaticViolation]:
-    """Run all static checks on a parsed translation unit."""
-    return StaticChecker(profile=profile).check(unit)
+                           profile: ct.ImplementationProfile = ct.LP64,
+                           prelude: Optional[Prelude] = None) -> list[StaticViolation]:
+    """Run all static checks on a parsed translation unit.
+
+    A unit parsed from ``prelude`` (:func:`repro.cfront.parser.parse_unit`)
+    starts with the prelude's declarations: they are skipped, and the
+    checks start from a copy of the file scope the prelude recorded for them.
+    """
+    return StaticChecker(profile=profile).check(unit, prelude)

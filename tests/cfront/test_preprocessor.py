@@ -171,7 +171,7 @@ class TestIncludes:
 class TestLineContinuation:
     def test_backslash_newline_joined(self):
         out = preprocess("#define LONG 1 + \\\n2\nLONG")
-        assert "1 +  2" in out
+        assert out.split("\n") == ["", "", "1 + 2"]
 
 
 class TestIncludeLines:
@@ -217,7 +217,7 @@ class TestIncludeLines:
     def test_literals_in_a_header_are_kept(self):
         header = "char *s = \"// #\";\nchar c = '#'; /* // */\nint e;\n"
         out = preprocess('#include "h.h"\nint d;', extra_headers={"h.h": header})
-        assert out == "char *s = \"// #\"; char c = '#';   int e; \nint d;"
+        assert out == "char *s = \"// #\"; char c = '#';" + " " * 10 + "int e; \nint d;"
 
     @pytest.mark.parametrize("header, message", [
         ('char *s = "abc\nint x; // "\n', "newline in string literal"),
@@ -229,3 +229,47 @@ class TestIncludeLines:
         with pytest.raises(CParseError) as info:
             tokenize(out)
         assert str(info.value).startswith(message + " at line")
+
+
+class TestTranslationPhases:
+    """Splices (phase 2) and comments (phase 3) go before any directive runs."""
+
+    def check(self, source):
+        from repro import Checker
+
+        return Checker().check(source).outcome
+
+    def test_a_comment_after_an_include(self):
+        outcome = self.check("#include <stdlib.h> // malloc\n"
+                             "int main(void) { return EXIT_FAILURE; }\n")
+        assert (outcome.kind.value, outcome.exit_code) == ("defined", 1)
+
+    def test_a_comment_after_a_macro_body(self):
+        outcome = self.check("#define N 4 // size\n"
+                             "int main(void) { int a[N]; a[N - 1] = 5; return a[3]; }\n")
+        assert (outcome.kind.value, outcome.exit_code) == ("defined", 5)
+
+    def test_a_comment_between_macro_uses(self):
+        outcome = self.check("#define A 1\n#define B 2\n"
+                             "int main(void) { return A /* x */ + B; }\n")
+        assert (outcome.kind.value, outcome.exit_code) == ("defined", 3)
+
+    @pytest.mark.parametrize("directive", ["#define main oops", "#include <nonexistent.h>"])
+    def test_a_directive_inside_a_block_comment_does_nothing(self, directive):
+        outcome = self.check(f"/*\n{directive}\n*/\nint main(void) {{ return 7; }}\n")
+        assert (outcome.kind.value, outcome.exit_code) == ("defined", 7)
+
+    def test_a_comment_keeps_token_positions(self):
+        tokens = tokenize(preprocess("int /* a\nb */ x; // y\nint z;"))
+        assert [(t.text, t.line, t.column) for t in tokens][:-1] == [
+            ("int", 1, 1), ("x", 2, 6), (";", 2, 7), ("int", 3, 1), ("z", 3, 5), (";", 3, 6)]
+
+    def test_a_splice_keeps_the_line_numbers_after_it(self):
+        outcome = self.check("#define X 1 + \\\n  2\nint main(void) {\n"
+                             "  int z = X;\n  int a[0];\n  return z;\n}\n")
+        [violation] = outcome.static_violations
+        assert violation.line == 5
+
+    def test_a_token_spliced_in_the_middle_stays_whole(self):
+        outcome = self.check("int ma\\\nin(void) { ret\\\nurn 4; }\n")
+        assert (outcome.kind.value, outcome.exit_code) == ("defined", 4)

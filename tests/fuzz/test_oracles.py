@@ -115,13 +115,13 @@ def test_run_oracles_parses_each_case_once(index, monkeypatch):
     import repro.core.kcc as kcc
 
     parses = []
-    real_parse = kcc.parse
+    real_parse = kcc.parse_unit
 
     def counting_parse(*args, **kwargs):
         parses.append(args)
         return real_parse(*args, **kwargs)
 
-    monkeypatch.setattr(kcc, "parse", counting_parse)
+    monkeypatch.setattr(kcc, "parse_unit", counting_parse)
     case = generate_case(SEED, index, inject="mixed")
     report = run_oracles(case)
     assert report.ok, [failure.to_dict() for failure in report.failures]
