@@ -18,6 +18,7 @@ classify outcomes, they do not re-run units.
 
 from __future__ import annotations
 
+import contextlib
 from typing import Iterable, Iterator, Optional, Sequence, Tuple, Union
 
 from repro.core.config import CheckerOptions, DEFAULT_OPTIONS
@@ -130,24 +131,19 @@ def iter_check_many(sources: Iterable[SourceSpec], *,
         return
     header = check_header(options, search_evaluation_order,
                           run_static_checks, search_options)
-    chunks = [pairs[start:start + DEFAULT_CHUNKSIZE]
-              for start in range(0, len(pairs), DEFAULT_CHUNKSIZE)]
-    futures = [pool.submit_staged_chunk(check_pair, header, chunk)
-               for chunk in chunks]
-    try:
-        for future in futures:
-            for report in future.result():
+    # An abandoned iterator (e.g. the consumer's `| head -1` closing the
+    # pipe) starts no further chunks and discards the replies in flight;
+    # the pool itself stays warm for the next batch.
+    chunks = pool.iter_staged(check_pair, header, pairs,
+                              chunksize=DEFAULT_CHUNKSIZE)
+    with contextlib.closing(chunks) as results:
+        for reports in results:
+            for report in reports:
                 if checker is not None:
                     # The workers ran the programs, but the session owns the
                     # batch: keep run_count independent of the jobs value.
                     checker.stats.bump("run_count")
                 yield report
-    finally:
-        # An abandoned iterator (e.g. the consumer's `| head -1` closing
-        # the pipe) cancels the not-yet-started tail; the pool itself stays
-        # warm for the next batch.
-        for future in futures:
-            future.cancel()
 
 
 def _iter_serial(pairs: Sequence[tuple[str, str]], *, options: CheckerOptions,

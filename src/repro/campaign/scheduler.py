@@ -30,7 +30,8 @@ the journal's ``duplicate_done`` counter proves.
 
 from __future__ import annotations
 
-import concurrent.futures
+import queue
+import threading
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -352,93 +353,85 @@ def _drive_inline(dispatcher: _Dispatcher, pending: list[dict[str, Any]]) -> Non
 
 
 def _drive_pool(dispatcher: _Dispatcher, pending: list[dict[str, Any]]) -> None:
-    from repro.service.pool import get_pool
+    from repro.service.pool import InFlight, get_pool
 
     pool = get_pool(dispatcher.config.jobs)
     if pool is None:  # host cannot spawn processes; the guarantee holds
         _drive_inline(dispatcher, pending)
         return
     jobs = max(1, dispatcher.config.jobs)
-    in_flight: dict[concurrent.futures.Future, dict[str, Any]] = {}
     pending = list(pending)
-
-    def dispatch(unit: dict[str, Any]) -> None:
-        dispatcher.claim(unit, "pool")
-        future = pool.submit_staged_chunk(execute_unit, dispatcher.header, [unit])
-        in_flight[future] = unit
-
-    while pending or in_flight:
-        while pending and len(in_flight) < jobs:
-            dispatch(dispatcher.pick(pending))
-        done, _ = concurrent.futures.wait(
-            in_flight,
-            return_when=concurrent.futures.FIRST_COMPLETED,
-        )
-        for future in done:
-            unit = in_flight.pop(future)
-            try:
-                result = future.result()[0]
-            except Exception as error:
-                if dispatcher.fail(unit, error):
-                    dispatch(unit)
-                    continue
-                for open_future in in_flight:
-                    open_future.cancel()
-                raise CampaignError(
-                    f"unit {unit['id']} failed after "
-                    f"{dispatcher.attempts[unit['id']]} attempt(s): {error}"
-                ) from error
-            dispatcher.commit(unit, result)
+    # Leaving the block (a unit out of retries) discards the replies of the
+    # units still in flight.
+    with InFlight(pool) as in_flight:
+        while pending or in_flight:
+            while pending and len(in_flight) < jobs:
+                unit = dispatcher.pick(pending)
+                if not in_flight.start(
+                    execute_unit, dispatcher.header, [unit], tag=unit
+                ):
+                    pending.insert(0, unit)  # every worker is busy
+                    break
+                dispatcher.claim(unit, "pool")
+            for unit, error, results in in_flight.collect():
+                if error is None:
+                    dispatcher.commit(unit, results[0])
+                elif dispatcher.fail(unit, error):
+                    pending.insert(0, unit)
+                else:
+                    raise CampaignError(
+                        f"unit {unit['id']} failed after "
+                        f"{dispatcher.attempts[unit['id']]} attempt(s): {error}"
+                    ) from error
 
 
 def _drive_endpoints(dispatcher: _Dispatcher, pending: list[dict[str, Any]]) -> None:
     """Remote dispatch: one :class:`ServiceClient` per endpoint, one unit
     in flight per client (the service multiplexes many clients over its
-    own warm pool, so per-connection pipelining buys nothing)."""
+    own warm pool, so per-connection pipelining buys nothing).  Each unit
+    runs on its own thread; finished units come back through one queue."""
     from repro.service.client import ServiceClient
 
     endpoints = list(dispatcher.config.endpoints)
     clients = [ServiceClient(endpoint) for endpoint in endpoints]
     spec_dict, options = dispatcher.header
+    finished: queue.SimpleQueue = queue.SimpleQueue()
+    threads: list[threading.Thread] = []
+
+    def run(slot: int, unit: dict[str, Any]) -> None:
+        try:
+            result = clients[slot].run_unit(spec_dict, unit, options=None)
+        except Exception as error:
+            finished.put((slot, unit, error, None))
+        else:
+            finished.put((slot, unit, None, result))
+
     try:
-        with concurrent.futures.ThreadPoolExecutor(len(clients)) as executor:
-            in_flight: dict[concurrent.futures.Future, dict[str, Any]] = {}
-            idle = list(range(len(clients)))
-            owner: dict[concurrent.futures.Future, int] = {}
-            pending = list(pending)
-            while pending or in_flight:
-                while pending and idle:
-                    slot = idle.pop()
-                    unit = dispatcher.pick(pending)
-                    dispatcher.claim(unit, endpoints[slot])
-                    future = executor.submit(
-                        clients[slot].run_unit,
-                        spec_dict,
-                        unit,
-                        options=None,
-                    )
-                    in_flight[future] = unit
-                    owner[future] = slot
-                done, _ = concurrent.futures.wait(
-                    in_flight,
-                    return_when=concurrent.futures.FIRST_COMPLETED,
-                )
-                for future in done:
-                    unit = in_flight.pop(future)
-                    idle.append(owner.pop(future))
-                    try:
-                        result = future.result()
-                    except Exception as error:
-                        if dispatcher.fail(unit, error):
-                            pending.insert(0, unit)
-                            continue
-                        raise CampaignError(
-                            f"unit {unit['id']} failed after "
-                            f"{dispatcher.attempts[unit['id']]} attempt(s): "
-                            f"{error}"
-                        ) from error
-                    dispatcher.commit(unit, result)
+        idle = list(range(len(clients)))
+        pending = list(pending)
+        while pending or len(idle) < len(clients):
+            while pending and idle:
+                slot = idle.pop()
+                unit = dispatcher.pick(pending)
+                dispatcher.claim(unit, endpoints[slot])
+                thread = threading.Thread(target=run, args=(slot, unit), daemon=True)
+                thread.start()
+                threads.append(thread)
+            slot, unit, error, result = finished.get()
+            idle.append(slot)
+            if error is None:
+                dispatcher.commit(unit, result)
+            elif dispatcher.fail(unit, error):
+                pending.insert(0, unit)
+            else:
+                raise CampaignError(
+                    f"unit {unit['id']} failed after "
+                    f"{dispatcher.attempts[unit['id']]} attempt(s): "
+                    f"{error}"
+                ) from error
     finally:
+        for thread in threads:
+            thread.join()
         for client in clients:
             try:
                 client.close()

@@ -4,10 +4,10 @@ Two layers:
 
 * :mod:`repro.service.pool` — the process-wide **warm worker pool** every
   parallel call site routes through (``check_many(jobs=N)``, fuzz
-  campaigns, harness grids, search root-shards).  Long-lived workers
-  pre-import the engine, keep the shared compile cache across batches,
-  take work as chunked tasks, and receive large corpora by file-backed
-  reference.
+  campaigns, harness grids, search root-shards).  Long-lived forked
+  workers pre-import the engine, keep the shared compile cache across
+  batches, take work as chunked tasks over one duplex pipe each, and
+  receive large corpora by file-backed reference.
 
 * :mod:`repro.service.server` / :mod:`repro.service.client` /
   :mod:`repro.service.protocol` — the **checking service**: ``kcc-check
@@ -25,6 +25,7 @@ from __future__ import annotations
 
 from repro.service.pool import (
     WarmPool,
+    WorkerLost,
     get_pool,
     pool_stats,
     run_staged,
@@ -39,6 +40,7 @@ __all__ = [
     "ServiceError",
     "ServiceTimeout",
     "WarmPool",
+    "WorkerLost",
     "get_pool",
     "pool_stats",
     "run_staged",

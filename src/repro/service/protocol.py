@@ -70,7 +70,9 @@ ERROR_PROTOCOL = "protocol"  # unparseable or structurally invalid frame
 ERROR_BAD_REQUEST = "bad-request"  # well-formed frame, bad contents
 ERROR_INTERNAL = "internal"  # the job itself raised
 
-_MAX_FRAME_BYTES = 64 * 1024 * 1024
+#: The longest frame line either side reads; the service also passes it as
+#: its stream reader's limit (asyncio's own default is 64 KiB).
+MAX_FRAME_BYTES = 64 * 1024 * 1024
 
 
 class ProtocolError(Exception):
@@ -79,6 +81,11 @@ class ProtocolError(Exception):
     def __init__(self, message: str, *, code: str = ERROR_PROTOCOL) -> None:
         super().__init__(message)
         self.code = code
+
+
+def frame_too_long() -> ProtocolError:
+    """The error for a frame line longer than :data:`MAX_FRAME_BYTES`."""
+    return ProtocolError(f"frame exceeds the {MAX_FRAME_BYTES}-byte limit")
 
 
 def encode_frame(frame: dict[str, Any]) -> bytes:
@@ -90,8 +97,8 @@ def encode_frame(frame: dict[str, Any]) -> bytes:
 def decode_frame(line: bytes | str) -> dict[str, Any]:
     """Parse one line into a frame dict; raises :class:`ProtocolError`."""
     if isinstance(line, bytes):
-        if len(line) > _MAX_FRAME_BYTES:
-            raise ProtocolError("frame exceeds the 64 MiB limit")
+        if len(line) > MAX_FRAME_BYTES:
+            raise frame_too_long()
         try:
             line = line.decode("utf-8")
         except UnicodeDecodeError as error:
@@ -470,6 +477,7 @@ __all__ = [
     "ERROR_INTERNAL",
     "ERROR_PROTOCOL",
     "JOB_OPS",
+    "MAX_FRAME_BYTES",
     "PROTOCOL",
     "STATUS_CANCELLED",
     "STATUS_ERROR",
@@ -483,6 +491,7 @@ __all__ = [
     "done_frame",
     "encode_frame",
     "error_frame",
+    "frame_too_long",
     "fuzz_request",
     "hello_frame",
     "normalize_sources",

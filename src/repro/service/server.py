@@ -18,7 +18,10 @@ never per worker).
 Shutdown is a drain, not an abort: on ``request_stop()`` (the CLI wires
 SIGTERM and SIGINT to it) the listener closes, in-flight jobs run to their
 terminal ``done`` frame, clients get an EOF, and the warm pool is shut down
-with ``wait=True`` so no worker process outlives the service.
+with ``wait=True`` so no worker process outlives the service.  The one
+exception is a client that has stopped reading: once a connection's writes
+have been blocked for :data:`STALL_GRACE_SECONDS`, the drain aborts it,
+which ends its jobs, so such a client cannot hold the service up forever.
 """
 
 from __future__ import annotations
@@ -41,6 +44,10 @@ from repro.service.pool import get_pool, pool_stats, shutdown_pool
 #: progress frames and of cancellation.
 CHECK_CHUNK = 4
 FUZZ_CHUNK = 8
+
+#: How long a draining service lets a connection's writes stay blocked (its
+#: client has stopped reading) before it aborts the connection.
+STALL_GRACE_SECONDS = 5.0
 
 
 class _Job:
@@ -66,13 +73,24 @@ class _Connection:
         self.writer = writer
         self.jobs: dict[str, _Job] = {}
         self._write_lock = asyncio.Lock()
+        self._blocked_since: Optional[float] = None
 
-    async def send(self, frame: dict[str, Any]) -> None:
+    async def send(self, *frames: dict[str, Any]) -> None:
         # Concurrent job tasks share one stream; the lock keeps each frame
-        # on its own line.
+        # on its own line.  Frames sent together go out in one write.
         async with self._write_lock:
-            self.writer.write(protocol.encode_frame(frame))
-            await self.writer.drain()
+            self.writer.write(b"".join(map(protocol.encode_frame, frames)))
+            self._blocked_since = time.monotonic()
+            try:
+                await self.writer.drain()
+            finally:
+                self._blocked_since = None
+
+    def blocked_for(self, now: float) -> float:
+        """Seconds the current write has waited for the client to read."""
+        if self._blocked_since is None:
+            return 0.0
+        return now - self._blocked_since
 
 
 def _chunk_spans(total: int, size: int) -> Iterator[tuple[int, int]]:
@@ -106,6 +124,7 @@ class CheckService:
         self._server: Optional[asyncio.base_events.Server] = None
         self._stop: Optional[asyncio.Event] = None
         self._connections: set[_Connection] = set()
+        self._tasks: set[asyncio.Task] = set()
         self._jobs_started = 0
         self._jobs_completed = 0
         self._draining = False
@@ -126,12 +145,14 @@ class CheckService:
             self._server = await asyncio.start_unix_server(
                 self._handle_connection,
                 path=self.socket_path,
+                limit=protocol.MAX_FRAME_BYTES,
             )
         else:
             self._server = await asyncio.start_server(
                 self._handle_connection,
                 host=self.host,
                 port=self.port,
+                limit=protocol.MAX_FRAME_BYTES,
             )
             self.port = self._server.sockets[0].getsockname()[1]
 
@@ -153,23 +174,35 @@ class CheckService:
         self._draining = True
         if self._server is not None:
             self._server.close()
-            await self._server.wait_closed()
-        pending = [
-            job.task
-            for connection in list(self._connections)
-            for job in list(connection.jobs.values())
-            if job.task is not None and not job.task.done()
-        ]
-        if pending:
-            await asyncio.gather(*pending, return_exceptions=True)
+        await self._finish_jobs()
         for connection in list(self._connections):
             connection.writer.close()
             with contextlib.suppress(Exception):
                 await connection.writer.wait_closed()
+        if self._server is not None:
+            # Only now: on newer Pythons this also waits for every
+            # connection to close.
+            await self._server.wait_closed()
         # The pool workers are our children; wait for them so the service
         # never leaves zombies behind (the serve-smoke CI job asserts this).
         loop = asyncio.get_running_loop()
         await loop.run_in_executor(None, lambda: shutdown_pool(wait=True))
+
+    async def _finish_jobs(self) -> None:
+        """Wait for every job; abort connections whose client stopped reading.
+
+        A job blocked writing to a client that never reads would never end.
+        A connection whose current write has waited
+        :data:`STALL_GRACE_SECONDS` is aborted: its blocked write returns,
+        its next one fails, and its jobs end.  A slow client that still
+        reads keeps its jobs.
+        """
+        while self._tasks:
+            await asyncio.wait(set(self._tasks), timeout=STALL_GRACE_SECONDS / 5)
+            now = time.monotonic()
+            for connection in list(self._connections):
+                if connection.blocked_for(now) >= STALL_GRACE_SECONDS:
+                    connection.writer.transport.abort()
 
     def stats(self) -> dict[str, Any]:
         active = sum(len(connection.jobs) for connection in self._connections)
@@ -196,7 +229,14 @@ class CheckService:
                 protocol.hello_frame(version=repro.__version__, pool=pool_stats()),
             )
             while not self._draining:
-                line = await reader.readline()
+                try:
+                    line = await reader.readline()
+                except ValueError:  # a line longer than MAX_FRAME_BYTES
+                    error = protocol.frame_too_long()
+                    await connection.send(
+                        protocol.error_frame(str(error), code=error.code),
+                    )
+                    continue
                 if not line:
                     break
                 if not line.strip():
@@ -263,6 +303,8 @@ class CheckService:
         connection.jobs[job_id] = job
         self._jobs_started += 1
         job.task = asyncio.create_task(self._run_job(connection, job, request))
+        self._tasks.add(job.task)
+        job.task.add_done_callback(self._tasks.discard)
 
     @staticmethod
     def _job_total(request: dict[str, Any]) -> int:
@@ -325,13 +367,11 @@ class CheckService:
                 )
 
     async def _run_chunk(self, fn, header: Any, items: Sequence[Any]) -> list:
-        """One chunk on a warm worker; a thread when spawning is impossible."""
+        """One chunk on a warm worker; a thread when forking is impossible."""
+        loop = asyncio.get_running_loop()
         pool = get_pool(self.jobs)
         if pool is not None:
-            return await asyncio.wrap_future(
-                pool.submit_staged_chunk(fn, header, list(items)),
-            )
-        loop = asyncio.get_running_loop()
+            return await pool.run_chunk(loop, fn, header, items)
         return await loop.run_in_executor(
             None,
             lambda: [fn(header, item) for item in items],
@@ -359,11 +399,13 @@ class CheckService:
             if job.cancelled:
                 return
             reports = await self._run_chunk(check_pair, header, pairs[start:stop])
-            for offset, report in enumerate(reports):
-                await connection.send(
-                    protocol.report_frame(job.id, start + offset, report.to_dict()),
-                )
-            await connection.send(protocol.progress_frame(job.id, stop, len(pairs)))
+            await connection.send(
+                *(
+                    protocol.report_frame(job.id, start + offset, report.to_dict())
+                    for offset, report in enumerate(reports)
+                ),
+                protocol.progress_frame(job.id, stop, len(pairs)),
+            )
 
     async def _job_fuzz(
         self,
@@ -414,8 +456,10 @@ class CheckService:
             return
         header = (request["spec"], request.get("options_dict"))
         results = await self._run_chunk(execute_unit, header, [request["unit"]])
-        await connection.send(protocol.result_frame(job.id, results[0]))
-        await connection.send(protocol.progress_frame(job.id, 1, 1))
+        await connection.send(
+            protocol.result_frame(job.id, results[0]),
+            protocol.progress_frame(job.id, 1, 1),
+        )
 
     async def _job_campaign(
         self,
@@ -453,8 +497,6 @@ class CheckService:
             aggregate.add_unit(results[0])
             await connection.send(
                 protocol.campaign_progress_frame(job.id, aggregate.snapshot()),
-            )
-            await connection.send(
                 protocol.progress_frame(job.id, aggregate.units_done, len(units)),
             )
         await connection.send(protocol.result_frame(job.id, aggregate.to_dict()))
@@ -471,8 +513,10 @@ class CheckService:
             return
         loop = asyncio.get_running_loop()
         report = await loop.run_in_executor(None, lambda: _search_blocking(request))
-        await connection.send(protocol.report_frame(job.id, 0, report.to_dict()))
-        await connection.send(protocol.progress_frame(job.id, 1, 1))
+        await connection.send(
+            protocol.report_frame(job.id, 0, report.to_dict()),
+            protocol.progress_frame(job.id, 1, 1),
+        )
 
 
 def _search_blocking(request: dict[str, Any]):
@@ -571,4 +615,10 @@ def serve_in_background(
             tempdir.cleanup()
 
 
-__all__ = ["CHECK_CHUNK", "FUZZ_CHUNK", "CheckService", "serve_in_background"]
+__all__ = [
+    "CHECK_CHUNK",
+    "FUZZ_CHUNK",
+    "STALL_GRACE_SECONDS",
+    "CheckService",
+    "serve_in_background",
+]

@@ -85,3 +85,44 @@ def test_shutdown_then_respawn():
     assert pool_stats()["workers"] == 0
     items = [str(index) for index in range(6)]
     assert run_staged(_tag, "h", items, jobs=2) == [f"h:{item}" for item in items]
+
+
+class _Unrebuildable(Exception):
+    """Pickles, but cannot be rebuilt from its args."""
+
+    def __init__(self, left, right):
+        super().__init__(f"{left}/{right}")
+
+
+def _raise_key_error(header, item):
+    raise KeyError(item)
+
+
+def _raise_unrebuildable(header, item):
+    raise _Unrebuildable(header, item)
+
+
+def _return_lock(header, item):
+    import threading
+
+    return threading.Lock()
+
+
+def test_task_errors_keep_their_type_and_the_worker_traceback():
+    with pytest.raises(KeyError) as caught:
+        run_staged(_raise_key_error, None, ["k1", "k2"], jobs=2)
+    assert caught.value.args[0] in ("k1", "k2")
+    assert "_raise_key_error" in str(caught.value.__cause__)
+
+
+def test_unpicklable_errors_and_results_arrive_as_runtime_errors():
+    if get_pool(2) is None:
+        pytest.skip("host cannot spawn worker processes")
+    replaced = pool_stats()["replaced"]
+    with pytest.raises(RuntimeError, match="_Unrebuildable"):
+        run_staged(_raise_unrebuildable, "h", ["a", "b"], jobs=2)
+    with pytest.raises(RuntimeError, match="cannot be pickled.*lock"):
+        run_staged(_return_lock, None, ["a", "b"], jobs=2)
+    # Neither killed a worker.
+    assert pool_stats()["replaced"] == replaced
+    assert run_staged(_tag, "ok", ["x", "y"], jobs=2) == ["ok:x", "ok:y"]
