@@ -49,9 +49,18 @@ Parity contract
 
 The bytecode replicates the walker observation-for-observation:
 
-* **steps** are aggregated per basic block and flushed before every
+* **steps** are aggregated per basic block and charged before every
   side-effecting boundary (calls, declarations, returns, jumps), so
-  ``max_steps`` resource verdicts and stdout prefixes agree;
+  ``max_steps`` resource verdicts and stdout prefixes agree.  A charge
+  right before a jump rides on the jump, or on the compare-and-branch the
+  jump fused into, which adds it and checks ``max_steps`` after the compare
+  and before its own test: the order of a separate ``STEP``.  A jump that
+  a label names keeps its ``STEP`` apart, since a jump to the label must
+  not pay it;
+* **scopes**: only a block with a declaration among its items, or a
+  ``for`` whose init declares, pushes a run-time scope.  Nothing else
+  writes a native function's innermost scope, so an empty one is
+  unobservable;
 * **arithmetic** uses the raw-int plans of :mod:`repro.core.plans`
   (:func:`~repro.core.plans.raw_binary_plan`,
   :func:`~repro.core.plans.raw_conversion_plan`, ...), which raise the
@@ -79,6 +88,7 @@ reasons, in :attr:`CompiledProgram.fallbacks`.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import replace as dc_replace
 from typing import Optional
 
@@ -125,52 +135,76 @@ class _Unsupported(Exception):
 # ---------------------------------------------------------------------------
 #
 # Instructions are plain tuples with the opcode at index 0.  Numbering is
-# by dispatch hotness: the vm's if/elif chain tests them in order.
+# dense and by measured dynamic frequency, most frequent first: the VM
+# tests the group of eight first (``op < 8``, ``op < 16``, ...) and the
+# opcode within its group second, so the most frequent opcode costs two
+# tests and none costs more than thirteen.  The counts behind the order
+# are the dispatches of one check of each benchmark loop program, of the
+# 278 suite programs and of 300 mixed fuzz cases (seed 1); re-count and
+# renumber when the instruction set or the compiler's output changes.
+#
+# The ``P`` opcodes work on pointer registers (fast form ``(obj, offset,
+# elem)``, see repro.core.vm).  ``steps`` on a jump is a step charge that
+# rides on it: the jump adds it and checks ``max_steps`` before its own
+# test.  A compare-and-branch (``BINJZ``, ``PCMPJZ``) is a ``BINOP`` or
+# ``PCMP`` fused with the ``JZ`` that tests its result: it still writes
+# ``dst``, then charges ``steps``, then branches to ``target`` when the
+# result is zero (``line``, ``rdmsg`` and ``rdline`` are the ``JZ``'s).
 
 OP_BINOP = 0  # (op, dst, a, b, plan, slow)
-OP_LDE = 1  # (op, dst, slot, idx, esize, smode, line, info)
-OP_STEP = 2  # (op, n)
-OP_JZ = 3  # (op, src, target, line, rdmsg, rdline)
-OP_CONV = 4  # (op, dst, src, plan, slow)
-OP_STE = 5  # (op, addr, src, esize, mask, line, info)
-OP_JMP = 6  # (op, target)
-OP_CHKE = 7  # (op, dst, slot, idx, esize, line, info)
-OP_MOV = 8  # (op, dst, src)
-OP_JNZ = 9  # (op, src, target, line, rdmsg, rdline)
-OP_LDG = 10  # (op, dst, slot, size, smode, line, info)
-OP_STG = 11  # (op, slot, src, size, mask, line, info)
-OP_SEQPT = 12  # (op,)
-OP_INC = 13  # (op, dst, src, plan, slow)
-OP_LDA = 14  # (op, dst, addr, esize, smode, line, info)
-OP_UNOP = 15  # (op, dst, src, plan, slow)
-OP_NOT = 16  # (op, dst, src, line, rdmsg, rdline)
-OP_BOOL = 17  # (op, dst, src, line, rdmsg, rdline)
-OP_LOADI = 18  # (op, dst, value)
-OP_RDCHK = 19  # (op, src, msg, line)
+OP_STEP = 1  # (op, n)
+OP_CONV = 2  # (op, dst, src, plan, slow)
+OP_RDCHK = 3  # (op, src, msg, line)
+OP_JMP = 4  # (op, target, steps)
+OP_BINJZ = 5  # (op, dst, a, b, plan, slow, steps, target, line, rdmsg, rdline)
+OP_INC = 6  # (op, dst, src, plan, slow)
+OP_LDE = 7  # (op, dst, slot, idx, esize, smode, line, info)
+OP_DECAY = 8  # (op, dst, slot, name)
+OP_PADD = 9  # (op, dst, ptr, idx, scale, slow)
+OP_PCMPJZ = 10  # (op, dst, a, b, compare, slow, steps, target, line, rdmsg, rdline)
+OP_PLD = 11  # (op, dst, ptr, idx, esize, elem, signed, slow)
+OP_PINC = 12  # (op, reg, old_dst, delta, slow)
+OP_RET = 13  # (op, src, rtype, rdmsg, rdline)
+OP_DECL = 14  # (op, node, slot, line)
 # A statically clean call of a native function (see _link_call); ``call``
 # is the OP_CALL it replaces, which runs whenever an argument value is one
 # the direct path cannot take.
-OP_DCALL = 20  # (op, dst, fn, args, line, call)
-OP_RET = 21  # (op, src, rtype, rdmsg, rdline)
-OP_DECL = 22  # (op, node, slot, line)
-OP_BINDR = 23  # (op, dst, name, size, signed, is_bool)
-OP_PUSHSC = 24  # (op,)
-OP_POPSC = 25  # (op,)
-OP_RAISE = 26  # (op, kind, message, line)
-OP_STR = 27  # (op, dst, text)
-# Pointer registers (fast form ``(obj, offset, elem)``, see repro.core.vm).
-OP_PLD = 28  # (op, dst, ptr, idx, esize, elem, signed, slow)
-OP_PADD = 29  # (op, dst, ptr, idx, scale, slow)
-OP_PCMP = 30  # (op, dst, a, b, compare, slow)
-OP_PINC = 31  # (op, reg, old_dst, delta, slow)
-OP_PST = 32  # (op, ptr, src, esize, elem, mask, slow)
-OP_PCONV = 33  # (op, dst, src, slow)
-OP_DECAY = 34  # (op, dst, slot, name)
-OP_PDIFF = 35  # (op, dst, a, b, esize, lo, hi, slow)
-OP_PDCHK = 36  # (op, src, slow)
-OP_BINDP = 37  # (op, dst, name, ctype)
-# The interpreter's generic call path, whose own cost dwarfs the dispatch.
-OP_CALL = 38  # (op, dst, name, ctype, args, line, pointer_result)
+OP_DCALL = 15  # (op, dst, fn, args, line, call)
+OP_BINDR = 16  # (op, dst, name, size, signed, is_bool)
+OP_MOV = 17  # (op, dst, src)
+OP_SEQPT = 18  # (op,)
+OP_NOT = 19  # (op, dst, src, line, rdmsg, rdline)
+OP_CHKE = 20  # (op, dst, slot, idx, esize, line, info)
+OP_STE = 21  # (op, addr, src, esize, mask, line, info)
+# The interpreter's generic call path.
+OP_CALL = 22  # (op, dst, name, ctype, args, line, pointer_result)
+OP_PCONV = 23  # (op, dst, src, slow)
+OP_JZ = 24  # (op, src, target, line, rdmsg, rdline, steps)
+OP_STR = 25  # (op, dst, text)
+OP_PST = 26  # (op, ptr, src, esize, elem, mask, slow)
+OP_PUSHSC = 27  # (op,)
+OP_BINDP = 28  # (op, dst, name, ctype)
+OP_POPSC = 29  # (op,)
+OP_UNOP = 30  # (op, dst, src, plan, slow)
+OP_LDG = 31  # (op, dst, slot, size, smode, line, info)
+OP_LOADI = 32  # (op, dst, value)
+OP_STG = 33  # (op, slot, src, size, mask, line, info)
+OP_PCMP = 34  # (op, dst, a, b, compare, slow)
+OP_PDCHK = 35  # (op, src, slow)
+OP_JNZ = 36  # (op, src, target, line, rdmsg, rdline, steps)
+OP_LDA = 37  # (op, dst, addr, esize, smode, line, info)
+OP_BOOL = 38  # (op, dst, src, line, rdmsg, rdline)
+OP_RAISE = 39  # (op, kind, message, line)
+OP_PDIFF = 40  # (op, dst, a, b, esize, lo, hi, slow)
+
+_JUMPS = frozenset((OP_JMP, OP_JZ, OP_JNZ))
+
+#: The operand position of each jump's target.
+_TARGET_FIELD = {OP_JMP: 1, OP_JZ: 2, OP_JNZ: 2, OP_BINJZ: 7, OP_PCMPJZ: 7}
+
+#: The compare-and-branch that each operation fuses into with the ``JZ``
+#: testing its result.
+_COMPARES = {OP_BINOP: OP_BINJZ, OP_PCMP: OP_PCMPJZ}
 
 #: Opcodes that can never raise: the only instructions allowed between a
 #: deferred register read and its consuming check without reordering the
@@ -208,6 +242,8 @@ _DST_FIELDS = {
     OP_DECAY: (1,),
     OP_PDIFF: (1,),
     OP_BINDP: (1,),
+    OP_BINJZ: (1,),
+    OP_PCMPJZ: (1,),
 }
 
 #: ``smode`` load decode: 0 unsigned, 1 signed two's-complement, 2 _Bool.
@@ -689,7 +725,7 @@ class _FnCompiler:
             self.compile_block_item(item)
         self.flush_steps()
         self.emit((OP_RET, -1, None, None, 0))
-        code = self._patch_jumps()
+        code = self._fuse_and_resolve()
         r_init = [UNINIT] * self.n_regs
         for value, reg in self.consts.items():
             r_init[reg] = value
@@ -711,18 +747,61 @@ class _FnCompiler:
         else:
             self.emit((OP_BINDR, var.reg, name, var.size, var.signed, var.is_bool))
 
-    def _patch_jumps(self) -> tuple:
-        labels = self.labels
-        patched = []
-        for ins in self.code:
+    def _fuse_and_resolve(self) -> tuple:
+        """The final instruction stream: fused, with labels resolved.
+
+        Runs once the code is complete and labels are still symbolic, so no
+        later insertion can land inside a fused group.  A ``STEP`` right
+        before a jump rides on it, and a ``BINOP`` or ``PCMP`` whose result
+        the next ``JZ`` tests becomes one compare-and-branch, with the step
+        charge between them, if any.  Nothing fuses across a label: a jump
+        there must run the rest of the group and must not pay the steps.
+        A label on a group's first instruction names the fused instruction.
+        """
+        code = self.code
+        end = len(code)
+        targets = set(self.labels.values())
+        fused: list = []
+        new_pc: list = []  # old pc -> fused pc
+        jumps: list = []  # the fused pcs of jumps, resolved at the end
+        pc = 0
+        while pc < end:
+            ins = code[pc]
             op = ins[0]
-            if op == OP_JMP:
-                patched.append((op, labels[ins[1]]))
-            elif op == OP_JZ or op == OP_JNZ:
-                patched.append((op, ins[1], labels[ins[2]], ins[3], ins[4], ins[5]))
-            else:
-                patched.append(ins)
-        return tuple(patched)
+            new_pc.append(len(fused))
+            pc += 1
+            if op == OP_STEP:
+                if pc < end and code[pc][0] in _JUMPS and pc not in targets:
+                    ins = code[pc] + (ins[1],)
+                    new_pc.append(len(fused))
+                    pc += 1
+            elif op in _JUMPS:
+                ins += (0,)
+            elif op in _COMPARES:
+                at = pc
+                steps = 0
+                if at < end and code[at][0] == OP_STEP and at not in targets:
+                    steps = code[at][1]
+                    at += 1
+                if (
+                    at < end
+                    and code[at][0] == OP_JZ
+                    and code[at][1] == ins[1]
+                    and at not in targets
+                ):
+                    ins = (_COMPARES[op],) + ins[1:] + (steps,) + code[at][2:]
+                    new_pc += [len(fused)] * (at + 1 - pc)
+                    pc = at + 1
+            if ins[0] in _TARGET_FIELD:
+                jumps.append(len(fused))
+            fused.append(ins)
+        new_pc.append(len(fused))
+        labels = {label: new_pc[at] for label, at in self.labels.items()}
+        for at in jumps:
+            ins = fused[at]
+            field = _TARGET_FIELD[ins[0]]
+            fused[at] = ins[:field] + (labels[ins[field]],) + ins[field + 1 :]
+        return tuple(fused)
 
     # -- statements --------------------------------------------------------
 
@@ -757,20 +836,28 @@ class _FnCompiler:
 
     def stmt_compound(self, stmt: c_ast.Compound) -> None:
         self.pending_steps += 1
-        self.push_scope()
-        try:
+        declares = any(isinstance(item, c_ast.Declaration) for item in stmt.items)
+        with self.block_scope(declares):
             for item in stmt.items:
                 self.compile_block_item(item)
-        finally:
-            self.pop_scope()
 
-    def push_scope(self) -> None:
+    @contextmanager
+    def block_scope(self, declares: bool):
+        """A run-time scope for a block that declares; none for one that
+        does not, since only a declaration writes a native function's
+        innermost scope and an empty scope is unobservable.  The
+        compile-time stack is pushed exactly when the run-time one is, so
+        ``break`` and ``continue`` pop ``len(self.scopes) - depth`` scopes."""
+        if not declares:
+            yield
+            return
         self.scopes.append({})
         self.emit((OP_PUSHSC,))
-
-    def pop_scope(self) -> None:
-        self.scopes.pop()
-        self.emit((OP_POPSC,))
+        try:
+            yield
+        finally:
+            self.scopes.pop()
+            self.emit((OP_POPSC,))
 
     def stmt_if(self, stmt: c_ast.If) -> None:
         self.pending_steps += 1
@@ -833,9 +920,8 @@ class _FnCompiler:
 
     def stmt_for(self, stmt: c_ast.For) -> None:
         self.pending_steps += 1
-        self.push_scope()
-        try:
-            init = stmt.init
+        init = stmt.init
+        with self.block_scope(isinstance(init, (c_ast.Declaration, list))):
             if isinstance(init, c_ast.Declaration):
                 self.compile_declaration(init)
             elif isinstance(init, list):
@@ -866,8 +952,6 @@ class _FnCompiler:
             self.bind(end)
             self.dirty = True
             self.pending_names.clear()
-        finally:
-            self.pop_scope()
 
     def stmt_break(self, stmt: c_ast.Break) -> None:
         if not self.loop_stack:
@@ -966,8 +1050,7 @@ class _FnCompiler:
         if ctype.const:
             raise _Unsupported("const register initializer in native path")
         value = self.compile_expr(initializer)
-        converted = self.convert_to(value, ctype, decl.line)
-        self.emit((OP_MOV, var.reg, converted.reg))
+        self.convert_to(value, ctype, decl.line, var.reg)
         self.sim_write(decl.name)
         self.emit_seqpt()
 
@@ -1577,10 +1660,8 @@ class _FnCompiler:
             else:
                 value = self.compile_expr(expr.value)
                 self.pending_steps += 1
-            converted = self.convert_to(value, var.ctype, expr.line)
+            self.convert_to(value, var.ctype, expr.line, var.reg)
             self.sim_write(name)
-            if converted.reg != var.reg:
-                self.emit((OP_MOV, var.reg, converted.reg))
             return _Value(var.reg, var.ctype.unqualified())
         # Compound assignment: resolve, read, rhs, op, convert, write.
         op = expr.op[:-1]
@@ -1592,9 +1673,8 @@ class _FnCompiler:
         self.protect_read(old, mark)
         if _native_pointer(var.ctype):
             result = self._pointer_binary(op, expr.line, old, rhs)
-            converted = self.convert_to(result, var.ctype, expr.line)
+            self.convert_to(result, var.ctype, expr.line, var.reg)
             self.sim_write(name)
-            self.emit((OP_MOV, var.reg, converted.reg))
             return _Value(var.reg, var.ctype.unqualified())
         self._require_flat(rhs)
         planned = raw_binary_plan(op, old.ctype, rhs.ctype, self.options, expr.line)
@@ -1604,10 +1684,8 @@ class _FnCompiler:
         result = self.new_reg()
         slow = _operands(op, expr.line, old, rhs)
         self.emit((OP_BINOP, result, old.reg, rhs.reg, plan, slow))
-        converted = self.convert_to(_Value(result, result_type), var.ctype, expr.line)
+        self.convert_to(_Value(result, result_type), var.ctype, expr.line, var.reg)
         self.sim_write(name)
-        if converted.reg != var.reg:
-            self.emit((OP_MOV, var.reg, converted.reg))
         return _Value(var.reg, var.ctype.unqualified())
 
     def _assign_global(self, expr: c_ast.Assignment, var: _MemVar) -> _Value:
@@ -1731,24 +1809,32 @@ class _FnCompiler:
         if self.check_seq:
             self.dirty = True
 
-    def convert_to(self, value: _Value, target: ct.CType, line: int) -> _Value:
-        """Convert a value to ``target`` (assignment conversion)."""
+    def convert_to(
+        self, value: _Value, target: ct.CType, line: int, dst: int = -1
+    ) -> _Value:
+        """Convert a value to ``target`` (assignment conversion), into
+        ``dst`` when given (an assigned variable's register), else into a
+        fresh register."""
         if _native_pointer(target):
-            return self._convert_pointer(value, target, line, False)
+            return self._convert_pointer(value, target, line, False, dst)
         self._require_flat(value)
         plan = raw_conversion_plan(target, self.profile)
         if plan is None:
             raise _Unsupported("conversion plan unavailable")
-        dst = self.new_reg()
+        if dst < 0:
+            dst = self.new_reg()
         slow = (target.unqualified(), line, value.read_msg, value.read_line)
         self.emit((OP_CONV, dst, value.reg, plan, slow))
         return _Value(dst, target.unqualified())
 
-    def _convert_pointer(self, value: _Value, target, line: int, explicit: bool):
+    def _convert_pointer(
+        self, value: _Value, target, line: int, explicit: bool, dst: int = -1
+    ):
         """Convert a pointer or integer to a native pointer type, normalized
         as a store and reload of a pointer object would leave it."""
         target = target.unqualified()
-        dst = self.new_reg()
+        if dst < 0:
+            dst = self.new_reg()
         if value.reg == self.consts.get(0) and isinstance(value.ctype, _FLAT_INT_TYPES):
             # The null pointer constant.
             self.emit((OP_LOADI, dst, PointerValue(base=None, offset=0, type=target)))

@@ -22,6 +22,17 @@ Design notes
   :mod:`repro.core.plans` and the walker (``_read_binding``,
   ``_write_with_plan``, ``apply_binary``, ``to_boolean``, ...), so error
   kinds, messages, and order never fork from the walker's semantics.
+* **Two-level dispatch.**  Opcodes are numbered densely by measured
+  dynamic frequency (see the opcode table in :mod:`repro.core.bytecode`).
+  The loop tests the group of eight first (``op < 8``, ``op < 16``, ...)
+  and the opcode within its group second, so the hottest opcode costs two
+  tests and none costs more than thirteen.
+* **Compare-and-branch.**  A ``BINOP`` or ``PCMP`` whose result the next
+  ``JZ`` tests is one instruction (``BINJZ``, ``PCMPJZ``).  It writes its
+  destination, charges the step count that rode on the jump, then
+  branches; the slow paths are ``_binop_slow`` and ``_cond_slow``, in the
+  order the two instructions called them.  Plain jumps carry a step charge
+  too, so the ``STEP`` that ends a block costs no dispatch of its own.
 * **Memory slots** cache ``(data, base, size, binding, decayed)`` per
   activation: local arrays bind at their ``DECL``, globals bind lazily on
   first touch.  ``data`` is the object's arena-backed byte store; flat
@@ -71,6 +82,7 @@ from repro.core.bytecode import (
     INTERNED_INTS,
     OP_BINDP,
     OP_BINDR,
+    OP_BINJZ,
     OP_BINOP,
     OP_BOOL,
     OP_CALL,
@@ -91,6 +103,7 @@ from repro.core.bytecode import (
     OP_NOT,
     OP_PADD,
     OP_PCMP,
+    OP_PCMPJZ,
     OP_PCONV,
     OP_PDCHK,
     OP_PDIFF,
@@ -512,328 +525,395 @@ def run_native(interp, program: CompiledProgram, fn: FnCode, args=None):
         ins = code[pc]
         pc += 1
         op = ins[0]
-        if op == OP_BINOP:
-            a = R[ins[2]]
-            b = R[ins[3]]
-            if a.__class__ is int and b.__class__ is int:
-                R[ins[1]] = ins[4](a, b)
-            else:
-                R[ins[1]] = _binop_slow(interp, a, b, ins[5], order_mode)
-        elif op == OP_LDE:
-            record = S[ins[2]]
-            if record is None:
-                record = _bind_slot(interp, S, ins[2], ins[7][0])
-            index = R[ins[3]]
-            esize = ins[4]
-            if (
-                index.__class__ is int
-                and 0 <= index
-                and (index + 1) * esize <= record[2]
-                and not (check_seq and memory.locs_written)
-            ):
-                value = _read_flat(
-                    record[0], index * esize, esize, ins[5] == _SMODE_SIGNED
-                )
-                if value is not None:
-                    R[ins[1]] = value
-                    continue
-            R[ins[1]] = _lde_slow(interp, record, index, ins[7], ins[6])
-        elif op == OP_STEP:
-            steps += ins[1]
-            if steps > max_steps:
-                interp._steps = steps
-                raise ResourceLimitError(fn.limit_message)
-        elif op == OP_JZ:
-            value = R[ins[1]]
-            if value.__class__ is not int:
-                value = 1 if _cond_slow(interp, value, ins[4], ins[5], ins[3]) else 0
-            if value == 0:
-                pc = ins[2]
-        elif op == OP_CONV:
-            value = R[ins[2]]
-            if value.__class__ is int:
-                R[ins[1]] = ins[3](value)
-            else:
-                R[ins[1]] = _conv_slow(interp, value, ins[4])
-        elif op == OP_STE:
-            address = R[ins[1]]
-            value = R[ins[2]]
-            if address.__class__ is tuple and value.__class__ is int:
-                esize = ins[3]
-                if check_seq:
-                    _seq_conflict_check(memory, address[1], address[2], esize, ins[5])
-                _write_flat(address[0], address[2], esize, value & ins[4])
-            else:
-                info = ins[6]
-                _store_slow(interp, address, value, info[3], info[1], info[2], ins[5])
-        elif op == OP_JMP:
-            pc = ins[1]
-        elif op == OP_CHKE:
-            record = S[ins[2]]
-            if record is None:
-                record = _bind_slot(interp, S, ins[2], ins[6][0])
-            index = R[ins[3]]
-            esize = ins[4]
-            if index.__class__ is int and 0 <= index and (index + 1) * esize <= record[
-                2
-            ]:
-                R[ins[1]] = (record[0], record[1], index * esize)
-            else:
-                pointer, _elem = _elem_pointer_slow(
-                    interp, record, index, ins[6], ins[5]
-                )
-                R[ins[1]] = pointer
-        elif op == OP_MOV:
-            R[ins[1]] = R[ins[2]]
-        elif op == OP_JNZ:
-            value = R[ins[1]]
-            if value.__class__ is not int:
-                value = 1 if _cond_slow(interp, value, ins[4], ins[5], ins[3]) else 0
-            if value != 0:
-                pc = ins[2]
-        elif op == OP_LDG:
-            record = S[ins[2]]
-            if record is None:
-                record = _bind_slot(interp, S, ins[2], ins[6][0])
-            if not (check_seq and memory.locs_written):
-                value = _read_flat(record[0], 0, ins[3], ins[4] == _SMODE_SIGNED)
-                if value is not None:
-                    R[ins[1]] = value
-                    continue
-            R[ins[1]] = _ldg_slow(interp, record, ins[5])
-        elif op == OP_STG:
-            record = S[ins[1]]
-            if record is None:
-                record = _bind_slot(interp, S, ins[1], ins[6][0])
-            value = R[ins[2]]
-            if value.__class__ is int:
-                if check_seq:
-                    _seq_conflict_check(memory, record[1], 0, ins[3], ins[5])
-                _write_flat(record[0], 0, ins[3], value & ins[4])
-            else:
-                _stg_slow(interp, record, value, ins[6], ins[5])
-        elif op == OP_SEQPT:
-            memory.locs_written.clear()
-        elif op == OP_INC:
-            value = R[ins[1]]
-            if value.__class__ is int:
-                R[ins[1]] = ins[3](value)
-                if ins[2] >= 0:
-                    R[ins[2]] = value
-            else:
-                old, new = _inc_slow(interp, value, ins[4])
-                R[ins[1]] = new
-                if ins[2] >= 0:
-                    R[ins[2]] = old
-        elif op == OP_LDA:
-            address = R[ins[2]]
-            if address.__class__ is tuple:
-                value = _read_flat(
-                    address[0], address[2], ins[3], ins[4] == _SMODE_SIGNED
-                )
-                if value is not None and not (check_seq and memory.locs_written):
-                    R[ins[1]] = value
-                    continue
-                address = PointerValue(
-                    base=address[1],
-                    offset=address[2],
-                    type=ct.PointerType(pointee=ins[6][0]),
-                )
-            R[ins[1]] = _lda_slow(interp, address, None, ins[3], ins[6], ins[5])
-        elif op == OP_UNOP:
-            value = R[ins[2]]
-            if value.__class__ is int:
-                R[ins[1]] = ins[3](value)
-            else:
-                R[ins[1]] = _unop_slow(interp, value, ins[4])
-        elif op == OP_NOT:
-            value = R[ins[2]]
-            if value.__class__ is int:
-                R[ins[1]] = 1 if value == 0 else 0
-            else:
-                R[ins[1]] = (
-                    0 if _cond_slow(interp, value, ins[4], ins[5], ins[3]) else 1
-                )
-        elif op == OP_BOOL:
-            value = R[ins[2]]
-            if value.__class__ is int:
-                R[ins[1]] = 1 if value != 0 else 0
-            else:
-                R[ins[1]] = (
-                    1 if _cond_slow(interp, value, ins[4], ins[5], ins[3]) else 0
-                )
-        elif op == OP_LOADI:
-            R[ins[1]] = ins[2]
-        elif op == OP_RDCHK:
-            if R[ins[1]] is UNINIT:
-                _raise_read(ins[2], ins[3])
-        elif op == OP_DCALL:
-            # The interpreter's call path for a clean site (see _link_call),
-            # minus the parameter objects and the boxing: an argument is a
-            # raw int converted to its parameter type, a fast pointer, or
-            # (with uninitialized reads unchecked) an indeterminate integer.
-            # Any other value, or attached probes, takes the generic path.
-            values = []
-            for reg, plan in ins[3]:
-                value = R[reg]
+        if op < 8:
+            if op == OP_BINOP:
+                a = R[ins[2]]
+                b = R[ins[3]]
+                if a.__class__ is int and b.__class__ is int:
+                    R[ins[1]] = ins[4](a, b)
+                else:
+                    R[ins[1]] = _binop_slow(interp, a, b, ins[5], order_mode)
+            elif op == OP_STEP:
+                steps += ins[1]
+                if steps > max_steps:
+                    interp._steps = steps
+                    raise ResourceLimitError(fn.limit_message)
+            elif op == OP_CONV:
+                value = R[ins[2]]
                 if value.__class__ is int:
-                    value = plan(value)
-                elif value.__class__ is not tuple and (
-                    plan is None or value is not UNINIT or check_uninit
-                ):
-                    values = None
-                    break
-                values.append(value)
-            if values is None or interp.events is not None:
-                interp._steps = steps
-                _generic_call(interp, R, ins[5], order_mode)
-                steps = interp._steps
-                continue
-            callee = ins[2]
-            name = callee.name
-            line = ins[4]
-            interp.current_line = line
-            memory.locs_written.clear()  # the sequence point before the call
-            interp._steps = steps
-            frames = interp.frames
-            if len(frames) >= interp.options.max_call_depth:
-                raise ResourceLimitError("call depth limit exceeded")
-            frame = Frame(
-                interp._next_frame_id(), name, callee.ftype.return_type, call_line=line
-            )
-            frame.push_scope()
-            frames.append(frame)
-            caller = interp.current_function
-            interp.current_function = name
-            memory.reserve_bases(callee.entry)  # the parameter objects' bases
-            try:
-                value = run_native(interp, program, callee, values)
-            except UndefinedBehaviorError as error:
-                if error.function is None:
-                    error.function = name
-                raise
-            finally:
-                memory.kill_frame(frame.frame_id)
-                frames.pop()
-                interp.current_function = caller
-                memory.locs_written = set()
-            steps = interp._steps
-            if ins[1] >= 0:
-                R[ins[1]] = value
-        elif op == OP_RET:
-            interp._steps = steps
-            if ins[1] < 0:
-                return None if args is None else UNINIT
-            value = R[ins[1]]
-            if value is UNINIT and ins[3] is not None and check_uninit:
-                _raise_read(ins[3], ins[4])
-            if args is not None:
-                return value
-            if value.__class__ is int:
-                return IntValue(value, ins[2])
-            return _box(value, ins[2], interp.profile)
-        elif op == OP_DECL:
-            interp.current_line = ins[3]
-            interp._steps = steps
-            interp.exec_local_declaration(ins[1])
-            steps = interp._steps
-            if ins[2] >= 0:
-                _bind_slot(interp, S, ins[2], ins[1].name)
-        elif op == OP_BINDR:
-            binding = interp.frames[-1].lookup(ins[2])
-            obj = memory.objects[binding.base]
-            value = _read_flat(obj.data, 0, ins[3], ins[4])
-            R[ins[1]] = UNINIT if value is None else value
-        elif op == OP_PUSHSC:
-            interp.frames[-1].push_scope()
-        elif op == OP_POPSC:
-            scope = interp.frames[-1].pop_scope()
-            for base in scope.owned_bases:
-                memory.kill(base)
-        elif op == OP_RAISE:
-            interp._steps = steps
-            raise UndefinedBehaviorError(ins[1], ins[2], line=ins[3])
-        elif op == OP_STR:
-            R[ins[1]] = _unbox_ptr(memory, interp.string_literal_object(ins[2])[0])
-        elif op == OP_PLD:
-            pointer = R[ins[2]]
-            index = R[ins[3]]
-            if pointer.__class__ is tuple and index.__class__ is int:
-                obj = pointer[0]
+                    R[ins[1]] = ins[3](value)
+                else:
+                    R[ins[1]] = _conv_slow(interp, value, ins[4])
+            elif op == OP_RDCHK:
+                if R[ins[1]] is UNINIT:
+                    _raise_read(ins[2], ins[3])
+            elif op == OP_JMP:
+                steps += ins[2]
+                if steps > max_steps:
+                    interp._steps = steps
+                    raise ResourceLimitError(fn.limit_message)
+                pc = ins[1]
+            elif op == OP_BINJZ:
+                a = R[ins[2]]
+                b = R[ins[3]]
+                if a.__class__ is int and b.__class__ is int:
+                    value = R[ins[1]] = ins[4](a, b)
+                else:
+                    value = R[ins[1]] = _binop_slow(interp, a, b, ins[5], order_mode)
+                steps += ins[6]
+                if steps > max_steps:
+                    interp._steps = steps
+                    raise ResourceLimitError(fn.limit_message)
+                if value.__class__ is not int:
+                    value = _cond_slow(interp, value, ins[9], ins[10], ins[8])
+                if not value:
+                    pc = ins[7]
+            elif op == OP_INC:
+                value = R[ins[1]]
+                if value.__class__ is int:
+                    R[ins[1]] = ins[3](value)
+                    if ins[2] >= 0:
+                        R[ins[2]] = value
+                else:
+                    old, new = _inc_slow(interp, value, ins[4])
+                    R[ins[1]] = new
+                    if ins[2] >= 0:
+                        R[ins[2]] = old
+            elif op == OP_LDE:
+                record = S[ins[2]]
+                if record is None:
+                    record = _bind_slot(interp, S, ins[2], ins[7][0])
+                index = R[ins[3]]
                 esize = ins[4]
-                offset = pointer[1] + index * esize
                 if (
-                    pointer[2] is ins[5]
-                    and obj.alive
-                    and 0 <= offset <= obj.size - esize
-                    and offset % esize == 0
+                    index.__class__ is int
+                    and 0 <= index
+                    and (index + 1) * esize <= record[2]
                     and not (check_seq and memory.locs_written)
                 ):
-                    value = _read_flat(obj.data, offset, esize, ins[6])
+                    value = _read_flat(
+                        record[0], index * esize, esize, ins[5] == _SMODE_SIGNED
+                    )
                     if value is not None:
                         R[ins[1]] = value
                         continue
-            R[ins[1]] = _pld_slow(interp, pointer, index, ins[7], order_mode)
-        elif op == OP_PADD:
-            pointer = R[ins[2]]
-            index = R[ins[3]]
-            if pointer.__class__ is tuple and index.__class__ is int:
-                obj = pointer[0]
-                offset = pointer[1] + index * ins[4]
-                if obj.alive and 0 <= offset <= obj.size:
-                    R[ins[1]] = (obj, offset, pointer[2])
+                R[ins[1]] = _lde_slow(interp, record, index, ins[7], ins[6])
+        elif op < 16:
+            if op == OP_DECAY:
+                record = S[ins[2]]
+                if record is None:
+                    record = _bind_slot(interp, S, ins[2], ins[3])
+                R[ins[1]] = record[4]
+            elif op == OP_PADD:
+                pointer = R[ins[2]]
+                index = R[ins[3]]
+                if pointer.__class__ is tuple and index.__class__ is int:
+                    obj = pointer[0]
+                    offset = pointer[1] + index * ins[4]
+                    if obj.alive and 0 <= offset <= obj.size:
+                        R[ins[1]] = (obj, offset, pointer[2])
+                        continue
+                R[ins[1]] = _padd_slow(interp, pointer, index, ins[5], order_mode)
+            elif op == OP_PCMPJZ:
+                a = R[ins[2]]
+                b = R[ins[3]]
+                if a.__class__ is tuple and b.__class__ is tuple and a[0] is b[0]:
+                    value = R[ins[1]] = ins[4](a[1], b[1])
+                else:
+                    value = R[ins[1]] = _binop_slow(interp, a, b, ins[5], order_mode)
+                steps += ins[6]
+                if steps > max_steps:
+                    interp._steps = steps
+                    raise ResourceLimitError(fn.limit_message)
+                if value.__class__ is not int:
+                    value = _cond_slow(interp, value, ins[9], ins[10], ins[8])
+                if not value:
+                    pc = ins[7]
+            elif op == OP_PLD:
+                pointer = R[ins[2]]
+                index = R[ins[3]]
+                if pointer.__class__ is tuple and index.__class__ is int:
+                    obj = pointer[0]
+                    esize = ins[4]
+                    offset = pointer[1] + index * esize
+                    if (
+                        pointer[2] is ins[5]
+                        and obj.alive
+                        and 0 <= offset <= obj.size - esize
+                        and offset % esize == 0
+                        and not (check_seq and memory.locs_written)
+                    ):
+                        value = _read_flat(obj.data, offset, esize, ins[6])
+                        if value is not None:
+                            R[ins[1]] = value
+                            continue
+                R[ins[1]] = _pld_slow(interp, pointer, index, ins[7], order_mode)
+            elif op == OP_PINC:
+                pointer = R[ins[1]]
+                if pointer.__class__ is tuple:
+                    obj = pointer[0]
+                    offset = pointer[1] + ins[3]
+                    if obj.alive and 0 <= offset <= obj.size:
+                        R[ins[1]] = (obj, offset, pointer[2])
+                        if ins[2] >= 0:
+                            R[ins[2]] = pointer
+                        continue
+                R[ins[1]] = _pinc_slow(interp, pointer, ins[4])
+                if ins[2] >= 0:
+                    R[ins[2]] = pointer
+            elif op == OP_RET:
+                interp._steps = steps
+                if ins[1] < 0:
+                    return None if args is None else UNINIT
+                value = R[ins[1]]
+                if value is UNINIT and ins[3] is not None and check_uninit:
+                    _raise_read(ins[3], ins[4])
+                if args is not None:
+                    return value
+                if value.__class__ is int:
+                    return IntValue(value, ins[2])
+                return _box(value, ins[2], interp.profile)
+            elif op == OP_DECL:
+                interp.current_line = ins[3]
+                interp._steps = steps
+                interp.exec_local_declaration(ins[1])
+                steps = interp._steps
+                if ins[2] >= 0:
+                    _bind_slot(interp, S, ins[2], ins[1].name)
+            elif op == OP_DCALL:
+                # The interpreter's call path for a clean site (see
+                # _link_call), minus the parameter objects and the boxing:
+                # an argument is a raw int converted to its parameter type,
+                # a fast pointer, or (with uninitialized reads unchecked) an
+                # indeterminate integer.  Any other value, or attached
+                # probes, takes the generic path.
+                values = []
+                for reg, plan in ins[3]:
+                    value = R[reg]
+                    if value.__class__ is int:
+                        value = plan(value)
+                    elif value.__class__ is not tuple and (
+                        plan is None or value is not UNINIT or check_uninit
+                    ):
+                        values = None
+                        break
+                    values.append(value)
+                if values is None or interp.events is not None:
+                    interp._steps = steps
+                    _generic_call(interp, R, ins[5], order_mode)
+                    steps = interp._steps
                     continue
-            R[ins[1]] = _padd_slow(interp, pointer, index, ins[5], order_mode)
-        elif op == OP_PCMP:
-            a = R[ins[2]]
-            b = R[ins[3]]
-            if a.__class__ is tuple and b.__class__ is tuple and a[0] is b[0]:
-                R[ins[1]] = ins[4](a[1], b[1])
-            else:
-                R[ins[1]] = _binop_slow(interp, a, b, ins[5], order_mode)
-        elif op == OP_PINC:
-            pointer = R[ins[1]]
-            if pointer.__class__ is tuple:
-                obj = pointer[0]
-                offset = pointer[1] + ins[3]
-                if obj.alive and 0 <= offset <= obj.size:
-                    R[ins[1]] = (obj, offset, pointer[2])
-                    if ins[2] >= 0:
-                        R[ins[2]] = pointer
-                    continue
-            R[ins[1]] = _pinc_slow(interp, pointer, ins[4])
-            if ins[2] >= 0:
-                R[ins[2]] = pointer
-        elif op == OP_PST:
-            pointer = R[ins[1]]
-            value = R[ins[2]]
-            if pointer.__class__ is tuple and value.__class__ is int:
-                obj = pointer[0]
-                offset = pointer[1]
-                esize = ins[3]
+                callee = ins[2]
+                name = callee.name
+                line = ins[4]
+                interp.current_line = line
+                memory.locs_written.clear()  # the sequence point before the call
+                interp._steps = steps
+                frames = interp.frames
+                if len(frames) >= interp.options.max_call_depth:
+                    raise ResourceLimitError("call depth limit exceeded")
+                frame = Frame(
+                    interp._next_frame_id(),
+                    name,
+                    callee.ftype.return_type,
+                    call_line=line,
+                )
+                frame.push_scope()
+                frames.append(frame)
+                caller = interp.current_function
+                interp.current_function = name
+                memory.reserve_bases(callee.entry)  # the parameter objects' bases
+                try:
+                    value = run_native(interp, program, callee, values)
+                except UndefinedBehaviorError as error:
+                    if error.function is None:
+                        error.function = name
+                    raise
+                finally:
+                    memory.kill_frame(frame.frame_id)
+                    frames.pop()
+                    interp.current_function = caller
+                    memory.locs_written = set()
+                steps = interp._steps
+                if ins[1] >= 0:
+                    R[ins[1]] = value
+        elif op < 24:
+            if op == OP_BINDR:
+                binding = interp.frames[-1].lookup(ins[2])
+                obj = memory.objects[binding.base]
+                value = _read_flat(obj.data, 0, ins[3], ins[4])
+                R[ins[1]] = UNINIT if value is None else value
+            elif op == OP_MOV:
+                R[ins[1]] = R[ins[2]]
+            elif op == OP_SEQPT:
+                memory.locs_written.clear()
+            elif op == OP_NOT:
+                value = R[ins[2]]
+                if value.__class__ is int:
+                    R[ins[1]] = 1 if value == 0 else 0
+                else:
+                    truth = _cond_slow(interp, value, ins[4], ins[5], ins[3])
+                    R[ins[1]] = 0 if truth else 1
+            elif op == OP_CHKE:
+                record = S[ins[2]]
+                if record is None:
+                    record = _bind_slot(interp, S, ins[2], ins[6][0])
+                index = R[ins[3]]
+                esize = ins[4]
                 if (
-                    pointer[2] is ins[4]
-                    and obj.alive
-                    and 0 <= offset <= obj.size - esize
-                    and offset % esize == 0
-                    and obj.base not in memory.not_writable
+                    index.__class__ is int
+                    and 0 <= index
+                    and (index + 1) * esize <= record[2]
                 ):
+                    R[ins[1]] = (record[0], record[1], index * esize)
+                else:
+                    pointer, _elem = _elem_pointer_slow(
+                        interp, record, index, ins[6], ins[5]
+                    )
+                    R[ins[1]] = pointer
+            elif op == OP_STE:
+                address = R[ins[1]]
+                value = R[ins[2]]
+                if address.__class__ is tuple and value.__class__ is int:
+                    esize = ins[3]
                     if check_seq:
-                        _seq_conflict_check(memory, obj.base, offset, esize, ins[6][0])
-                    _write_flat(obj.data, offset, esize, value & ins[5])
-                    continue
-            _pst_slow(interp, pointer, value, ins[6])
-        elif op == OP_PCONV:
-            value = R[ins[2]]
-            if value.__class__ is tuple:
-                R[ins[1]] = value
-            else:
-                R[ins[1]] = _pconv_slow(interp, value, ins[3])
-        elif op == OP_DECAY:
-            record = S[ins[2]]
-            if record is None:
-                record = _bind_slot(interp, S, ins[2], ins[3])
-            R[ins[1]] = record[4]
+                        _seq_conflict_check(
+                            memory, address[1], address[2], esize, ins[5]
+                        )
+                    _write_flat(address[0], address[2], esize, value & ins[4])
+                else:
+                    info = ins[6]
+                    _store_slow(
+                        interp, address, value, info[3], info[1], info[2], ins[5]
+                    )
+            elif op == OP_CALL:
+                interp._steps = steps
+                _generic_call(interp, R, ins, order_mode)
+                steps = interp._steps
+            elif op == OP_PCONV:
+                value = R[ins[2]]
+                if value.__class__ is tuple:
+                    R[ins[1]] = value
+                else:
+                    R[ins[1]] = _pconv_slow(interp, value, ins[3])
+        elif op < 32:
+            if op == OP_JZ:
+                steps += ins[6]
+                if steps > max_steps:
+                    interp._steps = steps
+                    raise ResourceLimitError(fn.limit_message)
+                value = R[ins[1]]
+                if value.__class__ is not int:
+                    value = _cond_slow(interp, value, ins[4], ins[5], ins[3])
+                if not value:
+                    pc = ins[2]
+            elif op == OP_STR:
+                R[ins[1]] = _unbox_ptr(memory, interp.string_literal_object(ins[2])[0])
+            elif op == OP_PST:
+                pointer = R[ins[1]]
+                value = R[ins[2]]
+                if pointer.__class__ is tuple and value.__class__ is int:
+                    obj = pointer[0]
+                    offset = pointer[1]
+                    esize = ins[3]
+                    if (
+                        pointer[2] is ins[4]
+                        and obj.alive
+                        and 0 <= offset <= obj.size - esize
+                        and offset % esize == 0
+                        and obj.base not in memory.not_writable
+                    ):
+                        if check_seq:
+                            _seq_conflict_check(
+                                memory, obj.base, offset, esize, ins[6][0]
+                            )
+                        _write_flat(obj.data, offset, esize, value & ins[5])
+                        continue
+                _pst_slow(interp, pointer, value, ins[6])
+            elif op == OP_PUSHSC:
+                interp.frames[-1].push_scope()
+            elif op == OP_BINDP:
+                R[ins[1]] = _bind_pointer(interp, ins[2], ins[3])
+            elif op == OP_POPSC:
+                scope = interp.frames[-1].pop_scope()
+                for base in scope.owned_bases:
+                    memory.kill(base)
+            elif op == OP_UNOP:
+                value = R[ins[2]]
+                if value.__class__ is int:
+                    R[ins[1]] = ins[3](value)
+                else:
+                    R[ins[1]] = _unop_slow(interp, value, ins[4])
+            elif op == OP_LDG:
+                record = S[ins[2]]
+                if record is None:
+                    record = _bind_slot(interp, S, ins[2], ins[6][0])
+                if not (check_seq and memory.locs_written):
+                    value = _read_flat(record[0], 0, ins[3], ins[4] == _SMODE_SIGNED)
+                    if value is not None:
+                        R[ins[1]] = value
+                        continue
+                R[ins[1]] = _ldg_slow(interp, record, ins[5])
+        elif op < 40:
+            if op == OP_LOADI:
+                R[ins[1]] = ins[2]
+            elif op == OP_STG:
+                record = S[ins[1]]
+                if record is None:
+                    record = _bind_slot(interp, S, ins[1], ins[6][0])
+                value = R[ins[2]]
+                if value.__class__ is int:
+                    if check_seq:
+                        _seq_conflict_check(memory, record[1], 0, ins[3], ins[5])
+                    _write_flat(record[0], 0, ins[3], value & ins[4])
+                else:
+                    _stg_slow(interp, record, value, ins[6], ins[5])
+            elif op == OP_PCMP:
+                a = R[ins[2]]
+                b = R[ins[3]]
+                if a.__class__ is tuple and b.__class__ is tuple and a[0] is b[0]:
+                    R[ins[1]] = ins[4](a[1], b[1])
+                else:
+                    R[ins[1]] = _binop_slow(interp, a, b, ins[5], order_mode)
+            elif op == OP_PDCHK:
+                pointer = R[ins[1]]
+                if pointer.__class__ is not tuple:
+                    _pdchk_slow(interp, pointer, ins[2])
+            elif op == OP_JNZ:
+                steps += ins[6]
+                if steps > max_steps:
+                    interp._steps = steps
+                    raise ResourceLimitError(fn.limit_message)
+                value = R[ins[1]]
+                if value.__class__ is not int:
+                    value = _cond_slow(interp, value, ins[4], ins[5], ins[3])
+                if value:
+                    pc = ins[2]
+            elif op == OP_LDA:
+                address = R[ins[2]]
+                if address.__class__ is tuple:
+                    value = _read_flat(
+                        address[0], address[2], ins[3], ins[4] == _SMODE_SIGNED
+                    )
+                    if value is not None and not (check_seq and memory.locs_written):
+                        R[ins[1]] = value
+                        continue
+                    address = PointerValue(
+                        base=address[1],
+                        offset=address[2],
+                        type=ct.PointerType(pointee=ins[6][0]),
+                    )
+                R[ins[1]] = _lda_slow(interp, address, None, ins[3], ins[6], ins[5])
+            elif op == OP_BOOL:
+                value = R[ins[2]]
+                if value.__class__ is int:
+                    R[ins[1]] = 1 if value != 0 else 0
+                else:
+                    truth = _cond_slow(interp, value, ins[4], ins[5], ins[3])
+                    R[ins[1]] = 1 if truth else 0
+            elif op == OP_RAISE:
+                interp._steps = steps
+                raise UndefinedBehaviorError(ins[1], ins[2], line=ins[3])
         elif op == OP_PDIFF:
             a = R[ins[2]]
             b = R[ins[3]]
@@ -843,15 +923,5 @@ def run_native(interp, program: CompiledProgram, fn: FnCode, args=None):
                     R[ins[1]] = value
                     continue
             R[ins[1]] = _binop_slow(interp, a, b, ins[7], order_mode)
-        elif op == OP_PDCHK:
-            pointer = R[ins[1]]
-            if pointer.__class__ is not tuple:
-                _pdchk_slow(interp, pointer, ins[2])
-        elif op == OP_BINDP:
-            R[ins[1]] = _bind_pointer(interp, ins[2], ins[3])
-        elif op == OP_CALL:
-            interp._steps = steps
-            _generic_call(interp, R, ins, order_mode)
-            steps = interp._steps
-        else:  # pragma: no cover - the compiler only emits known opcodes
+        else:  # pragma: no cover - the numbering is dense and ends here
             raise AssertionError(f"unknown opcode {op}")

@@ -88,8 +88,12 @@ def _connect(endpoint: str, timeout: Optional[float]) -> socket.socket:
             if not hasattr(socket, "AF_UNIX"):
                 raise ServiceError("unix-socket endpoints need AF_UNIX support")
             sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
-            sock.settimeout(timeout)
-            sock.connect(endpoint[len("unix:") :])
+            try:
+                sock.settimeout(timeout)
+                sock.connect(endpoint[len("unix:") :])
+            except BaseException:
+                sock.close()
+                raise
             return sock
         if endpoint.startswith("tcp:"):
             endpoint = endpoint[len("tcp:") :]

@@ -80,12 +80,14 @@ class TestWriterAndReader:
 
     def test_appends_survive_without_close(self, tmp_path):
         # A SIGKILL after append() returns must not lose the record: the
-        # line is flushed to the kernel synchronously.  Simulate by never
-        # calling close() and reading through a second handle.
+        # line is flushed to the kernel synchronously.  Simulate by reading
+        # through a second handle before close(); the close only releases
+        # the file.
         path = tmp_path / "j.jsonl"
         writer = JournalWriter(path)
         writer.append(campaign_record(SPEC, len(UNITS)))
         assert len(read_journal(path)) == 1
+        writer.close()
 
 
 class TestRecovery:

@@ -13,9 +13,26 @@ This is the contract that lets ``--engine`` be an escape hatch rather than
 three different tools.
 """
 
+import ast
+import inspect
+
 import pytest
 
-from repro.core.bytecode import OP_CALL, OP_DCALL
+from repro.core import bytecode, vm
+from repro.core.bytecode import (
+    OP_BINJZ,
+    OP_CALL,
+    OP_CONV,
+    OP_DCALL,
+    OP_JMP,
+    OP_JNZ,
+    OP_JZ,
+    OP_MOV,
+    OP_PCMPJZ,
+    OP_POPSC,
+    OP_PUSHSC,
+    OP_STEP,
+)
 from repro.core.config import CheckerOptions
 from repro.core.kcc import KccTool
 from repro.errors import OutcomeKind
@@ -669,17 +686,25 @@ POINTER_TOOLS = {
 }
 
 
-@pytest.mark.parametrize("label", list(POINTER_TOOLS))
-def test_pointer_programs_under_every_ablation(label):
+def assert_native_matrix(programs: dict, label: str) -> None:
+    """Every function of each program compiles natively, the engines agree,
+    and on a defined run they take the same number of steps."""
     tools = POINTER_TOOLS[label]
-    for name, source in POINTER_PROGRAMS.items():
+    for name, source in programs.items():
         program = _native_program(tools["compiled"], source)
         assert program.fallbacks == {}, (name, program.fallbacks)
         assert_matrix(source, name, tools, label)
         results = {engine: tool.check(source).result for engine, tool in tools.items()}
         if results["walker"] is not None:  # a defined run: the steps agree too
             assert len({result.steps for result in results.values()}) == 1, name
-    assert_matrix(POINTER_FALLBACK_PROGRAM, "pointer-fallback", tools, label)
+
+
+@pytest.mark.parametrize("label", list(POINTER_TOOLS))
+def test_pointer_programs_under_every_ablation(label):
+    assert_native_matrix(POINTER_PROGRAMS, label)
+    assert_matrix(
+        POINTER_FALLBACK_PROGRAM, "pointer-fallback", POINTER_TOOLS[label], label
+    )
 
 
 def test_pointer_fallback_records_its_reason():
@@ -1014,3 +1039,297 @@ def test_lowering_exceptions_reach_the_caller(monkeypatch):
     monkeypatch.setattr(lowering, "lower_unit", broken)
     with pytest.raises(RuntimeError, match="lowering defect"):
         Checker(CheckerOptions(engine="lowered")).check("int main(void){ return 0; }")
+
+
+#: Programs for the shape of the VM's instruction stream: blocks that push
+#: no scope because they declare nothing, step charges riding on jumps, and
+#: compare-and-branches.  They cover ``break`` and ``continue`` out of
+#: declaring and declaration-free blocks nested two deep in every loop
+#: kind, a local array reached through a pointer after its block ended by
+#: ``break`` (or by the end of a ``for`` whose init declares it), loops
+#: whose body ends in an ``if`` without ``else`` (a jump that is itself a
+#: label target right after a step charge), and the slow paths of a
+#: compare-and-branch.  Every function compiles natively.
+STREAM_PROGRAMS = {
+    "break-continue-nested": """
+int main(void) {
+    int s = 0;
+    int i, j;
+    for (i = 0; i < 6; i++) {
+        if (i == 1) continue;
+        for (j = 0; j < 5; j++) {
+            { { if (j == 3) break; } }
+            { int t = j; { if (t == 1) continue; } }
+            s += i * j;
+        }
+        { int k = i; { int m = k + 1; if (k == 4) { s += m; continue; } } s += k; }
+        if (i == 5) { int t = s; { s = t + 1; break; } }
+    }
+    i = 0;
+    while (i < 8) {
+        int w = i++;
+        { { if (w == 2) continue; } }
+        { int v = w * 2; { if (v > 10) break; } s += v; }
+    }
+    do {
+        i--;
+        { { if (i == 6) continue; } }
+        { int d = i; { int e = d; if (e < 3) break; } s += d; }
+    } while (i > 0);
+    printf("%d %d\\n", s, i);
+    return s & 0x7F;
+}
+""",
+    "array-in-loop-block-after-break": """
+int main(void) {
+    int *p = 0;
+    int i;
+    for (i = 0; i < 3; i++) {
+        int a[4];
+        a[0] = i;
+        p = a;
+        { if (i == 1) { break; } }
+    }
+    return *p;
+}
+""",
+    "array-in-loop-block-used-in-time": """
+int main(void) {
+    int *p = 0;
+    int i, s = 0;
+    for (i = 0; i < 5; i++) {
+        int a[4];
+        a[1] = i;
+        p = a + 1;
+        if (i == 3) { s += *p; break; }
+        { if (i == 1) continue; }
+        s += p[0];
+    }
+    while (s < 100) {
+        int b[2];
+        b[0] = s;
+        p = b;
+        s += *p + 1;
+    }
+    return s & 0xFF;
+}
+""",
+    "for-init-declarations": """
+int main(void) {
+    int s = 0;
+    int *p = 0;
+    for (int k = 0, m = 3; k < m; k++) { s += k * m; }
+    for (int k = 2; k; k--) s += k;
+    for (int b[2] = {1, 2}, k = 0; k < 2; k++) { p = b; s += b[k]; }
+    printf("%d\\n", s);
+    return *p;
+}
+""",
+    "for-without-declarations": """
+int main(void) {
+    int s = 0;
+    int i;
+    for (i = 0; i < 4; i++) { s += i; }
+    for (; i < 9;) i += 2;
+    for (;;) { if (++s > 20) break; }
+    for (i = 0; i < 3; i++) { { { s += i; } } }
+    return s + i;
+}
+""",
+    "if-ends-loop-body": """
+int main(void) {
+    int i = 0, s = 0;
+    while (i < 5) {
+        i++;
+        if (i % 2) s += i;
+    }
+    for (i = 0; i < 4;)
+        if (i++ & 1) printf("%d\\n", s);
+    do {
+        i--;
+        if (i > 1) { s++; printf("%d\\n", i); }
+    } while (i);
+    for (i = 0; i < 3; i++)
+        if (i) s -= 1;
+    return s;
+}
+""",
+    "compare-and-branch-slow-paths": """
+int main(void) {
+    int a[4];
+    int b[4];
+    int *p = a;
+    int *q = 0;
+    int n;
+    int big = 2147483647;
+    a[0] = 1;
+    while (p != q) { p = q; }
+    if (q == 0) { p = a; }
+    for (p = a; p < a + 4; p++) { *p = 2; }
+    if (n < 3) { return 1; }
+    if (big + big) { return 2; }
+    for (p = a; p < b + 4; p++) { }
+    return 0;
+}
+""",
+    "compare-and-branch-overflow": """
+int main(void) {
+    int x = 1;
+    int i;
+    for (i = 0; x * 2 > 0; i++) { x = x * 2; }
+    if (x + x) { return i; }
+    return 0;
+}
+""",
+    "relational-across-arrays-in-loop": """
+int main(void) {
+    int a[4];
+    int b[4];
+    int *p;
+    int s = 0;
+    for (p = a; p < b + 4; p++) { s++; }
+    return s;
+}
+""",
+}
+
+
+@pytest.mark.parametrize("label", list(POINTER_TOOLS))
+def test_stream_programs_under_every_ablation(label):
+    assert_native_matrix(STREAM_PROGRAMS, label)
+
+
+#: The operand position of the target of each kind of jump.
+JUMP_TARGETS = {OP_JMP: 1, OP_JZ: 2, OP_JNZ: 2, OP_BINJZ: 7, OP_PCMPJZ: 7}
+
+
+def _jump_targets(code: tuple) -> set:
+    return {ins[JUMP_TARGETS[ins[0]]] for ins in code if ins[0] in JUMP_TARGETS}
+
+
+def _unfused_steps(code: tuple) -> list:
+    """The pcs of ``STEP``s right before a jump that no label names."""
+    targets = _jump_targets(code)
+    return [
+        pc
+        for pc, ins in enumerate(code[:-1])
+        if ins[0] == OP_STEP
+        and code[pc + 1][0] in JUMP_TARGETS
+        and pc + 1 not in targets
+    ]
+
+
+def test_loop_programs_compile_to_the_short_stream():
+    tool = TOOLS["default"]["compiled"]
+    for name, source in LOOP_PROGRAMS.items():
+        for fn in _native_program(tool, source).functions.values():
+            code = fn.code
+            ops = [ins[0] for ins in code]
+            assert OP_PUSHSC not in ops and OP_POPSC not in ops, name
+            assert _unfused_steps(code) == [], name
+            converted = {ins[1] for ins in code if ins[0] == OP_CONV}
+            assert not [ins for ins in code if ins[0] == OP_MOV and ins[2] in converted]
+            # Each loop's back edge jumps to a head whose first branch is
+            # one compare-and-branch.
+            heads = [
+                ins[1] for pc, ins in enumerate(code) if ins[0] == OP_JMP and ins[1] < pc
+            ]
+            assert fn.name != "main" or heads, name
+            for head in heads:
+                branch = next(op for op in ops[head:] if op in JUMP_TARGETS)
+                assert branch in (OP_BINJZ, OP_PCMPJZ), (name, head, code[head:])
+
+
+def test_dispatch_groups_match_the_opcode_numbering():
+    # The VM tests ``op < 8``, ``op < 16``, ... and then the opcodes of the
+    # group: an opcode tested outside the group its number falls in would
+    # be skipped without a sound, so every opcode must sit in its own.
+    loop = next(
+        node
+        for node in ast.walk(ast.parse(inspect.getsource(vm.run_native)))
+        if isinstance(node, ast.While)
+    )
+    level = next(node for node in loop.body if isinstance(node, ast.If))
+    placed = {}
+    low = 0
+    while isinstance(level, ast.If):
+        compare = level.test
+        if isinstance(compare.ops[0], ast.Lt):
+            high = compare.comparators[0].value
+            branch = level.body[0]
+        else:  # the last group's single test
+            high = None
+            branch = level
+        while isinstance(branch, ast.If):
+            name = branch.test.comparators[0].id
+            placed[name] = (low, high)
+            branch = branch.orelse[0] if branch.orelse else None
+        low = high
+        level = level.orelse[0] if high is not None else None
+    numbers = {
+        name: value
+        for name, value in vars(bytecode).items()
+        if name.startswith("OP_") and isinstance(value, int)
+    }
+    assert sorted(numbers.values()) == list(range(len(numbers)))
+    assert set(placed) == set(numbers)
+    for name, (low, high) in placed.items():
+        assert low <= numbers[name] and (high is None or numbers[name] < high), name
+
+
+def test_a_labelled_jump_keeps_its_step_charge_apart():
+    # The loop bodies end in an if without else: the jump back is the
+    # else branch's target, so the then branch's charge stays a STEP.
+    code = _native_program(
+        TOOLS["default"]["compiled"], STREAM_PROGRAMS["if-ends-loop-body"]
+    ).functions["main"].code
+    targets = _jump_targets(code)
+    labelled = [
+        pc
+        for pc, ins in enumerate(code[:-1])
+        if ins[0] == OP_STEP and code[pc + 1][0] == OP_JMP and pc + 1 in targets
+    ]
+    assert labelled
+    assert _unfused_steps(code) == []
+
+
+def _limit_facts(options, unit, max_steps: int):
+    report = KccTool(options.without(max_steps=max_steps)).run_unit(unit)
+    steps = report.result.steps if report.result is not None else None
+    return facts(report), steps
+
+
+#: Step-limit windows per loop program: the first three iterations of
+#: every loop.  The nested loops of array-sweep and pointer-walk start
+#: after their first loop's 64 and 32 iterations, at about 910 and 398
+#: steps.
+LOOP_LIMIT_WINDOWS = {
+    "arith-loop": (range(1, 75),),
+    "array-sweep": (range(1, 50), range(900, 990)),
+    "call-chain": (range(1, 75),),
+    "pointer-walk": (range(1, 50), range(390, 475)),
+}
+
+
+def test_step_limit_on_every_fused_jump():
+    # Every limit through the first iterations of each loop program, and
+    # through the whole run of a program that prints inside its loops,
+    # lands on each fused jump and compare-and-branch: the walker and the
+    # VM must stop at the same point (same outcome, same stdout).
+    walker = CheckerOptions(engine="walker")
+    compiled = CheckerOptions(engine="compiled")
+    cases = [
+        (LOOP_PROGRAMS[name], name, [k for window in windows for k in window])
+        for name, windows in LOOP_LIMIT_WINDOWS.items()
+    ]
+    source = STREAM_PROGRAMS["if-ends-loop-body"]
+    total = KccTool(walker).check(source).result.steps
+    cases.append((source, "if-ends-loop-body", range(1, total + 2)))
+    for source, name, limits in cases:
+        unit = KccTool(walker).compile_unit(source, filename=name)
+        for max_steps in limits:
+            expected = _limit_facts(walker, unit, max_steps)
+            assert _limit_facts(compiled, unit, max_steps) == expected, (
+                name,
+                max_steps,
+            )

@@ -240,3 +240,20 @@ def test_client_rejects_bad_endpoint():
         ServiceClient("no-port-here")
     with pytest.raises(ServiceError, match="cannot connect"):
         ServiceClient("unix:/nonexistent/path.sock")
+
+
+def test_failed_unix_connect_closes_its_socket(monkeypatch):
+    made = []
+    real_socket = socket.socket
+
+    def tracked(*args, **kwargs):
+        sock = real_socket(*args, **kwargs)
+        made.append(sock)
+        return sock
+
+    monkeypatch.setattr(socket, "socket", tracked)
+    for _ in range(3):
+        with pytest.raises(ServiceError, match="cannot connect"):
+            ServiceClient("unix:/nonexistent/path.sock")
+    assert len(made) == 3
+    assert [sock.fileno() for sock in made] == [-1, -1, -1]
