@@ -15,14 +15,19 @@ The native subset
   virtual registers holding raw Python ints (or the ``UNINIT`` sentinel);
 * locals and parameters of type pointer-to-flat-integer or ``void *`` ->
   *pointer registers* (see :mod:`repro.core.vm` for their fast form):
-  declaration, array decay, assignment, ``+``/``-`` with an integer,
-  ``++``/``--``, ``+=``/``-=``, comparisons and pointer difference,
-  ``*p`` and ``p[i]`` loads and stores, null constants, truth tests,
-  casts between these pointer types, and pointers as call arguments,
-  results and return values;
-* local one-dimensional flat-integer arrays and unit-level flat scalars /
-  arrays -> memory *slots* accessed with pre-derived element sizes against
-  the arena-backed byte store;
+  declaration, array decay, ``&``, assignment, ``+``/``-`` with an
+  integer, ``++``/``--``, ``+=``/``-=``, comparisons and pointer
+  difference, ``*p`` and ``p[i]`` loads and stores, null constants, truth
+  tests, casts between these pointer types and to integers, and pointers
+  as call arguments, results and return values;
+* memory *slots*, accessed with pre-derived element sizes against the
+  arena-backed byte store: local one-dimensional flat-integer arrays
+  (with no initializer, a brace-enclosed list, or a string for a
+  character array), flat scalars whose address is taken, ``static``
+  locals of these types, and unit-level flat scalars and arrays.
+  ``&x`` of a slot is its pointer's fast form, and ``&a[i]``/``&p[i]`` is
+  a pointer addition;
+* scalar compound literals read as values, ``(T){ e }``;
 * calls to unit functions and builtins, ``if``/``while``/``do``/``for``,
   ``&&``/``||``/``?:``/comma, casts between flat integer types.  A call of
   a native function is linked into a *direct call* (``OP_DCALL``, see
@@ -34,15 +39,19 @@ The native subset
   arguments straight into the callee's registers; every other call goes
   through the interpreter's generic call path.
 
-Registers are sound only because nothing can point at them: a function that
-applies ``&`` anywhere leaves the subset.  Anything else outside it —
-floats, structs, pointers to pointers or records, ``goto``/``switch``/
-labels, static or extern locals, variadic definitions — aborts compilation
-of that *function* (:class:`_Unsupported`), and the function runs on the
-walker instead, with the reason recorded in
-:attr:`CompiledProgram.fallbacks`.  Falling back is always verdict-safe:
-the compiled engine is an accelerator for the common case, never an
-alternative semantics.
+A register is sound only while nothing can point at it, so the rule is per
+variable: a scalar that appears as ``&name`` anywhere in its function is a
+slot, and every other scalar is a register (:func:`_compile_function`).
+``&`` of anything but a slot, an array element or a pointer subscript
+leaves the subset.  Anything else outside it — floats, structs, pointers
+to pointers or records, function pointers, ``goto``/``switch``/labels,
+``extern`` locals, ``sizeof`` of an expression, compound literals whose
+address is taken, variadic definitions — aborts compilation of that
+*function* (:class:`_Unsupported`), and the function runs on the walker
+instead, with the reason recorded in :attr:`CompiledProgram.fallbacks`
+(``docs/engine-coverage.md`` has the histogram per corpus).  Falling back
+is always verdict-safe: the compiled engine is an accelerator for the
+common case, never an alternative semantics.
 
 Parity contract
 ---------------
@@ -50,17 +59,29 @@ Parity contract
 The bytecode replicates the walker observation-for-observation:
 
 * **steps** are aggregated per basic block and charged before every
-  side-effecting boundary (calls, declarations, returns, jumps), so
-  ``max_steps`` resource verdicts and stdout prefixes agree.  A charge
-  right before a jump rides on the jump, or on the compare-and-branch the
-  jump fused into, which adds it and checks ``max_steps`` after the compare
-  and before its own test: the order of a separate ``STEP``.  A jump that
-  a label names keeps its ``STEP`` apart, since a jump to the label must
-  not pay it;
-* **scopes**: only a block with a declaration among its items, or a
-  ``for`` whose init declares, pushes a run-time scope.  Nothing else
-  writes a native function's innermost scope, so an empty one is
-  unobservable;
+  side-effecting boundary (calls, returns, jumps, a ``static`` local's
+  declaration), so ``max_steps`` resource verdicts and stdout prefixes
+  agree; other declarations are not boundaries, their step joins the
+  block's charge.  A charge right before a jump rides on the jump, or on
+  the compare-and-branch the jump fused into, which adds it and checks
+  ``max_steps`` after the compare and before its own test: the order of a
+  separate ``STEP``.  A jump that a label names keeps its ``STEP`` apart,
+  since a jump to the label must not pay it.  An error raised before the
+  block's charge is weighed against the steps the walker has charged by
+  then (``FnCode.pending``, and the step count a deferred read carries):
+  past ``max_steps``, the walker stops at the step limit first, and so
+  does the VM;
+* **declarations**: the VM declares every local itself.  A register has
+  no object; its base is reserved (``OP_RSV``, one per run of
+  declarations) where the walker's object would take it, so every later
+  object's base, ``%p`` output and pointer-to-integer values match.  A
+  slot's object is allocated where the walker's declaration would make
+  it, fresh or zero-filled the same way, and its initializer is stored
+  untracked, as the walker's initialization is;
+* **scopes**: only a block that declares a slot, or a ``for`` whose init
+  does, pushes a run-time scope, and the slot's object dies when it pops.
+  Nothing else writes a native function's innermost scope, so an empty one
+  is unobservable;
 * **arithmetic** uses the raw-int plans of :mod:`repro.core.plans`
   (:func:`~repro.core.plans.raw_binary_plan`,
   :func:`~repro.core.plans.raw_conversion_plan`, ...), which raise the
@@ -89,7 +110,6 @@ reasons, in :attr:`CompiledProgram.fallbacks`.
 from __future__ import annotations
 
 from contextlib import contextmanager
-from dataclasses import replace as dc_replace
 from typing import Optional
 
 from repro.cfront import ast as c_ast
@@ -130,6 +150,13 @@ class _Unsupported(Exception):
     """The function under compilation leaves the native subset."""
 
 
+class _AddressTaken(Exception):
+    """``&name`` met a register: compile again with ``name`` in memory."""
+
+    def __init__(self, name: str) -> None:
+        self.name = name
+
+
 # ---------------------------------------------------------------------------
 # Opcodes
 # ---------------------------------------------------------------------------
@@ -142,6 +169,9 @@ class _Unsupported(Exception):
 # are the dispatches of one check of each benchmark loop program, of the
 # 278 suite programs and of 300 mixed fuzz cases (seed 1); re-count and
 # renumber when the instruction set or the compiler's output changes.
+# ``RSV`` took the place of the walker-run declaration it replaced and
+# runs about as often; the slot declarations (``ALLOC``, ``INIT``,
+# ``SDECL``) are rare and come last.
 #
 # The ``P`` opcodes work on pointer registers (fast form ``(obj, offset,
 # elem)``, see repro.core.vm).  ``steps`` on a jump is a step charge that
@@ -150,6 +180,8 @@ class _Unsupported(Exception):
 # ``PCMP`` fused with the ``JZ`` that tests its result: it still writes
 # ``dst``, then charges ``steps``, then branches to ``target`` when the
 # result is zero (``line``, ``rdmsg`` and ``rdline`` are the ``JZ``'s).
+# An ``rdmsg`` is a deferred uninitialized read: ``(message, steps)``, see
+# _FnCompiler.read_site.
 
 OP_BINOP = 0  # (op, dst, a, b, plan, slow)
 OP_STEP = 1  # (op, n)
@@ -165,11 +197,13 @@ OP_PCMPJZ = 10  # (op, dst, a, b, compare, slow, steps, target, line, rdmsg, rdl
 OP_PLD = 11  # (op, dst, ptr, idx, esize, elem, signed, slow)
 OP_PINC = 12  # (op, reg, old_dst, delta, slow)
 OP_RET = 13  # (op, src, rtype, rdmsg, rdline)
-OP_DECL = 14  # (op, node, slot, line)
+# Skip the bases of ``n`` register declarations (see _FnCompiler.flush_bases).
+OP_RSV = 14  # (op, n)
 # A statically clean call of a native function (see _link_call); ``call``
 # is the OP_CALL it replaces, which runs whenever an argument value is one
 # the direct path cannot take.
 OP_DCALL = 15  # (op, dst, fn, args, line, call)
+# Load a register parameter from the object the generic call path wrote.
 OP_BINDR = 16  # (op, dst, name, size, signed, is_bool)
 OP_MOV = 17  # (op, dst, src)
 OP_SEQPT = 18  # (op,)
@@ -196,6 +230,16 @@ OP_LDA = 37  # (op, dst, addr, esize, smode, line, info)
 OP_BOOL = 38  # (op, dst, src, line, rdmsg, rdline)
 OP_RAISE = 39  # (op, kind, message, line)
 OP_PDIFF = 40  # (op, dst, a, b, esize, lo, hi, slow)
+# A local slot's object, allocated where the walker's declaration would.
+# ``fill`` is True to zero-fill it (a brace-initialized array), or the
+# bytes of a string initializer; ``seal`` marks a const object not writable.
+OP_ALLOC = 41  # (op, slot, ctype, name, size, fill, seal)
+# An initializer's store into a fresh slot object, untracked like the
+# walker's; ``seal`` marks a const object not writable after its last one.
+OP_INIT = 42  # (op, slot, src, offset, esize, mask, elem, seal)
+# A static local's slot: its object is made the first time the declaration
+# runs, by the walker's own ``Interpreter.static_local_binding``.
+OP_SDECL = 43  # (op, slot, decl, line)
 
 _JUMPS = frozenset((OP_JMP, OP_JZ, OP_JNZ))
 
@@ -210,7 +254,18 @@ _COMPARES = {OP_BINOP: OP_BINJZ, OP_PCMP: OP_PCMPJZ}
 #: deferred register read and its consuming check without reordering the
 #: report (see :meth:`_FnCompiler.protect_read`).
 _SAFE_OPS = frozenset(
-    (OP_STEP, OP_MOV, OP_LOADI, OP_JMP, OP_SEQPT, OP_PUSHSC, OP_POPSC, OP_STR, OP_DECAY)
+    (
+        OP_STEP,
+        OP_MOV,
+        OP_LOADI,
+        OP_JMP,
+        OP_SEQPT,
+        OP_PUSHSC,
+        OP_POPSC,
+        OP_STR,
+        OP_DECAY,
+        OP_RSV,
+    )
 )
 
 #: The register-destination operand positions of each opcode, used by the
@@ -257,12 +312,15 @@ class FnCode:
 
     ``entry`` is the pc after the parameter prologue (one ``OP_BINDR`` /
     ``OP_BINDP`` per register parameter, in registers ``0..entry-1``); a
-    direct call seeds those registers and starts there.
+    direct call seeds those registers and starts there.  ``pending[pc]`` is
+    the number of steps the walker has charged, beyond what the VM has
+    charged, when instruction ``pc`` raises (see ``repro.core.vm``).
     """
 
     __slots__ = (
         "name",
         "code",
+        "pending",
         "n_regs",
         "r_init",
         "r_tail",
@@ -277,6 +335,7 @@ class FnCode:
         self,
         name: str,
         code: tuple,
+        pending: tuple,
         n_regs: int,
         r_init: tuple,
         n_slots: int,
@@ -286,6 +345,7 @@ class FnCode:
     ) -> None:
         self.name = name
         self.code = code
+        self.pending = pending
         self.n_regs = n_regs
         self.r_init = r_init
         self.r_tail = r_init[entry:]
@@ -345,6 +405,15 @@ def _smode(elem: ct.CType, profile: ct.ImplementationProfile) -> int:
     return _SMODE_SIGNED if ct.is_signed_type(elem, profile) else _SMODE_UNSIGNED
 
 
+def _read_message(ctype: ct.CType) -> Optional[str]:
+    """The message ``read_lvalue`` raises on an uninitialized read of an
+    object of type ``ctype``; None when the uninit side condition does not
+    apply (character types stay exempt, matching the walker)."""
+    if ctype.is_scalar and not ct.is_character_type(ctype):
+        return f"Read of an uninitialized (indeterminate) value of type {ctype}."
+    return None
+
+
 class _RegVar:
     """A flat integer or native pointer scalar living in a virtual register."""
 
@@ -358,19 +427,12 @@ class _RegVar:
         self.size = ct.size_of(ctype, profile)
         self.is_bool = isinstance(ctype, ct.BoolType)
         self.signed = not _native_pointer(ctype) and ct.is_signed_type(ctype, profile)
-        # The message `_read_binding` raises on an uninitialized read of this
-        # binding; None when the uninit side condition does not apply
-        # (character types stay exempt, matching the walker).
-        if ctype.is_scalar and not ct.is_character_type(ctype):
-            self.read_msg = (
-                "Read of an uninitialized (indeterminate) value " f"of type {ctype}."
-            )
-        else:
-            self.read_msg = None
+        self.read_msg = _read_message(ctype)
 
 
 class _MemVar:
-    """A memory-resident variable (local/global array, global scalar)."""
+    """A memory-resident variable: an array, a scalar whose address is
+    taken, a static local, or a unit-level object."""
 
     __slots__ = (
         "slot", "ctype", "is_array", "elem", "esize", "smode", "length", "info"
@@ -437,13 +499,15 @@ class _Value:
         self,
         reg: int,
         ctype: Optional[ct.CType],
-        read_msg: Optional[str] = None,
+        read_msg: Optional[tuple] = None,
         read_line: int = 0,
         exact: bool = True,
     ) -> None:
         self.reg = reg
         self.ctype = ctype  # None: void (discard-only)
-        self.read_msg = read_msg  # uninit-read message of a direct var read
+        # A direct register read's deferred uninit check: (message, steps
+        # the walker has charged in the block when it reads), see read_site.
+        self.read_msg = read_msg
         self.read_line = read_line  # the read site (where the walker reports)
         # False when the run-time value's type may differ from ``ctype`` (a
         # builtin's pointer result): only a conversion may consume it.
@@ -484,6 +548,7 @@ class _FnCompiler:
         options: CheckerOptions,
         order_mode: int,
         folder: _FoldContext,
+        addressed: frozenset = frozenset(),
     ) -> None:
         self.definition = definition
         self.unit_globals = unit_globals  # name -> CType (objects)
@@ -495,14 +560,22 @@ class _FnCompiler:
         self.order_mode = order_mode
         self.folder = folder
         self.code: list = []
+        self.pending: list = []  # per instruction: pending_steps when emitted
         self.scopes: list[dict] = [{}]
+        self.run_scopes = 0  # run-time scopes pushed by enclosing blocks
         self.n_regs = 0
         self.n_slots = 0
         self.consts: dict[int, int] = {}
         self.pending_steps = 0
+        self.pending_bases = 0  # register declarations not yet reserved
+        self.read_regs: set[int] = set()  # variable registers read so far
+        # Names that live in memory because they appear as `&name` (see
+        # _compile_function): a variable is a register only while nothing
+        # can point at it.
+        self.addressed = addressed
         self.dirty = False  # memory locs possibly nonempty
         self.pending_names: set[str] = set()  # register writes this region
-        self.loop_stack: list[tuple] = []  # (break_l, cont_l, scope_depth)
+        self.loop_stack: list[tuple] = []  # (break_l, cont_l, run_scopes)
         self.labels: dict[int, int] = {}  # label id -> pc
         self.next_label = 0
         self.global_slots: dict[str, _MemVar] = {}
@@ -536,11 +609,38 @@ class _FnCompiler:
 
     def emit(self, ins: tuple) -> None:
         self.code.append(ins)
+        self.pending.append(self.pending_steps)
 
     def flush_steps(self) -> None:
+        self.flush_bases()
         if self.pending_steps:
             self.emit((OP_STEP, self.pending_steps))
             self.pending_steps = 0
+
+    def flush_bases(self) -> None:
+        """Reserve the bases of the register declarations since the last
+        flush.  A register has no object, but the walker's declaration
+        allocates one; skipping its base before the next allocation, jump
+        or return keeps every later object's base the walker's."""
+        if self.pending_bases:
+            self.emit((OP_RSV, self.pending_bases))
+            self.pending_bases = 0
+
+    def read_site(self, var: _RegVar):
+        """The deferred-read fact of a register read here: its message and
+        the steps the walker has charged in this block when it reads."""
+        self.read_regs.add(var.reg)
+        if var.read_msg is None:
+            return None
+        return (var.read_msg, self.pending_steps)
+
+    @staticmethod
+    def charged(value: _Value) -> None:
+        """The block's steps are charged before ``value``'s read is
+        checked: the walker read it within them, so no step limit can come
+        first."""
+        if value.read_msg is not None:
+            value.read_msg = (value.read_msg[0], 0)
 
     def emit_jmp(self, label: int) -> None:
         self.flush_steps()
@@ -548,10 +648,12 @@ class _FnCompiler:
 
     def emit_jz(self, value: _Value, label: int, line: int) -> None:
         self.flush_steps()
+        self.charged(value)
         self.emit((OP_JZ, value.reg, label, line, value.read_msg, value.read_line))
 
     def emit_jnz(self, value: _Value, label: int, line: int) -> None:
         self.flush_steps()
+        self.charged(value)
         self.emit((OP_JNZ, value.reg, label, line, value.read_msg, value.read_line))
 
     def emit_seqpt(self) -> None:
@@ -576,38 +678,43 @@ class _FnCompiler:
             return
         if not self._can_raise(mark):
             return
-        self._insert(mark, (OP_RDCHK, value.reg, value.read_msg, value.read_line))
+        self._insert(mark, (OP_RDCHK, value.reg, value.read_msg, value.read_line), 0)
         value.read_msg = None
 
-    def protect_deref(self, value: _Value, mark: int, line: int) -> None:
+    def protect_deref(self, value: _Value, mark: int, pending: int, line: int) -> None:
         """``protect_read`` for a pointer about to be dereferenced by a store.
 
         The walker resolves a store's target (reading the pointer
         and checking it is dereferenceable) before evaluating the stored
         value; when code emitted since ``mark`` can raise, check both at
-        ``mark``.
+        ``mark``, where ``pending`` steps were uncharged.
         """
         if not self._can_raise(mark):
             return
         read_msg = value.read_msg if self.check_uninit else None
         slow = (value.ctype, read_msg, value.read_line, line)
-        self._insert(mark, (OP_PDCHK, value.reg, slow))
+        self._insert(mark, (OP_PDCHK, value.reg, slow), pending)
         value.read_msg = None
 
     def _can_raise(self, mark: int) -> bool:
         for ins in self.code[mark:]:
             op = ins[0]
-            if op in _SAFE_OPS or (op == OP_CONV and ins[4][2] is None):
-                continue  # a conversion without a pending read cannot raise
+            if op == OP_CONV:
+                _target, _line, read, _read_line, source = ins[4]
+                if read is None and isinstance(source, _FLAT_INT_TYPES):
+                    continue  # an integer conversion without a pending read
+            elif op in _SAFE_OPS:
+                continue
             return True
         return False
 
-    def _insert(self, mark: int, ins: tuple) -> None:
+    def _insert(self, mark: int, ins: tuple, pending: int) -> None:
         # A label bound at ``mark`` itself stays put: the value whose stream
         # ends there is computed on every path that jumps to it (an arm that
         # starts with a register read, a conditional's end), so the jump
         # must run the inserted check or snapshot too.
         self.code.insert(mark, ins)
+        self.pending.insert(mark, pending)
         for label, pc in self.labels.items():
             if pc > mark:
                 self.labels[label] = pc + 1
@@ -635,7 +742,7 @@ class _FnCompiler:
         else:
             return value
         temp = self.new_reg()
-        self._insert(mark, (OP_MOV, temp, value.reg))
+        self._insert(mark, (OP_MOV, temp, value.reg), 0)
         return _Value(temp, value.ctype, value.read_msg, value.read_line, value.exact)
 
     # -- static sequencing of register operations --------------------------
@@ -703,8 +810,10 @@ class _FnCompiler:
         ):
             raise _Unsupported(f"return type {rtype}")
         # Parameters: flat scalars and native pointers become registers bound
-        # from the freshly written parameter objects; any other parameter
-        # type poisons its name (touching it falls back) but not the function.
+        # from the freshly written parameter objects, and a flat scalar whose
+        # address is taken is a slot bound to its object on first use; any
+        # other parameter poisons its name (touching it falls back) but not
+        # the function.
         scope = self.scopes[0]
         for index, param_type in enumerate(ftype.parameters):
             if index >= len(definition.parameter_names):
@@ -712,7 +821,12 @@ class _FnCompiler:
             name = definition.parameter_names[index]
             if param_type.is_void:
                 continue
-            if isinstance(param_type, _FLAT_INT_TYPES) or _native_pointer(param_type):
+            if name in self.addressed:
+                if isinstance(param_type, _FLAT_INT_TYPES):
+                    scope[name] = _MemVar(self.new_slot(), param_type, self.profile)
+                else:
+                    scope[name] = _BAD
+            elif isinstance(param_type, _FLAT_INT_TYPES) or _native_pointer(param_type):
                 var = _RegVar(self.new_reg(), param_type, self.profile)
                 scope[name] = var
                 self.emit_bind(var, name)
@@ -725,13 +839,14 @@ class _FnCompiler:
             self.compile_block_item(item)
         self.flush_steps()
         self.emit((OP_RET, -1, None, None, 0))
-        code = self._fuse_and_resolve()
+        code, pending = self._fuse_and_resolve()
         r_init = [UNINIT] * self.n_regs
         for value, reg in self.consts.items():
             r_init[reg] = value
         return FnCode(
             definition.name,
             code,
+            pending,
             self.n_regs,
             tuple(r_init),
             self.n_slots,
@@ -741,7 +856,7 @@ class _FnCompiler:
         )
 
     def emit_bind(self, var: _RegVar, name: str) -> None:
-        """Load a register from its freshly written object."""
+        """Load a register parameter from its freshly written object."""
         if _native_pointer(var.ctype):
             self.emit((OP_BINDP, var.reg, name, var.ctype))
         else:
@@ -757,11 +872,14 @@ class _FnCompiler:
         charge between them, if any.  Nothing fuses across a label: a jump
         there must run the rest of the group and must not pay the steps.
         A label on a group's first instruction names the fused instruction.
+        Returns the stream and its ``pending`` table: a fused jump raises
+        after its charge, and a compare-and-branch before it.
         """
         code = self.code
         end = len(code)
         targets = set(self.labels.values())
         fused: list = []
+        pending: list = []
         new_pc: list = []  # old pc -> fused pc
         jumps: list = []  # the fused pcs of jumps, resolved at the end
         pc = 0
@@ -769,10 +887,12 @@ class _FnCompiler:
             ins = code[pc]
             op = ins[0]
             new_pc.append(len(fused))
+            pending.append(self.pending[pc])
             pc += 1
             if op == OP_STEP:
                 if pc < end and code[pc][0] in _JUMPS and pc not in targets:
                     ins = code[pc] + (ins[1],)
+                    pending[-1] = self.pending[pc]
                     new_pc.append(len(fused))
                     pc += 1
             elif op in _JUMPS:
@@ -801,14 +921,18 @@ class _FnCompiler:
             ins = fused[at]
             field = _TARGET_FIELD[ins[0]]
             fused[at] = ins[:field] + (labels[ins[field]],) + ins[field + 1 :]
-        return tuple(fused)
+        return tuple(fused), tuple(pending)
 
     # -- statements --------------------------------------------------------
 
     def compile_block_item(self, item) -> None:
         if isinstance(item, c_ast.Declaration):
             self.compile_declaration(item)
-        elif isinstance(item, c_ast.StaticAssert):
+            return
+        # One reservation for a run of declarations, ahead of the code that
+        # follows them (so it never splits a compare from its branch).
+        self.flush_bases()
+        if isinstance(item, c_ast.StaticAssert):
             self.pending_steps += 1  # the walker charges the node, then no-ops
         elif isinstance(item, c_ast.Statement):
             self.compile_statement(item)
@@ -836,28 +960,38 @@ class _FnCompiler:
 
     def stmt_compound(self, stmt: c_ast.Compound) -> None:
         self.pending_steps += 1
-        declares = any(isinstance(item, c_ast.Declaration) for item in stmt.items)
-        with self.block_scope(declares):
+        with self.block_scope(stmt.items):
             for item in stmt.items:
                 self.compile_block_item(item)
 
     @contextmanager
-    def block_scope(self, declares: bool):
-        """A run-time scope for a block that declares; none for one that
-        does not, since only a declaration writes a native function's
-        innermost scope and an empty scope is unobservable.  The
-        compile-time stack is pushed exactly when the run-time one is, so
-        ``break`` and ``continue`` pop ``len(self.scopes) - depth`` scopes."""
-        if not declares:
-            yield
-            return
+    def block_scope(self, items: list):
+        """A block's compile-time scope, and a run-time one only when the
+        block declares a slot: a slot's object dies when its block ends,
+        and nothing else writes a native function's innermost scope, so an
+        empty one is unobservable.  ``break`` and ``continue`` pop the
+        run-time scopes pushed since their loop began."""
+        slots = any(self._declares_slot(item) for item in items)
         self.scopes.append({})
-        self.emit((OP_PUSHSC,))
+        if slots:
+            self.emit((OP_PUSHSC,))
+            self.run_scopes += 1
         try:
             yield
         finally:
             self.scopes.pop()
-            self.emit((OP_POPSC,))
+            if slots:
+                self.run_scopes -= 1
+                self.emit((OP_POPSC,))
+
+    def _declares_slot(self, item) -> bool:
+        """Whether ``item`` may declare an automatic slot (an array, or a
+        scalar whose address is taken)."""
+        return (
+            isinstance(item, c_ast.Declaration)
+            and item.storage != "static"
+            and (isinstance(item.type, ct.ArrayType) or item.name in self.addressed)
+        )
 
     def stmt_if(self, stmt: c_ast.If) -> None:
         self.pending_steps += 1
@@ -892,7 +1026,7 @@ class _FnCompiler:
         condition = self.compile_expr(stmt.condition)
         self.emit_seqpt()
         self.emit_jz(condition, end, stmt.line)
-        self.loop_stack.append((end, top, len(self.scopes)))
+        self.loop_stack.append((end, top, self.run_scopes))
         self.compile_statement(stmt.body)
         self.loop_stack.pop()
         self.emit_jmp(top)
@@ -907,7 +1041,7 @@ class _FnCompiler:
         end = self.new_label()
         self.bind(top)
         self.pending_steps += 1
-        self.loop_stack.append((end, cont, len(self.scopes)))
+        self.loop_stack.append((end, cont, self.run_scopes))
         self.compile_statement(stmt.body)
         self.loop_stack.pop()
         self.bind(cont)
@@ -921,11 +1055,12 @@ class _FnCompiler:
     def stmt_for(self, stmt: c_ast.For) -> None:
         self.pending_steps += 1
         init = stmt.init
-        with self.block_scope(isinstance(init, (c_ast.Declaration, list))):
-            if isinstance(init, c_ast.Declaration):
-                self.compile_declaration(init)
-            elif isinstance(init, list):
-                for declaration in init:
+        declarations = [init] if isinstance(init, c_ast.Declaration) else init
+        if not isinstance(declarations, list):
+            declarations = []
+        with self.block_scope(declarations):
+            if declarations:
+                for declaration in declarations:
                     self.compile_declaration(declaration)
             elif init is not None:
                 value = self.compile_expr(init, discard=True)
@@ -940,7 +1075,7 @@ class _FnCompiler:
                 condition = self.compile_expr(stmt.condition)
                 self.emit_seqpt()
                 self.emit_jz(condition, end, stmt.line)
-            self.loop_stack.append((end, cont, len(self.scopes)))
+            self.loop_stack.append((end, cont, self.run_scopes))
             self.compile_statement(stmt.body)
             self.loop_stack.pop()
             self.bind(cont)
@@ -959,7 +1094,7 @@ class _FnCompiler:
         self.pending_steps += 1
         break_label, _cont, scope_depth = self.loop_stack[-1]
         self.flush_steps()
-        for _ in range(len(self.scopes) - scope_depth):
+        for _ in range(self.run_scopes - scope_depth):
             self.emit((OP_POPSC,))
         self.emit_jmp(break_label)
 
@@ -969,7 +1104,7 @@ class _FnCompiler:
         self.pending_steps += 1
         _break, cont_label, scope_depth = self.loop_stack[-1]
         self.flush_steps()
-        for _ in range(len(self.scopes) - scope_depth):
+        for _ in range(self.run_scopes - scope_depth):
             self.emit((OP_POPSC,))
         self.emit_jmp(cont_label)
 
@@ -985,6 +1120,7 @@ class _FnCompiler:
             raise _Unsupported("returning a void value")
         self.emit_seqpt()
         self.flush_steps()
+        self.charged(value)  # a deferred read is the last node charged
         # Convert to the return type here, after the step charge, where the
         # caller's post-processing would (it cannot raise for these types),
         # so the returned register holds exactly what the caller receives.
@@ -1001,84 +1137,103 @@ class _FnCompiler:
     _STMTS = {}
 
     # -- declarations ------------------------------------------------------
+    #
+    # A native function declares its locals itself.  A register gets no
+    # object, only the base the walker's object would take (flush_bases); a
+    # slot gets its object where the walker's declaration would make it.
 
     def compile_declaration(self, decl: c_ast.Declaration) -> None:
-        if decl.storage not in (None, "auto", "register"):
+        if decl.storage not in (None, "auto", "register", "static"):
             raise _Unsupported(f"storage class {decl.storage!r}")
         ctype = decl.type
         if ctype is None or isinstance(ctype, ct.FunctionType):
             raise _Unsupported("local function declaration")
         self.pending_steps += 1  # the Declaration statement node
-        if isinstance(ctype, _FLAT_INT_TYPES) or _native_pointer(ctype):
-            self._declare_register(decl, ctype)
-            return
-        if (
+        flat = isinstance(ctype, _FLAT_INT_TYPES)
+        array = (
             isinstance(ctype, ct.ArrayType)
             and isinstance(ctype.element, _FLAT_INT_TYPES)
             and ctype.length is not None
-        ):
-            self._declare_array(decl, ctype)
-            return
-        raise _Unsupported(f"declaration of type {ctype}")
+        )
+        if decl.storage == "static":
+            if not (flat or array):
+                raise _Unsupported(f"static local of type {ctype}")
+            self._declare_static(decl, ctype)
+        elif decl.name not in self.addressed and (flat or _native_pointer(ctype)):
+            self._declare_register(decl, ctype)
+        elif flat or array:
+            self._declare_slot(decl, ctype)
+        else:
+            raise _Unsupported(f"declaration of type {ctype}")
 
     def _declare_register(self, decl: c_ast.Declaration, ctype: ct.CType) -> None:
-        initializer = decl.initializer
         var = _RegVar(self.new_reg(), ctype, self.profile)
-        if initializer is None or self._walker_safe(initializer):
-            # The shared declaration executor runs the initializer (it
-            # cannot touch registerized state — walker-safety was checked)
-            # and charges the walker's per-node steps itself; the register
-            # then binds from the freshly initialized object bytes.
-            self.flush_steps()
-            self.emit((OP_DECL, decl, -1, decl.line))
-            self.emit_bind(var, decl.name)
-            self.scopes[-1][decl.name] = var
-            self.dirty = False  # exec_local_declaration sequence-points
-            self.pending_names.clear()
-            return
-        if isinstance(initializer, c_ast.InitList):
-            raise _Unsupported("scalar initializer list with register reads")
-        # Initializer references registerized state: run the declaration
-        # without it, then compile the initialization natively (same step
-        # charges, same checks, register stays authoritative).
-        bare = dc_replace(decl, initializer=None)
-        self.flush_steps()
-        self.emit((OP_DECL, bare, -1, decl.line))
-        # Declare before compiling the initializer: C scopes the name from
-        # its declarator on, so `int x = x;` reads the fresh (indeterminate) x.
+        self.pending_bases += 1
+        # C scopes the name from its declarator on: `int x = x;` reads the
+        # fresh, indeterminate x.
         self.scopes[-1][decl.name] = var
-        if ctype.const:
-            raise _Unsupported("const register initializer in native path")
-        value = self.compile_expr(initializer)
-        self.convert_to(value, ctype, decl.line, var.reg)
-        self.sim_write(decl.name)
+        initializer = decl.initializer
+        mark, pending = len(self.code), self.pending_steps
+        if initializer is not None:
+            value = self._initializer_value(initializer)
+            self.convert_to(value, ctype, decl.line, var.reg)
+            self.sim_write(decl.name)
+        if self.loop_stack and (initializer is None or var.reg in self.read_regs):
+            # Run again, the walker's object is fresh, so indeterminate.
+            self._insert(mark, (OP_LOADI, var.reg, UNINIT), pending)
         self.emit_seqpt()
 
-    def _declare_array(self, decl: c_ast.Declaration, ctype: ct.ArrayType) -> None:
-        initializer = decl.initializer
-        if initializer is not None and not self._walker_safe(initializer):
-            raise _Unsupported("array initializer reads registerized state")
+    def _declare_slot(self, decl: c_ast.Declaration, ctype: ct.CType) -> None:
+        """An automatic array, or a flat scalar whose address is taken."""
         var = _MemVar(self.new_slot(), ctype, self.profile)
-        self.flush_steps()
-        self.emit((OP_DECL, decl, var.slot, decl.line))
+        initializer = decl.initializer
+        items = []
+        fill = False  # the object's bytes before any store: fresh ones
+        string = isinstance(initializer, c_ast.StringLiteral)
+        if not var.is_array:
+            if initializer is not None:
+                items = [initializer]
+        elif isinstance(initializer, c_ast.InitList):
+            items = initializer.items[: var.length]
+            fill = True  # a brace-enclosed list zero-fills what it skips
+        elif string and ct.is_character_type(var.elem):
+            text = bytes(ord(c) & 0xFF for c in initializer.value) + b"\0"
+            fill = text[: var.length].ljust(var.length, b"\0")
+        elif initializer is not None:
+            raise _Unsupported("array initializer that is not a list")
+        # Like the walker's object, a const one turns read-only once its
+        # initializer has run.
+        const = ctype.const or var.elem.const
+        seal = const and not items
+        self.flush_bases()  # earlier register declarations took lower bases
+        size = ct.size_of(ctype, self.profile)
+        self.emit((OP_ALLOC, var.slot, ctype, decl.name, size, fill, seal))
         self.scopes[-1][decl.name] = var
-        self.dirty = False
-        self.pending_names.clear()
+        mask = (1 << (var.esize * 8)) - 1
+        for index, item in enumerate(items):
+            value = self.convert_to(self._initializer_value(item), var.elem, decl.line)
+            seal = const and index == len(items) - 1
+            offset = index * var.esize
+            ins = (OP_INIT, var.slot, value.reg, offset, var.esize, mask, var.elem)
+            self.emit(ins + (seal,))
+        self.emit_seqpt()
 
-    def _walker_safe(self, expr) -> bool:
-        """True when the shared (walker) executor can run ``expr`` without
-        observing registerized state: no identifier in it names a register
-        variable.  Memory-resident variables, globals, calls, and literals
-        are coherent either way."""
-        for node in c_ast.walk(expr):
-            if isinstance(node, c_ast.Identifier):
-                for scope in reversed(self.scopes):
-                    var = scope.get(node.name)
-                    if var is not None:
-                        if isinstance(var, _RegVar) or var is _BAD:
-                            return False
-                        break
-        return True
+    def _declare_static(self, decl: c_ast.Declaration, ctype: ct.CType) -> None:
+        var = _MemVar(self.new_slot(), ctype, self.profile)
+        # The walker makes the object the first time the declaration runs,
+        # and charges its initializer's steps then: sync the steps first.
+        self.flush_steps()
+        self.emit((OP_SDECL, var.slot, decl, decl.line))
+        self.scopes[-1][decl.name] = var
+
+    def _initializer_value(self, initializer) -> _Value:
+        """A scalar initializer, its braces unwrapped as the walker does;
+        empty braces store zero without evaluating anything."""
+        while isinstance(initializer, c_ast.InitList):
+            if not initializer.items:
+                return _Value(self.const_reg(0), ct.INT)
+            initializer = initializer.items[0]
+        return self.compile_expr(initializer)
 
     # -- expressions -------------------------------------------------------
 
@@ -1110,6 +1265,7 @@ class _FnCompiler:
 
     def expr_string_literal(self, expr: c_ast.StringLiteral, discard) -> _Value:
         self.pending_steps += 1
+        self.flush_bases()  # a literal's first use allocates its object
         dst = self.new_reg()
         self.emit((OP_STR, dst, expr.value))
         return _Value(dst, ct.PointerType(pointee=ct.CHAR))
@@ -1121,7 +1277,8 @@ class _FnCompiler:
             raise _Unsupported(f"identifier '{expr.name}' outside native subset")
         if isinstance(var, _RegVar):
             self.sim_read(expr.name)
-            return _Value(var.reg, var.ctype.unqualified(), var.read_msg, expr.line)
+            read = self.read_site(var)
+            return _Value(var.reg, var.ctype.unqualified(), read, expr.line)
         dst = self.new_reg()
         if var.is_array:
             # Array-to-pointer decay: the pointer to element 0, no read.
@@ -1176,7 +1333,30 @@ class _FnCompiler:
             self.pending_steps += 1
             pointer = self.compile_expr(expr.operand)
             return self._emit_load(pointer, _Value(self.const_reg(0), ct.INT), expr)
+        if op == "&":
+            return self._compile_address(expr.operand)
         raise _Unsupported(f"unary operator {op!r}")
+
+    def _compile_address(self, operand) -> _Value:
+        """``&x`` of a slot, and ``&a[i]`` or ``&p[i]``: the walker's
+        lvalue, with no read.  A register never has its address taken: every
+        name that appears as ``&name`` is a slot (see ``addressed``)."""
+        self.pending_steps += 2  # the & node and its lvalue
+        if isinstance(operand, c_ast.Identifier):
+            var = self.lookup(operand.name)
+            if isinstance(var, _RegVar):
+                raise _AddressTaken(operand.name)
+            if not isinstance(var, _MemVar) or var.is_array:
+                raise _Unsupported(f"address of '{operand.name}'")
+            dst = self.new_reg()
+            # A slot's pointer to offset 0 is its decayed form.
+            self.emit((OP_DECAY, dst, var.slot, operand.name))
+            return _Value(dst, ct.PointerType(pointee=var.ctype))
+        if isinstance(operand, c_ast.ArraySubscript):
+            return self._compile_store_target(operand)
+        if isinstance(getattr(operand, "operand", None), c_ast.InitList):
+            raise _Unsupported("compound literal")
+        raise _Unsupported(f"address of a {type(operand).__name__}")
 
     def _require_flat(self, value: _Value) -> None:
         if value.ctype is None or not isinstance(value.ctype, _FLAT_INT_TYPES):
@@ -1218,7 +1398,7 @@ class _FnCompiler:
                 self.sim_read(operand.name)
                 self.sim_write(operand.name)
                 old_dst = self.new_reg() if is_post else -1
-                slow = (expr.line, var.ctype.unqualified(), var.read_msg, plan)
+                slow = (expr.line, var.ctype.unqualified(), self.read_site(var), plan)
                 self.emit((OP_INC, var.reg, old_dst, plan, slow))
                 result_reg = old_dst if is_post else var.reg
                 return _Value(result_reg, var.ctype.unqualified())
@@ -1276,7 +1456,7 @@ class _FnCompiler:
         self.sim_write(name)
         old_dst = self.new_reg() if is_post else -1
         ctype = var.ctype.unqualified()
-        slow = (expr.line, ctype, var.read_msg, delta)
+        slow = (expr.line, ctype, self.read_site(var), delta)
         self.emit((OP_PINC, var.reg, old_dst, delta * facts.scale, slow))
         return _Value(old_dst if is_post else var.reg, ctype)
 
@@ -1423,7 +1603,7 @@ class _FnCompiler:
     def expr_cast(self, expr: c_ast.Cast, discard) -> _Value:
         target = expr.target_type
         if isinstance(expr.operand, c_ast.InitList):
-            raise _Unsupported("compound literal")
+            return self._compound_literal(target, expr.operand, expr.line)
         self.pending_steps += 1
         value = self.compile_expr(
             expr.operand, discard=target is not None and target.is_void
@@ -1435,14 +1615,30 @@ class _FnCompiler:
             return self._convert_pointer(value, target, expr.line, True)
         if not isinstance(target, _FLAT_INT_TYPES):
             raise _Unsupported(f"cast to {target}")
-        self._require_flat(value)
+        self._require_scalar(value)
         plan = raw_conversion_plan(target, self.profile)
         if plan is None:
             raise _Unsupported("cast plan unavailable")
         dst = self.new_reg()
-        slow = (target.unqualified(), expr.line, value.read_msg, value.read_line)
+        ctype = value.ctype
+        slow = (target.unqualified(), expr.line, value.read_msg, value.read_line, ctype)
         self.emit((OP_CONV, dst, value.reg, plan, slow))
         return _Value(dst, target.unqualified())
+
+    def _compound_literal(self, target, initializer, line: int) -> _Value:
+        """A scalar ``(T){ e }`` read as a value.  The walker makes an
+        unnamed object, initializes it and reads it back; with no pointer
+        to it, only its base is observable, so it is a register's value."""
+        if not (isinstance(target, _FLAT_INT_TYPES) or _native_pointer(target)):
+            raise _Unsupported("compound literal")
+        self.pending_steps += 1
+        self.pending_bases += 1
+        value = self.convert_to(self._initializer_value(initializer), target, line)
+        message = _read_message(target)
+        if message is not None:
+            value.read_msg = (message, self.pending_steps)
+            value.read_line = line
+        return value
 
     def expr_subscript(self, expr: c_ast.ArraySubscript, discard) -> _Value:
         self.pending_steps += 1
@@ -1602,13 +1798,13 @@ class _FnCompiler:
         if self.order_mode == 0:
             self.pending_steps += 1  # the lvalue node
             pointer = self._compile_store_target(expr.target)
-            mark = len(self.code)
+            mark, pending = len(self.code), self.pending_steps
             value = self.compile_expr(expr.value)
             facts = self._require_pointer(pointer)
             converted = self._convert_store(value, facts, expr.line)
             grown = len(self.code)
             if isinstance(expr.target, c_ast.UnaryOp):
-                self.protect_deref(pointer, mark, expr.target.line)
+                self.protect_deref(pointer, mark, pending, expr.target.line)
             pointer = self.snapshot(pointer, mark + (len(self.code) - grown))
         else:
             value = self.compile_expr(expr.value)
@@ -1667,7 +1863,7 @@ class _FnCompiler:
         op = expr.op[:-1]
         self.pending_steps += 1  # binding resolve
         self.sim_read(name)
-        old = _Value(var.reg, var.ctype.unqualified(), var.read_msg, expr.line)
+        old = _Value(var.reg, var.ctype.unqualified(), self.read_site(var), expr.line)
         mark = len(self.code)
         rhs = self.compile_expr(expr.value)
         self.protect_read(old, mark)
@@ -1814,16 +2010,19 @@ class _FnCompiler:
     ) -> _Value:
         """Convert a value to ``target`` (assignment conversion), into
         ``dst`` when given (an assigned variable's register), else into a
-        fresh register."""
+        fresh register.  A pointer, and a builtin's result of unknown
+        run-time type, take the walker's ``convert`` on the slow path."""
         if _native_pointer(target):
             return self._convert_pointer(value, target, line, False, dst)
-        self._require_flat(value)
+        if value.exact:
+            self._require_scalar(value)
         plan = raw_conversion_plan(target, self.profile)
         if plan is None:
             raise _Unsupported("conversion plan unavailable")
         if dst < 0:
             dst = self.new_reg()
-        slow = (target.unqualified(), line, value.read_msg, value.read_line)
+        ctype = value.ctype
+        slow = (target.unqualified(), line, value.read_msg, value.read_line, ctype)
         self.emit((OP_CONV, dst, value.reg, plan, slow))
         return _Value(dst, target.unqualified())
 
@@ -1885,8 +2084,18 @@ class _FnCompiler:
             argument_values[position] = self.snapshot(
                 argument_values[position], marks[position] + (len(self.code) - grown)
             )
+        # The call checks its arguments' reads after charging the block.  A
+        # read the walker makes before the block's last node is checked
+        # here instead, so a step limit in between cannot come first.
+        for position in order:
+            value = argument_values[position]
+            read = value.read_msg
+            if read is not None and read[1] < self.pending_steps and self.check_uninit:
+                self.emit((OP_RDCHK, value.reg, read, value.read_line))
+                value.read_msg = None
         args = []
         for position, value in enumerate(argument_values):
+            self.charged(value)
             if value.ctype is None:
                 raise _Unsupported("void argument")
             if not value.exact:
@@ -1995,18 +2204,10 @@ def compile_unit_bytecode(
     fallbacks: dict[str, str] = {}
     defined = {definition.name for definition in definitions}
     folder = _FoldContext(options)
+    context = (unit_globals, unit_functions, defined, options, order_mode, folder)
     for definition in definitions:
-        compiler = _FnCompiler(
-            definition,
-            unit_globals,
-            unit_functions,
-            defined,
-            options,
-            order_mode,
-            folder,
-        )
         try:
-            functions[definition.name] = compiler.compile()
+            functions[definition.name] = _compile_function(definition, context)
         except _Unsupported as reason:
             fallbacks[definition.name] = str(reason)
         except _FoldUB as fold_error:
@@ -2017,6 +2218,21 @@ def compile_unit_bytecode(
             for ins in fn.code
         )
     return CompiledProgram(functions, fallbacks, order_mode, options)
+
+
+def _compile_function(definition: c_ast.FunctionDef, context: tuple) -> FnCode:
+    """Compile one definition, every name it applies ``&`` to in memory.
+
+    Most functions take no address, so the first attempt assumes none; each
+    ``&`` that meets a register compiles the function again with that name
+    in memory.  A compiled function thus never takes a register's address.
+    """
+    addressed = frozenset()
+    while True:
+        try:
+            return _FnCompiler(definition, *context, addressed).compile()
+        except _AddressTaken as taken:
+            addressed |= {taken.name}
 
 
 def _link_call(ins: tuple, functions: dict, profile) -> tuple:

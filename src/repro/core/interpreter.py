@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import sys
 import threading
+import weakref
 from dataclasses import dataclass
 from typing import Optional, Union
 
@@ -71,6 +72,18 @@ _BUILTIN_FALLBACK_BINDINGS: dict[str, FunctionBinding] = {
         has_definition=True, is_builtin=True)
     for name in BUILTIN_FUNCTIONS
 }
+
+#: Per translation unit, keyed by ``id(unit)``: a weak reference to the
+#: unit, its declaration count, its function definitions and the function
+#: bindings its declarations make (those that differ from
+#: ``_BUILTIN_FALLBACK_BINDINGS``), built by its first run.  Bindings are
+#: replaced, never mutated, so each run starts from copies of the dicts.
+#: The weak reference tells the unit from a later one that reuses its id.
+_UNIT_BINDINGS: dict[int, tuple] = {}
+
+
+def _forget_unit(key: int):
+    return lambda _ref: _UNIT_BINDINGS.pop(key, None)
 
 
 #: Python frames one C call may take on the deepest engine (the walker needs
@@ -163,8 +176,7 @@ class Interpreter(ExpressionEvaluatorMixin, StatementExecutorMixin):
         self._rand_state = 1
         self.current_function = "<startup>"
         self.current_line = 0
-        self._register_builtins()
-        self._register_translation_unit()
+        self._register_unit_bindings()
 
     # ------------------------------------------------------------------
     # Program setup
@@ -174,6 +186,25 @@ class Interpreter(ExpressionEvaluatorMixin, StatementExecutorMixin):
         # *replaced* (never mutated) when the program or the builtin headers
         # declare a real signature, so one shared set serves all interpreters.
         self.function_bindings.update(_BUILTIN_FALLBACK_BINDINGS)
+
+    def _register_unit_bindings(self) -> None:
+        """The builtins and the unit's own functions, bound once per unit
+        (a header's prototypes are many) and copied for each run."""
+        unit = self.unit
+        key = id(unit)
+        entry = _UNIT_BINDINGS.get(key)
+        if (entry is None or entry[0]() is not unit
+                or entry[1] != len(unit.declarations)):
+            self._register_builtins()
+            self._register_translation_unit()
+            own = {name: binding for name, binding in self.function_bindings.items()
+                   if _BUILTIN_FALLBACK_BINDINGS.get(name) is not binding}
+            entry = (weakref.ref(unit, _forget_unit(key)), len(unit.declarations),
+                     self.functions, own)
+            _UNIT_BINDINGS[key] = entry
+        self.functions = dict(entry[2])
+        self.function_bindings = dict(_BUILTIN_FALLBACK_BINDINGS)
+        self.function_bindings.update(entry[3])
 
     def _register_translation_unit(self) -> None:
         # First pass: function definitions and prototypes, so that globals can
@@ -454,6 +485,13 @@ class Interpreter(ExpressionEvaluatorMixin, StatementExecutorMixin):
         return isinstance(initializer, c_ast.InitList) and not ctype.is_scalar
 
     def define_static_local(self, declaration: c_ast.Declaration) -> None:
+        binding = self.static_local_binding(declaration)
+        frame = self.current_frame()
+        frame.scopes[-1].bindings[declaration.name] = binding
+
+    def static_local_binding(self, declaration: c_ast.Declaration) -> ObjectBinding:
+        """The object of a static local, made and initialized the first
+        time its declaration runs (the compiled engine calls this too)."""
         key = id(declaration)
         binding = self._static_locals.get(key)
         if binding is None:
@@ -479,8 +517,7 @@ class Interpreter(ExpressionEvaluatorMixin, StatementExecutorMixin):
                 finally:
                     if was_const:
                         self.memory.not_writable.add(obj.base)
-        frame = self.current_frame()
-        frame.scopes[-1].bindings[declaration.name] = binding
+        return binding
 
     # ------------------------------------------------------------------
     # Initializers

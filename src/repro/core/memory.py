@@ -625,17 +625,36 @@ class Memory:
                     lvalue_type: Optional[ct.CType] = None,
                     track_sequencing: bool = True) -> None:
         size = len(data)
+        obj = self._write_target(pointer, size, line, lvalue_type, track_sequencing)
+        if obj is not None:
+            start = pointer.offset
+            obj.data[start:start + size] = data
+
+    def fill_object(self, pointer: PointerValue, byte: Byte, size: int, *,
+                    line: Optional[int] = None) -> None:
+        """``write_bytes`` of ``size`` copies of ``byte``, untracked, over
+        the whole of a sparse object (``pointer`` at offset 0, ``size`` its
+        size): the object's default byte changes instead of every byte."""
+        obj = self._write_target(pointer, size, line, None, False)
+        if obj is not None:
+            obj.data.fill(byte)
+
+    def _write_target(self, pointer: PointerValue, size: int,
+                      line: Optional[int], lvalue_type: Optional[ct.CType],
+                      track_sequencing: bool) -> Optional[MemoryObject]:
+        """Every check of a write of ``size`` bytes through ``pointer``:
+        the object to write, or None when the write is dropped."""
         if self.events is not None:
             self.events.emit(WriteEvent(pointer.base, pointer.offset, size, line))
         obj = self.check_access(pointer, size, write=True, line=line,
                                 lvalue_type=lvalue_type)
         if obj is None:
-            return
+            return None
         if pointer.offset < 0 or pointer.offset + size > obj.size:
             # Only reachable with the memory checks disabled (ablation mode)
             # or past a recorded bounds failure (observed mode): drop the
             # out-of-bounds part of the write.
-            return
+            return None
         # §4.2.2: const-correctness — notWritable objects must not be written.
         # A recorded violation falls through and performs the write, exactly
         # as the check_const=False ablation does.
@@ -666,8 +685,7 @@ class Memory:
                         "of same object.", line, family=FAMILY_SEQUENCING)
                     reported = True  # observed mode: one event, keep tracking
                 locs.add(loc)
-        start = pointer.offset
-        obj.data[start:start + size] = data
+        return obj
 
     def sequence_point(self) -> None:
         """Empty the ``locsWrittenTo`` set (the paper's ``seqPoint`` rule)."""

@@ -17,7 +17,7 @@ from typing import Callable, Optional
 
 from repro.cfront import ctypes as ct
 from repro.core.environment import ExitSignal
-from repro.core.memory import StorageKind
+from repro.core.memory import SparseBytes, StorageKind
 from repro.core.values import (
     Byte,
     ConcreteByte,
@@ -29,7 +29,7 @@ from repro.core.values import (
     UnknownByte,
     VoidValue,
 )
-from repro.errors import UBKind, UndefinedBehaviorError
+from repro.errors import ResourceLimitError, UBKind, UndefinedBehaviorError
 from repro.events import (
     FAMILY_ARITHMETIC,
     FAMILY_FUNCTIONS,
@@ -420,6 +420,17 @@ def _scanf(interp, args, line) -> CValue:
 # string.h
 # ---------------------------------------------------------------------------
 
+def _huge_range(interp, ranges, count: int, line: int, name: str):
+    """Give up on a ``mem*`` call over more than ``_ALLOCATION_LIMIT``
+    bytes, whose bytes would exhaust memory: bounds-check every range first
+    (``(pointer, write)`` pairs, in the order the call accesses them), so an
+    overrun stays undefined, then end the run as inconclusive."""
+    for pointer, write in ranges:
+        interp.memory.check_access(pointer, count, write=write, line=line)
+    raise ResourceLimitError(
+        f"{name}() over {count} bytes exceeds the {_ALLOCATION_LIMIT}-byte limit")
+
+
 def _memcpy(interp, args, line) -> CValue:
     dest = _pointer_arg(interp, args, 0, line, "memcpy")
     src = _pointer_arg(interp, args, 1, line, "memcpy")
@@ -430,6 +441,8 @@ def _memcpy(interp, args, line) -> CValue:
     _check_overlap(interp, dest, src, count, line, "memcpy")
     if count == 0:
         return dest
+    if count > _ALLOCATION_LIMIT:
+        _huge_range(interp, ((src, False), (dest, True)), count, line, "memcpy")
     data = interp.memory.read_bytes(src, count, line=line, track_sequencing=False)
     interp.memory.write_bytes(dest, data, line=line, track_sequencing=False)
     return dest
@@ -441,6 +454,8 @@ def _memmove(interp, args, line) -> CValue:
     count = _int_arg(interp, args, 2, line, "memmove")
     if count <= 0:
         return dest
+    if count > _ALLOCATION_LIMIT:
+        _huge_range(interp, ((src, False), (dest, True)), count, line, "memmove")
     data = interp.memory.read_bytes(src, count, line=line, track_sequencing=False)
     interp.memory.write_bytes(dest, data, line=line, track_sequencing=False)
     return dest
@@ -453,6 +468,14 @@ def _memset(interp, args, line) -> CValue:
     if count < 0:
         raise UndefinedBehaviorError(
             UBKind.NEGATIVE_SIZE_ALLOCATION, "memset() with a negative size.", line=line)
+    if count > _ALLOCATION_LIMIT:
+        memory = interp.memory
+        obj = memory.object_for(dest.base)
+        if (obj is not None and type(obj.data) is SparseBytes
+                and dest.offset == 0 and count == obj.size):
+            memory.fill_object(dest, ConcreteByte(value & 0xFF), count, line=line)
+            return dest
+        _huge_range(interp, ((dest, True),), count, line, "memset")
     data: list[Byte] = [ConcreteByte(value & 0xFF) for _ in range(count)]
     if count:
         interp.memory.write_bytes(dest, data, line=line, track_sequencing=False)
@@ -465,6 +488,8 @@ def _memcmp(interp, args, line) -> CValue:
     count = _int_arg(interp, args, 2, line, "memcmp")
     if count <= 0:
         return IntValue(0, ct.INT)
+    if count > _ALLOCATION_LIMIT:
+        _huge_range(interp, ((left, False), (right, False)), count, line, "memcmp")
     left_data = interp.memory.read_bytes(left, count, line=line, track_sequencing=False)
     right_data = interp.memory.read_bytes(right, count, line=line, track_sequencing=False)
     for lb, rb in zip(left_data, right_data):

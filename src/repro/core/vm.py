@@ -34,11 +34,13 @@ Design notes
   order the two instructions called them.  Plain jumps carry a step charge
   too, so the ``STEP`` that ends a block costs no dispatch of its own.
 * **Memory slots** cache ``(data, base, size, binding, decayed)`` per
-  activation: local arrays bind at their ``DECL``, globals bind lazily on
-  first touch.  ``data`` is the object's arena-backed byte store; flat
-  loads/stores go through its ``read_int``/``write_int`` integer fast path
-  and fall back to the generic byte path whenever exotic
-  (symbolic/indeterminate) bytes are in range.
+  activation: a local slot binds at its ``ALLOC`` and a static local at
+  its ``SDECL``; a unit-level object, or a parameter whose address is
+  taken, binds lazily on first touch.  ``data`` is the object's
+  arena-backed byte store; flat loads/stores go through its
+  ``read_int``/``write_int`` integer fast path and fall back to the
+  generic byte path whenever exotic (symbolic/indeterminate) bytes are in
+  range.
 * **Pointer registers** hold ``UNINIT``, a boxed ``PointerValue`` (null,
   function, or dangling-base pointers, and anything stranger a slow path
   produced), or the fast form ``(obj, offset, elem)``: the
@@ -61,7 +63,12 @@ Design notes
   non-native code in the same program.
 * **Steps** accumulate in a local and are synchronized with
   ``interp._steps`` around every boundary that can observe them (calls,
-  declarations, returns, resource-limit raises).
+  a static local's first run, returns, resource-limit raises).  An
+  undefined-behavior error raised before its block's charge meets the
+  walker's order in :func:`_walker_first`: the VM adds the steps the
+  walker has charged by then (``FnCode.pending`` for the instruction, or
+  the count a deferred read carries), and past ``max_steps`` raises the
+  step limit instead.
 * **Direct calls** keep every observable part of the interpreter's call:
   the call-site sequence point, ``max_call_depth``, a fresh ``Frame``
   with the next frame id, ``current_function``, the diagnostic's function
@@ -70,6 +77,11 @@ Design notes
   is allocated, but their bases are *reserved* (``Memory.reserve_bases``):
   every later object gets the base it would get on the generic path, and
   ``%p`` output and pointer-to-integer casts do not move.
+* **Reserved bases** cover register locals too: a register declaration
+  allocates nothing, and ``OP_RSV`` reserves the bases of a run of them
+  before the next allocation, jump or return, in the order the walker's
+  declarations take them.  A scalar compound literal read as a value
+  reserves its base the same way.
 """
 
 from __future__ import annotations
@@ -88,10 +100,11 @@ from repro.core.bytecode import (
     OP_CALL,
     OP_CHKE,
     OP_CONV,
+    OP_ALLOC,
     OP_DCALL,
     OP_DECAY,
-    OP_DECL,
     OP_INC,
+    OP_INIT,
     OP_JMP,
     OP_JNZ,
     OP_JZ,
@@ -115,6 +128,8 @@ from repro.core.bytecode import (
     OP_RAISE,
     OP_RDCHK,
     OP_RET,
+    OP_RSV,
+    OP_SDECL,
     OP_SEQPT,
     OP_STE,
     OP_STEP,
@@ -124,8 +139,8 @@ from repro.core.bytecode import (
     UNINIT,
 )
 from repro.core.conversions import convert, to_boolean
-from repro.core.environment import Frame, LValue
-from repro.core.memory import ArenaBytes
+from repro.core.environment import Frame, LValue, ObjectBinding
+from repro.core.memory import ArenaBytes, StorageKind
 from repro.core.plans import (
     _read_binding,
     _read_with_plan,
@@ -139,6 +154,7 @@ from repro.core.values import (
     PointerValue,
     UnknownByte,
     decode_value,
+    encode_value,
     unknown_bytes,
 )
 from repro.errors import ResourceLimitError, UBKind, UndefinedBehaviorError
@@ -232,8 +248,27 @@ def _unbox_ptr(memory, value):
     return value
 
 
-def _raise_read(msg: str, line: int):
-    raise UndefinedBehaviorError(UBKind.UNINITIALIZED_READ, msg, line=line)
+class _DeferredRead(Exception):
+    """An indeterminate register read found by its consumer.  ``read`` is
+    the compiler's ``(message, steps)``: the walker reads it that many steps
+    into the block, so :func:`run_native` decides which verdict comes first."""
+
+    def __init__(self, read: tuple, line: int) -> None:
+        self.read = read
+        self.line = line
+
+
+def _raise_read(read: tuple, line: int):
+    raise _DeferredRead(read, line)
+
+
+def _walker_first(fn: FnCode, charged: int, error: UndefinedBehaviorError):
+    """Raise ``error`` unless the walker, which charges every node before
+    evaluating it, would have run past ``max_steps`` after ``charged`` steps
+    and so stopped at the step limit first."""
+    if charged > fn.max_steps:
+        raise ResourceLimitError(fn.limit_message) from None
+    raise error
 
 
 def _deferred_read(interp, value, msg, line: int) -> None:
@@ -251,19 +286,51 @@ _UNSEQ_WRITE = (
 # Slot binding
 # ---------------------------------------------------------------------------
 
+def _slot_record(obj, binding) -> tuple:
+    return (obj.data, obj.base, obj.size, binding, (obj, 0, _elem_of(obj)))
+
+
 def _bind_slot(interp, S: list, slot: int, name: str):
-    """Resolve the runtime object behind a memory slot (cached per call)."""
+    """Resolve the object of a parameter or unit-level slot on first use
+    (cached per call).  A native function's locals make no frame bindings,
+    so a name in the frame is a parameter."""
     binding = interp.frames[-1].lookup(name)
     if binding is None:
         binding = interp.global_bindings[name]
-    obj = interp.memory.objects[binding.base]
-    record = (obj.data, binding.base, obj.size, binding, (obj, 0, _elem_of(obj)))
-    S[slot] = record
+    record = S[slot] = _slot_record(interp.memory.objects[binding.base], binding)
     return record
 
 
+def _alloc_slot(interp, S: list, ins: tuple) -> None:
+    """``OP_ALLOC``: the automatic object the walker's declaration makes,
+    owned by the innermost run-time scope so it dies with its block."""
+    _op, slot, ctype, name, size, fill, seal = ins
+    frame = interp.frames[-1]
+    memory = interp.memory
+    obj = memory.allocate(
+        size, StorageKind.AUTO, name=name, declared_type=ctype, frame=frame.frame_id
+    )
+    if fill is True:
+        obj.zero_fill()
+    elif fill:
+        obj.data[0 : len(fill)] = [ConcreteByte(byte) for byte in fill]
+    frame.scopes[-1].owned_bases.append(obj.base)
+    S[slot] = _slot_record(obj, ObjectBinding(name=name, base=obj.base, type=ctype))
+    if seal:
+        memory.mark_not_writable(obj.base)
+
+
+def _init_slow(interp, record, value, offset: int, elem: ct.CType) -> None:
+    """An initializer's store of a non-int value (an indeterminate one):
+    its bytes, written unchecked like the walker's initialization of a
+    fresh object."""
+    profile = interp.profile
+    data = encode_value(_box(value, elem.unqualified(), profile), elem, profile)
+    record[0][offset : offset + len(data)] = data
+
+
 def _bind_pointer(interp, name: str, ctype: ct.CType):
-    """Load a pointer register from its freshly written object."""
+    """Load a pointer parameter from its freshly written object."""
     memory = interp.memory
     obj = memory.objects[interp.frames[-1].lookup(name).base]
     value = decode_value(obj.data[0 : obj.size], ctype, interp.profile)
@@ -392,11 +459,20 @@ def _unop_slow(interp, value, slow):
 
 
 def _conv_slow(interp, value, slow):
-    _target, _line, rdmsg, rdline = slow
+    target, line, rdmsg, rdline, source = slow
     if value is UNINIT:
         _deferred_read(interp, value, rdmsg, rdline)
         return UNINIT  # convert() passes indeterminate values through
-    return value  # boxed values never reach native conversions
+    # A pointer, or a builtin's result of unknown run-time type.
+    boxed = _box(value, source, interp.profile)
+    converted = convert(
+        boxed,
+        target,
+        interp.options,
+        line=line,
+        pointer_registry=interp.pointer_registry,
+    )
+    return _unbox(converted)
 
 
 def _inc_slow(interp, value, slow):
@@ -521,407 +597,438 @@ def run_native(interp, program: CompiledProgram, fn: FnCode, args=None):
     order_mode = program.order_mode
     max_steps = fn.max_steps
     steps = interp._steps
-    while True:
-        ins = code[pc]
-        pc += 1
-        op = ins[0]
-        if op < 8:
-            if op == OP_BINOP:
-                a = R[ins[2]]
-                b = R[ins[3]]
-                if a.__class__ is int and b.__class__ is int:
-                    R[ins[1]] = ins[4](a, b)
-                else:
-                    R[ins[1]] = _binop_slow(interp, a, b, ins[5], order_mode)
-            elif op == OP_STEP:
-                steps += ins[1]
-                if steps > max_steps:
-                    interp._steps = steps
-                    raise ResourceLimitError(fn.limit_message)
-            elif op == OP_CONV:
-                value = R[ins[2]]
-                if value.__class__ is int:
-                    R[ins[1]] = ins[3](value)
-                else:
-                    R[ins[1]] = _conv_slow(interp, value, ins[4])
-            elif op == OP_RDCHK:
-                if R[ins[1]] is UNINIT:
-                    _raise_read(ins[2], ins[3])
-            elif op == OP_JMP:
-                steps += ins[2]
-                if steps > max_steps:
-                    interp._steps = steps
-                    raise ResourceLimitError(fn.limit_message)
-                pc = ins[1]
-            elif op == OP_BINJZ:
-                a = R[ins[2]]
-                b = R[ins[3]]
-                if a.__class__ is int and b.__class__ is int:
-                    value = R[ins[1]] = ins[4](a, b)
-                else:
-                    value = R[ins[1]] = _binop_slow(interp, a, b, ins[5], order_mode)
-                steps += ins[6]
-                if steps > max_steps:
-                    interp._steps = steps
-                    raise ResourceLimitError(fn.limit_message)
-                if value.__class__ is not int:
-                    value = _cond_slow(interp, value, ins[9], ins[10], ins[8])
-                if not value:
-                    pc = ins[7]
-            elif op == OP_INC:
-                value = R[ins[1]]
-                if value.__class__ is int:
-                    R[ins[1]] = ins[3](value)
-                    if ins[2] >= 0:
-                        R[ins[2]] = value
-                else:
-                    old, new = _inc_slow(interp, value, ins[4])
-                    R[ins[1]] = new
-                    if ins[2] >= 0:
-                        R[ins[2]] = old
-            elif op == OP_LDE:
-                record = S[ins[2]]
-                if record is None:
-                    record = _bind_slot(interp, S, ins[2], ins[7][0])
-                index = R[ins[3]]
-                esize = ins[4]
-                if (
-                    index.__class__ is int
-                    and 0 <= index
-                    and (index + 1) * esize <= record[2]
-                    and not (check_seq and memory.locs_written)
-                ):
-                    value = _read_flat(
-                        record[0], index * esize, esize, ins[5] == _SMODE_SIGNED
-                    )
-                    if value is not None:
-                        R[ins[1]] = value
-                        continue
-                R[ins[1]] = _lde_slow(interp, record, index, ins[7], ins[6])
-        elif op < 16:
-            if op == OP_DECAY:
-                record = S[ins[2]]
-                if record is None:
-                    record = _bind_slot(interp, S, ins[2], ins[3])
-                R[ins[1]] = record[4]
-            elif op == OP_PADD:
-                pointer = R[ins[2]]
-                index = R[ins[3]]
-                if pointer.__class__ is tuple and index.__class__ is int:
-                    obj = pointer[0]
-                    offset = pointer[1] + index * ins[4]
-                    if obj.alive and 0 <= offset <= obj.size:
-                        R[ins[1]] = (obj, offset, pointer[2])
-                        continue
-                R[ins[1]] = _padd_slow(interp, pointer, index, ins[5], order_mode)
-            elif op == OP_PCMPJZ:
-                a = R[ins[2]]
-                b = R[ins[3]]
-                if a.__class__ is tuple and b.__class__ is tuple and a[0] is b[0]:
-                    value = R[ins[1]] = ins[4](a[1], b[1])
-                else:
-                    value = R[ins[1]] = _binop_slow(interp, a, b, ins[5], order_mode)
-                steps += ins[6]
-                if steps > max_steps:
-                    interp._steps = steps
-                    raise ResourceLimitError(fn.limit_message)
-                if value.__class__ is not int:
-                    value = _cond_slow(interp, value, ins[9], ins[10], ins[8])
-                if not value:
-                    pc = ins[7]
-            elif op == OP_PLD:
-                pointer = R[ins[2]]
-                index = R[ins[3]]
-                if pointer.__class__ is tuple and index.__class__ is int:
-                    obj = pointer[0]
+    try:
+        while True:
+            ins = code[pc]
+            pc += 1
+            op = ins[0]
+            if op < 8:
+                if op == OP_BINOP:
+                    a = R[ins[2]]
+                    b = R[ins[3]]
+                    if a.__class__ is int and b.__class__ is int:
+                        R[ins[1]] = ins[4](a, b)
+                    else:
+                        R[ins[1]] = _binop_slow(interp, a, b, ins[5], order_mode)
+                elif op == OP_STEP:
+                    steps += ins[1]
+                    if steps > max_steps:
+                        interp._steps = steps
+                        raise ResourceLimitError(fn.limit_message)
+                elif op == OP_CONV:
+                    value = R[ins[2]]
+                    if value.__class__ is int:
+                        R[ins[1]] = ins[3](value)
+                    else:
+                        R[ins[1]] = _conv_slow(interp, value, ins[4])
+                elif op == OP_RDCHK:
+                    if R[ins[1]] is UNINIT:
+                        _raise_read(ins[2], ins[3])
+                elif op == OP_JMP:
+                    steps += ins[2]
+                    if steps > max_steps:
+                        interp._steps = steps
+                        raise ResourceLimitError(fn.limit_message)
+                    pc = ins[1]
+                elif op == OP_BINJZ:
+                    a = R[ins[2]]
+                    b = R[ins[3]]
+                    if a.__class__ is int and b.__class__ is int:
+                        value = R[ins[1]] = ins[4](a, b)
+                    else:
+                        value = R[ins[1]] = _binop_slow(
+                            interp, a, b, ins[5], order_mode
+                        )
+                    steps += ins[6]
+                    if steps > max_steps:
+                        interp._steps = steps
+                        raise ResourceLimitError(fn.limit_message)
+                    if value.__class__ is not int:
+                        value = _cond_slow(interp, value, ins[9], ins[10], ins[8])
+                    if not value:
+                        pc = ins[7]
+                elif op == OP_INC:
+                    value = R[ins[1]]
+                    if value.__class__ is int:
+                        R[ins[1]] = ins[3](value)
+                        if ins[2] >= 0:
+                            R[ins[2]] = value
+                    else:
+                        old, new = _inc_slow(interp, value, ins[4])
+                        R[ins[1]] = new
+                        if ins[2] >= 0:
+                            R[ins[2]] = old
+                elif op == OP_LDE:
+                    record = S[ins[2]]
+                    if record is None:
+                        record = _bind_slot(interp, S, ins[2], ins[7][0])
+                    index = R[ins[3]]
                     esize = ins[4]
-                    offset = pointer[1] + index * esize
                     if (
-                        pointer[2] is ins[5]
-                        and obj.alive
-                        and 0 <= offset <= obj.size - esize
-                        and offset % esize == 0
+                        index.__class__ is int
+                        and 0 <= index
+                        and (index + 1) * esize <= record[2]
                         and not (check_seq and memory.locs_written)
                     ):
-                        value = _read_flat(obj.data, offset, esize, ins[6])
+                        value = _read_flat(
+                            record[0], index * esize, esize, ins[5] == _SMODE_SIGNED
+                        )
                         if value is not None:
                             R[ins[1]] = value
                             continue
-                R[ins[1]] = _pld_slow(interp, pointer, index, ins[7], order_mode)
-            elif op == OP_PINC:
-                pointer = R[ins[1]]
-                if pointer.__class__ is tuple:
-                    obj = pointer[0]
-                    offset = pointer[1] + ins[3]
-                    if obj.alive and 0 <= offset <= obj.size:
-                        R[ins[1]] = (obj, offset, pointer[2])
-                        if ins[2] >= 0:
-                            R[ins[2]] = pointer
-                        continue
-                R[ins[1]] = _pinc_slow(interp, pointer, ins[4])
-                if ins[2] >= 0:
-                    R[ins[2]] = pointer
-            elif op == OP_RET:
-                interp._steps = steps
-                if ins[1] < 0:
-                    return None if args is None else UNINIT
-                value = R[ins[1]]
-                if value is UNINIT and ins[3] is not None and check_uninit:
-                    _raise_read(ins[3], ins[4])
-                if args is not None:
-                    return value
-                if value.__class__ is int:
-                    return IntValue(value, ins[2])
-                return _box(value, ins[2], interp.profile)
-            elif op == OP_DECL:
-                interp.current_line = ins[3]
-                interp._steps = steps
-                interp.exec_local_declaration(ins[1])
-                steps = interp._steps
-                if ins[2] >= 0:
-                    _bind_slot(interp, S, ins[2], ins[1].name)
-            elif op == OP_DCALL:
-                # The interpreter's call path for a clean site (see
-                # _link_call), minus the parameter objects and the boxing:
-                # an argument is a raw int converted to its parameter type,
-                # a fast pointer, or (with uninitialized reads unchecked) an
-                # indeterminate integer.  Any other value, or attached
-                # probes, takes the generic path.
-                values = []
-                for reg, plan in ins[3]:
-                    value = R[reg]
-                    if value.__class__ is int:
-                        value = plan(value)
-                    elif value.__class__ is not tuple and (
-                        plan is None or value is not UNINIT or check_uninit
-                    ):
-                        values = None
-                        break
-                    values.append(value)
-                if values is None or interp.events is not None:
-                    interp._steps = steps
-                    _generic_call(interp, R, ins[5], order_mode)
-                    steps = interp._steps
-                    continue
-                callee = ins[2]
-                name = callee.name
-                line = ins[4]
-                interp.current_line = line
-                memory.locs_written.clear()  # the sequence point before the call
-                interp._steps = steps
-                frames = interp.frames
-                if len(frames) >= interp.options.max_call_depth:
-                    raise ResourceLimitError("call depth limit exceeded")
-                frame = Frame(
-                    interp._next_frame_id(),
-                    name,
-                    callee.ftype.return_type,
-                    call_line=line,
-                )
-                frame.push_scope()
-                frames.append(frame)
-                caller = interp.current_function
-                interp.current_function = name
-                memory.reserve_bases(callee.entry)  # the parameter objects' bases
-                try:
-                    value = run_native(interp, program, callee, values)
-                except UndefinedBehaviorError as error:
-                    if error.function is None:
-                        error.function = name
-                    raise
-                finally:
-                    memory.kill_frame(frame.frame_id)
-                    frames.pop()
-                    interp.current_function = caller
-                    memory.locs_written = set()
-                steps = interp._steps
-                if ins[1] >= 0:
-                    R[ins[1]] = value
-        elif op < 24:
-            if op == OP_BINDR:
-                binding = interp.frames[-1].lookup(ins[2])
-                obj = memory.objects[binding.base]
-                value = _read_flat(obj.data, 0, ins[3], ins[4])
-                R[ins[1]] = UNINIT if value is None else value
-            elif op == OP_MOV:
-                R[ins[1]] = R[ins[2]]
-            elif op == OP_SEQPT:
-                memory.locs_written.clear()
-            elif op == OP_NOT:
-                value = R[ins[2]]
-                if value.__class__ is int:
-                    R[ins[1]] = 1 if value == 0 else 0
-                else:
-                    truth = _cond_slow(interp, value, ins[4], ins[5], ins[3])
-                    R[ins[1]] = 0 if truth else 1
-            elif op == OP_CHKE:
-                record = S[ins[2]]
-                if record is None:
-                    record = _bind_slot(interp, S, ins[2], ins[6][0])
-                index = R[ins[3]]
-                esize = ins[4]
-                if (
-                    index.__class__ is int
-                    and 0 <= index
-                    and (index + 1) * esize <= record[2]
-                ):
-                    R[ins[1]] = (record[0], record[1], index * esize)
-                else:
-                    pointer, _elem = _elem_pointer_slow(
-                        interp, record, index, ins[6], ins[5]
-                    )
-                    R[ins[1]] = pointer
-            elif op == OP_STE:
-                address = R[ins[1]]
-                value = R[ins[2]]
-                if address.__class__ is tuple and value.__class__ is int:
-                    esize = ins[3]
-                    if check_seq:
-                        _seq_conflict_check(
-                            memory, address[1], address[2], esize, ins[5]
+                    R[ins[1]] = _lde_slow(interp, record, index, ins[7], ins[6])
+            elif op < 16:
+                if op == OP_DECAY:
+                    record = S[ins[2]]
+                    if record is None:
+                        record = _bind_slot(interp, S, ins[2], ins[3])
+                    R[ins[1]] = record[4]
+                elif op == OP_PADD:
+                    pointer = R[ins[2]]
+                    index = R[ins[3]]
+                    if pointer.__class__ is tuple and index.__class__ is int:
+                        obj = pointer[0]
+                        offset = pointer[1] + index * ins[4]
+                        if obj.alive and 0 <= offset <= obj.size:
+                            R[ins[1]] = (obj, offset, pointer[2])
+                            continue
+                    R[ins[1]] = _padd_slow(interp, pointer, index, ins[5], order_mode)
+                elif op == OP_PCMPJZ:
+                    a = R[ins[2]]
+                    b = R[ins[3]]
+                    if a.__class__ is tuple and b.__class__ is tuple and a[0] is b[0]:
+                        value = R[ins[1]] = ins[4](a[1], b[1])
+                    else:
+                        value = R[ins[1]] = _binop_slow(
+                            interp, a, b, ins[5], order_mode
                         )
-                    _write_flat(address[0], address[2], esize, value & ins[4])
-                else:
-                    info = ins[6]
-                    _store_slow(
-                        interp, address, value, info[3], info[1], info[2], ins[5]
-                    )
-            elif op == OP_CALL:
-                interp._steps = steps
-                _generic_call(interp, R, ins, order_mode)
-                steps = interp._steps
-            elif op == OP_PCONV:
-                value = R[ins[2]]
-                if value.__class__ is tuple:
-                    R[ins[1]] = value
-                else:
-                    R[ins[1]] = _pconv_slow(interp, value, ins[3])
-        elif op < 32:
-            if op == OP_JZ:
-                steps += ins[6]
-                if steps > max_steps:
+                    steps += ins[6]
+                    if steps > max_steps:
+                        interp._steps = steps
+                        raise ResourceLimitError(fn.limit_message)
+                    if value.__class__ is not int:
+                        value = _cond_slow(interp, value, ins[9], ins[10], ins[8])
+                    if not value:
+                        pc = ins[7]
+                elif op == OP_PLD:
+                    pointer = R[ins[2]]
+                    index = R[ins[3]]
+                    if pointer.__class__ is tuple and index.__class__ is int:
+                        obj = pointer[0]
+                        esize = ins[4]
+                        offset = pointer[1] + index * esize
+                        if (
+                            pointer[2] is ins[5]
+                            and obj.alive
+                            and 0 <= offset <= obj.size - esize
+                            and offset % esize == 0
+                            and not (check_seq and memory.locs_written)
+                        ):
+                            value = _read_flat(obj.data, offset, esize, ins[6])
+                            if value is not None:
+                                R[ins[1]] = value
+                                continue
+                    R[ins[1]] = _pld_slow(interp, pointer, index, ins[7], order_mode)
+                elif op == OP_PINC:
+                    pointer = R[ins[1]]
+                    if pointer.__class__ is tuple:
+                        obj = pointer[0]
+                        offset = pointer[1] + ins[3]
+                        if obj.alive and 0 <= offset <= obj.size:
+                            R[ins[1]] = (obj, offset, pointer[2])
+                            if ins[2] >= 0:
+                                R[ins[2]] = pointer
+                            continue
+                    R[ins[1]] = _pinc_slow(interp, pointer, ins[4])
+                    if ins[2] >= 0:
+                        R[ins[2]] = pointer
+                elif op == OP_RET:
                     interp._steps = steps
-                    raise ResourceLimitError(fn.limit_message)
-                value = R[ins[1]]
-                if value.__class__ is not int:
-                    value = _cond_slow(interp, value, ins[4], ins[5], ins[3])
-                if not value:
-                    pc = ins[2]
-            elif op == OP_STR:
-                R[ins[1]] = _unbox_ptr(memory, interp.string_literal_object(ins[2])[0])
-            elif op == OP_PST:
-                pointer = R[ins[1]]
-                value = R[ins[2]]
-                if pointer.__class__ is tuple and value.__class__ is int:
-                    obj = pointer[0]
-                    offset = pointer[1]
-                    esize = ins[3]
+                    if ins[1] < 0:
+                        return None if args is None else UNINIT
+                    value = R[ins[1]]
+                    if value is UNINIT and ins[3] is not None and check_uninit:
+                        _raise_read(ins[3], ins[4])
+                    if args is not None:
+                        return value
+                    if value.__class__ is int:
+                        return IntValue(value, ins[2])
+                    return _box(value, ins[2], interp.profile)
+                elif op == OP_RSV:
+                    memory.reserve_bases(ins[1])
+                elif op == OP_DCALL:
+                    # The interpreter's call path for a clean site (see
+                    # _link_call), minus the parameter objects and the boxing:
+                    # an argument is a raw int converted to its parameter type,
+                    # a fast pointer, or (with uninitialized reads unchecked) an
+                    # indeterminate integer.  Any other value, or attached
+                    # probes, takes the generic path.
+                    values = []
+                    for reg, plan in ins[3]:
+                        value = R[reg]
+                        if value.__class__ is int:
+                            value = plan(value)
+                        elif value.__class__ is not tuple and (
+                            plan is None or value is not UNINIT or check_uninit
+                        ):
+                            values = None
+                            break
+                        values.append(value)
+                    if values is None or interp.events is not None:
+                        interp._steps = steps
+                        _generic_call(interp, R, ins[5], order_mode)
+                        steps = interp._steps
+                        continue
+                    callee = ins[2]
+                    name = callee.name
+                    line = ins[4]
+                    interp.current_line = line
+                    memory.locs_written.clear()  # the sequence point before the call
+                    interp._steps = steps
+                    frames = interp.frames
+                    if len(frames) >= interp.options.max_call_depth:
+                        raise ResourceLimitError("call depth limit exceeded")
+                    frame = Frame(
+                        interp._next_frame_id(),
+                        name,
+                        callee.ftype.return_type,
+                        call_line=line,
+                    )
+                    frame.push_scope()
+                    frames.append(frame)
+                    caller = interp.current_function
+                    interp.current_function = name
+                    memory.reserve_bases(callee.entry)  # the parameter objects' bases
+                    try:
+                        value = run_native(interp, program, callee, values)
+                    except UndefinedBehaviorError as error:
+                        if error.function is None:
+                            error.function = name
+                        raise
+                    finally:
+                        memory.kill_frame(frame.frame_id)
+                        frames.pop()
+                        interp.current_function = caller
+                        memory.locs_written = set()
+                    steps = interp._steps
+                    if ins[1] >= 0:
+                        R[ins[1]] = value
+            elif op < 24:
+                if op == OP_BINDR:
+                    binding = interp.frames[-1].lookup(ins[2])
+                    obj = memory.objects[binding.base]
+                    value = _read_flat(obj.data, 0, ins[3], ins[4])
+                    R[ins[1]] = UNINIT if value is None else value
+                elif op == OP_MOV:
+                    R[ins[1]] = R[ins[2]]
+                elif op == OP_SEQPT:
+                    memory.locs_written.clear()
+                elif op == OP_NOT:
+                    value = R[ins[2]]
+                    if value.__class__ is int:
+                        R[ins[1]] = 1 if value == 0 else 0
+                    else:
+                        truth = _cond_slow(interp, value, ins[4], ins[5], ins[3])
+                        R[ins[1]] = 0 if truth else 1
+                elif op == OP_CHKE:
+                    record = S[ins[2]]
+                    if record is None:
+                        record = _bind_slot(interp, S, ins[2], ins[6][0])
+                    index = R[ins[3]]
+                    esize = ins[4]
                     if (
-                        pointer[2] is ins[4]
-                        and obj.alive
-                        and 0 <= offset <= obj.size - esize
-                        and offset % esize == 0
-                        and obj.base not in memory.not_writable
+                        index.__class__ is int
+                        and 0 <= index
+                        and (index + 1) * esize <= record[2]
                     ):
+                        R[ins[1]] = (record[0], record[1], index * esize)
+                    else:
+                        pointer, _elem = _elem_pointer_slow(
+                            interp, record, index, ins[6], ins[5]
+                        )
+                        R[ins[1]] = pointer
+                elif op == OP_STE:
+                    address = R[ins[1]]
+                    value = R[ins[2]]
+                    if address.__class__ is tuple and value.__class__ is int:
+                        esize = ins[3]
                         if check_seq:
                             _seq_conflict_check(
-                                memory, obj.base, offset, esize, ins[6][0]
+                                memory, address[1], address[2], esize, ins[5]
                             )
-                        _write_flat(obj.data, offset, esize, value & ins[5])
-                        continue
-                _pst_slow(interp, pointer, value, ins[6])
-            elif op == OP_PUSHSC:
-                interp.frames[-1].push_scope()
-            elif op == OP_BINDP:
-                R[ins[1]] = _bind_pointer(interp, ins[2], ins[3])
-            elif op == OP_POPSC:
-                scope = interp.frames[-1].pop_scope()
-                for base in scope.owned_bases:
-                    memory.kill(base)
-            elif op == OP_UNOP:
-                value = R[ins[2]]
-                if value.__class__ is int:
-                    R[ins[1]] = ins[3](value)
-                else:
-                    R[ins[1]] = _unop_slow(interp, value, ins[4])
-            elif op == OP_LDG:
-                record = S[ins[2]]
-                if record is None:
-                    record = _bind_slot(interp, S, ins[2], ins[6][0])
-                if not (check_seq and memory.locs_written):
-                    value = _read_flat(record[0], 0, ins[3], ins[4] == _SMODE_SIGNED)
-                    if value is not None:
-                        R[ins[1]] = value
-                        continue
-                R[ins[1]] = _ldg_slow(interp, record, ins[5])
-        elif op < 40:
-            if op == OP_LOADI:
-                R[ins[1]] = ins[2]
-            elif op == OP_STG:
-                record = S[ins[1]]
-                if record is None:
-                    record = _bind_slot(interp, S, ins[1], ins[6][0])
-                value = R[ins[2]]
-                if value.__class__ is int:
-                    if check_seq:
-                        _seq_conflict_check(memory, record[1], 0, ins[3], ins[5])
-                    _write_flat(record[0], 0, ins[3], value & ins[4])
-                else:
-                    _stg_slow(interp, record, value, ins[6], ins[5])
-            elif op == OP_PCMP:
-                a = R[ins[2]]
-                b = R[ins[3]]
-                if a.__class__ is tuple and b.__class__ is tuple and a[0] is b[0]:
-                    R[ins[1]] = ins[4](a[1], b[1])
-                else:
-                    R[ins[1]] = _binop_slow(interp, a, b, ins[5], order_mode)
-            elif op == OP_PDCHK:
-                pointer = R[ins[1]]
-                if pointer.__class__ is not tuple:
-                    _pdchk_slow(interp, pointer, ins[2])
-            elif op == OP_JNZ:
-                steps += ins[6]
-                if steps > max_steps:
+                        _write_flat(address[0], address[2], esize, value & ins[4])
+                    else:
+                        info = ins[6]
+                        _store_slow(
+                            interp, address, value, info[3], info[1], info[2], ins[5]
+                        )
+                elif op == OP_CALL:
                     interp._steps = steps
-                    raise ResourceLimitError(fn.limit_message)
-                value = R[ins[1]]
-                if value.__class__ is not int:
-                    value = _cond_slow(interp, value, ins[4], ins[5], ins[3])
-                if value:
-                    pc = ins[2]
-            elif op == OP_LDA:
-                address = R[ins[2]]
-                if address.__class__ is tuple:
-                    value = _read_flat(
-                        address[0], address[2], ins[3], ins[4] == _SMODE_SIGNED
-                    )
-                    if value is not None and not (check_seq and memory.locs_written):
+                    _generic_call(interp, R, ins, order_mode)
+                    steps = interp._steps
+                elif op == OP_PCONV:
+                    value = R[ins[2]]
+                    if value.__class__ is tuple:
                         R[ins[1]] = value
-                        continue
-                    address = PointerValue(
-                        base=address[1],
-                        offset=address[2],
-                        type=ct.PointerType(pointee=ins[6][0]),
+                    else:
+                        R[ins[1]] = _pconv_slow(interp, value, ins[3])
+            elif op < 32:
+                if op == OP_JZ:
+                    steps += ins[6]
+                    if steps > max_steps:
+                        interp._steps = steps
+                        raise ResourceLimitError(fn.limit_message)
+                    value = R[ins[1]]
+                    if value.__class__ is not int:
+                        value = _cond_slow(interp, value, ins[4], ins[5], ins[3])
+                    if not value:
+                        pc = ins[2]
+                elif op == OP_STR:
+                    R[ins[1]] = _unbox_ptr(
+                        memory, interp.string_literal_object(ins[2])[0]
                     )
-                R[ins[1]] = _lda_slow(interp, address, None, ins[3], ins[6], ins[5])
-            elif op == OP_BOOL:
-                value = R[ins[2]]
-                if value.__class__ is int:
-                    R[ins[1]] = 1 if value != 0 else 0
-                else:
-                    truth = _cond_slow(interp, value, ins[4], ins[5], ins[3])
-                    R[ins[1]] = 1 if truth else 0
-            elif op == OP_RAISE:
-                interp._steps = steps
-                raise UndefinedBehaviorError(ins[1], ins[2], line=ins[3])
-        elif op == OP_PDIFF:
-            a = R[ins[2]]
-            b = R[ins[3]]
-            if a.__class__ is tuple and b.__class__ is tuple and a[0] is b[0]:
-                value = (a[1] - b[1]) // ins[4]
-                if ins[5] <= value <= ins[6]:
-                    R[ins[1]] = value
-                    continue
-            R[ins[1]] = _binop_slow(interp, a, b, ins[7], order_mode)
-        else:  # pragma: no cover - the numbering is dense and ends here
-            raise AssertionError(f"unknown opcode {op}")
+                elif op == OP_PST:
+                    pointer = R[ins[1]]
+                    value = R[ins[2]]
+                    if pointer.__class__ is tuple and value.__class__ is int:
+                        obj = pointer[0]
+                        offset = pointer[1]
+                        esize = ins[3]
+                        if (
+                            pointer[2] is ins[4]
+                            and obj.alive
+                            and 0 <= offset <= obj.size - esize
+                            and offset % esize == 0
+                            and obj.base not in memory.not_writable
+                        ):
+                            if check_seq:
+                                _seq_conflict_check(
+                                    memory, obj.base, offset, esize, ins[6][0]
+                                )
+                            _write_flat(obj.data, offset, esize, value & ins[5])
+                            continue
+                    _pst_slow(interp, pointer, value, ins[6])
+                elif op == OP_PUSHSC:
+                    interp.frames[-1].push_scope()
+                elif op == OP_BINDP:
+                    R[ins[1]] = _bind_pointer(interp, ins[2], ins[3])
+                elif op == OP_POPSC:
+                    scope = interp.frames[-1].pop_scope()
+                    for base in scope.owned_bases:
+                        memory.kill(base)
+                elif op == OP_UNOP:
+                    value = R[ins[2]]
+                    if value.__class__ is int:
+                        R[ins[1]] = ins[3](value)
+                    else:
+                        R[ins[1]] = _unop_slow(interp, value, ins[4])
+                elif op == OP_LDG:
+                    record = S[ins[2]]
+                    if record is None:
+                        record = _bind_slot(interp, S, ins[2], ins[6][0])
+                    if not (check_seq and memory.locs_written):
+                        value = _read_flat(
+                            record[0], 0, ins[3], ins[4] == _SMODE_SIGNED
+                        )
+                        if value is not None:
+                            R[ins[1]] = value
+                            continue
+                    R[ins[1]] = _ldg_slow(interp, record, ins[5])
+            elif op < 40:
+                if op == OP_LOADI:
+                    R[ins[1]] = ins[2]
+                elif op == OP_STG:
+                    record = S[ins[1]]
+                    if record is None:
+                        record = _bind_slot(interp, S, ins[1], ins[6][0])
+                    value = R[ins[2]]
+                    if value.__class__ is int:
+                        if check_seq:
+                            _seq_conflict_check(memory, record[1], 0, ins[3], ins[5])
+                        _write_flat(record[0], 0, ins[3], value & ins[4])
+                    else:
+                        _stg_slow(interp, record, value, ins[6], ins[5])
+                elif op == OP_PCMP:
+                    a = R[ins[2]]
+                    b = R[ins[3]]
+                    if a.__class__ is tuple and b.__class__ is tuple and a[0] is b[0]:
+                        R[ins[1]] = ins[4](a[1], b[1])
+                    else:
+                        R[ins[1]] = _binop_slow(interp, a, b, ins[5], order_mode)
+                elif op == OP_PDCHK:
+                    pointer = R[ins[1]]
+                    if pointer.__class__ is not tuple:
+                        _pdchk_slow(interp, pointer, ins[2])
+                elif op == OP_JNZ:
+                    steps += ins[6]
+                    if steps > max_steps:
+                        interp._steps = steps
+                        raise ResourceLimitError(fn.limit_message)
+                    value = R[ins[1]]
+                    if value.__class__ is not int:
+                        value = _cond_slow(interp, value, ins[4], ins[5], ins[3])
+                    if value:
+                        pc = ins[2]
+                elif op == OP_LDA:
+                    address = R[ins[2]]
+                    if address.__class__ is tuple:
+                        value = _read_flat(
+                            address[0], address[2], ins[3], ins[4] == _SMODE_SIGNED
+                        )
+                        if value is not None and not (
+                            check_seq and memory.locs_written
+                        ):
+                            R[ins[1]] = value
+                            continue
+                        address = PointerValue(
+                            base=address[1],
+                            offset=address[2],
+                            type=ct.PointerType(pointee=ins[6][0]),
+                        )
+                    R[ins[1]] = _lda_slow(interp, address, None, ins[3], ins[6], ins[5])
+                elif op == OP_BOOL:
+                    value = R[ins[2]]
+                    if value.__class__ is int:
+                        R[ins[1]] = 1 if value != 0 else 0
+                    else:
+                        truth = _cond_slow(interp, value, ins[4], ins[5], ins[3])
+                        R[ins[1]] = 1 if truth else 0
+                elif op == OP_RAISE:
+                    interp._steps = steps
+                    raise UndefinedBehaviorError(ins[1], ins[2], line=ins[3])
+            elif op < 48:
+                if op == OP_PDIFF:
+                    a = R[ins[2]]
+                    b = R[ins[3]]
+                    if a.__class__ is tuple and b.__class__ is tuple and a[0] is b[0]:
+                        value = (a[1] - b[1]) // ins[4]
+                        if ins[5] <= value <= ins[6]:
+                            R[ins[1]] = value
+                            continue
+                    R[ins[1]] = _binop_slow(interp, a, b, ins[7], order_mode)
+                elif op == OP_ALLOC:
+                    _alloc_slot(interp, S, ins)
+                elif op == OP_INIT:
+                    record = S[ins[1]]
+                    value = R[ins[2]]
+                    if value.__class__ is int:
+                        _write_flat(record[0], ins[3], ins[4], value & ins[5])
+                    else:
+                        _init_slow(interp, record, value, ins[3], ins[6])
+                    if ins[7]:
+                        memory.mark_not_writable(record[1])
+                elif op == OP_SDECL:
+                    interp.current_line = ins[3]
+                    interp._steps = steps
+                    binding = interp.static_local_binding(ins[2])
+                    steps = interp._steps
+                    S[ins[1]] = _slot_record(memory.objects[binding.base], binding)
+            else:  # pragma: no cover - the numbering is dense and ends here
+                raise AssertionError(f"unknown opcode {op}")
+    except _DeferredRead as read:
+        error = UndefinedBehaviorError(
+            UBKind.UNINITIALIZED_READ, read.read[0], line=read.line
+        )
+        _walker_first(fn, steps + read.read[1], error)
+    except UndefinedBehaviorError as error:
+        _walker_first(fn, steps + fn.pending[pc - 1], error)

@@ -152,16 +152,27 @@ def render() -> str:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.fuzz.coverage_doc",
+    return generated_doc_main(
+        argv,
+        module="repro.fuzz.coverage_doc",
         description="Generate (or verify) the UB fuzz-coverage reference.",
+        default_path=DEFAULT_PATH,
+        render=render,
+    )
+
+
+def generated_doc_main(argv, *, module, description, default_path, render) -> int:
+    """The command line of a generated document: write it, print it
+    (``--stdout``), or exit 1 if the file on disk is stale (``--check``)."""
+    parser = argparse.ArgumentParser(
+        prog=f"python -m {module}", description=description
     )
     parser.add_argument(
         "output",
         nargs="?",
         type=Path,
-        default=DEFAULT_PATH,
-        help=f"destination markdown file (default: {DEFAULT_PATH})",
+        default=default_path,
+        help=f"destination markdown file (default: {default_path})",
     )
     parser.add_argument(
         "--check",
@@ -183,8 +194,7 @@ def main(argv: list[str] | None = None) -> int:
         on_disk = arguments.output.read_text() if arguments.output.exists() else None
         if on_disk != document:
             print(
-                f"{arguments.output} is stale; regenerate with "
-                "`python -m repro.fuzz.coverage_doc`",
+                f"{arguments.output} is stale; regenerate with `python -m {module}`",
                 file=sys.stderr,
             )
             return 1

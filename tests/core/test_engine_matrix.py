@@ -20,6 +20,8 @@ import pytest
 
 from repro.core import bytecode, vm
 from repro.core.bytecode import (
+    OP_BINDP,
+    OP_BINDR,
     OP_BINJZ,
     OP_CALL,
     OP_CONV,
@@ -31,9 +33,11 @@ from repro.core.bytecode import (
     OP_PCMPJZ,
     OP_POPSC,
     OP_PUSHSC,
+    OP_RSV,
     OP_STEP,
 )
 from repro.core.config import CheckerOptions
+from repro.core.interpreter import Interpreter
 from repro.core.kcc import KccTool
 from repro.errors import OutcomeKind
 from repro.fuzz.generator import generate_cases
@@ -1333,3 +1337,290 @@ def test_step_limit_on_every_fused_jump():
                 name,
                 max_steps,
             )
+
+
+#: Programs whose functions declare every kind of local the VM declares
+#: itself: registers (flat integers and native pointers) with no
+#: initializer, a literal, an expression over registers, a call, an
+#: out-of-range conversion, and const ones; declarations run again in loops
+#: and nested blocks; local arrays with and without a list; scalars whose
+#: address is taken (passed to a callee, stored, compared, used after their
+#: block ends); and static locals across calls and recursion.  Each prints
+#: ``%p`` and pointer-to-integer values after its cases, so a base that
+#: moved shows in the output.  Every function compiles natively.
+DECLARATION_PROGRAMS = {
+    "register-initializers": """
+#include <stdio.h>
+static int twice(int v) { return v * 2; }
+int main(void) {
+    int a;
+    int b = 7;
+    int c = b * 3 + 1;
+    int d = twice(c);
+    signed char e = 300;
+    unsigned char f = -1;
+    const int g = d - 1;
+    _Bool h = 5;
+    long i = -1;
+    unsigned short j = 70000;
+    int braced = {4};
+    int marker[1];
+    a = b + c;
+    printf("%d %d %d %d %d %d %d %d %ld %d %d\\n", a, b, c, d, e, f, g, h, i, j, braced);
+    printf("%p %lu\\n", (void *)marker, (unsigned long)marker);
+    return 0;
+}
+""",
+    "pointer-initializers": """
+#include <stdio.h>
+#include <stdlib.h>
+static int *pick(int *p, int *q, int first) { return first ? p : q; }
+int main(void) {
+    int arr[4] = {1, 2, 3, 4};
+    int *p;
+    int *q = arr;
+    int *r = q + 2;
+    int *s = pick(q, r, 0);
+    int *t = malloc(2 * sizeof(int));
+    const int *u = arr + 1;
+    void *v = t;
+    int *w = 0;
+    char *name = "decl";
+    p = r - 1;
+    t[0] = *s;
+    t[1] = *u;
+    printf("%d %d %d %d %d %s\\n", *p, *r, t[0], t[1], w == 0, name);
+    printf("%p %p %lu %lu\\n", (void *)q, v, (unsigned long)r, (unsigned long)name);
+    free(t);
+    return 0;
+}
+""",
+    "loops-and-blocks": """
+#include <stdio.h>
+int main(void) {
+    int total = 0;
+    for (int i = 0; i < 3; i++) {
+        int sq = i * i;
+        int pending;
+        if (i > 0) { int inner = sq + i; total += inner; }
+        pending = sq;
+        total += pending;
+        int tail[2] = {i, sq};
+        printf("%p %lu\\n", (void *)tail, (unsigned long)&tail[1]);
+    }
+    int k = 0;
+    while (k < 2) { int w = k + 10; k++; { int z = w; total += z; } }
+    do { int once = 5; total += once; } while (0);
+    for (int m = 0; m < 2; m++) { int fresh; fresh = m; total += fresh; }
+    printf("%d\\n", total);
+    int after[1];
+    printf("%p %lu\\n", (void *)after, (unsigned long)after);
+    return 0;
+}
+""",
+    "arrays": """
+#include <stdio.h>
+int main(void) {
+    int none[3];
+    int full[3] = {1, 2, 3};
+    int part[4] = {9};
+    unsigned char bytes[5] = {255, 256, -1};
+    char text[6] = "hi";
+    char cut[2] = "long";
+    const short fixed[2] = {7, 8};
+    none[1] = full[2] + part[0];
+    printf("%d %d %d %d %d %d %s %d %d\\n", none[1], part[3], bytes[0], bytes[1],
+           bytes[2], text[1], text, cut[1], fixed[0] + fixed[1]);
+    printf("%p %p %lu\\n", (void *)none, (void *)part, (unsigned long)bytes);
+    return 0;
+}
+""",
+    "address-taken": """
+#include <stdio.h>
+static void bump(int *p) { *p = *p + 1; }
+static int same(const int *a, const int *b) { return a == b; }
+static int read_param(int v) { int *pv = &v; *pv = *pv * 3; return v; }
+int main(void) {
+    int x = 1;
+    int y;
+    int *saved = &x;
+    bump(&x);
+    bump(saved);
+    y = 10;
+    bump(&y);
+    int cmp = same(&x, saved) + 2 * (saved != &y) + 4 * (saved == &y);
+    x++;
+    y += read_param(x);
+    const int c = 4;
+    const int *pc = &c;
+    printf("%d %d %d %d\\n", x, y, cmp, *pc);
+    printf("%p %p %lu %lu\\n", (void *)&x, (void *)saved, (unsigned long)&y,
+           (unsigned long)pc);
+    return 0;
+}
+""",
+    "statics": """
+#include <stdio.h>
+static int counter(void) { static int calls; calls++; return calls; }
+static int depth(int n) {
+    static int seen = 100;
+    seen--;
+    if (n > 0) return depth(n - 1) + 1;
+    return seen;
+}
+static int *cell(void) { static int slot[2] = {4, 5}; slot[0]++; return &slot[1]; }
+int main(void) {
+    int a = counter();
+    int b = counter();
+    int c = depth(3);
+    int *p = cell();
+    int *q = cell();
+    static const int limit = 3;
+    int local = limit;
+    printf("%d %d %d %d %d %d\\n", a, b, c, *p, p == q, local);
+    printf("%p %lu\\n", (void *)p, (unsigned long)q);
+    return 0;
+}
+""",
+    "uninitialized-after-loop": """
+int main(void) {
+    int n;
+    int i = 0;
+    while (i < 2) i++;
+    while (n < 3) { n = 5; }
+    return 0;
+}
+""",
+    "fresh-in-every-iteration": """
+#include <stdio.h>
+int main(void) {
+    int s = 0;
+    for (int i = 0; i < 4; i++) {
+        int t;
+        printf("%d\\n", i);
+        if (i == 2) s += t;
+        t = 1;
+        s += t;
+    }
+    return s;
+}
+""",
+    "overflow-in-initializer": """
+#include <stdio.h>
+int main(void) {
+    int big = 2147483647;
+    int marker[1];
+    printf("%p\\n", (void *)marker);
+    int boom = big + 1;
+    return boom;
+}
+""",
+    "uninitialized-argument": """
+#include <stdio.h>
+int main(void) {
+    int x;
+    int y = 2;
+    printf("%d %d\\n", y, 1);
+    printf("%d %d\\n", x, y + 1);
+    return 0;
+}
+""",
+    "dangling-address": """
+#include <stdio.h>
+int main(void) {
+    int *p = 0;
+    int sum = 0;
+    {
+        int inner = 5;
+        p = &inner;
+        sum += *p;
+        printf("%p %lu\\n", (void *)p, (unsigned long)p);
+    }
+    printf("%d\\n", sum);
+    return *p;
+}
+""",
+    "const-written-through-pointer": """
+int main(void) {
+    const int c = 1;
+    int *p = (int *)&c;
+    *p = 2;
+    return c;
+}
+""",
+    "past-a-scalar": """
+int main(void) {
+    int x = 1;
+    int *p = &x;
+    p[1] = 2;
+    return x;
+}
+""",
+}
+
+#: The programs of the corpus whose run is undefined.
+UNDEFINED_DECLARATIONS = (
+    "uninitialized-after-loop",
+    "fresh-in-every-iteration",
+    "overflow-in-initializer",
+    "uninitialized-argument",
+    "dangling-address",
+    "const-written-through-pointer",
+    "past-a-scalar",
+)
+
+
+@pytest.mark.parametrize("label", list(POINTER_TOOLS))
+def test_declaration_programs_under_every_ablation(label):
+    assert_native_matrix(DECLARATION_PROGRAMS, label)
+
+
+def test_declaration_corpus_verdicts():
+    tool = TOOLS["default"]["compiled"]
+    for name, source in DECLARATION_PROGRAMS.items():
+        kind = tool.check(source).outcome.kind
+        expected = OutcomeKind.UNDEFINED if name in UNDEFINED_DECLARATIONS else OutcomeKind.DEFINED
+        assert kind is expected, name
+
+
+def test_no_native_declaration_runs_the_walker(monkeypatch):
+    # A register local has no object and a slot is allocated by the VM:
+    # the walker's declaration executor never runs for a native function,
+    # and no register is loaded back from an object after the prologue.
+    def forbidden(self, declaration):
+        raise AssertionError(f"walker declared {declaration.name!r}")
+
+    monkeypatch.setattr(Interpreter, "exec_local_declaration", forbidden)
+    monkeypatch.setattr(Interpreter, "define_auto_object", forbidden)
+    tool = TOOLS["default"]["compiled"]
+    for source in DECLARATION_PROGRAMS.values():
+        program = _native_program(tool, source)
+        for fn in program.functions.values():
+            ops = [ins[0] for ins in fn.code]
+            assert OP_BINDR not in ops[fn.entry:] and OP_BINDP not in ops[fn.entry:]
+        tool.check(source)
+    # One reservation covers a run of register declarations, and a block
+    # that declares only registers pushes no run-time scope.
+    source = "int main(void) { int a = 1; int b = a + 2; int c; { int d = b; c = d; } return c; }"
+    ops = [ins[0] for ins in _native_program(tool, source).functions["main"].code]
+    assert ops.count(OP_RSV) == 2 and OP_PUSHSC not in ops
+    code = _native_program(tool, STREAM_PROGRAMS["break-continue-nested"])
+    assert OP_PUSHSC not in [ins[0] for ins in code.functions["main"].code]
+
+
+def test_step_limit_before_undefined_behavior():
+    # Every limit up to and past the undefined operation: where the walker
+    # charges the steps that reach max_steps before the operation, both
+    # report the step limit, and past it both report the operation.
+    walker = CheckerOptions(engine="walker")
+    compiled = CheckerOptions(engine="compiled")
+    for name in UNDEFINED_DECLARATIONS:
+        source = DECLARATION_PROGRAMS[name]
+        unit = KccTool(walker).compile_unit(source, filename=name)
+        max_steps = 1
+        while True:
+            expected = _limit_facts(walker, unit, max_steps)
+            assert _limit_facts(compiled, unit, max_steps) == expected, (name, max_steps)
+            if expected[0][0] == "UNDEFINED":
+                break
+            max_steps += 1

@@ -71,7 +71,7 @@ int main(void){ int x = f(1) + f(2) + f(3); return a == 0 ? x : 1; }
 #: ``g`` takes an address, so it leaves the VM; ``f`` and ``main`` stay.
 WITH_FALLBACK = """
 int f(int *p) { return *p + 1; }
-int g(void) { int x = 41; return f(&x); }
+int g(void) { double d = 41; int x = d; return f(&x); }
 int main(void) { return g() == 42 ? 0 : 1; }
 """
 

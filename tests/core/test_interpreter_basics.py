@@ -438,3 +438,44 @@ class TestOutput:
         outcome = run_ok(source)
         assert outcome.exit_code == 3
         assert outcome.stdout == "before\n"
+
+
+def test_unit_bindings_are_built_once_and_copied_per_run():
+    import copy
+    import gc
+
+    from repro.cfront.parser import parse
+    from repro.core import interpreter as interpreter_module
+    from repro.core.interpreter import Interpreter
+
+    source = """
+    #include <stdlib.h>
+    #include <string.h>
+    int helper(int v);
+    int helper(int v) { return v + 1; }
+    int main(void) { return helper(abs(-2)) == 3 ? 0 : 1; }
+    """
+    unit = parse(source)
+    first = Interpreter(unit)
+    entry = interpreter_module._UNIT_BINDINGS[id(unit)]
+    second = Interpreter(unit)
+    # The same bindings, in dicts of each run's own.
+    assert second.function_bindings == first.function_bindings
+    assert second.functions == first.functions
+    assert second.function_bindings is not first.function_bindings
+    assert second.function_bindings is not entry[3]
+    assert first.function_bindings["abs"].is_builtin
+    assert first.function_bindings["helper"].has_definition
+    # A run that declares a function at run time changes only its own copy.
+    second.register_function_declaration("late", first.function_bindings["helper"].type)
+    assert "late" not in Interpreter(unit).function_bindings
+    # An edited copy of the unit (the reducer's) gets its own bindings.
+    clone = copy.deepcopy(unit)
+    del clone.declarations[-1]
+    assert "main" not in Interpreter(clone).functions
+    assert Interpreter(unit).run().exit_code == 0
+    # The entry goes with its unit.
+    key = id(clone)
+    del clone
+    gc.collect()
+    assert key not in interpreter_module._UNIT_BINDINGS

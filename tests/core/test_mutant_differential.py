@@ -38,8 +38,9 @@ OPERATOR_GROUPS = (
 )
 REPLACEMENTS = {op: group for group in OPERATOR_GROUPS for op in group}
 
-#: Integer literals that land on the edges the checks care about.
-LITERALS = ("0", "1", "2", "-1", "3", "7", "8", "31", "32", "255")
+#: Integer literals that land on the edges the checks care about.  2^31 - 1
+#: makes objects too large to hold byte by byte (``int a[2147483647]``).
+LITERALS = ("0", "1", "2", "-1", "3", "7", "8", "31", "32", "255", "2147483647")
 
 #: Skipped text (string and character literals, comments, directives) and
 #: the tokens an edit may replace: decimal integer literals and operators,

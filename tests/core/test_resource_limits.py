@@ -150,3 +150,51 @@ def test_max_heap_objects_is_enforced(engine):
     assert _outcome(engine, ALLOCATIONS % 50, options)[0] == "INCONCLUSIVE"
     # The default limit is far above anything a normal program allocates.
     assert _outcome(engine, ALLOCATIONS % 50, CheckerOptions()) == ("DEFINED", 3, "")
+
+
+#: ``mem*`` builtins over objects too large to hold byte by byte.  Each
+#: program runs in a subprocess under a 1 GB address-space limit, so one
+#: that builds a byte per byte dies there instead of taking the machine.
+HUGE_MEMORY_PROGRAMS = {
+    # A fill of a sparse object's whole extent changes its default byte.
+    "memset-whole": ("int data[2147483647]; memset(data, 0, sizeof(data)); return data[7];",
+                     ("DEFINED", 0)),
+    # The range is checked first, so an overrun stays undefined.
+    "memset-overrun": ("int data[2147483647]; memset(data, 0, sizeof(data) + 1); return 0;",
+                       ("UNDEFINED", None)),
+    "memset-part": ("int data[2147483647]; memset(data + 1, 1, sizeof(data) - 4); return 0;",
+                    ("INCONCLUSIVE", None)),
+    "memcpy": ("static char a[2147483647], b[2147483647]; memcpy(a, b, sizeof a); return 0;",
+               ("INCONCLUSIVE", None)),
+    "memmove-overrun": ("static char a[2147483647], b[16]; memmove(b, a, sizeof a); return 0;",
+                        ("UNDEFINED", None)),
+    "memcmp": ("static char a[2147483647], b[2147483647]; return memcmp(a, b, sizeof a);",
+               ("INCONCLUSIVE", None)),
+}
+
+_HUGE_CHILD = """
+import resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+from repro.core.config import CheckerOptions
+from repro.core.kcc import KccTool
+body, engine = sys.argv[1], sys.argv[2]
+source = "#include <string.h>\\nint main(void) { " + body + " }\\n"
+outcome = KccTool(CheckerOptions(engine=engine)).check(source).outcome
+print(outcome.kind.name, outcome.exit_code)
+"""
+
+
+@pytest.mark.parametrize("engine", ("walker", "compiled"))
+def test_mem_builtins_over_huge_objects_end_in_a_verdict(engine):
+    import os
+    import subprocess
+
+    src = os.path.join(os.path.dirname(__file__), "..", "..", "src")
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    for name, (body, (kind, exit_code)) in HUGE_MEMORY_PROGRAMS.items():
+        done = subprocess.run(
+            [sys.executable, "-c", _HUGE_CHILD, body, engine],
+            capture_output=True, text=True, timeout=60, env=env,
+        )
+        assert done.returncode == 0, (name, done.stderr[-2000:])
+        assert done.stdout.split() == [kind, str(exit_code)], name
