@@ -14,8 +14,8 @@ them from the cache.
 
 Run with:  python examples/implementation_profiles.py [--no-lowering]
 
-``--no-lowering`` runs the dynamic stage on the legacy AST walker instead of
-the lowered fast path; the verdicts are identical either way.
+``--no-lowering`` runs the dynamic stage on the reference AST walker instead
+of the compiled VM; the verdicts are identical either way.
 """
 
 import sys

@@ -13,8 +13,8 @@ checking the same program under several configurations) never re-parses.
 
 Run with:  python examples/undefined_gallery.py [--no-lowering]
 
-``--no-lowering`` runs the dynamic stage on the legacy AST walker instead of
-the lowered fast path; the reports are identical either way.
+``--no-lowering`` runs the dynamic stage on the reference AST walker instead
+of the compiled VM; the reports are identical either way.
 """
 
 import sys

@@ -76,18 +76,17 @@ def check_pair(header: tuple, pair: tuple[str, str]) -> CheckReport:
     """Pool worker: check one (filename, source) pair.
 
     Module-level (picklable); routes the compile through the worker's
-    process-wide shared cache and the run through the memoized per-config
-    tool, so a warm worker re-parses a program it has seen before in *any*
-    earlier batch exactly never.
+    process-wide shared cache, so a warm worker re-parses a program it has
+    seen before in *any* earlier batch exactly never.
     """
-    from repro.api.session import compile_shared, tool_for
+    from repro.api.session import compile_shared
 
     options, search_evaluation_order, run_static_checks, search_options = header
     filename, source = pair
-    tool = tool_for(options,
-                    search_evaluation_order=search_evaluation_order,
-                    run_static_checks=run_static_checks,
-                    search_options=search_options)
+    tool = KccTool(options,
+                   search_evaluation_order=search_evaluation_order,
+                   run_static_checks=run_static_checks,
+                   search_options=search_options)
     compiled = compile_shared(source, filename=filename, options=options)
     return _strip_for_ipc(tool.run_unit(compiled))
 

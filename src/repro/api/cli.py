@@ -67,9 +67,9 @@ def _add_common_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--no-static", action="store_true",
                         help="skip translation-time checks")
     parser.add_argument("--no-lowering", action="store_true",
-                        help="run the dynamic stage on the legacy AST walker "
-                             "instead of the lowered fast path (escape hatch; "
-                             "verdicts are identical)")
+                        help="run the dynamic stage on the reference AST "
+                             "walker instead of the selected --engine (escape "
+                             "hatch; verdicts are identical)")
     parser.add_argument("--engine", default="compiled",
                         choices=ENGINES,
                         help="dynamic-stage engine: the flat register-"

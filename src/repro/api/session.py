@@ -150,50 +150,6 @@ def compile_shared(source: str, *, filename: str = "<input>",
         stats=stats)
 
 
-#: Process-wide tool memo behind :func:`tool_for`; bounded so a service that
-#: sees many one-off option combinations cannot grow it without limit.
-_TOOL_CACHE: OrderedDict[tuple, KccTool] = OrderedDict()
-_TOOL_CACHE_LOCK = threading.Lock()
-_TOOL_CACHE_ENTRIES = 64
-
-
-def tool_for(options: CheckerOptions = DEFAULT_OPTIONS, *,
-             search_evaluation_order: bool = False,
-             run_static_checks: bool = True,
-             search_options=None) -> KccTool:
-    """A process-wide memoized :class:`KccTool` for one configuration.
-
-    Warm-pool workers (:mod:`repro.service.pool`) run many one-item tasks
-    over the lifetime of the process; constructing a tool per task is cheap
-    but discards nothing-shared state, while a memoized tool keeps whatever
-    the configuration warmed (and pairs with :data:`SHARED_COMPILE_CACHE`
-    for cross-task parses).  Unhashable configurations fall back to a fresh
-    tool — correctness never depends on the memo.
-    """
-    key: Optional[tuple]
-    try:
-        key = (options, search_evaluation_order, run_static_checks,
-               search_options)
-        hash(key)
-    except TypeError:
-        key = None
-    if key is not None:
-        with _TOOL_CACHE_LOCK:
-            tool = _TOOL_CACHE.get(key)
-            if tool is not None:
-                _TOOL_CACHE.move_to_end(key)
-                return tool
-    tool = KccTool(options, search_evaluation_order=search_evaluation_order,
-                   run_static_checks=run_static_checks,
-                   search_options=search_options)
-    if key is not None:
-        with _TOOL_CACHE_LOCK:
-            _TOOL_CACHE[key] = tool
-            while len(_TOOL_CACHE) > _TOOL_CACHE_ENTRIES:
-                _TOOL_CACHE.popitem(last=False)
-    return tool
-
-
 class Checker:
     """Facade over the staged pipeline, with a per-session compile cache.
 

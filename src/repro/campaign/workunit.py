@@ -345,10 +345,11 @@ def _fuzz_records(
 def _suite_records(
     spec: CampaignSpec, unit: WorkUnit, options: CheckerOptions
 ) -> list[dict[str, Any]]:
-    from repro.api.session import compile_shared, tool_for
+    from repro.api.session import compile_shared
+    from repro.core.kcc import KccTool
 
     cases = _suite_cases(spec)
-    tool = tool_for(options)
+    tool = KccTool(options)
     records = []
     lo, hi = int(unit.params["lo"]), int(unit.params["hi"])
     for index in range(lo, hi):

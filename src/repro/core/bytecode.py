@@ -17,16 +17,21 @@ The native subset
   *pointer registers* (see :mod:`repro.core.vm` for their fast form):
   declaration, array decay, ``&``, assignment, ``+``/``-`` with an
   integer, ``++``/``--``, ``+=``/``-=``, comparisons and pointer
-  difference, ``*p`` and ``p[i]`` loads and stores, null constants, truth
-  tests, casts between these pointer types and to integers, and pointers
-  as call arguments, results and return values;
-* memory *slots*, accessed with pre-derived element sizes against the
-  arena-backed byte store: local one-dimensional flat-integer arrays
-  (with no initializer, a brace-enclosed list, or a string for a
-  character array), flat scalars whose address is taken, ``static``
-  locals of these types, and unit-level flat scalars and arrays.
-  ``&x`` of a slot is its pointer's fast form, and ``&a[i]``/``&p[i]`` is
-  a pointer addition;
+  difference, ``*p`` and ``p[i]`` loads, stores, compound assignments and
+  ``++``/``--``, null constants, truth tests, casts between these pointer
+  types and to integers, and pointers as call arguments, results and
+  return values;
+* memory *slots*: local one-dimensional flat-integer arrays (with no
+  initializer, a brace-enclosed list, or a string for a character
+  array), flat scalars whose address is taken, ``static`` locals of these
+  types, and unit-level flat scalars and arrays.  A slot is a pointer
+  register holding the pointer to its object's first byte, so memory has
+  one access path: ``a[i]`` compiles like ``p[i]``, a scalar slot is a
+  pointer at offset 0, ``&x`` of a slot is its register, ``&a[i]`` is a
+  pointer addition, and every load or store of a flat integer in memory
+  is ``PLD`` or ``PST``.  Compound assignment and ``++``/``--`` of any
+  lvalue in memory share one load, operate and store sequence
+  (:meth:`_FnCompiler._compile_update`);
 * scalar compound literals read as values, ``(T){ e }``;
 * calls to unit functions and builtins, ``if``/``while``/``do``/``for``,
   ``&&``/``||``/``?:``/comma, casts between flat integer types.  A call of
@@ -76,8 +81,9 @@ The bytecode replicates the walker observation-for-observation:
   declarations) where the walker's object would take it, so every later
   object's base, ``%p`` output and pointer-to-integer values match.  A
   slot's object is allocated where the walker's declaration would make
-  it, fresh or zero-filled the same way, and its initializer is stored
-  untracked, as the walker's initialization is;
+  it, fresh or zero-filled the same way, its pointer goes into the slot's
+  register, and its initializer is stored untracked, as the walker's
+  initialization is;
 * **scopes**: only a block that declares a slot, or a ``for`` whose init
   does, pushes a run-time scope, and the slot's object dies when it pops.
   Nothing else writes a native function's innermost scope, so an empty one
@@ -87,7 +93,7 @@ The bytecode replicates the walker observation-for-observation:
   :func:`~repro.core.plans.raw_conversion_plan`, ...), which raise the
   walker's error kinds and messages, and every slow path boxes the value
   back into a :class:`~repro.core.values.CValue` and calls the *actual*
-  shared helper (``_read_binding``, ``_write_with_plan``, ``_pointer_add``,
+  shared helper (``_read_with_plan``, ``_write_with_plan``, ``_pointer_add``,
   ``_check_usable``, ``to_boolean``, ...), so error kinds, messages, and
   report order are the walker's by construction;
 * **uninitialized reads**: a register read of an indeterminate value
@@ -165,81 +171,77 @@ class _AddressTaken(Exception):
 # dense and by measured dynamic frequency, most frequent first: the VM
 # tests the group of eight first (``op < 8``, ``op < 16``, ...) and the
 # opcode within its group second, so the most frequent opcode costs two
-# tests and none costs more than thirteen.  The counts behind the order
+# tests and none costs more than twelve.  The counts behind the order
 # are the dispatches of one check of each benchmark loop program, of the
 # 278 suite programs and of 300 mixed fuzz cases (seed 1); re-count and
 # renumber when the instruction set or the compiler's output changes.
-# ``RSV`` took the place of the walker-run declaration it replaced and
-# runs about as often; the slot declarations (``ALLOC``, ``INIT``,
-# ``SDECL``) are rare and come last.
 #
 # The ``P`` opcodes work on pointer registers (fast form ``(obj, offset,
-# elem)``, see repro.core.vm).  ``steps`` on a jump is a step charge that
-# rides on it: the jump adds it and checks ``max_steps`` before its own
-# test.  A compare-and-branch (``BINJZ``, ``PCMPJZ``) is a ``BINOP`` or
-# ``PCMP`` fused with the ``JZ`` that tests its result: it still writes
-# ``dst``, then charges ``steps``, then branches to ``target`` when the
-# result is zero (``line``, ``rdmsg`` and ``rdline`` are the ``JZ``'s).
-# An ``rdmsg`` is a deferred uninitialized read: ``(message, steps)``, see
-# _FnCompiler.read_site.
+# elem)``, see repro.core.vm).  A slot is a pointer register too, so every
+# load and store of a flat integer in memory is a ``PLD`` or ``PST``; only
+# an initializer's store into a fresh object (``INIT``) is not.  ``steps``
+# on a jump is a step charge that rides on it: the jump adds it and checks
+# ``max_steps`` before its own test.  A compare-and-branch (``BINJZ``,
+# ``PCMPJZ``) is a ``BINOP`` or ``PCMP`` fused with the ``JZ`` that tests
+# its result: it still writes ``dst``, then charges ``steps``, then
+# branches to ``target`` when the result is zero (``line``, ``rdmsg`` and
+# ``rdline`` are the ``JZ``'s).  An ``rdmsg`` is a deferred uninitialized
+# read: ``(message, steps)``, see _FnCompiler.read_site.
 
 OP_BINOP = 0  # (op, dst, a, b, plan, slow)
-OP_STEP = 1  # (op, n)
-OP_CONV = 2  # (op, dst, src, plan, slow)
+OP_CONV = 1  # (op, dst, src, plan, slow)
+OP_STEP = 2  # (op, n)
 OP_RDCHK = 3  # (op, src, msg, line)
 OP_JMP = 4  # (op, target, steps)
 OP_BINJZ = 5  # (op, dst, a, b, plan, slow, steps, target, line, rdmsg, rdline)
 OP_INC = 6  # (op, dst, src, plan, slow)
-OP_LDE = 7  # (op, dst, slot, idx, esize, smode, line, info)
-OP_DECAY = 8  # (op, dst, slot, name)
-OP_PADD = 9  # (op, dst, ptr, idx, scale, slow)
-OP_PCMPJZ = 10  # (op, dst, a, b, compare, slow, steps, target, line, rdmsg, rdline)
-OP_PLD = 11  # (op, dst, ptr, idx, esize, elem, signed, slow)
-OP_PINC = 12  # (op, reg, old_dst, delta, slow)
-OP_RET = 13  # (op, src, rtype, rdmsg, rdline)
-# Skip the bases of ``n`` register declarations (see _FnCompiler.flush_bases).
-OP_RSV = 14  # (op, n)
+# Load ``ptr[idx]``; a scalar's load is ``idx`` 0 (a constant register).
+OP_PLD = 7  # (op, dst, ptr, idx, esize, elem, signed, slow)
+OP_PADD = 8  # (op, dst, ptr, idx, scale, slow)
+OP_PCMPJZ = 9  # (op, dst, a, b, compare, slow, steps, target, line, rdmsg, rdline)
+OP_PINC = 10  # (op, reg, old_dst, delta, slow)
+OP_RET = 11  # (op, src, rtype, rdmsg, rdline)
 # A statically clean call of a native function (see _link_call); ``call``
 # is the OP_CALL it replaces, which runs whenever an argument value is one
 # the direct path cannot take.
-OP_DCALL = 15  # (op, dst, fn, args, line, call)
-# Load a register parameter from the object the generic call path wrote.
-OP_BINDR = 16  # (op, dst, name, size, signed, is_bool)
-OP_MOV = 17  # (op, dst, src)
-OP_SEQPT = 18  # (op,)
-OP_NOT = 19  # (op, dst, src, line, rdmsg, rdline)
-OP_CHKE = 20  # (op, dst, slot, idx, esize, line, info)
-OP_STE = 21  # (op, addr, src, esize, mask, line, info)
-# The interpreter's generic call path.
-OP_CALL = 22  # (op, dst, name, ctype, args, line, pointer_result)
-OP_PCONV = 23  # (op, dst, src, slow)
-OP_JZ = 24  # (op, src, target, line, rdmsg, rdline, steps)
-OP_STR = 25  # (op, dst, text)
-OP_PST = 26  # (op, ptr, src, esize, elem, mask, slow)
-OP_PUSHSC = 27  # (op,)
-OP_BINDP = 28  # (op, dst, name, ctype)
-OP_POPSC = 29  # (op,)
-OP_UNOP = 30  # (op, dst, src, plan, slow)
-OP_LDG = 31  # (op, dst, slot, size, smode, line, info)
-OP_LOADI = 32  # (op, dst, value)
-OP_STG = 33  # (op, slot, src, size, mask, line, info)
-OP_PCMP = 34  # (op, dst, a, b, compare, slow)
-OP_PDCHK = 35  # (op, src, slow)
-OP_JNZ = 36  # (op, src, target, line, rdmsg, rdline, steps)
-OP_LDA = 37  # (op, dst, addr, esize, smode, line, info)
-OP_BOOL = 38  # (op, dst, src, line, rdmsg, rdline)
-OP_RAISE = 39  # (op, kind, message, line)
-OP_PDIFF = 40  # (op, dst, a, b, esize, lo, hi, slow)
-# A local slot's object, allocated where the walker's declaration would.
-# ``fill`` is True to zero-fill it (a brace-initialized array), or the
-# bytes of a string initializer; ``seal`` marks a const object not writable.
-OP_ALLOC = 41  # (op, slot, ctype, name, size, fill, seal)
+OP_DCALL = 12  # (op, dst, fn, args, line, call)
+# Skip the bases of ``n`` register declarations (see _FnCompiler.flush_bases).
+OP_RSV = 13  # (op, n)
+OP_SEQPT = 14  # (op,)
+OP_MOV = 15  # (op, dst, src)
 # An initializer's store into a fresh slot object, untracked like the
 # walker's; ``seal`` marks a const object not writable after its last one.
-OP_INIT = 42  # (op, slot, src, offset, esize, mask, elem, seal)
+OP_INIT = 16  # (op, reg, src, offset, esize, mask, elem, seal)
+OP_PST = 17  # (op, ptr, src, esize, elem, mask, slow)
+OP_NOT = 18  # (op, dst, src, line, rdmsg, rdline)
+OP_JZ = 19  # (op, src, target, line, rdmsg, rdline, steps)
+# The interpreter's generic call path.
+OP_CALL = 20  # (op, dst, name, ctype, args, line, pointer_result)
+OP_PCONV = 21  # (op, dst, src, slow)
+# Load a register parameter from the object the generic call path wrote.
+OP_BINDR = 22  # (op, dst, name, size, signed, is_bool)
+# A local slot's object, allocated where the walker's declaration would,
+# and its pointer in the slot's register.  ``fill`` is True to zero-fill it
+# (a brace-initialized array), or the bytes of a string initializer;
+# ``seal`` marks a const object not writable.
+OP_ALLOC = 23  # (op, reg, ctype, name, size, fill, seal)
+OP_STR = 24  # (op, dst, text)
+OP_UNOP = 25  # (op, dst, src, plan, slow)
+OP_PUSHSC = 26  # (op,)
+OP_POPSC = 27  # (op,)
+OP_PDCHK = 28  # (op, src, slow)
 # A static local's slot: its object is made the first time the declaration
 # runs, by the walker's own ``Interpreter.static_local_binding``.
-OP_SDECL = 43  # (op, slot, decl, line)
+OP_SDECL = 29  # (op, reg, decl, line)
+OP_LOADI = 30  # (op, dst, value)
+OP_PDIFF = 31  # (op, dst, a, b, esize, lo, hi, slow)
+# Bind a unit-level object's or a parameter's slot register on first use.
+OP_DECAY = 32  # (op, reg, name)
+OP_PCMP = 33  # (op, dst, a, b, compare, slow)
+OP_BINDP = 34  # (op, dst, name, ctype)
+OP_JNZ = 35  # (op, src, target, line, rdmsg, rdline, steps)
+OP_BOOL = 36  # (op, dst, src, line, rdmsg, rdline)
+OP_RAISE = 37  # (op, kind, message, line)
 
 _JUMPS = frozenset((OP_JMP, OP_JZ, OP_JNZ))
 
@@ -272,16 +274,14 @@ _SAFE_OPS = frozenset(
 #: compile-time clobber scan behind :meth:`_FnCompiler.snapshot`.  Opcodes
 #: absent here write no registers.  (``OP_INC`` position 2 and ``OP_CALL``
 #: position 1 may hold -1 for "no destination"; register numbers are never
-#: negative, so the scan needs no special case.)
+#: negative, so the scan needs no special case.)  ``OP_DECAY`` writes its
+#: slot register only while it is unbound, with the pointer every later
+#: ``DECAY`` of the slot finds, so it never clobbers a value held in it.
 _DST_FIELDS = {
     OP_BINOP: (1,),
-    OP_LDE: (1,),
     OP_CONV: (1,),
-    OP_CHKE: (1,),
     OP_MOV: (1,),
-    OP_LDG: (1,),
     OP_INC: (1, 2),
-    OP_LDA: (1,),
     OP_UNOP: (1,),
     OP_NOT: (1,),
     OP_BOOL: (1,),
@@ -294,17 +294,13 @@ _DST_FIELDS = {
     OP_PCMP: (1,),
     OP_PINC: (1, 2),
     OP_PCONV: (1,),
-    OP_DECAY: (1,),
     OP_PDIFF: (1,),
     OP_BINDP: (1,),
     OP_BINJZ: (1,),
     OP_PCMPJZ: (1,),
+    OP_ALLOC: (1,),
+    OP_SDECL: (1,),
 }
-
-#: ``smode`` load decode: 0 unsigned, 1 signed two's-complement, 2 _Bool.
-_SMODE_UNSIGNED = 0
-_SMODE_SIGNED = 1
-_SMODE_BOOL = 2
 
 
 class FnCode:
@@ -324,7 +320,6 @@ class FnCode:
         "n_regs",
         "r_init",
         "r_tail",
-        "n_slots",
         "ftype",
         "entry",
         "max_steps",
@@ -338,7 +333,6 @@ class FnCode:
         pending: tuple,
         n_regs: int,
         r_init: tuple,
-        n_slots: int,
         ftype: ct.FunctionType,
         entry: int,
         max_steps: int,
@@ -349,7 +343,6 @@ class FnCode:
         self.n_regs = n_regs
         self.r_init = r_init
         self.r_tail = r_init[entry:]
-        self.n_slots = n_slots
         self.ftype = ftype
         self.entry = entry
         self.max_steps = max_steps
@@ -398,13 +391,6 @@ def _native_pointer(ctype) -> bool:
     return isinstance(ctype, ct.PointerType) and isinstance(ctype.pointee, _POINTEES)
 
 
-def _smode(elem: ct.CType, profile: ct.ImplementationProfile) -> int:
-    """How a load decodes the bytes of the flat integer type ``elem``."""
-    if isinstance(elem, ct.BoolType):
-        return _SMODE_BOOL
-    return _SMODE_SIGNED if ct.is_signed_type(elem, profile) else _SMODE_UNSIGNED
-
-
 def _read_message(ctype: ct.CType) -> Optional[str]:
     """The message ``read_lvalue`` raises on an uninitialized read of an
     object of type ``ctype``; None when the uninit side condition does not
@@ -431,27 +417,26 @@ class _RegVar:
 
 
 class _MemVar:
-    """A memory-resident variable: an array, a scalar whose address is
-    taken, a static local, or a unit-level object."""
+    """A memory-resident variable (a slot): an array, a scalar whose
+    address is taken, a static local, or a unit-level object.
 
-    __slots__ = (
-        "slot", "ctype", "is_array", "elem", "esize", "smode", "length", "info"
-    )
+    A slot is the pointer register ``reg``, which holds the pointer to its
+    object's first byte: an array's decayed pointer, a scalar's ``&``.  A
+    local's ``OP_ALLOC`` and a static local's ``OP_SDECL`` fill it where the
+    walker makes the object; a unit-level object or a parameter (``lazy``,
+    the name to bind) is bound by ``OP_DECAY`` on first use.
+    """
 
-    def __init__(
-        self, slot: int, ctype: ct.CType, profile: ct.ImplementationProfile
-    ) -> None:
-        self.slot = slot
+    __slots__ = ("reg", "ctype", "is_array", "elem", "length", "ptype", "lazy")
+
+    def __init__(self, reg: int, ctype: ct.CType, lazy: Optional[str] = None) -> None:
+        self.reg = reg
         self.ctype = ctype
         self.is_array = isinstance(ctype, ct.ArrayType)
-        elem = ctype.element if self.is_array else ctype
-        self.elem = elem
+        self.elem = ctype.element if self.is_array else ctype
         self.length = ctype.length if self.is_array else None
-        # What vm's slow paths need to rebuild the exact access: the element
-        # type followed by its access plan.
-        self.info = (elem,) + access_plan(elem, profile)
-        self.esize = self.info[1]
-        self.smode = _smode(elem, profile)
+        self.ptype = ct.PointerType(pointee=self.elem)
+        self.lazy = lazy
 
 
 #: The unqualified integer types the parser interns (``ct.INT``, ...; not
@@ -480,7 +465,7 @@ class _Pointee:
             return
         self.info = (elem,) + access_plan(elem, profile)
         size = self.scale = self.info[1]
-        self.signed = _smode(elem, profile) == _SMODE_SIGNED
+        self.signed = ct.is_signed_type(elem, profile)
         self.mask = (1 << (size * 8)) - 1
         # Qualifiers do not change a load (aliasing ignores them); a store
         # through a const lvalue, like any _Bool access, takes the checked
@@ -564,7 +549,6 @@ class _FnCompiler:
         self.scopes: list[dict] = [{}]
         self.run_scopes = 0  # run-time scopes pushed by enclosing blocks
         self.n_regs = 0
-        self.n_slots = 0
         self.consts: dict[int, int] = {}
         self.pending_steps = 0
         self.pending_bases = 0  # register declarations not yet reserved
@@ -783,15 +767,16 @@ class _FnCompiler:
                     raise _Unsupported(f"global '{name}' outside native subset")
             elif not isinstance(gtype, _FLAT_INT_TYPES):
                 raise _Unsupported(f"global '{name}' outside native subset")
-            var = _MemVar(self.new_slot(), gtype, self.profile)
+            var = _MemVar(self.new_reg(), gtype, name)
             self.global_slots[name] = var
             return var
         return None
 
-    def new_slot(self) -> int:
-        slot = self.n_slots
-        self.n_slots += 1
-        return slot
+    def slot_pointer(self, var: _MemVar) -> _Value:
+        """A slot's pointer register, bound first if it is bound lazily."""
+        if var.lazy is not None:
+            self.emit((OP_DECAY, var.reg, var.lazy))
+        return _Value(var.reg, var.ptype)
 
     # -- entry point -------------------------------------------------------
 
@@ -811,10 +796,11 @@ class _FnCompiler:
             raise _Unsupported(f"return type {rtype}")
         # Parameters: flat scalars and native pointers become registers bound
         # from the freshly written parameter objects, and a flat scalar whose
-        # address is taken is a slot bound to its object on first use; any
-        # other parameter poisons its name (touching it falls back) but not
-        # the function.
+        # address is taken is a slot bound to its object on first use (its
+        # register follows the parameter registers); any other parameter
+        # poisons its name (touching it falls back) but not the function.
         scope = self.scopes[0]
+        slots = []
         for index, param_type in enumerate(ftype.parameters):
             if index >= len(definition.parameter_names):
                 raise _Unsupported("unnamed parameter")
@@ -823,7 +809,7 @@ class _FnCompiler:
                 continue
             if name in self.addressed:
                 if isinstance(param_type, _FLAT_INT_TYPES):
-                    scope[name] = _MemVar(self.new_slot(), param_type, self.profile)
+                    slots.append((name, param_type))
                 else:
                     scope[name] = _BAD
             elif isinstance(param_type, _FLAT_INT_TYPES) or _native_pointer(param_type):
@@ -832,6 +818,8 @@ class _FnCompiler:
                 self.emit_bind(var, name)
             else:
                 scope[name] = _BAD
+        for name, param_type in slots:
+            scope[name] = _MemVar(self.new_reg(), param_type, name)
         entry = len(self.code)
         # The function-body compound charges no step and pushes no scope
         # (the walker runs it with new_scope=False).
@@ -849,7 +837,6 @@ class _FnCompiler:
             pending,
             self.n_regs,
             tuple(r_init),
-            self.n_slots,
             ftype,
             entry,
             self.options.max_steps,
@@ -1185,7 +1172,7 @@ class _FnCompiler:
 
     def _declare_slot(self, decl: c_ast.Declaration, ctype: ct.CType) -> None:
         """An automatic array, or a flat scalar whose address is taken."""
-        var = _MemVar(self.new_slot(), ctype, self.profile)
+        var = _MemVar(self.new_reg(), ctype)
         initializer = decl.initializer
         items = []
         fill = False  # the object's bytes before any store: fresh ones
@@ -1207,23 +1194,23 @@ class _FnCompiler:
         seal = const and not items
         self.flush_bases()  # earlier register declarations took lower bases
         size = ct.size_of(ctype, self.profile)
-        self.emit((OP_ALLOC, var.slot, ctype, decl.name, size, fill, seal))
+        self.emit((OP_ALLOC, var.reg, ctype, decl.name, size, fill, seal))
         self.scopes[-1][decl.name] = var
-        mask = (1 << (var.esize * 8)) - 1
+        facts = self.pointee(var.ptype)
+        esize = facts.scale
         for index, item in enumerate(items):
             value = self.convert_to(self._initializer_value(item), var.elem, decl.line)
             seal = const and index == len(items) - 1
-            offset = index * var.esize
-            ins = (OP_INIT, var.slot, value.reg, offset, var.esize, mask, var.elem)
-            self.emit(ins + (seal,))
+            ins = (OP_INIT, var.reg, value.reg, index * esize, esize, facts.mask)
+            self.emit(ins + (var.elem, seal))
         self.emit_seqpt()
 
     def _declare_static(self, decl: c_ast.Declaration, ctype: ct.CType) -> None:
-        var = _MemVar(self.new_slot(), ctype, self.profile)
+        var = _MemVar(self.new_reg(), ctype)
         # The walker makes the object the first time the declaration runs,
         # and charges its initializer's steps then: sync the steps first.
         self.flush_steps()
-        self.emit((OP_SDECL, var.slot, decl, decl.line))
+        self.emit((OP_SDECL, var.reg, decl, decl.line))
         self.scopes[-1][decl.name] = var
 
     def _initializer_value(self, initializer) -> _Value:
@@ -1279,23 +1266,10 @@ class _FnCompiler:
             self.sim_read(expr.name)
             read = self.read_site(var)
             return _Value(var.reg, var.ctype.unqualified(), read, expr.line)
-        dst = self.new_reg()
+        pointer = self.slot_pointer(var)
         if var.is_array:
-            # Array-to-pointer decay: the pointer to element 0, no read.
-            self.emit((OP_DECAY, dst, var.slot, expr.name))
-            return _Value(dst, ct.PointerType(pointee=var.elem))
-        self.emit(
-            (
-                OP_LDG,
-                dst,
-                var.slot,
-                var.esize,
-                var.smode,
-                expr.line,
-                (expr.name, var.info),
-            )
-        )
-        return _Value(dst, var.elem.unqualified())
+            return pointer  # array-to-pointer decay: no read
+        return self._emit_load(pointer, self.zero(), expr.line)
 
     def expr_unary(self, expr: c_ast.UnaryOp, discard) -> _Value:
         op = expr.op
@@ -1332,7 +1306,7 @@ class _FnCompiler:
         if op == "*":
             self.pending_steps += 1
             pointer = self.compile_expr(expr.operand)
-            return self._emit_load(pointer, _Value(self.const_reg(0), ct.INT), expr)
+            return self._emit_load(pointer, self.zero(), expr.line)
         if op == "&":
             return self._compile_address(expr.operand)
         raise _Unsupported(f"unary operator {op!r}")
@@ -1348,10 +1322,7 @@ class _FnCompiler:
                 raise _AddressTaken(operand.name)
             if not isinstance(var, _MemVar) or var.is_array:
                 raise _Unsupported(f"address of '{operand.name}'")
-            dst = self.new_reg()
-            # A slot's pointer to offset 0 is its decayed form.
-            self.emit((OP_DECAY, dst, var.slot, operand.name))
-            return _Value(dst, ct.PointerType(pointee=var.ctype))
+            return self.slot_pointer(var)
         if isinstance(operand, c_ast.ArraySubscript):
             return self._compile_store_target(operand)
         if isinstance(getattr(operand, "operand", None), c_ast.InitList):
@@ -1371,11 +1342,17 @@ class _FnCompiler:
         """A native pointer operand whose run-time type is its static type."""
         if not _native_pointer(value.ctype) or not value.exact:
             raise _Unsupported(f"pointer operand of type {value.ctype}")
-        pointee = self.pointees.get(value.ctype)
-        if pointee is None:
-            pointee = _Pointee(value.ctype, self.profile)
-            self.pointees[value.ctype] = pointee
-        return pointee
+        return self.pointee(value.ctype)
+
+    def pointee(self, ptype: ct.PointerType) -> _Pointee:
+        facts = self.pointees.get(ptype)
+        if facts is None:
+            facts = self.pointees[ptype] = _Pointee(ptype, self.profile)
+        return facts
+
+    def zero(self) -> _Value:
+        """The index of a scalar's load: its pointer's own element."""
+        return _Value(self.const_reg(0), ct.INT)
 
     def _compile_incdec(self, expr: c_ast.UnaryOp, discard) -> _Value:
         delta = 1 if expr.op.startswith("++") else -1
@@ -1384,8 +1361,6 @@ class _FnCompiler:
         self.pending_steps += 1
         if isinstance(operand, c_ast.Identifier):
             var = self.lookup(operand.name)
-            if var is None or var is _BAD:
-                raise _Unsupported("incdec target outside native subset")
             if isinstance(var, _RegVar):
                 self.pending_steps += 1  # the binding resolve step
                 if var.ctype.const:
@@ -1402,52 +1377,8 @@ class _FnCompiler:
                 self.emit((OP_INC, var.reg, old_dst, plan, slow))
                 result_reg = old_dst if is_post else var.reg
                 return _Value(result_reg, var.ctype.unqualified())
-            # Memory scalar (global): load, plan, store.
-            if var.is_array:
-                raise _Unsupported("incdec on an array")
-            if var.elem.const:
-                raise _Unsupported("incdec on const lvalue")
-            self.pending_steps += 1
-            old = self.new_reg()
-            self.emit(
-                (
-                    OP_LDG,
-                    old,
-                    var.slot,
-                    var.esize,
-                    var.smode,
-                    expr.line,
-                    (operand.name, var.info),
-                )
-            )
-            plan = raw_incdec_plan(delta, var.elem, self.options, expr.line)
-            if plan is None:
-                raise _Unsupported("incdec plan unavailable")
-            new = self.new_reg()
-            slow = (
-                "operand of ++/--", expr.line, var.elem.unqualified(), None, 0, plan
-            )
-            self.emit((OP_UNOP, new, old, plan, slow))
-            self._emit_store_global(var, operand.name, _Value(new, var.elem), expr.line)
-            return _Value(old if is_post else new, var.elem.unqualified())
-        if isinstance(operand, c_ast.ArraySubscript):
-            self.pending_steps += 1  # subscript lvalue node
-            addr, var = self._compile_subscript_address(operand)
-            old = self.new_reg()
-            self.emit((OP_LDA, old, addr, var.esize, var.smode, operand.line, var.info))
-            if var.elem.const:
-                raise _Unsupported("incdec on const element")
-            plan = raw_incdec_plan(delta, var.elem, self.options, expr.line)
-            if plan is None:
-                raise _Unsupported("incdec plan unavailable")
-            new = self.new_reg()
-            slow = (
-                "operand of ++/--", expr.line, var.elem.unqualified(), None, 0, plan
-            )
-            self.emit((OP_UNOP, new, old, plan, slow))
-            self._emit_store_element(var, addr, _Value(new, var.elem), expr.line)
-            return _Value(old if is_post else new, var.elem.unqualified())
-        raise _Unsupported("incdec on unsupported lvalue")
+        old, new = self._compile_update(expr, operand, delta)
+        return old if is_post else new
 
     def _pointer_incdec(self, expr, var: _RegVar, delta: int, is_post: bool):
         facts = self._require_pointer(_Value(var.reg, var.ctype))
@@ -1642,22 +1573,8 @@ class _FnCompiler:
 
     def expr_subscript(self, expr: c_ast.ArraySubscript, discard) -> _Value:
         self.pending_steps += 1
-        if self._slot_subscript(expr):
-            reg, var = self._compile_subscript_load(expr)
-            return _Value(reg, var.elem.unqualified())
         pointer, index, swapped = self._compile_pointer_subscript(expr)
-        return self._emit_load(pointer, index, expr, swapped)
-
-    def _slot_subscript(self, expr: c_ast.ArraySubscript) -> bool:
-        """Whether exactly one operand names a native array (a memory slot)."""
-
-        def is_array(node) -> bool:
-            if isinstance(node, c_ast.Identifier):
-                var = self.lookup(node.name)
-                return isinstance(var, _MemVar) and var.is_array
-            return False
-
-        return is_array(expr.array) != is_array(expr.index)
+        return self._emit_load(pointer, index, expr.line, swapped)
 
     def _compile_pointer_subscript(self, expr: c_ast.ArraySubscript):
         """``p[i]`` or ``i[p]``: (pointer, index, pointer-is-the-index-operand)."""
@@ -1669,132 +1586,37 @@ class _FnCompiler:
         self._require_flat(index)
         return base, index, swapped
 
-    def _emit_load(self, pointer: _Value, index: _Value, expr, swapped=None):
-        """A checked load of ``*pointer`` (``swapped`` None) or of a subscript."""
+    def _emit_load(
+        self, pointer: _Value, index: _Value, line: int, swapped=None, read_line=0
+    ) -> _Value:
+        """A checked load of ``*pointer`` (``swapped`` None) or of a subscript,
+        resolved at ``line`` and read at ``read_line`` (default ``line``)."""
         facts = self._require_pointer(pointer)
         if facts.info is None:
             raise _Unsupported("dereference of void *")
         left, right = (index, pointer) if swapped else (pointer, index)
-        slow = (swapped, _operands("[]", expr.line, left, right), facts.info)
+        operands = _operands("[]", line, left, right)
+        slow = (swapped, operands, facts.info, read_line or line)
         dst = self.new_reg()
         ins = (OP_PLD, dst, pointer.reg, index.reg, facts.scale, facts.load_elem)
         self.emit(ins + (facts.signed, slow))
         return _Value(dst, facts.elem.unqualified())
 
-    def _subscript_parts(self, expr: c_ast.ArraySubscript):
-        """Resolve which side is the array; keep syntactic evaluation order."""
-        def array_var(node):
-            if isinstance(node, c_ast.Identifier):
-                var = self.lookup(node.name)
-                if isinstance(var, _MemVar) and var.is_array:
-                    return var
-            return None
-        a_var = array_var(expr.array)
-        i_var = array_var(expr.index)
-        if a_var is not None and i_var is None:
-            return a_var, expr.array, expr.index, False
-        if a_var is None and i_var is not None:
-            return i_var, expr.index, expr.array, True
-        raise _Unsupported("subscript outside native subset")
-
-    def _compile_subscript_load(self, expr: c_ast.ArraySubscript):
-        var, array_node, index_node, swapped = self._subscript_parts(expr)
-        index = self._compile_subscript_index(
-            expr, var, array_node, index_node, swapped
-        )
-        dst = self.new_reg()
-        self.emit(
-            (
-                OP_LDE,
-                dst,
-                var.slot,
-                index.reg,
-                var.esize,
-                var.smode,
-                expr.line,
-                (
-                    array_node.name,
-                    index.ctype,
-                    index.read_msg,
-                    index.read_line,
-                    var.info,
-                ),
-            )
-        )
-        return dst, var
-
-    def _compile_subscript_index(
-        self, expr, var, array_node, index_node, swapped
-    ) -> _Value:
-        # The array identifier charges one step and decays (no read); the
-        # index expression runs per the order mode, in syntactic positions.
-        if self.order_mode == 0:
-            if swapped:
-                index = self.compile_expr(index_node)
-                self.pending_steps += 1
-            else:
-                self.pending_steps += 1
-                index = self.compile_expr(index_node)
-        else:
-            if swapped:
-                self.pending_steps += 1
-                index = self.compile_expr(index_node)
-            else:
-                index = self.compile_expr(index_node)
-                self.pending_steps += 1
-        self._require_flat(index)
-        return index
-
-    def _compile_subscript_address(self, expr: c_ast.ArraySubscript):
-        """CHKE: resolve the element address (pointer-add checks) now."""
-        var, array_node, index_node, swapped = self._subscript_parts(expr)
-        index = self._compile_subscript_index(
-            expr, var, array_node, index_node, swapped
-        )
-        addr = self.new_reg()
-        self.emit(
-            (
-                OP_CHKE,
-                addr,
-                var.slot,
-                index.reg,
-                var.esize,
-                expr.line,
-                (
-                    array_node.name,
-                    index.ctype,
-                    index.read_msg,
-                    index.read_line,
-                    var.info,
-                ),
-            )
-        )
-        return addr, var
-
     def expr_assignment(self, expr: c_ast.Assignment, discard) -> _Value:
         target = expr.target
         if isinstance(target, c_ast.Identifier):
             var = self.lookup(target.name)
-            if var is None or var is _BAD:
-                raise _Unsupported("assignment target outside native subset")
             if isinstance(var, _RegVar):
                 return self._assign_register(expr, var)
-            if var.is_array:
-                raise _Unsupported("assignment to an array")
-            return self._assign_global(expr, var)
-        if isinstance(target, c_ast.ArraySubscript) and self._slot_subscript(target):
-            return self._assign_element(expr)
-        if isinstance(target, c_ast.ArraySubscript) or (
-            isinstance(target, c_ast.UnaryOp) and target.op == "*"
-        ):
+        self.pending_steps += 1  # the assignment node
+        if expr.op == "=":
             return self._assign_through_pointer(expr)
-        raise _Unsupported("assignment target outside native subset")
+        _old, new = self._compile_update(expr, target, expr.op[:-1])
+        return new
 
     def _assign_through_pointer(self, expr: c_ast.Assignment) -> _Value:
-        """``*p = v`` and ``p[i] = v``: a checked store through a pointer."""
-        if expr.op != "=":
-            raise _Unsupported("compound assignment through a pointer")
-        self.pending_steps += 1  # the assignment node
+        """``lvalue = v`` for an lvalue in memory: a checked store through
+        the lvalue's pointer."""
         if self.order_mode == 0:
             self.pending_steps += 1  # the lvalue node
             pointer = self._compile_store_target(expr.target)
@@ -1816,21 +1638,58 @@ class _FnCompiler:
             value = self.snapshot(value, mark + (len(self.code) - grown))
             facts = self._require_pointer(pointer)
             converted = self._convert_store(value, facts, expr.line)
-        target_line = expr.target.line
-        ptype, read_msg, read_line = pointer.ctype, pointer.read_msg, pointer.read_line
-        slow = (expr.line, target_line, ptype, read_msg, read_line, facts.info)
-        ins = (OP_PST, pointer.reg, converted.reg, facts.scale, facts.store_elem)
-        self.emit(ins + (facts.mask, slow))
-        if self.check_seq:
-            self.dirty = True
+        self._emit_store(pointer, converted, facts, expr.line, expr.target.line)
         return _Value(converted.reg, facts.elem.unqualified())
 
+    def _compile_update(self, expr, target, op) -> tuple:
+        """``++``/``--`` (``op`` the delta) or a compound assignment (``op``
+        the operator) of an lvalue in memory, as the walker runs both:
+        resolve the lvalue, read it, operate, convert, and write it back.
+        Returns the old and the stored value."""
+        line = expr.line
+        self.pending_steps += 1  # the lvalue node
+        pointer = self._compile_store_target(target)
+        facts = self._require_pointer(pointer)
+        mark = len(self.code)
+        old = self._emit_load(pointer, self.zero(), target.line, None, line)
+        if op.__class__ is int:
+            plan = raw_incdec_plan(op, facts.elem, self.options, line)
+            if plan is None:
+                raise _Unsupported("incdec plan unavailable")
+            new = _Value(self.new_reg(), old.ctype)
+            slow = ("operand of ++/--", line, old.ctype, None, 0, plan)
+            self.emit((OP_UNOP, new.reg, old.reg, plan, slow))
+        else:
+            rhs = self.compile_expr(expr.value)
+            self._require_flat(rhs)
+            planned = raw_binary_plan(op, old.ctype, rhs.ctype, self.options, line)
+            if planned is None:
+                raise _Unsupported(f"compound {op} plan unavailable")
+            plan, result_type = planned
+            result = self.new_reg()
+            slow = _operands(op, line, old, rhs)
+            self.emit((OP_BINOP, result, old.reg, rhs.reg, plan, slow))
+            new = self.convert_to(_Value(result, result_type), facts.elem, line)
+        pointer = self.snapshot(pointer, mark)
+        self._emit_store(pointer, new, facts, line, target.line)
+        return old, new
+
     def _compile_store_target(self, target) -> _Value:
-        """The pointer a store writes through, resolved like the walker's
-        lvalue: ``*e`` evaluates ``e``; ``p[i]`` also adds (and checks) the
-        index before the stored value is evaluated."""
-        if isinstance(target, c_ast.UnaryOp):
+        """The pointer to the object an lvalue in memory designates,
+        resolved like the walker's lvalue: a slot's register; ``*e``
+        evaluates ``e``; ``p[i]`` also adds (and checks) the index before
+        the stored value is evaluated."""
+        if isinstance(target, c_ast.Identifier):
+            var = self.lookup(target.name)
+            if not isinstance(var, _MemVar):
+                raise _Unsupported(f"identifier '{target.name}' outside native subset")
+            if var.is_array:
+                raise _Unsupported("assignment to an array")
+            return self.slot_pointer(var)
+        if isinstance(target, c_ast.UnaryOp) and target.op == "*":
             return self.compile_expr(target.operand)
+        if not isinstance(target, c_ast.ArraySubscript):
+            raise _Unsupported("assignment target outside native subset")
         pointer, index, swapped = self._compile_pointer_subscript(target)
         facts = self._require_pointer(pointer)
         left, right = (index, pointer) if swapped else (pointer, index)
@@ -1838,6 +1697,17 @@ class _FnCompiler:
         dst = self.new_reg()
         self.emit((OP_PADD, dst, pointer.reg, index.reg, facts.scale, slow))
         return _Value(dst, pointer.ctype)
+
+    def _emit_store(
+        self, pointer: _Value, value: _Value, facts: _Pointee, line, target_line
+    ) -> None:
+        """A checked store of ``value`` through ``pointer``."""
+        ptype, read_msg, read_line = pointer.ctype, pointer.read_msg, pointer.read_line
+        slow = (line, target_line, ptype, read_msg, read_line, facts.info)
+        ins = (OP_PST, pointer.reg, value.reg, facts.scale, facts.store_elem)
+        self.emit(ins + (facts.mask, slow))
+        if self.check_seq:
+            self.dirty = True
 
     def _convert_store(self, value: _Value, facts: _Pointee, line: int) -> _Value:
         if facts.info is None:
@@ -1883,127 +1753,6 @@ class _FnCompiler:
         self.convert_to(_Value(result, result_type), var.ctype, expr.line, var.reg)
         self.sim_write(name)
         return _Value(var.reg, var.ctype.unqualified())
-
-    def _assign_global(self, expr: c_ast.Assignment, var: _MemVar) -> _Value:
-        name = expr.target.name
-        if var.elem.const:
-            raise _Unsupported("assignment to const global")
-        self.pending_steps += 1
-        if expr.op == "=":
-            if self.order_mode == 0:
-                self.pending_steps += 1
-                value = self.compile_expr(expr.value)
-            else:
-                value = self.compile_expr(expr.value)
-                self.pending_steps += 1
-            converted = self.convert_to(value, var.elem, expr.line)
-            self._emit_store_global(var, name, converted, expr.line)
-            return _Value(converted.reg, var.elem.unqualified())
-        op = expr.op[:-1]
-        self.pending_steps += 1
-        old_reg = self.new_reg()
-        self.emit(
-            (
-                OP_LDG,
-                old_reg,
-                var.slot,
-                var.esize,
-                var.smode,
-                expr.line,
-                (name, var.info),
-            )
-        )
-        old = _Value(old_reg, var.elem.unqualified())
-        rhs = self.compile_expr(expr.value)
-        self._require_flat(rhs)
-        planned = raw_binary_plan(op, old.ctype, rhs.ctype, self.options, expr.line)
-        if planned is None:
-            raise _Unsupported(f"compound {op} plan unavailable")
-        plan, result_type = planned
-        result = self.new_reg()
-        slow = _operands(op, expr.line, old, rhs)
-        self.emit((OP_BINOP, result, old.reg, rhs.reg, plan, slow))
-        converted = self.convert_to(_Value(result, result_type), var.elem, expr.line)
-        self._emit_store_global(var, name, converted, expr.line)
-        return _Value(converted.reg, var.elem.unqualified())
-
-    def _assign_element(self, expr: c_ast.Assignment) -> _Value:
-        target = expr.target
-        self.pending_steps += 1  # the assignment node
-        if expr.op == "=":
-            if self.order_mode == 0:
-                self.pending_steps += 1  # subscript lvalue node
-                addr, var = self._compile_subscript_address(target)
-                value = self.compile_expr(expr.value)
-            else:
-                value = self.compile_expr(expr.value)
-                self.pending_steps += 1
-                mark = len(self.code)
-                addr, var = self._compile_subscript_address(target)
-                grown = len(self.code)
-                self.protect_read(value, mark)
-                value = self.snapshot(value, mark + (len(self.code) - grown))
-            if var.elem.const:
-                raise _Unsupported("assignment to const element")
-            converted = self.convert_to(value, var.elem, expr.line)
-            self._emit_store_element(var, addr, converted, expr.line)
-            return _Value(converted.reg, var.elem.unqualified())
-        op = expr.op[:-1]
-        self.pending_steps += 1  # subscript lvalue node (resolved first)
-        addr, var = self._compile_subscript_address(target)
-        if var.elem.const:
-            raise _Unsupported("assignment to const element")
-        old_reg = self.new_reg()
-        self.emit((OP_LDA, old_reg, addr, var.esize, var.smode, target.line, var.info))
-        old = _Value(old_reg, var.elem.unqualified())
-        rhs = self.compile_expr(expr.value)
-        self._require_flat(rhs)
-        planned = raw_binary_plan(op, old.ctype, rhs.ctype, self.options, expr.line)
-        if planned is None:
-            raise _Unsupported(f"compound {op} plan unavailable")
-        plan, result_type = planned
-        result = self.new_reg()
-        slow = _operands(op, expr.line, old, rhs)
-        self.emit((OP_BINOP, result, old.reg, rhs.reg, plan, slow))
-        converted = self.convert_to(_Value(result, result_type), var.elem, expr.line)
-        self._emit_store_element(var, addr, converted, expr.line)
-        return _Value(converted.reg, var.elem.unqualified())
-
-    def _emit_store_global(
-        self, var: _MemVar, name: str, value: _Value, line: int
-    ) -> None:
-        mask = (1 << (var.esize * 8)) - 1
-        self.emit(
-            (
-                OP_STG,
-                var.slot,
-                value.reg,
-                var.esize,
-                mask,
-                line,
-                (name, self.check_seq, value.read_msg, value.read_line, var.info),
-            )
-        )
-        if self.check_seq:
-            self.dirty = True
-
-    def _emit_store_element(
-        self, var: _MemVar, addr: int, value: _Value, line: int
-    ) -> None:
-        mask = (1 << (var.esize * 8)) - 1
-        self.emit(
-            (
-                OP_STE,
-                addr,
-                value.reg,
-                var.esize,
-                mask,
-                line,
-                (self.check_seq, value.read_msg, value.read_line, var.info),
-            )
-        )
-        if self.check_seq:
-            self.dirty = True
 
     def convert_to(
         self, value: _Value, target: ct.CType, line: int, dst: int = -1

@@ -616,10 +616,10 @@ def run_search_shard(header: tuple, scripts) -> SearchResult:
     through exactly this worker: a unit's script list is a shard.
     """
     source, filename, options, argv, stdin, search = header
-    from repro.api.session import compile_shared, tool_for
+    from repro.api.session import compile_shared
     from repro.kframework.engine import SearchEngine
 
-    tool = tool_for(options)
+    tool = KccTool(options)
     compiled = compile_shared(source, filename=filename, options=options)
     assert compiled.unit is not None, "shard worker got an uncompilable program"
     host = _SearchHost(tool, compiled, argv=argv, stdin=stdin)
@@ -641,9 +641,9 @@ def search_root_expansion(source: str, *, filename: str = "<input>",
     it.  Deterministic for a given program and options — the same
     partition on every machine.
     """
-    from repro.api.session import compile_shared, tool_for
+    from repro.api.session import compile_shared
 
-    tool = tool_for(options)
+    tool = KccTool(options)
     compiled = compile_shared(source, filename=filename, options=options)
     if compiled.unit is None:
         raise ValueError(

@@ -19,44 +19,49 @@ Design notes
   (``v.__class__ is int``); the ``UNINIT`` sentinel and boxed values
   automatically fail that test and fall into slow helpers that rebuild the
   walker's exact behavior by calling the *shared* helpers of
-  :mod:`repro.core.plans` and the walker (``_read_binding``,
+  :mod:`repro.core.plans` and the walker (``_read_with_plan``,
   ``_write_with_plan``, ``apply_binary``, ``to_boolean``, ...), so error
   kinds, messages, and order never fork from the walker's semantics.
 * **Two-level dispatch.**  Opcodes are numbered densely by measured
   dynamic frequency (see the opcode table in :mod:`repro.core.bytecode`).
   The loop tests the group of eight first (``op < 8``, ``op < 16``, ...)
   and the opcode within its group second, so the hottest opcode costs two
-  tests and none costs more than thirteen.
+  tests and none costs more than twelve.
 * **Compare-and-branch.**  A ``BINOP`` or ``PCMP`` whose result the next
   ``JZ`` tests is one instruction (``BINJZ``, ``PCMPJZ``).  It writes its
   destination, charges the step count that rode on the jump, then
   branches; the slow paths are ``_binop_slow`` and ``_cond_slow``, in the
   order the two instructions called them.  Plain jumps carry a step charge
   too, so the ``STEP`` that ends a block costs no dispatch of its own.
-* **Memory slots** cache ``(data, base, size, binding, decayed)`` per
-  activation: a local slot binds at its ``ALLOC`` and a static local at
-  its ``SDECL``; a unit-level object, or a parameter whose address is
-  taken, binds lazily on first touch.  ``data`` is the object's
-  arena-backed byte store; flat loads/stores go through its
-  ``read_int``/``write_int`` integer fast path and fall back to the
-  generic byte path whenever exotic (symbolic/indeterminate) bytes are in
-  range.
+* **Memory slots are pointer registers.**  A slot's register holds the
+  fast form of the pointer to its object's first byte: a local slot's
+  ``ALLOC`` and a static local's ``SDECL`` write it where the walker makes
+  the object, so naming a local array or taking ``&x`` costs no dispatch;
+  a unit-level object, or a parameter whose address is taken, is bound by
+  ``DECAY`` on first use (the register is ``UNINIT`` until then).  Every
+  load and store of a flat integer in memory is then ``PLD`` or ``PST``
+  through a pointer register: ``a[i]`` like ``p[i]``, and a scalar slot
+  at offset 0.  Only an initializer's ``INIT`` writes a fresh object
+  directly, untracked as the walker's initialization is.
 * **Pointer registers** hold ``UNINIT``, a boxed ``PointerValue`` (null,
   function, or dangling-base pointers, and anything stranger a slow path
   produced), or the fast form ``(obj, offset, elem)``: the
   ``MemoryObject`` the pointer's base names, the byte offset, and the
   object's interned element type (None when it has none, e.g. heap
-  storage).  The pointer's type is the instruction's static type, which
-  the compiler keeps equal to the run-time type.  A fast path runs only
-  when it reaches the result the shared helper would: arithmetic needs a
-  live object and an offset within ``0..size``; an access needs a live
-  object, an in-bounds aligned offset, ``elem`` identical to the target
-  type, a writable object (stores), and no pending sequenced write
-  (loads).  Otherwise the slow path boxes the operands and calls
-  ``_pointer_add``, ``apply_binary``, ``_subscript_to_lvalue``,
-  ``_deref_to_lvalue``, ``_read_with_plan``/``_write_with_plan``,
-  ``_incdec_value`` or ``convert``, so every pointer verdict comes from
-  the same code as the walker's.
+  storage or ``_Bool``).  The pointer's type is the instruction's static
+  type, which the compiler keeps equal to the run-time type.  A fast path
+  runs only when it reaches the result the shared helper would:
+  arithmetic needs a live object and an offset within ``0..size``; an
+  access needs a live object, an in-bounds aligned offset, ``elem``
+  identical to the target type, a writable object (stores), no pending
+  sequenced write (loads), and concrete bytes, which the object's
+  arena-backed byte store reads and writes as integers
+  (``read_int``/``write_int``).  Otherwise the slow path boxes the
+  operands and calls ``_pointer_add``, ``apply_binary``,
+  ``_subscript_to_lvalue``, ``_deref_to_lvalue``,
+  ``_read_with_plan``/``_write_with_plan``, ``_incdec_value`` or
+  ``convert``, so every memory verdict comes from the same code as the
+  walker's.
 * **Sequencing** keeps feeding ``Memory.locs_written`` with plain
   ``(base, offset)`` tuples (hash-equal to the ``ByteLocation`` entries of
   the generic path), so unsequenced-conflict detection composes with any
@@ -88,7 +93,6 @@ from __future__ import annotations
 
 from repro.cfront import ctypes as ct
 from repro.core.bytecode import (
-    _SMODE_SIGNED,
     CompiledProgram,
     FnCode,
     INTERNED_INTS,
@@ -98,7 +102,6 @@ from repro.core.bytecode import (
     OP_BINOP,
     OP_BOOL,
     OP_CALL,
-    OP_CHKE,
     OP_CONV,
     OP_ALLOC,
     OP_DCALL,
@@ -108,9 +111,6 @@ from repro.core.bytecode import (
     OP_JMP,
     OP_JNZ,
     OP_JZ,
-    OP_LDA,
-    OP_LDE,
-    OP_LDG,
     OP_LOADI,
     OP_MOV,
     OP_NOT,
@@ -131,22 +131,15 @@ from repro.core.bytecode import (
     OP_RSV,
     OP_SDECL,
     OP_SEQPT,
-    OP_STE,
     OP_STEP,
-    OP_STG,
     OP_STR,
     OP_UNOP,
     UNINIT,
 )
 from repro.core.conversions import convert, to_boolean
-from repro.core.environment import Frame, LValue, ObjectBinding
+from repro.core.environment import Frame
 from repro.core.memory import ArenaBytes, StorageKind
-from repro.core.plans import (
-    _read_binding,
-    _read_with_plan,
-    _write_binding,
-    _write_with_plan,
-)
+from repro.core.plans import _read_with_plan, _write_with_plan
 from repro.core.values import (
     ConcreteByte,
     IndeterminateValue,
@@ -286,25 +279,25 @@ _UNSEQ_WRITE = (
 # Slot binding
 # ---------------------------------------------------------------------------
 
-def _slot_record(obj, binding) -> tuple:
-    return (obj.data, obj.base, obj.size, binding, (obj, 0, _elem_of(obj)))
+def _slot_pointer(obj) -> tuple:
+    """The fast form of the pointer to ``obj``'s first byte."""
+    return (obj, 0, _elem_of(obj))
 
 
-def _bind_slot(interp, S: list, slot: int, name: str):
-    """Resolve the object of a parameter or unit-level slot on first use
-    (cached per call).  A native function's locals make no frame bindings,
-    so a name in the frame is a parameter."""
+def _bind_slot(interp, name: str) -> tuple:
+    """``OP_DECAY``: the pointer to a parameter's or a unit-level object's
+    object.  A native function's locals make no frame bindings, so a name
+    in the frame is a parameter."""
     binding = interp.frames[-1].lookup(name)
     if binding is None:
         binding = interp.global_bindings[name]
-    record = S[slot] = _slot_record(interp.memory.objects[binding.base], binding)
-    return record
+    return _slot_pointer(interp.memory.objects[binding.base])
 
 
-def _alloc_slot(interp, S: list, ins: tuple) -> None:
+def _alloc_slot(interp, ins: tuple) -> tuple:
     """``OP_ALLOC``: the automatic object the walker's declaration makes,
     owned by the innermost run-time scope so it dies with its block."""
-    _op, slot, ctype, name, size, fill, seal = ins
+    _op, _reg, ctype, name, size, fill, seal = ins
     frame = interp.frames[-1]
     memory = interp.memory
     obj = memory.allocate(
@@ -315,18 +308,18 @@ def _alloc_slot(interp, S: list, ins: tuple) -> None:
     elif fill:
         obj.data[0 : len(fill)] = [ConcreteByte(byte) for byte in fill]
     frame.scopes[-1].owned_bases.append(obj.base)
-    S[slot] = _slot_record(obj, ObjectBinding(name=name, base=obj.base, type=ctype))
     if seal:
         memory.mark_not_writable(obj.base)
+    return _slot_pointer(obj)
 
 
-def _init_slow(interp, record, value, offset: int, elem: ct.CType) -> None:
+def _init_slow(interp, obj, value, offset: int, elem: ct.CType) -> None:
     """An initializer's store of a non-int value (an indeterminate one):
     its bytes, written unchecked like the walker's initialization of a
     fresh object."""
     profile = interp.profile
     data = encode_value(_box(value, elem.unqualified(), profile), elem, profile)
-    record[0][offset : offset + len(data)] = data
+    obj.data[offset : offset + len(data)] = data
 
 
 def _bind_pointer(interp, name: str, ctype: ct.CType):
@@ -398,8 +391,9 @@ def _padd_slow(interp, pointer, index, slow, order_mode: int):
 
 
 def _pld_slow(interp, pointer, index, slow, order_mode: int):
-    """Load through a pointer (``swapped`` None) or a pointer subscript."""
-    swapped, operands, info = slow
+    """Load through a pointer (``swapped`` None) or a pointer subscript,
+    resolved at the operands' line and read at ``read_line``."""
+    swapped, operands, info, read_line = slow
     _op, line, ptype, _itype, pmsg, pline, _imsg, _iline = operands
     if swapped is None:
         _deferred_read(interp, pointer, pmsg, pline)
@@ -408,7 +402,7 @@ def _pld_slow(interp, pointer, index, slow, order_mode: int):
     else:
         left, right = (index, pointer) if swapped else (pointer, index)
         lvalue = _subscript_slow(interp, left, right, operands, order_mode)
-    return _unbox(_read_with_plan(interp, lvalue, info[1:], line))
+    return _unbox(_read_with_plan(interp, lvalue, info[1:], read_line))
 
 
 def _pst_slow(interp, pointer, value, slow):
@@ -486,53 +480,6 @@ def _inc_slow(interp, value, slow):
     return old, plan(old)
 
 
-def _elem_pointer_slow(interp, record, index_value, info, line: int):
-    """Replicate the walker's subscript resolution: decay, index, add."""
-    _name, idx_ctype, idx_msg, idx_line, vinfo = info
-    _deferred_read(interp, index_value, idx_msg, idx_line)
-    profile = interp.profile
-    decayed = _box(record[4], ct.PointerType(pointee=vinfo[0]), profile)
-    index = _box(index_value, idx_ctype, profile)
-    lvalue = interp._subscript_to_lvalue(decayed, index, line)
-    return lvalue.pointer, lvalue.type
-
-
-def _lde_slow(interp, record, index_value, info, line: int):
-    pointer, elem = _elem_pointer_slow(interp, record, index_value, info, line)
-    lvalue = LValue(pointer=pointer, type=elem)
-    return _unbox(_read_with_plan(interp, lvalue, info[4][1:], line))
-
-
-def _lda_slow(interp, address, value_reg_unused, esize, info, line: int):
-    """Load through a slow (boxed-pointer) element address."""
-    lvalue = LValue(pointer=address, type=info[0])
-    return _unbox(_read_with_plan(interp, lvalue, info[1:], line))
-
-
-def _store_slow(interp, address, value, vinfo, rdmsg, rdline, line: int):
-    """Store through a boxed pointer / of a non-int register value."""
-    if type(address) is tuple:
-        _data, base, offset = address
-        address = PointerValue(
-            base=base, offset=offset, type=ct.PointerType(pointee=vinfo[0])
-        )
-    _deferred_read(interp, value, rdmsg, rdline)
-    elem = vinfo[0]
-    boxed = _box(value, elem.unqualified(), interp.profile)
-    _write_with_plan(interp, LValue(pointer=address, type=elem), vinfo[1:], boxed, line)
-
-
-def _stg_slow(interp, record, value, info, line: int):
-    _name, _check_seq, rdmsg, rdline, vinfo = info
-    _deferred_read(interp, value, rdmsg, rdline)
-    boxed = _box(value, vinfo[0].unqualified(), interp.profile)
-    _write_binding(interp, record[3], boxed, line)
-
-
-def _ldg_slow(interp, record, line: int):
-    return _unbox(_read_binding(interp, record[3], line))
-
-
 def _seq_conflict_check(memory, base: int, start: int, size: int, line: int) -> None:
     """The fast-path port of ``write_bytes``'s unsequenced-write detection."""
     locs = memory.locs_written
@@ -589,7 +536,6 @@ def run_native(interp, program: CompiledProgram, fn: FnCode, args=None):
         R = args
         R += fn.r_tail
         pc = fn.entry
-    S: list = [None] * fn.n_slots
     memory = interp.memory
     options = program.options
     check_seq = options.check_sequencing
@@ -610,17 +556,17 @@ def run_native(interp, program: CompiledProgram, fn: FnCode, args=None):
                         R[ins[1]] = ins[4](a, b)
                     else:
                         R[ins[1]] = _binop_slow(interp, a, b, ins[5], order_mode)
-                elif op == OP_STEP:
-                    steps += ins[1]
-                    if steps > max_steps:
-                        interp._steps = steps
-                        raise ResourceLimitError(fn.limit_message)
                 elif op == OP_CONV:
                     value = R[ins[2]]
                     if value.__class__ is int:
                         R[ins[1]] = ins[3](value)
                     else:
                         R[ins[1]] = _conv_slow(interp, value, ins[4])
+                elif op == OP_STEP:
+                    steps += ins[1]
+                    if steps > max_steps:
+                        interp._steps = steps
+                        raise ResourceLimitError(fn.limit_message)
                 elif op == OP_RDCHK:
                     if R[ins[1]] is UNINIT:
                         _raise_read(ins[2], ins[3])
@@ -658,32 +604,27 @@ def run_native(interp, program: CompiledProgram, fn: FnCode, args=None):
                         R[ins[1]] = new
                         if ins[2] >= 0:
                             R[ins[2]] = old
-                elif op == OP_LDE:
-                    record = S[ins[2]]
-                    if record is None:
-                        record = _bind_slot(interp, S, ins[2], ins[7][0])
+                elif op == OP_PLD:
+                    pointer = R[ins[2]]
                     index = R[ins[3]]
-                    esize = ins[4]
-                    if (
-                        index.__class__ is int
-                        and 0 <= index
-                        and (index + 1) * esize <= record[2]
-                        and not (check_seq and memory.locs_written)
-                    ):
-                        value = _read_flat(
-                            record[0], index * esize, esize, ins[5] == _SMODE_SIGNED
-                        )
-                        if value is not None:
-                            R[ins[1]] = value
-                            continue
-                    R[ins[1]] = _lde_slow(interp, record, index, ins[7], ins[6])
+                    if pointer.__class__ is tuple and index.__class__ is int:
+                        obj = pointer[0]
+                        esize = ins[4]
+                        offset = pointer[1] + index * esize
+                        if (
+                            pointer[2] is ins[5]
+                            and obj.alive
+                            and 0 <= offset <= obj.size - esize
+                            and offset % esize == 0
+                            and not (check_seq and memory.locs_written)
+                        ):
+                            value = _read_flat(obj.data, offset, esize, ins[6])
+                            if value is not None:
+                                R[ins[1]] = value
+                                continue
+                    R[ins[1]] = _pld_slow(interp, pointer, index, ins[7], order_mode)
             elif op < 16:
-                if op == OP_DECAY:
-                    record = S[ins[2]]
-                    if record is None:
-                        record = _bind_slot(interp, S, ins[2], ins[3])
-                    R[ins[1]] = record[4]
-                elif op == OP_PADD:
+                if op == OP_PADD:
                     pointer = R[ins[2]]
                     index = R[ins[3]]
                     if pointer.__class__ is tuple and index.__class__ is int:
@@ -710,25 +651,6 @@ def run_native(interp, program: CompiledProgram, fn: FnCode, args=None):
                         value = _cond_slow(interp, value, ins[9], ins[10], ins[8])
                     if not value:
                         pc = ins[7]
-                elif op == OP_PLD:
-                    pointer = R[ins[2]]
-                    index = R[ins[3]]
-                    if pointer.__class__ is tuple and index.__class__ is int:
-                        obj = pointer[0]
-                        esize = ins[4]
-                        offset = pointer[1] + index * esize
-                        if (
-                            pointer[2] is ins[5]
-                            and obj.alive
-                            and 0 <= offset <= obj.size - esize
-                            and offset % esize == 0
-                            and not (check_seq and memory.locs_written)
-                        ):
-                            value = _read_flat(obj.data, offset, esize, ins[6])
-                            if value is not None:
-                                R[ins[1]] = value
-                                continue
-                    R[ins[1]] = _pld_slow(interp, pointer, index, ins[7], order_mode)
                 elif op == OP_PINC:
                     pointer = R[ins[1]]
                     if pointer.__class__ is tuple:
@@ -754,8 +676,6 @@ def run_native(interp, program: CompiledProgram, fn: FnCode, args=None):
                     if value.__class__ is int:
                         return IntValue(value, ins[2])
                     return _box(value, ins[2], interp.profile)
-                elif op == OP_RSV:
-                    memory.reserve_bases(ins[1])
                 elif op == OP_DCALL:
                     # The interpreter's call path for a clean site (see
                     # _link_call), minus the parameter objects and the boxing:
@@ -813,80 +733,22 @@ def run_native(interp, program: CompiledProgram, fn: FnCode, args=None):
                     steps = interp._steps
                     if ins[1] >= 0:
                         R[ins[1]] = value
-            elif op < 24:
-                if op == OP_BINDR:
-                    binding = interp.frames[-1].lookup(ins[2])
-                    obj = memory.objects[binding.base]
-                    value = _read_flat(obj.data, 0, ins[3], ins[4])
-                    R[ins[1]] = UNINIT if value is None else value
-                elif op == OP_MOV:
-                    R[ins[1]] = R[ins[2]]
+                elif op == OP_RSV:
+                    memory.reserve_bases(ins[1])
                 elif op == OP_SEQPT:
                     memory.locs_written.clear()
-                elif op == OP_NOT:
+                elif op == OP_MOV:
+                    R[ins[1]] = R[ins[2]]
+            elif op < 24:
+                if op == OP_INIT:
+                    obj = R[ins[1]][0]
                     value = R[ins[2]]
                     if value.__class__ is int:
-                        R[ins[1]] = 1 if value == 0 else 0
+                        _write_flat(obj.data, ins[3], ins[4], value & ins[5])
                     else:
-                        truth = _cond_slow(interp, value, ins[4], ins[5], ins[3])
-                        R[ins[1]] = 0 if truth else 1
-                elif op == OP_CHKE:
-                    record = S[ins[2]]
-                    if record is None:
-                        record = _bind_slot(interp, S, ins[2], ins[6][0])
-                    index = R[ins[3]]
-                    esize = ins[4]
-                    if (
-                        index.__class__ is int
-                        and 0 <= index
-                        and (index + 1) * esize <= record[2]
-                    ):
-                        R[ins[1]] = (record[0], record[1], index * esize)
-                    else:
-                        pointer, _elem = _elem_pointer_slow(
-                            interp, record, index, ins[6], ins[5]
-                        )
-                        R[ins[1]] = pointer
-                elif op == OP_STE:
-                    address = R[ins[1]]
-                    value = R[ins[2]]
-                    if address.__class__ is tuple and value.__class__ is int:
-                        esize = ins[3]
-                        if check_seq:
-                            _seq_conflict_check(
-                                memory, address[1], address[2], esize, ins[5]
-                            )
-                        _write_flat(address[0], address[2], esize, value & ins[4])
-                    else:
-                        info = ins[6]
-                        _store_slow(
-                            interp, address, value, info[3], info[1], info[2], ins[5]
-                        )
-                elif op == OP_CALL:
-                    interp._steps = steps
-                    _generic_call(interp, R, ins, order_mode)
-                    steps = interp._steps
-                elif op == OP_PCONV:
-                    value = R[ins[2]]
-                    if value.__class__ is tuple:
-                        R[ins[1]] = value
-                    else:
-                        R[ins[1]] = _pconv_slow(interp, value, ins[3])
-            elif op < 32:
-                if op == OP_JZ:
-                    steps += ins[6]
-                    if steps > max_steps:
-                        interp._steps = steps
-                        raise ResourceLimitError(fn.limit_message)
-                    value = R[ins[1]]
-                    if value.__class__ is not int:
-                        value = _cond_slow(interp, value, ins[4], ins[5], ins[3])
-                    if not value:
-                        pc = ins[2]
-                elif op == OP_STR:
-                    R[ins[1]] = _unbox_ptr(
-                        memory, interp.string_literal_object(ins[2])[0]
-                    )
+                        _init_slow(interp, obj, value, ins[3], ins[6])
+                    if ins[7]:
+                        memory.mark_not_writable(obj.base)
                 elif op == OP_PST:
                     pointer = R[ins[1]]
                     value = R[ins[2]]
@@ -908,46 +770,82 @@ def run_native(interp, program: CompiledProgram, fn: FnCode, args=None):
                             _write_flat(obj.data, offset, esize, value & ins[5])
                             continue
                     _pst_slow(interp, pointer, value, ins[6])
-                elif op == OP_PUSHSC:
-                    interp.frames[-1].push_scope()
-                elif op == OP_BINDP:
-                    R[ins[1]] = _bind_pointer(interp, ins[2], ins[3])
-                elif op == OP_POPSC:
-                    scope = interp.frames[-1].pop_scope()
-                    for base in scope.owned_bases:
-                        memory.kill(base)
+                elif op == OP_NOT:
+                    value = R[ins[2]]
+                    if value.__class__ is int:
+                        R[ins[1]] = 1 if value == 0 else 0
+                    else:
+                        truth = _cond_slow(interp, value, ins[4], ins[5], ins[3])
+                        R[ins[1]] = 0 if truth else 1
+                elif op == OP_JZ:
+                    steps += ins[6]
+                    if steps > max_steps:
+                        interp._steps = steps
+                        raise ResourceLimitError(fn.limit_message)
+                    value = R[ins[1]]
+                    if value.__class__ is not int:
+                        value = _cond_slow(interp, value, ins[4], ins[5], ins[3])
+                    if not value:
+                        pc = ins[2]
+                elif op == OP_CALL:
+                    interp._steps = steps
+                    _generic_call(interp, R, ins, order_mode)
+                    steps = interp._steps
+                elif op == OP_PCONV:
+                    value = R[ins[2]]
+                    if value.__class__ is tuple:
+                        R[ins[1]] = value
+                    else:
+                        R[ins[1]] = _pconv_slow(interp, value, ins[3])
+                elif op == OP_BINDR:
+                    binding = interp.frames[-1].lookup(ins[2])
+                    obj = memory.objects[binding.base]
+                    value = _read_flat(obj.data, 0, ins[3], ins[4])
+                    R[ins[1]] = UNINIT if value is None else value
+                elif op == OP_ALLOC:
+                    R[ins[1]] = _alloc_slot(interp, ins)
+            elif op < 32:
+                if op == OP_STR:
+                    R[ins[1]] = _unbox_ptr(
+                        memory, interp.string_literal_object(ins[2])[0]
+                    )
                 elif op == OP_UNOP:
                     value = R[ins[2]]
                     if value.__class__ is int:
                         R[ins[1]] = ins[3](value)
                     else:
                         R[ins[1]] = _unop_slow(interp, value, ins[4])
-                elif op == OP_LDG:
-                    record = S[ins[2]]
-                    if record is None:
-                        record = _bind_slot(interp, S, ins[2], ins[6][0])
-                    if not (check_seq and memory.locs_written):
-                        value = _read_flat(
-                            record[0], 0, ins[3], ins[4] == _SMODE_SIGNED
-                        )
-                        if value is not None:
+                elif op == OP_PUSHSC:
+                    interp.frames[-1].push_scope()
+                elif op == OP_POPSC:
+                    scope = interp.frames[-1].pop_scope()
+                    for base in scope.owned_bases:
+                        memory.kill(base)
+                elif op == OP_PDCHK:
+                    pointer = R[ins[1]]
+                    if pointer.__class__ is not tuple:
+                        _pdchk_slow(interp, pointer, ins[2])
+                elif op == OP_SDECL:
+                    interp.current_line = ins[3]
+                    interp._steps = steps
+                    binding = interp.static_local_binding(ins[2])
+                    steps = interp._steps
+                    R[ins[1]] = _slot_pointer(memory.objects[binding.base])
+                elif op == OP_LOADI:
+                    R[ins[1]] = ins[2]
+                elif op == OP_PDIFF:
+                    a = R[ins[2]]
+                    b = R[ins[3]]
+                    if a.__class__ is tuple and b.__class__ is tuple and a[0] is b[0]:
+                        value = (a[1] - b[1]) // ins[4]
+                        if ins[5] <= value <= ins[6]:
                             R[ins[1]] = value
                             continue
-                    R[ins[1]] = _ldg_slow(interp, record, ins[5])
+                    R[ins[1]] = _binop_slow(interp, a, b, ins[7], order_mode)
             elif op < 40:
-                if op == OP_LOADI:
-                    R[ins[1]] = ins[2]
-                elif op == OP_STG:
-                    record = S[ins[1]]
-                    if record is None:
-                        record = _bind_slot(interp, S, ins[1], ins[6][0])
-                    value = R[ins[2]]
-                    if value.__class__ is int:
-                        if check_seq:
-                            _seq_conflict_check(memory, record[1], 0, ins[3], ins[5])
-                        _write_flat(record[0], 0, ins[3], value & ins[4])
-                    else:
-                        _stg_slow(interp, record, value, ins[6], ins[5])
+                if op == OP_DECAY:
+                    if R[ins[1]] is UNINIT:
+                        R[ins[1]] = _bind_slot(interp, ins[2])
                 elif op == OP_PCMP:
                     a = R[ins[2]]
                     b = R[ins[3]]
@@ -955,10 +853,8 @@ def run_native(interp, program: CompiledProgram, fn: FnCode, args=None):
                         R[ins[1]] = ins[4](a[1], b[1])
                     else:
                         R[ins[1]] = _binop_slow(interp, a, b, ins[5], order_mode)
-                elif op == OP_PDCHK:
-                    pointer = R[ins[1]]
-                    if pointer.__class__ is not tuple:
-                        _pdchk_slow(interp, pointer, ins[2])
+                elif op == OP_BINDP:
+                    R[ins[1]] = _bind_pointer(interp, ins[2], ins[3])
                 elif op == OP_JNZ:
                     steps += ins[6]
                     if steps > max_steps:
@@ -969,23 +865,6 @@ def run_native(interp, program: CompiledProgram, fn: FnCode, args=None):
                         value = _cond_slow(interp, value, ins[4], ins[5], ins[3])
                     if value:
                         pc = ins[2]
-                elif op == OP_LDA:
-                    address = R[ins[2]]
-                    if address.__class__ is tuple:
-                        value = _read_flat(
-                            address[0], address[2], ins[3], ins[4] == _SMODE_SIGNED
-                        )
-                        if value is not None and not (
-                            check_seq and memory.locs_written
-                        ):
-                            R[ins[1]] = value
-                            continue
-                        address = PointerValue(
-                            base=address[1],
-                            offset=address[2],
-                            type=ct.PointerType(pointee=ins[6][0]),
-                        )
-                    R[ins[1]] = _lda_slow(interp, address, None, ins[3], ins[6], ins[5])
                 elif op == OP_BOOL:
                     value = R[ins[2]]
                     if value.__class__ is int:
@@ -996,33 +875,6 @@ def run_native(interp, program: CompiledProgram, fn: FnCode, args=None):
                 elif op == OP_RAISE:
                     interp._steps = steps
                     raise UndefinedBehaviorError(ins[1], ins[2], line=ins[3])
-            elif op < 48:
-                if op == OP_PDIFF:
-                    a = R[ins[2]]
-                    b = R[ins[3]]
-                    if a.__class__ is tuple and b.__class__ is tuple and a[0] is b[0]:
-                        value = (a[1] - b[1]) // ins[4]
-                        if ins[5] <= value <= ins[6]:
-                            R[ins[1]] = value
-                            continue
-                    R[ins[1]] = _binop_slow(interp, a, b, ins[7], order_mode)
-                elif op == OP_ALLOC:
-                    _alloc_slot(interp, S, ins)
-                elif op == OP_INIT:
-                    record = S[ins[1]]
-                    value = R[ins[2]]
-                    if value.__class__ is int:
-                        _write_flat(record[0], ins[3], ins[4], value & ins[5])
-                    else:
-                        _init_slow(interp, record, value, ins[3], ins[6])
-                    if ins[7]:
-                        memory.mark_not_writable(record[1])
-                elif op == OP_SDECL:
-                    interp.current_line = ins[3]
-                    interp._steps = steps
-                    binding = interp.static_local_binding(ins[2])
-                    steps = interp._steps
-                    S[ins[1]] = _slot_record(memory.objects[binding.base], binding)
             else:  # pragma: no cover - the numbering is dense and ends here
                 raise AssertionError(f"unknown opcode {op}")
     except _DeferredRead as read:

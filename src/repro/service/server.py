@@ -521,7 +521,8 @@ class CheckService:
 
 def _search_blocking(request: dict[str, Any]):
     """Run one full evaluation-order search (executor thread)."""
-    from repro.api.session import compile_shared, tool_for
+    from repro.api.session import compile_shared
+    from repro.core.kcc import KccTool
     from repro.kframework.search import SearchBudget, SearchOptions
 
     options = request["options"]
@@ -533,7 +534,7 @@ def _search_blocking(request: dict[str, Any]):
         budget=budget,
         seed=request["seed"],
     )
-    tool = tool_for(
+    tool = KccTool(
         options,
         search_evaluation_order=True,
         search_options=search_options,

@@ -13,6 +13,8 @@ def test_engine_coverage_doc_is_fresh():
         "docs/engine-coverage.md is stale; regenerate with "
         "`python -m repro.core.engine_coverage`"
     )
-    # `&` and static locals no longer send a function to the walker.
+    # `&`, static locals and compound assignments through a pointer no
+    # longer send a function to the walker.
     assert "unary operator '&'" not in text
     assert "storage class 'static'" not in text
+    assert "compound assignment through a pointer" not in text

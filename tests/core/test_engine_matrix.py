@@ -26,6 +26,7 @@ from repro.core.bytecode import (
     OP_CALL,
     OP_CONV,
     OP_DCALL,
+    OP_DECAY,
     OP_JMP,
     OP_JNZ,
     OP_JZ,
@@ -663,6 +664,91 @@ int main(void) {
     return p[0] + p[1];
 }
 """,
+    # Compound assignment and ++/-- through pointers: one load, operate
+    # and store sequence for every lvalue in memory.
+    "compound-through-pointers": """
+#include <stdio.h>
+void inc(int *p) { *p += 1; }
+int main(void) {
+    int a[4] = {10, 20, 30, 40};
+    int *p = a + 1;
+    int i = 2;
+    unsigned char bytes[3] = {250, 5, 7};
+    unsigned char *b = bytes;
+    *p += 7;
+    p[i] -= 5;
+    (*p)++;
+    p[i]--;
+    ++*p;
+    --p[-1];
+    inc(p);
+    inc(&a[0]);
+    *b += 10;
+    b[2] *= 40;
+    i = (*p)++ + p[1]--;
+    printf("%d %d %d %d %d %d %d %d\\n", a[0], a[1], a[2], a[3], bytes[0], bytes[2], i, *p);
+    return 0;
+}
+""",
+    "slot-scalars-updated": """
+#include <stdio.h>
+static int counter(void) { static int calls; calls++; calls += 10; return calls; }
+static void bump(int *q) { *q += 2; }
+int main(void) {
+    int x = 5;
+    int *px = &x;
+    x++;
+    x += 3;
+    --x;
+    x <<= 2;
+    bump(&x);
+    counter();
+    printf("%d %d %d %p\\n", x, *px, counter(), (void *)px);
+    return x == *px ? 0 : 1;
+}
+""",
+    "bool-objects": """
+#include <stdio.h>
+_Bool flag;
+_Bool flags[4] = {1, 0, 1};
+int main(void) {
+    _Bool local[3];
+    int i, n = 0;
+    for (i = 0; i < 3; i++) local[i] = i;
+    flag = local[2] + flags[0];
+    flags[3] = 5;
+    flags[1]++;
+    for (i = 0; i < 4; i++) n += flags[i] + local[i % 3];
+    printf("%d %d\\n", flag, n);
+    return 0;
+}
+""",
+    "global-array-loop": """
+#include <stdio.h>
+int table[8];
+int total;
+int main(void) {
+    int i;
+    for (i = 0; i < 8; i++) table[i] = i * 3;
+    for (i = 0; i < 8; i++) { total += table[i]; table[i] -= 1; }
+    for (i = 7; i > 0; i--) table[i - 1] += table[i];
+    printf("%d %d %d\\n", total, table[0], table[7]);
+    return 0;
+}
+""",
+    "index-first-subscripts": """
+#include <stdio.h>
+int g[3] = {4, 5, 6};
+int main(void) {
+    int a[3] = {1, 2, 3};
+    int i = 1;
+    int *p = a;
+    i[a] = 9;
+    2[p] += i[g];
+    printf("%d %d %d %d\\n", 0[a], i[a], 2[a], 1[p]);
+    return 0;
+}
+""",
 }
 
 #: A pointer program the VM leaves to the walker on purpose: the
@@ -1230,6 +1316,8 @@ def test_loop_programs_compile_to_the_short_stream():
             code = fn.code
             ops = [ins[0] for ins in code]
             assert OP_PUSHSC not in ops and OP_POPSC not in ops, name
+            # A local array's pointer is in its register from its ALLOC on.
+            assert OP_DECAY not in ops, name
             assert _unfused_steps(code) == [], name
             converted = {ins[1] for ins in code if ins[0] == OP_CONV}
             assert not [ins for ins in code if ins[0] == OP_MOV and ins[2] in converted]
@@ -1247,7 +1335,8 @@ def test_loop_programs_compile_to_the_short_stream():
 def test_dispatch_groups_match_the_opcode_numbering():
     # The VM tests ``op < 8``, ``op < 16``, ... and then the opcodes of the
     # group: an opcode tested outside the group its number falls in would
-    # be skipped without a sound, so every opcode must sit in its own.
+    # be skipped without a sound, so every opcode must sit in its own, be
+    # tested once, and (numbered by frequency) in numeric order.
     loop = next(
         node
         for node in ast.walk(ast.parse(inspect.getsource(vm.run_native)))
@@ -1264,10 +1353,15 @@ def test_dispatch_groups_match_the_opcode_numbering():
         else:  # the last group's single test
             high = None
             branch = level
+        tested = []
         while isinstance(branch, ast.If):
             name = branch.test.comparators[0].id
+            assert name not in placed, f"{name} is tested twice"
             placed[name] = (low, high)
+            tested.append(name)
             branch = branch.orelse[0] if branch.orelse else None
+        order = [getattr(bytecode, name) for name in tested]
+        assert order == sorted(order), tested
         low = high
         level = level.orelse[0] if high is not None else None
     numbers = {
@@ -1556,6 +1650,44 @@ int main(void) {
     return x;
 }
 """,
+    "shift-overflow-in-element": """
+int main(void) {
+    int a[2] = {1, 3};
+    int k = 30;
+    a[0] <<= k;
+    a[1] <<= k;
+    return a[1];
+}
+""",
+    "store-one-past-the-end": """
+int main(void) {
+    int a[4];
+    int i;
+    for (i = 0; i <= 4; i++) a[i] = i;
+    return a[0];
+}
+""",
+    "const-element-through-cast": """
+int main(void) {
+    const int ca[3] = {1, 2, 3};
+    int *p = (int *)ca;
+    p[1] += 7;
+    return ca[1];
+}
+""",
+    # The walker reads the old value at the operator's line, not the
+    # subscript's.
+    "uninitialized-element-update": """
+int main(void) {
+    int a[2];
+    a[0] = 1;
+    a
+    [1]
+    +=
+    a[0];
+    return a[1];
+}
+""",
 }
 
 #: The programs of the corpus whose run is undefined.
@@ -1567,6 +1699,10 @@ UNDEFINED_DECLARATIONS = (
     "dangling-address",
     "const-written-through-pointer",
     "past-a-scalar",
+    "shift-overflow-in-element",
+    "store-one-past-the-end",
+    "const-element-through-cast",
+    "uninitialized-element-update",
 )
 
 
