@@ -5,8 +5,8 @@ Compares the machine-independent *ratio* metrics of the committed
 
 * ``interp_speed.json`` — per-program ``speedup`` (lowered closures vs
   legacy walker) and ``compiled_speedup`` (register-bytecode VM vs lowered
-  closures; ~1.0 on programs outside the bytecode's native subset, which
-  run on the closure fallback);
+  closures; a function outside the bytecode's native subset runs on the
+  walker, so a program made of such functions reads below 1.0);
 * ``search_speed.json`` — per-program ``reduction_factor`` (seed DFS runs
   from ``main`` vs the search engine's);
 * ``fuzz_speed.json`` / ``pool_speed.json`` — ``parallel_speedup`` of the

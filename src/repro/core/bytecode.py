@@ -67,15 +67,18 @@ The bytecode replicates the walker observation-for-observation:
   side-effecting boundary (calls, returns, jumps, a ``static`` local's
   declaration), so ``max_steps`` resource verdicts and stdout prefixes
   agree; other declarations are not boundaries, their step joins the
-  block's charge.  A charge right before a jump rides on the jump, or on
-  the compare-and-branch the jump fused into, which adds it and checks
-  ``max_steps`` after the compare and before its own test: the order of a
-  separate ``STEP``.  A jump that a label names keeps its ``STEP`` apart,
-  since a jump to the label must not pay it.  An error raised before the
-  block's charge is weighed against the steps the walker has charged by
-  then (``FnCode.pending``, and the step count a deferred read carries):
-  past ``max_steps``, the walker stops at the step limit first, and so
-  does the VM;
+  block's charge.  A charge moves forward past register-only instructions
+  (``INC``, ``BINOP``, ``CONV``, ``MOV``, ...) and labels that no jump
+  names onto the next jump or ``RET``, or the compare-and-branch a jump
+  fused into, which adds it and checks ``max_steps`` before its own test.
+  Nothing it passes can print, call or end the run, so stdout at a step
+  limit is the same.  Nothing moves across a label a jump names, since a
+  jump there must not pay it.  An error raised before the block's charge
+  is weighed against the steps the walker has charged by then
+  (``FnCode.pending``, and the step count a deferred read carries, plus
+  ``FnCode.carried`` for the charges that moved past it): past
+  ``max_steps``, the walker stops at the step limit first, and so does
+  the VM;
 * **declarations**: the VM declares every local itself.  A register has
   no object; its base is reserved (``OP_RSV``, one per run of
   declarations) where the walker's object would take it, so every later
@@ -90,8 +93,12 @@ The bytecode replicates the walker observation-for-observation:
   is unobservable;
 * **arithmetic** uses the raw-int plans of :mod:`repro.core.plans`
   (:func:`~repro.core.plans.raw_binary_plan`,
-  :func:`~repro.core.plans.raw_conversion_plan`, ...), which raise the
-  walker's error kinds and messages, and every slow path boxes the value
+  :func:`~repro.core.plans.raw_conversion_plan`, ...), one Python call per
+  operation, which raise the walker's error kinds and messages.  A
+  ``BINOP`` or ``UNOP`` result is an int in range of its type, so a
+  conversion to that type emits nothing: an assignment's operation writes
+  the variable's register, and a store or ``return`` takes the result
+  register as it is.  Every slow path boxes the value
   back into a :class:`~repro.core.values.CValue` and calls the *actual*
   shared helper (``_read_with_plan``, ``_write_with_plan``, ``_pointer_add``,
   ``_check_usable``, ``to_boolean``, ...), so error kinds, messages, and
@@ -99,7 +106,15 @@ The bytecode replicates the walker observation-for-observation:
 * **uninitialized reads**: a register read of an indeterminate value
   raises exactly where the walker's identifier read would — consumers
   carry the read-site message and check the ``UNINIT`` sentinel on their
-  (free) slow path; value-discard positions get an explicit ``RDCHK``;
+  (free) slow path; value-discard positions, and a read that later code
+  could overtake, get an explicit ``RDCHK``.  An ``RDCHK`` stays in the
+  stream only when its register may be indeterminate: a variable declared
+  without an initializer, a call's result, a load from memory (an exempt
+  character type, or bytes that make no value), a parameter, or a copy of
+  one of those by an instruction that does not check that read.
+  Arithmetic on an indeterminate operand raises instead of producing one,
+  so an accumulator that starts at 0 needs no check; the argument is
+  spelled out in :meth:`_FnCompiler._indeterminate`;
 * **sequencing**: memory writes keep feeding ``Memory.locs_written``
   (plain ``(base, offset)`` tuples, equal to the ``ByteLocation`` entries
   the generic path adds) and ``SEQPT`` clears them at every sequence
@@ -180,27 +195,28 @@ class _AddressTaken(Exception):
 # elem)``, see repro.core.vm).  A slot is a pointer register too, so every
 # load and store of a flat integer in memory is a ``PLD`` or ``PST``; only
 # an initializer's store into a fresh object (``INIT``) is not.  ``steps``
-# on a jump is a step charge that rides on it: the jump adds it and checks
-# ``max_steps`` before its own test.  A compare-and-branch (``BINJZ``,
-# ``PCMPJZ``) is a ``BINOP`` or ``PCMP`` fused with the ``JZ`` that tests
-# its result: it still writes ``dst``, then charges ``steps``, then
-# branches to ``target`` when the result is zero (``line``, ``rdmsg`` and
-# ``rdline`` are the ``JZ``'s).  An ``rdmsg`` is a deferred uninitialized
-# read: ``(message, steps)``, see _FnCompiler.read_site.
+# on a jump or ``RET`` is a step charge that rides on it: it is added, and
+# ``max_steps`` checked, before the jump's test or the return.  A
+# compare-and-branch (``BINJZ``, ``PCMPJZ``) is a ``BINOP`` or ``PCMP``
+# fused with the ``JZ`` that tests its result: it still writes ``dst``,
+# then charges ``steps``, then branches to ``target`` when the result is
+# zero (``line``, ``rdmsg`` and ``rdline`` are the ``JZ``'s).  An
+# ``rdmsg`` is a deferred uninitialized read: ``(message, steps)``, see
+# _FnCompiler.read_site.
 
 OP_BINOP = 0  # (op, dst, a, b, plan, slow)
-OP_CONV = 1  # (op, dst, src, plan, slow)
-OP_STEP = 2  # (op, n)
-OP_RDCHK = 3  # (op, src, msg, line)
-OP_JMP = 4  # (op, target, steps)
-OP_BINJZ = 5  # (op, dst, a, b, plan, slow, steps, target, line, rdmsg, rdline)
-OP_INC = 6  # (op, dst, src, plan, slow)
+OP_JMP = 1  # (op, target, steps)
+OP_BINJZ = 2  # (op, dst, a, b, plan, slow, steps, target, line, rdmsg, rdline)
+OP_INC = 3  # (op, dst, src, plan, slow)
 # Load ``ptr[idx]``; a scalar's load is ``idx`` 0 (a constant register).
-OP_PLD = 7  # (op, dst, ptr, idx, esize, elem, signed, slow)
-OP_PADD = 8  # (op, dst, ptr, idx, scale, slow)
-OP_PCMPJZ = 9  # (op, dst, a, b, compare, slow, steps, target, line, rdmsg, rdline)
-OP_PINC = 10  # (op, reg, old_dst, delta, slow)
-OP_RET = 11  # (op, src, rtype, rdmsg, rdline)
+OP_PLD = 4  # (op, dst, ptr, idx, esize, elem, signed, slow)
+OP_PADD = 5  # (op, dst, ptr, idx, scale, slow)
+OP_RDCHK = 6  # (op, src, msg, line)
+OP_CONV = 7  # (op, dst, src, plan, slow)
+OP_PCMPJZ = 8  # (op, dst, a, b, compare, slow, steps, target, line, rdmsg, rdline)
+OP_PINC = 9  # (op, reg, old_dst, delta, slow)
+OP_STEP = 10  # (op, n)
+OP_RET = 11  # (op, src, rtype, rdmsg, rdline, steps)
 # A statically clean call of a native function (see _link_call); ``call``
 # is the OP_CALL it replaces, which runs whenever an argument value is one
 # the direct path cannot take.
@@ -245,6 +261,9 @@ OP_RAISE = 37  # (op, kind, message, line)
 
 _JUMPS = frozenset((OP_JMP, OP_JZ, OP_JNZ))
 
+#: The instructions a step charge can ride on.
+_SINKS = _JUMPS | {OP_RET}
+
 #: The operand position of each jump's target.
 _TARGET_FIELD = {OP_JMP: 1, OP_JZ: 2, OP_JNZ: 2, OP_BINJZ: 7, OP_PCMPJZ: 7}
 
@@ -269,6 +288,21 @@ _SAFE_OPS = frozenset(
         OP_RSV,
     )
 )
+
+#: Instructions that write registers only (``SEQPT`` only clears the
+#: sequencing window) and never observe the step count: a step charge may
+#: move past them onto the next jump or ``RET`` (see _fuse_and_resolve).
+_REGISTER_ONLY = frozenset(
+    (OP_STEP, OP_INC, OP_PINC, OP_BINOP, OP_UNOP, OP_CONV, OP_MOV, OP_LOADI, OP_SEQPT)
+)
+
+#: Instructions whose destination may receive an indeterminate value: a
+#: load from memory, a call's result, a parameter (see _indeterminate).
+_INDETERMINATE_DSTS = frozenset((OP_PLD, OP_CALL, OP_BINDR, OP_BINDP))
+
+#: The instructions _indeterminate reads: those above, and those that may
+#: load or copy an indeterminate value.
+_FLOWS = _INDETERMINATE_DSTS | {OP_LOADI, OP_MOV, OP_CONV, OP_PCONV}
 
 #: The register-destination operand positions of each opcode, used by the
 #: compile-time clobber scan behind :meth:`_FnCompiler.snapshot`.  Opcodes
@@ -310,13 +344,16 @@ class FnCode:
     ``OP_BINDP`` per register parameter, in registers ``0..entry-1``); a
     direct call seeds those registers and starts there.  ``pending[pc]`` is
     the number of steps the walker has charged, beyond what the VM has
-    charged, when instruction ``pc`` raises (see ``repro.core.vm``).
+    charged, when instruction ``pc`` raises (see ``repro.core.vm``);
+    ``carried[pc]``, present only for an instruction that a step charge
+    moved past, is the part of it that a deferred read it raises adds.
     """
 
     __slots__ = (
         "name",
         "code",
         "pending",
+        "carried",
         "n_regs",
         "r_init",
         "r_tail",
@@ -331,6 +368,7 @@ class FnCode:
         name: str,
         code: tuple,
         pending: tuple,
+        carried: dict,
         n_regs: int,
         r_init: tuple,
         ftype: ct.FunctionType,
@@ -340,6 +378,7 @@ class FnCode:
         self.name = name
         self.code = code
         self.pending = pending
+        self.carried = carried
         self.n_regs = n_regs
         self.r_init = r_init
         self.r_tail = r_init[entry:]
@@ -478,7 +517,7 @@ class _Pointee:
 class _Value:
     """Compile-time description of an expression result."""
 
-    __slots__ = ("reg", "ctype", "read_msg", "read_line", "exact")
+    __slots__ = ("reg", "ctype", "read_msg", "read_line", "exact", "fresh")
 
     def __init__(
         self,
@@ -487,6 +526,7 @@ class _Value:
         read_msg: Optional[tuple] = None,
         read_line: int = 0,
         exact: bool = True,
+        fresh: bool = False,
     ) -> None:
         self.reg = reg
         self.ctype = ctype  # None: void (discard-only)
@@ -497,6 +537,11 @@ class _Value:
         # False when the run-time value's type may differ from ``ctype`` (a
         # builtin's pointer result): only a conversion may consume it.
         self.exact = exact
+        # True for the temporary a BINOP or UNOP writes: always an int in
+        # range of ``ctype`` (a slow path raises on an indeterminate operand
+        # or reads it as 0), which a conversion to ``ctype`` leaves as it is
+        # (see convert_to).
+        self.fresh = fresh
 
 
 def _operands(op: str, line: int, left: _Value, right: _Value) -> tuple:
@@ -515,6 +560,16 @@ def _operands(op: str, line: int, left: _Value, right: _Value) -> tuple:
 
 
 _BAD = object()  # scope marker: name exists but is not natively accessible
+
+
+class _Label:
+    """A jump target, placed by :meth:`_FnCompiler.bind`; ``named`` once a
+    jump names it (a label no jump names marks nothing at run time)."""
+
+    __slots__ = ("named",)
+
+    def __init__(self) -> None:
+        self.named = False
 
 
 class _FnCompiler:
@@ -553,6 +608,7 @@ class _FnCompiler:
         self.pending_steps = 0
         self.pending_bases = 0  # register declarations not yet reserved
         self.read_regs: set[int] = set()  # variable registers read so far
+        self.unset: set[int] = set()  # variables that may be read unwritten
         # Names that live in memory because they appear as `&name` (see
         # _compile_function): a variable is a register only while nothing
         # can point at it.
@@ -560,8 +616,7 @@ class _FnCompiler:
         self.dirty = False  # memory locs possibly nonempty
         self.pending_names: set[str] = set()  # register writes this region
         self.loop_stack: list[tuple] = []  # (break_l, cont_l, run_scopes)
-        self.labels: dict[int, int] = {}  # label id -> pc
-        self.next_label = 0
+        self.labels: dict[_Label, int] = {}  # label -> pc
         self.global_slots: dict[str, _MemVar] = {}
         self.check_seq = options.check_sequencing
         self.check_uninit = options.check_uninitialized
@@ -582,12 +637,11 @@ class _FnCompiler:
             self.consts[value] = reg
         return reg
 
-    def new_label(self) -> int:
-        label = self.next_label
-        self.next_label = 1 + label
-        return label
+    @staticmethod
+    def new_label() -> "_Label":
+        return _Label()
 
-    def bind(self, label: int) -> None:
+    def bind(self, label: _Label) -> None:
         self.flush_steps()
         self.labels[label] = len(self.code)
 
@@ -626,18 +680,21 @@ class _FnCompiler:
         if value.read_msg is not None:
             value.read_msg = (value.read_msg[0], 0)
 
-    def emit_jmp(self, label: int) -> None:
+    def emit_jmp(self, label: _Label) -> None:
         self.flush_steps()
+        label.named = True
         self.emit((OP_JMP, label))
 
-    def emit_jz(self, value: _Value, label: int, line: int) -> None:
+    def emit_jz(self, value: _Value, label: _Label, line: int) -> None:
         self.flush_steps()
         self.charged(value)
+        label.named = True
         self.emit((OP_JZ, value.reg, label, line, value.read_msg, value.read_line))
 
-    def emit_jnz(self, value: _Value, label: int, line: int) -> None:
+    def emit_jnz(self, value: _Value, label: _Label, line: int) -> None:
         self.flush_steps()
         self.charged(value)
+        label.named = True
         self.emit((OP_JNZ, value.reg, label, line, value.read_msg, value.read_line))
 
     def emit_seqpt(self) -> None:
@@ -827,7 +884,7 @@ class _FnCompiler:
             self.compile_block_item(item)
         self.flush_steps()
         self.emit((OP_RET, -1, None, None, 0))
-        code, pending = self._fuse_and_resolve()
+        code, pending, carried = self._fuse_and_resolve()
         r_init = [UNINIT] * self.n_regs
         for value, reg in self.consts.items():
             r_init[reg] = value
@@ -835,6 +892,7 @@ class _FnCompiler:
             definition.name,
             code,
             pending,
+            carried,
             self.n_regs,
             tuple(r_init),
             ftype,
@@ -850,65 +908,169 @@ class _FnCompiler:
             self.emit((OP_BINDR, var.reg, name, var.size, var.signed, var.is_bool))
 
     def _fuse_and_resolve(self) -> tuple:
-        """The final instruction stream: fused, with labels resolved.
+        """The final instruction stream: read checks dropped, step charges
+        moved, compares fused, labels resolved.
 
         Runs once the code is complete and labels are still symbolic, so no
-        later insertion can land inside a fused group.  A ``STEP`` right
-        before a jump rides on it, and a ``BINOP`` or ``PCMP`` whose result
-        the next ``JZ`` tests becomes one compare-and-branch, with the step
-        charge between them, if any.  Nothing fuses across a label: a jump
-        there must run the rest of the group and must not pay the steps.
+        later insertion can land inside a fused group.  A label that some
+        jump names is *named*; the others mark nothing at run time.
+
+        * An ``RDCHK`` of a register that cannot be indeterminate is dropped
+          (see :meth:`_indeterminate`).
+        * A ``STEP`` moves forward, past register-only instructions
+          (``_REGISTER_ONLY``), dropped checks and labels that no jump
+          names, onto the next jump or ``RET``, which adds it and checks
+          ``max_steps`` before its own test.  Nothing moves across a named
+          label, since a jump there must not pay the steps.  The moved
+          steps join the ``pending`` of each instruction they pass, and its
+          ``carried`` entry for the deferred reads it raises, so a raise
+          there is still weighed against the walker's step count; nothing
+          the moved steps pass can print, call or end the run.
+        * A ``BINOP`` or ``PCMP`` whose result the next ``JZ`` tests becomes
+          one compare-and-branch, unless a named label lies between them.
+
         A label on a group's first instruction names the fused instruction.
-        Returns the stream and its ``pending`` table: a fused jump raises
-        after its charge, and a compare-and-branch before it.
+        Returns the stream, its ``pending`` table and its ``carried`` map.
         """
         code = self.code
         end = len(code)
-        targets = set(self.labels.values())
+        labels = self.labels
+        named = {pc for label, pc in labels.items() if label.named}
+        indeterminate = None  # computed at the first RDCHK
+
+        def dropped(ins: tuple) -> bool:
+            """Whether ``ins`` is an RDCHK that cannot fire."""
+            nonlocal indeterminate
+            if ins[0] != OP_RDCHK:
+                return False
+            if indeterminate is None:
+                indeterminate = self._indeterminate()
+            return ins[1] not in indeterminate
+
+        emitted = self.pending
         fused: list = []
         pending: list = []
+        carried: dict = {}
         new_pc: list = []  # old pc -> fused pc
         jumps: list = []  # the fused pcs of jumps, resolved at the end
+        sink = -1  # where the steps moved so far are charged
+        carry = 0  # the steps moved past the instructions before ``sink``
         pc = 0
         while pc < end:
+            here = len(fused)
+            new_pc.append(here)
             ins = code[pc]
             op = ins[0]
-            new_pc.append(len(fused))
-            pending.append(self.pending[pc])
-            pc += 1
             if op == OP_STEP:
-                if pc < end and code[pc][0] in _JUMPS and pc not in targets:
-                    ins = code[pc] + (ins[1],)
-                    pending[-1] = self.pending[pc]
-                    new_pc.append(len(fused))
-                    pc += 1
-            elif op in _JUMPS:
-                ins += (0,)
-            elif op in _COMPARES:
-                at = pc
-                steps = 0
-                if at < end and code[at][0] == OP_STEP and at not in targets:
-                    steps = code[at][1]
+                at = pc + 1  # the jump or RET this step can ride on, if any
+                while sink < 0 and at < end and at not in named:
+                    kind = code[at][0]
+                    if kind in _SINKS:
+                        sink = at
+                    elif kind not in _REGISTER_ONLY and (
+                        kind != OP_RDCHK or not dropped(code[at])
+                    ):
+                        break
                     at += 1
-                if (
-                    at < end
-                    and code[at][0] == OP_JZ
-                    and code[at][1] == ins[1]
-                    and at not in targets
-                ):
-                    ins = (_COMPARES[op],) + ins[1:] + (steps,) + code[at][2:]
-                    new_pc += [len(fused)] * (at + 1 - pc)
-                    pc = at + 1
+                if sink >= 0:
+                    carry += ins[1]
+                    pc += 1
+                    continue
+            elif op == OP_RDCHK and dropped(ins):
+                pc += 1
+                continue
+            if op in _SINKS:  # ``sink``, or no step is moving
+                pending.append(emitted[pc])
+                ins += (carry,)
+                carry, sink = 0, -1
+            else:
+                pending.append(emitted[pc] + carry)
+                if carry:
+                    carried[here] = carry
+                if op in _COMPARES:
+                    # The JZ testing the result, past step charges (which then
+                    # ride on it) and dropped checks.
+                    at = pc + 1
+                    extra = 0
+                    while at < end and at not in named:
+                        step = code[at]
+                        if step[0] == OP_STEP:
+                            extra += step[1]
+                        elif step[0] != OP_RDCHK or not dropped(step):
+                            break
+                        at += 1
+                    if (
+                        at < end
+                        and at not in named
+                        and code[at][0] == OP_JZ
+                        and code[at][1] == ins[1]
+                    ):
+                        if at == sink:
+                            extra, carry, sink = extra + carry, 0, -1
+                        ins = (_COMPARES[op],) + ins[1:] + (extra,) + code[at][2:]
+                        new_pc += [here] * (at - pc)
+                        pc = at
             if ins[0] in _TARGET_FIELD:
-                jumps.append(len(fused))
+                jumps.append(here)
             fused.append(ins)
+            pc += 1
         new_pc.append(len(fused))
-        labels = {label: new_pc[at] for label, at in self.labels.items()}
+        resolved = {label: new_pc[at] for label, at in labels.items()}
         for at in jumps:
             ins = fused[at]
             field = _TARGET_FIELD[ins[0]]
-            fused[at] = ins[:field] + (labels[ins[field]],) + ins[field + 1 :]
-        return tuple(fused), tuple(pending)
+            fused[at] = ins[:field] + (resolved[ins[field]],) + ins[field + 1 :]
+        return tuple(fused), tuple(pending), carried
+
+    def _indeterminate(self) -> set:
+        """The registers that may hold ``UNINIT`` when an ``RDCHK`` runs.
+
+        ``RDCHK`` exists only while uninitialized reads are checked, and it
+        reads a variable's register (or a scalar compound literal's).  A
+        register holds ``UNINIT`` there only if some path reaches the check
+        before the register's first write, or writes ``UNINIT`` into it:
+
+        * before its first write: a variable declared without an
+          initializer, or read in its own (``unset``).  Scopes and
+          structured control flow put any other declaration's initializer
+          before every read of its variable, and a temporary is written
+          before it is read;
+        * writes of ``UNINIT``: a load from memory (``PLD``: an exempt
+          character type, or bytes that do not make a value), a call's
+          result (a function that falls off its end), a parameter (an
+          argument read through an exempt type), and ``LOADI UNINIT`` (a
+          declaration run again in a loop);
+        * copies: ``MOV``, and a ``CONV`` or ``PCONV`` that does not check
+          its source's read, pass ``UNINIT`` on.  Every other instruction
+          writes a value or raises: arithmetic on an indeterminate operand
+          raises the walker's error, a truth test yields 0 or 1, and a
+          checked conversion raises the source's read.
+
+        So the registers that may be indeterminate are the closure of those
+        sources under unchecked copies; an ``RDCHK`` of any other register
+        never fires.  One pass over the code and one over the copy edges.
+        """
+        found = set(self.unset)
+        copies: dict = {}
+        for ins in self.code:
+            op = ins[0]
+            if op not in _FLOWS:
+                continue
+            if op in _INDETERMINATE_DSTS or (op == OP_LOADI and ins[2] is UNINIT):
+                found.add(ins[1])
+            elif (
+                op == OP_MOV
+                or (op == OP_CONV and ins[4][2] is None)
+                or (op == OP_PCONV and ins[3][3] is None)
+            ):
+                copies.setdefault(ins[2], []).append(ins[1])
+        stack = list(found)
+        while stack:
+            for dst in copies.get(stack.pop(), ()):
+                if dst not in found:
+                    found.add(dst)
+                    stack.append(dst)
+        return found
 
     # -- statements --------------------------------------------------------
 
@@ -1165,9 +1327,13 @@ class _FnCompiler:
             value = self._initializer_value(initializer)
             self.convert_to(value, ctype, decl.line, var.reg)
             self.sim_write(decl.name)
-        if self.loop_stack and (initializer is None or var.reg in self.read_regs):
-            # Run again, the walker's object is fresh, so indeterminate.
-            self._insert(mark, (OP_LOADI, var.reg, UNINIT), pending)
+        if initializer is None or var.reg in self.read_regs:
+            # Read before its first write (`int x = x + 1;` reads it in its
+            # own initializer), so indeterminate there.
+            self.unset.add(var.reg)
+            if self.loop_stack:
+                # Run again, the walker's object is fresh, so indeterminate.
+                self._insert(mark, (OP_LOADI, var.reg, UNINIT), pending)
         self.emit_seqpt()
 
     def _declare_slot(self, decl: c_ast.Declaration, ctype: ct.CType) -> None:
@@ -1302,14 +1468,33 @@ class _FnCompiler:
                 plan,
             )
             self.emit((OP_UNOP, dst, value.reg, plan, slow))
-            return _Value(dst, result_type)
+            return _Value(dst, result_type, fresh=True)
         if op == "*":
             self.pending_steps += 1
             pointer = self.compile_expr(expr.operand)
             return self._emit_load(pointer, self.zero(), expr.line)
         if op == "&":
             return self._compile_address(expr.operand)
+        if op == "sizeof":
+            return self._sizeof_local(expr.operand)
         raise _Unsupported(f"unary operator {op!r}")
+
+    def _sizeof_local(self, operand) -> _Value:
+        """``sizeof name`` of a local or parameter: a constant, the size of
+        its declared type.  The walker charges the sizeof node and looks the
+        operand's type up without evaluating it.  A native local's type is
+        complete; a unit-level name stays on the walker, which binds a
+        global by its first definition, not its last declaration."""
+        var = None
+        if isinstance(operand, c_ast.Identifier):
+            for scope in reversed(self.scopes):
+                var = scope.get(operand.name)
+                if var is not None:
+                    break
+        if not isinstance(var, (_RegVar, _MemVar)):
+            raise _Unsupported("sizeof of an expression")
+        self.pending_steps += 1
+        return _Value(self.const_reg(ct.size_of(var.ctype, self.profile)), ct.ULONG)
 
     def _compile_address(self, operand) -> _Value:
         """``&x`` of a slot, and ``&a[i]`` or ``&p[i]``: the walker's
@@ -1408,7 +1593,7 @@ class _FnCompiler:
         dst = self.new_reg()
         slow = _operands(op, expr.line, left, right)
         self.emit((OP_BINOP, dst, left.reg, right.reg, plan, slow))
-        return _Value(dst, result_type)
+        return _Value(dst, result_type, fresh=True)
 
     def _compile_operands(self, left_node, right_node) -> tuple:
         """Compile two unsequenced operands in the pre-resolved order."""
@@ -1669,7 +1854,8 @@ class _FnCompiler:
             result = self.new_reg()
             slow = _operands(op, line, old, rhs)
             self.emit((OP_BINOP, result, old.reg, rhs.reg, plan, slow))
-            new = self.convert_to(_Value(result, result_type), facts.elem, line)
+            result = _Value(result, result_type, fresh=True)
+            new = self.convert_to(result, facts.elem, line)
         pointer = self.snapshot(pointer, mark)
         self._emit_store(pointer, new, facts, line, target.line)
         return old, new
@@ -1750,7 +1936,8 @@ class _FnCompiler:
         result = self.new_reg()
         slow = _operands(op, expr.line, old, rhs)
         self.emit((OP_BINOP, result, old.reg, rhs.reg, plan, slow))
-        self.convert_to(_Value(result, result_type), var.ctype, expr.line, var.reg)
+        result = _Value(result, result_type, fresh=True)
+        self.convert_to(result, var.ctype, expr.line, var.reg)
         self.sim_write(name)
         return _Value(var.reg, var.ctype.unqualified())
 
@@ -1765,15 +1952,24 @@ class _FnCompiler:
             return self._convert_pointer(value, target, line, False, dst)
         if value.exact:
             self._require_scalar(value)
+        target = target.unqualified()
+        if value.fresh and value.ctype == target:
+            # A BINOP or UNOP result of the type converts to itself: it is
+            # used as it is, or its instruction writes ``dst`` directly.
+            if dst < 0:
+                return _Value(value.reg, target)
+            last = self.code[-1]
+            if last[0] in (OP_BINOP, OP_UNOP) and last[1] == value.reg:
+                self.code[-1] = last[:1] + (dst,) + last[2:]
+                return _Value(dst, target)
         plan = raw_conversion_plan(target, self.profile)
         if plan is None:
             raise _Unsupported("conversion plan unavailable")
         if dst < 0:
             dst = self.new_reg()
-        ctype = value.ctype
-        slow = (target.unqualified(), line, value.read_msg, value.read_line, ctype)
+        slow = (target, line, value.read_msg, value.read_line, value.ctype)
         self.emit((OP_CONV, dst, value.reg, plan, slow))
-        return _Value(dst, target.unqualified())
+        return _Value(dst, target)
 
     def _convert_pointer(
         self, value: _Value, target, line: int, explicit: bool, dst: int = -1

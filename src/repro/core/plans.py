@@ -15,7 +15,10 @@ module:
 * **raw plans** — ``int -> int`` ports of the walker's conversion, binary,
   unary and increment rules built from those facts, with the walker's error
   kinds and messages; the VM runs them on raw ints, and the closures box
-  their results at the call site;
+  their results at the call site.  Each is one closure whose in-range path
+  calls nothing: operand conversion and the result check are inline range
+  tests, and only a value out of range calls the type's ``wrap`` or the
+  one overflow helper (``_checked_result``, ``_checked_shift``);
 * **access plans** — size, alignment and check applicability of a scalar
   load or store, and the readers and writers that replicate
   ``read_lvalue``/``write_lvalue`` with them (identifier bindings included);
@@ -31,7 +34,6 @@ to verdict and step equality.
 
 from __future__ import annotations
 
-import operator
 from typing import Optional
 
 from repro.cfront import ast as c_ast
@@ -148,6 +150,12 @@ class IntBinaryFacts:
         self.line = line
 
 
+#: ``(left type, right type, profile)`` -> the facts of their common type,
+#: or None (process-wide memo of the usual arithmetic conversions).
+_COMMON_FACTS: dict = {}
+_UNKNOWN = object()
+
+
 def int_binary_facts(
     op: str,
     left_type: ct.CType,
@@ -167,11 +175,16 @@ def int_binary_facts(
     ):
         return None
     profile = options.profile
-    try:
-        common = ct.usual_arithmetic_conversions(left_type, right_type, profile)
-    except (TypeError, AssertionError):
-        return None
-    facts = int_type_facts(common, profile)
+    key = (left_type, right_type, profile)
+    facts = _COMMON_FACTS.get(key, _UNKNOWN)
+    if facts is _UNKNOWN:
+        try:
+            common = ct.usual_arithmetic_conversions(left_type, right_type, profile)
+        except (TypeError, AssertionError):
+            common = None
+        facts = None if common is None else int_type_facts(common, profile)
+        if len(_COMMON_FACTS) < 65536:
+            _COMMON_FACTS[key] = facts
     if facts is None:
         return None
     return IntBinaryFacts(op, facts, options.check_arithmetic, line)
@@ -197,15 +210,17 @@ def raw_conversion_plan(target: ct.CType, profile: ct.ImplementationProfile):
 
 def _checked_result(facts: IntTypeFacts, check_arithmetic: bool, line: int):
     """``ExpressionEvaluatorMixin._arith_result`` at ``facts.type`` on raw
-    ints: a result out of range is signed overflow when the type is signed,
-    the check is armed and the operation can overflow; otherwise it wraps."""
+    ints, for an operation that can overflow: a result out of range is
+    signed overflow when the type is signed and the check is armed;
+    otherwise it wraps.  The plans below call it only for a result out of
+    range, so the overflow error has this one source."""
     lo, hi, signed, wrap = facts.lo, facts.hi, facts.signed, facts.wrap
     result_type = facts.type
 
-    def arith_result(value: int, overflow_possible: bool = True) -> int:
+    def arith_result(value: int) -> int:
         if lo <= value <= hi:
             return value
-        if signed and check_arithmetic and overflow_possible:
+        if signed and check_arithmetic:
             raise UndefinedBehaviorError(
                 UBKind.SIGNED_OVERFLOW,
                 f"Signed integer overflow: result {value} does not fit in "
@@ -217,15 +232,42 @@ def _checked_result(facts: IntTypeFacts, check_arithmetic: bool, line: int):
     return arith_result
 
 
-_COMPARISONS = {
-    "<": operator.lt,
-    ">": operator.gt,
-    "<=": operator.le,
-    ">=": operator.ge,
-    "==": operator.eq,
-    "!=": operator.ne,
-}
-_BITWISE = {"&": operator.and_, "|": operator.or_, "^": operator.xor}
+def _checked_shift(
+    is_left: bool, facts: IntTypeFacts, check_arithmetic: bool, line: int
+):
+    """The whole shift rule on raw ints of the common type: conversion of
+    both operands, then the width, sign and overflow checks.  The shift
+    plans call it only off their in-range path."""
+    lo, hi, bits, wrap = facts.lo, facts.hi, facts.bits, facts.wrap
+    signed, common = facts.signed, facts.type
+
+    def shift(a: int, b: int) -> int:
+        a = wrap(a)
+        b = wrap(b)
+        if check_arithmetic and (b < 0 or b >= bits):
+            raise UndefinedBehaviorError(
+                UBKind.SHIFT_TOO_FAR,
+                f"Shift amount {b} is negative or >= width of the type "
+                f"({bits} bits).",
+                line=line,
+            )
+        b = max(0, min(b, bits - 1))
+        if not is_left:
+            return a >> b  # arithmetic right shift, as in the generic rule
+        if check_arithmetic and signed and a < 0:
+            raise UndefinedBehaviorError(
+                UBKind.SHIFT_NEGATIVE, "Left shift of a negative value.", line=line
+            )
+        result = a << b
+        if signed and check_arithmetic and not lo <= result <= hi:
+            raise UndefinedBehaviorError(
+                UBKind.SHIFT_OVERFLOW,
+                f"Left shift of {a} by {b} overflows {common}.",
+                line=line,
+            )
+        return wrap(result)
+
+    return shift
 
 
 def raw_binary_plan(
@@ -240,105 +282,176 @@ def raw_binary_plan(
     Returns ``(plan, result_type)``, where ``plan`` is ``(int, int) -> int``
     (comparisons yield 0/1 of type ``int``), or None when the operand types
     are not planable and the generic checked path decides.
+
+    Each plan is one closure.  It converts its operands to the common type
+    and checks its result with inline range tests, so a value in range
+    costs no further call; only a value out of range calls the type's
+    ``wrap``, ``_checked_result`` or ``_checked_shift``.  Bitwise results and
+    remainders of operands in range are in range, so they are not tested.
     """
     facts = int_binary_facts(op, left_type, right_type, options, line)
     if facts is None:
         return None
     common_facts = facts.common
     common = common_facts.type
-    lo, hi = common_facts.lo, common_facts.hi
-    bits, signed = common_facts.bits, common_facts.signed
-    conv = common_facts.wrap
+    lo, hi, wrap = common_facts.lo, common_facts.hi, common_facts.wrap
+    bits = common_facts.bits
     check_arithmetic = facts.check_arithmetic
-    arith_result = _checked_result(common_facts, check_arithmetic, line)
+    overflow = _checked_result(common_facts, check_arithmetic, line)
 
-    if op in _COMPARISONS:
-        comparator = _COMPARISONS[op]
+    if op == "<":
 
-        def compare(a: int, b: int) -> int:
-            return 1 if comparator(conv(a), conv(b)) else 0
+        def less(a: int, b: int) -> int:
+            a = a if lo <= a <= hi else wrap(a)
+            b = b if lo <= b <= hi else wrap(b)
+            return 1 if a < b else 0
 
-        return compare, ct.INT
+        return less, ct.INT
+    if op == ">":
+
+        def greater(a: int, b: int) -> int:
+            a = a if lo <= a <= hi else wrap(a)
+            b = b if lo <= b <= hi else wrap(b)
+            return 1 if a > b else 0
+
+        return greater, ct.INT
+    if op == "<=":
+
+        def less_equal(a: int, b: int) -> int:
+            a = a if lo <= a <= hi else wrap(a)
+            b = b if lo <= b <= hi else wrap(b)
+            return 1 if a <= b else 0
+
+        return less_equal, ct.INT
+    if op == ">=":
+
+        def greater_equal(a: int, b: int) -> int:
+            a = a if lo <= a <= hi else wrap(a)
+            b = b if lo <= b <= hi else wrap(b)
+            return 1 if a >= b else 0
+
+        return greater_equal, ct.INT
+    if op == "==":
+
+        def equal(a: int, b: int) -> int:
+            a = a if lo <= a <= hi else wrap(a)
+            b = b if lo <= b <= hi else wrap(b)
+            return 1 if a == b else 0
+
+        return equal, ct.INT
+    if op == "!=":
+
+        def not_equal(a: int, b: int) -> int:
+            a = a if lo <= a <= hi else wrap(a)
+            b = b if lo <= b <= hi else wrap(b)
+            return 1 if a != b else 0
+
+        return not_equal, ct.INT
     if op == "+":
 
         def add(a: int, b: int) -> int:
-            return arith_result(conv(a) + conv(b))
+            a = a if lo <= a <= hi else wrap(a)
+            b = b if lo <= b <= hi else wrap(b)
+            value = a + b
+            return value if lo <= value <= hi else overflow(value)
 
         return add, common
     if op == "-":
 
         def sub(a: int, b: int) -> int:
-            return arith_result(conv(a) - conv(b))
+            a = a if lo <= a <= hi else wrap(a)
+            b = b if lo <= b <= hi else wrap(b)
+            value = a - b
+            return value if lo <= value <= hi else overflow(value)
 
         return sub, common
     if op == "*":
 
         def mul(a: int, b: int) -> int:
-            return arith_result(conv(a) * conv(b))
+            a = a if lo <= a <= hi else wrap(a)
+            b = b if lo <= b <= hi else wrap(b)
+            value = a * b
+            return value if lo <= value <= hi else overflow(value)
 
         return mul, common
     if op in ("/", "%"):
-        is_div = op == "/"
 
-        def divmod_(a: int, b: int) -> int:
-            a = conv(a)
-            b = conv(b)
-            if b == 0:
-                if check_arithmetic:
-                    raise UndefinedBehaviorError(
-                        UBKind.DIVISION_BY_ZERO,
-                        "Division or modulus by zero.",
-                        line=line,
-                    )
-                return 0
-            quotient = abs(a) // abs(b)
-            if (a < 0) != (b < 0):
-                quotient = -quotient
-            if is_div:
-                return arith_result(quotient)
-            return arith_result(a - quotient * b)
-
-        return divmod_, common
-    if op in _BITWISE:
-        bitop = _BITWISE[op]
-
-        def bitwise(a: int, b: int) -> int:
-            return arith_result(bitop(conv(a), conv(b)), overflow_possible=False)
-
-        return bitwise, common
-    if op in ("<<", ">>"):
-        is_left = op == "<<"
-
-        def shift(a: int, b: int) -> int:
-            a = conv(a)
-            b = conv(b)
-            if check_arithmetic and (b < 0 or b >= bits):
+        def by_zero() -> int:
+            if check_arithmetic:
                 raise UndefinedBehaviorError(
-                    UBKind.SHIFT_TOO_FAR,
-                    f"Shift amount {b} is negative or >= width of the type "
-                    f"({bits} bits).",
-                    line=line,
+                    UBKind.DIVISION_BY_ZERO, "Division or modulus by zero.", line=line
                 )
-            b = max(0, min(b, bits - 1))
-            if is_left:
-                if check_arithmetic and signed and a < 0:
-                    raise UndefinedBehaviorError(
-                        UBKind.SHIFT_NEGATIVE,
-                        "Left shift of a negative value.",
-                        line=line,
-                    )
-                result = a << b
-                if signed and check_arithmetic and not lo <= result <= hi:
-                    raise UndefinedBehaviorError(
-                        UBKind.SHIFT_OVERFLOW,
-                        f"Left shift of {a} by {b} overflows {common}.",
-                        line=line,
-                    )
-                return arith_result(result, overflow_possible=not signed)
-            # Arithmetic right shift, as in the generic rule.
-            return a >> b
+            return 0
 
-        return shift, common
+        if op == "/":
+
+            def divide(a: int, b: int) -> int:
+                a = a if lo <= a <= hi else wrap(a)
+                b = b if lo <= b <= hi else wrap(b)
+                if b == 0:
+                    return by_zero()
+                value = a // b
+                if value < 0 and value * b != a:
+                    value += 1  # C truncates toward zero
+                return value if lo <= value <= hi else overflow(value)
+
+            return divide, common
+
+        def remainder(a: int, b: int) -> int:
+            a = a if lo <= a <= hi else wrap(a)
+            b = b if lo <= b <= hi else wrap(b)
+            if b == 0:
+                return by_zero()
+            value = a % b
+            if value and (a < 0) != (b < 0):
+                value -= b  # the sign of the dividend, as C's is
+            return value
+
+        return remainder, common
+    if op == "&":
+
+        def bit_and(a: int, b: int) -> int:
+            a = a if lo <= a <= hi else wrap(a)
+            b = b if lo <= b <= hi else wrap(b)
+            return a & b
+
+        return bit_and, common
+    if op == "|":
+
+        def bit_or(a: int, b: int) -> int:
+            a = a if lo <= a <= hi else wrap(a)
+            b = b if lo <= b <= hi else wrap(b)
+            return a | b
+
+        return bit_or, common
+    if op == "^":
+
+        def bit_xor(a: int, b: int) -> int:
+            a = a if lo <= a <= hi else wrap(a)
+            b = b if lo <= b <= hi else wrap(b)
+            return a ^ b
+
+        return bit_xor, common
+    if op == "<<":
+        shift = _checked_shift(True, common_facts, check_arithmetic, line)
+
+        def shift_left(a: int, b: int) -> int:
+            if 0 <= a <= hi and 0 <= b < bits:
+                value = a << b
+                if value <= hi:
+                    return value
+            return shift(a, b)
+
+        return shift_left, common
+    if op == ">>":
+        shift = _checked_shift(False, common_facts, check_arithmetic, line)
+
+        def shift_right(a: int, b: int) -> int:
+            if lo <= a <= hi and 0 <= b < bits:
+                return a >> b
+            return shift(a, b)
+
+        return shift_right, common
     return None
 
 
@@ -353,26 +466,29 @@ def _promoted_facts(
 def raw_unary_plan(op: str, operand_type: ct.CType, options: CheckerOptions, line: int):
     """Unary ``+``/``-``/``~`` on a flat integer operand: promote, operate,
     overflow-check at the promoted type (which the overflow message names).
+    One closure with inline range tests, like the binary plans.
 
     Returns ``(plan, promoted_type)`` or None.
     """
     facts = _promoted_facts(operand_type, options.profile)
     if facts is None:
         return None
-    to_promoted = facts.wrap
+    lo, hi, wrap = facts.lo, facts.hi, facts.wrap
     if op == "+":
-        return to_promoted, facts.type
-    arith_result = _checked_result(facts, options.check_arithmetic, line)
+        return wrap, facts.type
+    overflow = _checked_result(facts, options.check_arithmetic, line)
     if op == "-":
 
         def negate(value: int) -> int:
-            return arith_result(-to_promoted(value))
+            value = -(value if lo <= value <= hi else wrap(value))
+            return value if lo <= value <= hi else overflow(value)
 
         return negate, facts.type
     if op == "~":
 
         def invert(value: int) -> int:
-            return arith_result(~to_promoted(value))
+            value = ~(value if lo <= value <= hi else wrap(value))
+            return value if lo <= value <= hi else overflow(value)
 
         return invert, facts.type
     return None
@@ -380,21 +496,23 @@ def raw_unary_plan(op: str, operand_type: ct.CType, options: CheckerOptions, lin
 
 def raw_incdec_plan(delta: int, var_type: ct.CType, options: CheckerOptions, line: int):
     """``++``/``--`` of a flat integer variable: promote, add ``delta``
-    with the overflow check of the promoted type, convert back."""
+    with the overflow check of the promoted type, convert back.  One
+    closure: a result in the variable's range is returned as it is."""
     profile = options.profile
     facts = _promoted_facts(var_type, profile)
     to_var = raw_conversion_plan(var_type, profile)
     if facts is None or to_var is None:
         return None
-    to_promoted = facts.wrap
-    lo, hi = facts.lo, facts.hi
-    arith_result = _checked_result(facts, options.check_arithmetic, line)
+    var_facts = int_type_facts(var_type, profile)
+    var_lo, var_hi = (var_facts.lo, var_facts.hi) if var_facts else (0, 1)  # _Bool
+    lo, hi, to_promoted = facts.lo, facts.hi, facts.wrap
+    overflow = _checked_result(facts, options.check_arithmetic, line)
 
     def plan(value: int) -> int:
-        result = to_promoted(value) + delta
-        if lo <= result <= hi:
-            return to_var(result)
-        return to_var(arith_result(result))
+        value = (value if lo <= value <= hi else to_promoted(value)) + delta
+        if var_lo <= value <= var_hi:
+            return value
+        return to_var(value if lo <= value <= hi else overflow(value))
 
     return plan
 
@@ -577,6 +695,18 @@ _FOLDABLE_BINARY_OPS = frozenset("+ - * / % << >> & | ^ == != < > <= >=".split()
 
 _FOLDABLE_UNARY_OPS = frozenset("+ - ~ !".split())
 
+#: The node kinds a constant expression is made of.
+_FOLDABLE_NODES = frozenset(
+    (
+        c_ast.IntegerLiteral,
+        c_ast.CharLiteral,
+        c_ast.SizeofType,
+        c_ast.UnaryOp,
+        c_ast.BinaryOp,
+        c_ast.Cast,
+    )
+)
+
 
 class _FoldUB(Exception):
     """A constant expression turned out undefined while folding.
@@ -600,6 +730,8 @@ def _try_fold(expr: c_ast.Expression, folder: _FoldContext) -> Optional[IntValue
     Raises :class:`_FoldUB` when the expression is constant but undefined
     under the folder's options (the UB-on-fold case).
     """
+    if expr.__class__ not in _FOLDABLE_NODES:
+        return None  # an identifier, a call, an assignment, ...
     if isinstance(expr, c_ast.IntegerLiteral):
         return IntValue(expr.value, expr.type or ct.INT)
     if isinstance(expr, c_ast.CharLiteral):

@@ -68,12 +68,18 @@ Design notes
   non-native code in the same program.
 * **Steps** accumulate in a local and are synchronized with
   ``interp._steps`` around every boundary that can observe them (calls,
-  a static local's first run, returns, resource-limit raises).  An
-  undefined-behavior error raised before its block's charge meets the
-  walker's order in :func:`_walker_first`: the VM adds the steps the
-  walker has charged by then (``FnCode.pending`` for the instruction, or
-  the count a deferred read carries), and past ``max_steps`` raises the
-  step limit instead.
+  a static local's first run, returns, resource-limit raises).  Most
+  charges ride on a jump or ``RET`` (its ``steps`` operand): the compiler
+  moves a block's charge past the register-only instructions after it, so
+  a loop iteration pays no ``STEP`` dispatch.  An undefined-behavior error
+  raised before its block's charge meets the walker's order in
+  :func:`_walker_first`: the VM adds the steps the walker has charged by
+  then (``FnCode.pending`` for the instruction, or the count a deferred
+  read carries plus the instruction's ``FnCode.carried``), and past
+  ``max_steps`` raises the step limit instead.
+* **Checked arithmetic** is one call of the operation's plan on the fast
+  path (``ins[4](a, b)``); the plan's range tests are inline, so an
+  overflow check costs no further call until a value leaves its range.
 * **Direct calls** keep every observable part of the interpreter's call:
   the call-site sequence point, ``max_call_depth``, a fresh ``Frame``
   with the next frame id, ``current_function``, the diagnostic's function
@@ -556,20 +562,6 @@ def run_native(interp, program: CompiledProgram, fn: FnCode, args=None):
                         R[ins[1]] = ins[4](a, b)
                     else:
                         R[ins[1]] = _binop_slow(interp, a, b, ins[5], order_mode)
-                elif op == OP_CONV:
-                    value = R[ins[2]]
-                    if value.__class__ is int:
-                        R[ins[1]] = ins[3](value)
-                    else:
-                        R[ins[1]] = _conv_slow(interp, value, ins[4])
-                elif op == OP_STEP:
-                    steps += ins[1]
-                    if steps > max_steps:
-                        interp._steps = steps
-                        raise ResourceLimitError(fn.limit_message)
-                elif op == OP_RDCHK:
-                    if R[ins[1]] is UNINIT:
-                        _raise_read(ins[2], ins[3])
                 elif op == OP_JMP:
                     steps += ins[2]
                     if steps > max_steps:
@@ -623,8 +615,7 @@ def run_native(interp, program: CompiledProgram, fn: FnCode, args=None):
                                 R[ins[1]] = value
                                 continue
                     R[ins[1]] = _pld_slow(interp, pointer, index, ins[7], order_mode)
-            elif op < 16:
-                if op == OP_PADD:
+                elif op == OP_PADD:
                     pointer = R[ins[2]]
                     index = R[ins[3]]
                     if pointer.__class__ is tuple and index.__class__ is int:
@@ -634,7 +625,17 @@ def run_native(interp, program: CompiledProgram, fn: FnCode, args=None):
                             R[ins[1]] = (obj, offset, pointer[2])
                             continue
                     R[ins[1]] = _padd_slow(interp, pointer, index, ins[5], order_mode)
-                elif op == OP_PCMPJZ:
+                elif op == OP_RDCHK:
+                    if R[ins[1]] is UNINIT:
+                        _raise_read(ins[2], ins[3])
+                elif op == OP_CONV:
+                    value = R[ins[2]]
+                    if value.__class__ is int:
+                        R[ins[1]] = ins[3](value)
+                    else:
+                        R[ins[1]] = _conv_slow(interp, value, ins[4])
+            elif op < 16:
+                if op == OP_PCMPJZ:
                     a = R[ins[2]]
                     b = R[ins[3]]
                     if a.__class__ is tuple and b.__class__ is tuple and a[0] is b[0]:
@@ -664,8 +665,16 @@ def run_native(interp, program: CompiledProgram, fn: FnCode, args=None):
                     R[ins[1]] = _pinc_slow(interp, pointer, ins[4])
                     if ins[2] >= 0:
                         R[ins[2]] = pointer
+                elif op == OP_STEP:
+                    steps += ins[1]
+                    if steps > max_steps:
+                        interp._steps = steps
+                        raise ResourceLimitError(fn.limit_message)
                 elif op == OP_RET:
+                    steps += ins[5]
                     interp._steps = steps
+                    if steps > max_steps:
+                        raise ResourceLimitError(fn.limit_message)
                     if ins[1] < 0:
                         return None if args is None else UNINIT
                     value = R[ins[1]]
@@ -881,6 +890,6 @@ def run_native(interp, program: CompiledProgram, fn: FnCode, args=None):
         error = UndefinedBehaviorError(
             UBKind.UNINITIALIZED_READ, read.read[0], line=read.line
         )
-        _walker_first(fn, steps + read.read[1], error)
+        _walker_first(fn, steps + read.read[1] + fn.carried.get(pc - 1, 0), error)
     except UndefinedBehaviorError as error:
         _walker_first(fn, steps + fn.pending[pc - 1], error)

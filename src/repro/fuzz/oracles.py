@@ -191,8 +191,9 @@ def run_oracles(
             signature=signature,
         )
 
-    # The third leg: the compiled VM (per-function bytecode with closure
-    # fallback), held to the same walker facts.
+    # The third leg: the compiled VM (per-function bytecode; a function
+    # outside its native subset runs on the walker), held to the same
+    # walker facts.
     vm_report = vm_tool.run_unit(compiled)
     vm_facts = _verdict_facts(vm_report)
     if vm_facts != walker_facts:

@@ -6,9 +6,15 @@ strategy, footprint pruning, state dedup, fork checkpoints with the replay
 fallback, honest budget semantics, and parallel frontier sharding.
 """
 
+import errno
+import os
+import pathlib
+import signal
+
 import pytest
 
 from repro import Checker, CheckerOptions, OutcomeKind, SearchBudget, UBKind
+from repro.kframework import engine
 from repro.kframework.engine import checkpoint_supported
 from repro.kframework.search import (
     STOP_EXHAUSTED,
@@ -150,6 +156,71 @@ class TestCheckpointing:
         report = Checker().search(SET_DENOM)
         assert report.outcome.kind is OutcomeKind.UNDEFINED
         assert report.search.resumed_executions == 0
+
+    @pytest.mark.skipif(not checkpoint_supported(), reason="no os.fork")
+    @pytest.mark.parametrize("every", [1, 2])
+    def test_fork_at_its_process_limit_falls_back_to_replay(self, monkeypatch, every):
+        # A host at its process limit: every fork, or every second one,
+        # fails with EAGAIN.  Each failed alternative is replayed instead,
+        # so the verdict and the path counts are replay's, and the pipe
+        # ends made for the failed fork are closed, not leaked.
+        real_fork = os.fork
+        calls = 0
+
+        def fork():
+            nonlocal calls
+            calls += 1
+            if calls % every == 0:
+                raise BlockingIOError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+            return real_fork()
+
+        def expire(signum, frame):
+            raise TimeoutError("search with a failing fork did not finish")
+
+        checker = Checker()
+        fds = set(os.listdir("/proc/self/fd"))
+        children = _children()
+        previous = signal.signal(signal.SIGALRM, expire)
+        signal.alarm(60)
+        try:
+            for source in (SET_DENOM, CONVERGING_CHAIN, ORDER_DEPENDENT_CONFLICT):
+                replayed = checker.search(source, checkpoint="replay")
+                monkeypatch.setattr(engine.os, "fork", fork)
+                forked = checker.search(source, checkpoint="fork")
+                monkeypatch.setattr(engine.os, "fork", real_fork)
+                assert verdict(forked) == verdict(replayed), source
+                assert path_counts(forked) == path_counts(replayed), source
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        assert calls >= 6  # every search reached the checkpoint code
+        assert set(os.listdir("/proc/self/fd")) <= fds
+        assert _children() <= children
+
+
+def path_counts(report):
+    summary = report.search.to_dict()
+    return tuple(summary[key] for key in PATH_COUNTS)
+
+
+#: What a search explored, as opposed to how it ran the orders (forked
+#: checkpoints resume where replay runs from main).
+PATH_COUNTS = (
+    "explored",
+    "undefined_paths",
+    "merged_paths",
+    "pruned_orders",
+    "skipped_alternatives",
+    "stop_reason",
+)
+
+
+def _children() -> set:
+    """The pids of this process's live children."""
+    children = set()
+    for task in pathlib.Path("/proc/self/task").iterdir():
+        children.update((task / "children").read_text().split())
+    return children
 
 
 class TestDedupAndPruning:
