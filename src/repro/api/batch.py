@@ -8,7 +8,8 @@ compile cache; with ``jobs>1`` the work fans out over the process-wide warm
 pool (:mod:`repro.service.pool`): long-lived workers that pre-import the
 engine, keep the shared compile cache across batches, receive work as
 chunked tasks (the per-batch configuration is pickled once per chunk, not
-once per program), and take large corpora by file-backed reference.
+once per program, and its options by field values), and take large corpora
+by file-backed reference.
 
 Reports that cross a process boundary are identical to serial reports except
 that the parsed AST (``CheckReport.unit``) is dropped — shipping a full

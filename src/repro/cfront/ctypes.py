@@ -13,7 +13,8 @@ and stripped variants.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
+from operator import attrgetter
 from typing import Optional
 
 
@@ -73,6 +74,21 @@ class ImplementationProfile:
             }
             object.__setattr__(self, "_kind_size_table", table)
         return table
+
+    def __reduce__(self):
+        # A registered profile travels by name and comes back as the
+        # receiver's own object; any other by its field values, without
+        # the size table cached on it.
+        if PROFILES.get(self.name) is self:
+            return (_registered_profile, (self.name,))
+        return (ImplementationProfile, _profile_values(self))
+
+
+_profile_values = attrgetter(*(f.name for f in fields(ImplementationProfile)))
+
+
+def _registered_profile(name: str) -> ImplementationProfile:
+    return PROFILES[name]
 
 
 LP64 = ImplementationProfile(name="lp64")

@@ -141,6 +141,7 @@ from repro.core.plans import (
     _FLAT_INT_TYPES,
     _FoldContext,
     _FoldUB,
+    _fold_error_steps,
     _subtree_step_cost,
     _try_fold,
     access_plan,
@@ -1394,7 +1395,7 @@ class _FnCompiler:
         try:
             folded = _try_fold(expr, self.folder)
         except _FoldUB as fold_error:
-            self.pending_steps += _subtree_step_cost(expr)
+            self.pending_steps += _fold_error_steps(expr, fold_error, self.folder)
             self.flush_steps()
             self.emit((OP_RAISE, fold_error.kind, fold_error.message, fold_error.line))
             return _Value(self.const_reg(0), ct.INT)

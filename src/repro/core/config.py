@@ -11,7 +11,8 @@ class is lost when a technique is disabled.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
+from operator import attrgetter
 
 from repro.cfront.ctypes import ImplementationProfile, LP64
 
@@ -87,6 +88,11 @@ class CheckerOptions:
             raise ValueError(f"unknown evaluation order {self.evaluation_order!r}; "
                              f"expected one of {', '.join(EVALUATION_ORDERS)}")
 
+    def __reduce__(self):
+        # Pickled as its field values (the profile by name when registered),
+        # without the field names a dataclass pickle repeats.
+        return (CheckerOptions, _field_values(self))
+
     def effective_engine(self) -> str:
         """The dynamic-stage engine this configuration selects.
 
@@ -123,3 +129,5 @@ class CheckerOptions:
 
 
 DEFAULT_OPTIONS = CheckerOptions()
+
+_field_values = attrgetter(*(f.name for f in fields(CheckerOptions)))

@@ -66,6 +66,7 @@ from repro.core.plans import (
     _binding_lvalue,
     _FoldContext,
     _FoldUB,
+    _fold_error_steps,
     _read_binding,
     _read_with_plan,
     _subtree_step_cost,
@@ -217,7 +218,7 @@ def _lower_fold_error(expr: c_ast.Expression, fold_error: _FoldUB,
     """
     line = expr.line
     max_steps = L.max_steps
-    step_cost = _subtree_step_cost(expr)
+    step_cost = _fold_error_steps(expr, fold_error, L.folder)
     kind, message, err_line = fold_error.kind, fold_error.message, fold_error.line
 
     def run(interp) -> CValue:

@@ -714,13 +714,15 @@ class _FoldUB(Exception):
     Folding must not report the error at compile time — the expression might
     be dynamically unreachable (``if (0) { int x = 1/0; }`` is a defined
     program) — so the error's identity is captured and re-raised by the
-    engine if execution actually reaches the node.
+    engine if execution actually reaches the node.  ``expr`` is the
+    subexpression whose own operation is undefined.
     """
 
-    def __init__(self, error: UndefinedBehaviorError) -> None:
+    def __init__(self, error: UndefinedBehaviorError, expr: c_ast.Expression) -> None:
         self.kind = error.kind
         self.message = error.message
         self.line = error.line
+        self.expr = expr
         super().__init__(error.message)
 
 
@@ -743,7 +745,8 @@ def _try_fold(expr: c_ast.Expression, folder: _FoldContext) -> Optional[IntValue
             raise _FoldUB(
                 UndefinedBehaviorError(
                     UBKind.INCOMPLETE_TYPE_OBJECT, f"sizeof: {exc}", line=expr.line
-                )
+                ),
+                expr,
             )
     if isinstance(expr, c_ast.UnaryOp) and expr.op in _FOLDABLE_UNARY_OPS:
         operand = _try_fold(expr.operand, folder)
@@ -762,18 +765,26 @@ def _try_fold(expr: c_ast.Expression, folder: _FoldContext) -> Optional[IntValue
                 return folder._arith_result(-promoted.value, promoted.type, line)
             return folder._arith_result(~promoted.value, promoted.type, line)
         except UndefinedBehaviorError as error:
-            raise _FoldUB(error)
+            raise _FoldUB(error, expr)
     if isinstance(expr, c_ast.BinaryOp) and expr.op in _FOLDABLE_BINARY_OPS:
-        left = _try_fold(expr.left, folder)
-        if left is None:
+        # An operand whose fold is undefined stands for the whole expression
+        # only when the other operand is constant too: otherwise each
+        # operand compiles on its own and raises at its own place in the
+        # evaluation order.
+        left, left_ub = _try_fold_operand(expr.left, folder)
+        if left is None and left_ub is None:
             return None
-        right = _try_fold(expr.right, folder)
-        if right is None:
+        right, right_ub = _try_fold_operand(expr.right, folder)
+        if right is None and right_ub is None:
             return None
+        if left_ub is not None or right_ub is not None:
+            if folder.options.evaluation_order == "right-to-left":
+                raise right_ub or left_ub
+            raise left_ub or right_ub
         try:
             result = folder.apply_binary(expr.op, left, right, expr.line)
         except UndefinedBehaviorError as error:
-            raise _FoldUB(error)
+            raise _FoldUB(error, expr)
         except UnsupportedFeatureError:
             return None
         return result if isinstance(result, IntValue) else None
@@ -796,9 +807,45 @@ def _try_fold(expr: c_ast.Expression, folder: _FoldContext) -> Optional[IntValue
                 pointer_registry=folder.pointer_registry,
             )
         except UndefinedBehaviorError as error:
-            raise _FoldUB(error)
+            raise _FoldUB(error, expr)
         return converted if isinstance(converted, IntValue) else None
     return None
+
+
+def _try_fold_operand(
+    expr: c_ast.Expression, folder: _FoldContext
+) -> tuple[Optional[IntValue], Optional[_FoldUB]]:
+    """:func:`_try_fold` of one operand: its value, or the undefined
+    behavior its fold raised (both None when it is not constant)."""
+    try:
+        return _try_fold(expr, folder), None
+    except _FoldUB as error:
+        return None, error
+
+
+def _fold_error_steps(
+    expr: c_ast.Expression, fold_error: _FoldUB, folder: _FoldContext
+) -> int:
+    """Steps the walker charges for evaluating ``expr`` until ``fold_error``.
+
+    It steps once per node it visits, operands in the evaluation order, and
+    raises once the undefined operation (``fold_error.expr``) has evaluated
+    its own operands: the nodes after it are never visited.
+    """
+    if expr is fold_error.expr:
+        return _subtree_step_cost(expr)
+    if isinstance(expr, c_ast.BinaryOp):
+        operands = [expr.left, expr.right]
+        if folder.options.evaluation_order == "right-to-left":
+            operands.reverse()
+    else:
+        operands = [expr.operand]
+    steps = 1
+    for operand in operands:
+        if any(node is fold_error.expr for node in c_ast.walk(operand)):
+            return steps + _fold_error_steps(operand, fold_error, folder)
+        steps += _subtree_step_cost(operand)
+    raise AssertionError("the undefined operation lies outside its expression")
 
 
 def _subtree_step_cost(expr: c_ast.Expression) -> int:

@@ -18,6 +18,13 @@ talks to each worker directly:
   the pipes they have in flight (:class:`InFlight`), keeping every worker
   busy and still returning results in input order.
 
+* **Small chunk messages.**  ``fn`` pickles by name, and a header's
+  :class:`~repro.core.config.CheckerOptions` by its field values, with a
+  registered profile by its name, which the worker resolves to its own
+  profile object.  A task whose result the caller only encodes (the
+  ``serve`` check job's :func:`repro.service.server.check_pair_json`)
+  returns the encoded bytes, which pickle as they are.
+
 * **A LIFO stack of idle workers.**  Idle workers sit on a stack behind one
   lock, and callers that find none idle queue in FIFO order.  Last in,
   first out means that with a single client one worker takes every request

@@ -88,10 +88,27 @@ def frame_too_long() -> ProtocolError:
     return ProtocolError(f"frame exceeds the {MAX_FRAME_BYTES}-byte limit")
 
 
+_ENCODER = json.JSONEncoder(separators=(",", ":"), sort_keys=True)
+
+
+def encode_json(value: Any) -> bytes:
+    """``value`` in the JSON encoding every frame uses (compact, sorted keys)."""
+    return _ENCODER.encode(value).encode("utf-8")
+
+
 def encode_frame(frame: dict[str, Any]) -> bytes:
     """One frame as a newline-terminated JSON line."""
-    line = json.dumps(frame, separators=(",", ":"), sort_keys=True)
-    return (line + "\n").encode("utf-8")
+    return encode_json(frame) + b"\n"
+
+
+def encode_report_frame(job: str, index: int, report_json: bytes) -> bytes:
+    """``encode_frame(report_frame(job, index, report))`` for a report that
+    :func:`encode_json` already encoded: the same bytes, spliced."""
+    return b'{"event":"report","index":%d,"job":%b,"report":%b}\n' % (
+        index,
+        encode_json(job),
+        report_json,
+    )
 
 
 def decode_frame(line: bytes | str) -> dict[str, Any]:
@@ -490,6 +507,8 @@ __all__ = [
     "decode_frame",
     "done_frame",
     "encode_frame",
+    "encode_json",
+    "encode_report_frame",
     "error_frame",
     "frame_too_long",
     "fuzz_request",

@@ -9,6 +9,13 @@ hosts that cannot spawn processes, a thread), so the loop stays free to
 accept connections, interleave frames from any number of concurrent jobs,
 and act on ``cancel`` requests between chunks.
 
+A job writes its frames in as few writes as their order allows: its
+``accepted`` frame rides on its first write and its last chunk's frames on
+its ``done`` write, while each chunk in between is written as it finishes.
+A one-program ``check`` is one write.  Reports arrive already encoded, from
+a ``check`` job's worker (:func:`check_pair_json`) or a search's executor
+thread, so the loop only splices each into its ``report`` frame.
+
 Job semantics match the one-shot CLI exactly — a ``check`` job streams the
 same ``to_dict()`` reports ``kcc-check check --format json`` prints, a
 ``fuzz`` job returns the same campaign result, and both inherit the pooled
@@ -59,6 +66,14 @@ class _Job:
         self.total = total
         self.cancelled = False
         self.task: Optional[asyncio.Task] = None
+        #: Encoded frames that ride on the job's next write: ``accepted``
+        #: rides on its first, the last chunk's frames on ``done``.
+        self.held: list[bytes] = [
+            protocol.encode_frame(protocol.accepted_frame(job_id, op, total))
+        ]
+
+    def hold(self, *frames: dict[str, Any]) -> None:
+        self.held.extend(map(protocol.encode_frame, frames))
 
 
 class _Connection:
@@ -76,10 +91,19 @@ class _Connection:
         self._blocked_since: Optional[float] = None
 
     async def send(self, *frames: dict[str, Any]) -> None:
+        """Frames sent together go out in one write."""
+        await self._write(b"".join(map(protocol.encode_frame, frames)))
+
+    async def flush(self, job: _Job) -> None:
+        """The job's held frames, in one write."""
+        data, job.held = b"".join(job.held), []
+        await self._write(data)
+
+    async def _write(self, data: bytes) -> None:
         # Concurrent job tasks share one stream; the lock keeps each frame
-        # on its own line.  Frames sent together go out in one write.
+        # on its own line.
         async with self._write_lock:
-            self.writer.write(b"".join(map(protocol.encode_frame, frames)))
+            self.writer.write(data)
             self._blocked_since = time.monotonic()
             try:
                 await self.writer.drain()
@@ -96,6 +120,13 @@ class _Connection:
 def _chunk_spans(total: int, size: int) -> Iterator[tuple[int, int]]:
     for start in range(0, total, size):
         yield start, min(start + size, total)
+
+
+def check_pair_json(header: tuple, pair: tuple[str, str]) -> bytes:
+    """Pool worker of a ``check`` job: one program's report, already encoded
+    as the JSON its ``report`` frame carries, so the event loop splices it
+    into the frame (:func:`protocol.encode_report_frame`) as it is."""
+    return protocol.encode_json(check_pair(header, pair).to_dict())
 
 
 class CheckService:
@@ -329,42 +360,41 @@ class CheckService:
         start = time.perf_counter()
         status = protocol.STATUS_OK
         try:
-            await connection.send(protocol.accepted_frame(job.id, job.op, job.total))
             if job.op == "check":
                 await self._job_check(connection, job, request)
             elif job.op == "fuzz":
                 await self._job_fuzz(connection, job, request)
             elif job.op == "unit":
-                await self._job_unit(connection, job, request)
+                await self._job_unit(job, request)
             elif job.op == "campaign":
                 await self._job_campaign(connection, job, request)
             else:
-                await self._job_search(connection, job, request)
+                await self._job_search(job, request)
             if job.cancelled:
                 status = protocol.STATUS_CANCELLED
         except asyncio.CancelledError:
             status = protocol.STATUS_CANCELLED
         except Exception as error:  # the job failed; the connection survives
             status = protocol.STATUS_ERROR
-            with contextlib.suppress(Exception):
-                await connection.send(
-                    protocol.error_frame(
-                        f"{type(error).__name__}: {error}",
-                        code=protocol.ERROR_INTERNAL,
-                        job=job.id,
-                    ),
-                )
+            job.hold(
+                protocol.error_frame(
+                    f"{type(error).__name__}: {error}",
+                    code=protocol.ERROR_INTERNAL,
+                    job=job.id,
+                ),
+            )
         finally:
             connection.jobs.pop(job.id, None)
             self._jobs_completed += 1
+            job.hold(
+                protocol.done_frame(
+                    job.id,
+                    status,
+                    elapsed_seconds=time.perf_counter() - start,
+                ),
+            )
             with contextlib.suppress(Exception):
-                await connection.send(
-                    protocol.done_frame(
-                        job.id,
-                        status,
-                        elapsed_seconds=time.perf_counter() - start,
-                    ),
-                )
+                await connection.flush(job)
 
     async def _run_chunk(self, fn, header: Any, items: Sequence[Any]) -> list:
         """One chunk on a warm worker; a thread when forking is impossible."""
@@ -398,14 +428,14 @@ class CheckService:
         for start, stop in _chunk_spans(len(pairs), CHECK_CHUNK):
             if job.cancelled:
                 return
-            reports = await self._run_chunk(check_pair, header, pairs[start:stop])
-            await connection.send(
-                *(
-                    protocol.report_frame(job.id, start + offset, report.to_dict())
-                    for offset, report in enumerate(reports)
-                ),
-                protocol.progress_frame(job.id, stop, len(pairs)),
+            reports = await self._run_chunk(check_pair_json, header, pairs[start:stop])
+            job.held.extend(
+                protocol.encode_report_frame(job.id, start + offset, report)
+                for offset, report in enumerate(reports)
             )
+            job.hold(protocol.progress_frame(job.id, stop, len(pairs)))
+            if stop < len(pairs):
+                await connection.flush(job)
 
     async def _job_fuzz(
         self,
@@ -434,21 +464,18 @@ class CheckService:
             records.extend(
                 await self._run_chunk(examine_case, header, range(start, stop)),
             )
-            await connection.send(protocol.progress_frame(job.id, stop, config.count))
+            job.hold(protocol.progress_frame(job.id, stop, config.count))
+            if stop < config.count:
+                await connection.flush(job)
         result = finalize_campaign(
             config,
             records,
             options=request["options"],
             elapsed_seconds=time.perf_counter() - started,
         )
-        await connection.send(protocol.result_frame(job.id, result.to_dict()))
+        job.hold(protocol.result_frame(job.id, result.to_dict()))
 
-    async def _job_unit(
-        self,
-        connection: _Connection,
-        job: _Job,
-        request: dict[str, Any],
-    ) -> None:
+    async def _job_unit(self, job: _Job, request: dict[str, Any]) -> None:
         """Execute one campaign work unit — the remote scheduler's primitive."""
         from repro.campaign.workunit import execute_unit
 
@@ -456,7 +483,7 @@ class CheckService:
             return
         header = (request["spec"], request.get("options_dict"))
         results = await self._run_chunk(execute_unit, header, [request["unit"]])
-        await connection.send(
+        job.hold(
             protocol.result_frame(job.id, results[0]),
             protocol.progress_frame(job.id, 1, 1),
         )
@@ -495,28 +522,26 @@ class CheckService:
                 return
             results = await self._run_chunk(execute_unit, header, [unit.to_dict()])
             aggregate.add_unit(results[0])
-            await connection.send(
+            job.hold(
                 protocol.campaign_progress_frame(job.id, aggregate.snapshot()),
                 protocol.progress_frame(job.id, aggregate.units_done, len(units)),
             )
-        await connection.send(protocol.result_frame(job.id, aggregate.to_dict()))
+            if aggregate.units_done < len(units):
+                await connection.flush(job)
+        job.hold(protocol.result_frame(job.id, aggregate.to_dict()))
 
-    async def _job_search(
-        self,
-        connection: _Connection,
-        job: _Job,
-        request: dict[str, Any],
-    ) -> None:
+    async def _job_search(self, job: _Job, request: dict[str, Any]) -> None:
         # A search is one engine invocation; it cannot be chunked, so a
         # cancel lands either before it starts or at its natural end.
         if job.cancelled:
             return
         loop = asyncio.get_running_loop()
-        report = await loop.run_in_executor(None, lambda: _search_blocking(request))
-        await connection.send(
-            protocol.report_frame(job.id, 0, report.to_dict()),
-            protocol.progress_frame(job.id, 1, 1),
+        report = await loop.run_in_executor(
+            None,
+            lambda: protocol.encode_json(_search_blocking(request).to_dict()),
         )
+        job.held.append(protocol.encode_report_frame(job.id, 0, report))
+        job.hold(protocol.progress_frame(job.id, 1, 1))
 
 
 def _search_blocking(request: dict[str, Any]):
@@ -621,5 +646,6 @@ __all__ = [
     "FUZZ_CHUNK",
     "STALL_GRACE_SECONDS",
     "CheckService",
+    "check_pair_json",
     "serve_in_background",
 ]

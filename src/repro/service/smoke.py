@@ -3,9 +3,11 @@
 Starts a real server subprocess on a unix socket, drives a mixed workload —
 concurrent check batches from eight clients, a fuzz campaign, an
 evaluation-order search, a mid-job cancellation — asserts every verdict is
-identical to a direct in-process :class:`repro.api.Checker`, then sends
-SIGTERM and verifies the drain: exit code 0 and an empty process group (no
-orphaned warm-pool workers).
+identical to a direct in-process :class:`repro.api.Checker` and every job's
+frames arrive in protocol order (``accepted`` first, ``done`` last, one
+``progress`` per chunk after the reports it counts), then sends SIGTERM and
+verifies the drain: exit code 0 and an empty process group (no orphaned
+warm-pool workers).
 
 Run it as ``python -m repro.service.smoke``; exits non-zero on any failure.
 """
@@ -22,6 +24,9 @@ import tempfile
 import threading
 import time
 from typing import Optional
+
+from repro.service.client import JobCancelled, ServiceClient
+from repro.service.server import CHECK_CHUNK, FUZZ_CHUNK
 
 CLIENTS = 8
 
@@ -82,37 +87,78 @@ def _wait_for_socket(
     raise RuntimeError("server did not bind its socket in time")
 
 
+class _RecordingClient(ServiceClient):
+    """A client that keeps every frame it reads, for the frame-order check."""
+
+    def __init__(self, endpoint: str) -> None:
+        self.frames: list[dict] = []
+        super().__init__(endpoint)
+
+    def _read_frame(self) -> dict:
+        frame = super()._read_frame()
+        self.frames.append(frame)
+        return frame
+
+    def order_failures(self, job: str, chunk: int, total: int) -> list[str]:
+        """How ``job``'s frames break the protocol order, if they do."""
+        frames = [frame for frame in self.frames if frame.get("job") == job]
+        events = [frame["event"] for frame in frames]
+        failures = []
+        if not events or events[0] != "accepted" or events.count("accepted") != 1:
+            failures.append(f"{job}: accepted is not the one first frame: {events}")
+        if not events or events[-1] != "done" or events.count("done") != 1:
+            failures.append(f"{job}: done is not the one last frame: {events}")
+        progress = [frame["done"] for frame in frames if frame["event"] == "progress"]
+        chunks = [min(chunk * number, total) for number in range(1, len(progress) + 1)]
+        if progress != chunks:
+            failures.append(f"{job}: progress {progress}, not one per chunk {chunks}")
+        if frames and frames[-1].get("status") == "ok" and progress[-1:] != [total]:
+            failures.append(f"{job}: finished without progress {total}/{total}")
+        reports = 0
+        for frame in frames:
+            if frame["event"] == "report":
+                if frame["index"] != reports:
+                    failures.append(f"{job}: report {frame['index']} out of order")
+                reports += 1
+            elif frame["event"] == "progress" and "report" in events:
+                if frame["done"] != reports:
+                    failures.append(
+                        f"{job}: progress {frame['done']} after {reports} reports"
+                    )
+        return failures
+
+
 def _client_workload(
     endpoint: str,
     worker: int,
     expected: list[dict],
     failures: list[str],
 ) -> None:
-    from repro.service.client import ServiceClient
-
     try:
-        with ServiceClient(endpoint) as client:
+        with _RecordingClient(endpoint) as client:
+            job = client.next_job_id()
             if worker == CLIENTS - 1:
-                report = client.search(SEARCH_PROGRAM, budget="paths=16")
+                report = client.search(SEARCH_PROGRAM, budget="paths=16", job=job)
                 if report["outcome"]["kind"] != "undefined":
                     failures.append(f"worker {worker}: search missed the UB")
+                failures.extend(client.order_failures(job, 1, 1))
             elif worker == CLIENTS - 2:
-                result = client.fuzz(seed=3, count=8, inject="mixed")
+                result = client.fuzz(seed=3, count=8, inject="mixed", job=job)
                 if result["cases"] != 8:
                     failures.append(f"worker {worker}: fuzz ran {result['cases']}/8")
+                failures.extend(client.order_failures(job, FUZZ_CHUNK, 8))
             else:
-                reports = client.check(PROGRAMS)
+                reports = client.check(PROGRAMS, job=job)
                 if reports != expected:
                     failures.append(f"worker {worker}: verdicts differ from serial")
+                failures.extend(client.order_failures(job, CHECK_CHUNK, len(PROGRAMS)))
     except Exception as error:
         failures.append(f"worker {worker}: {type(error).__name__}: {error}")
 
 
 def _cancellation_exercise(endpoint: str, failures: list[str]) -> None:
-    from repro.service.client import JobCancelled, ServiceClient
-
     try:
-        with ServiceClient(endpoint) as client:
+        with _RecordingClient(endpoint) as client:
             job = client.next_job_id()
 
             def on_event(frame: dict) -> None:
@@ -126,13 +172,13 @@ def _cancellation_exercise(endpoint: str, failures: list[str]) -> None:
                     failures.append("cancel: job ran to completion anyway")
             else:
                 failures.append("cancel: job was never cancelled")
+            failures.extend(client.order_failures(job, CHECK_CHUNK, len(PROGRAMS) * 10))
     except Exception as error:
         failures.append(f"cancel: {type(error).__name__}: {error}")
 
 
 def main(argv: Optional[list[str]] = None) -> int:
     from repro.api.session import Checker
-    from repro.service.client import ServiceClient
 
     failures: list[str] = []
     expected = [report.to_dict() for report in Checker().check_many(PROGRAMS)]
@@ -182,7 +228,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         return 1
     print(
         f"serve-smoke OK: {CLIENTS} concurrent clients, verdicts identical "
-        "to serial, cancel honored, drained with no orphans",
+        "to serial, frames in order, cancel honored, drained with no orphans",
     )
     return 0
 

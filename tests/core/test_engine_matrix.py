@@ -1820,19 +1820,83 @@ def test_no_native_declaration_runs_the_walker(monkeypatch):
     assert OP_PUSHSC not in [ins[0] for ins in code.functions["main"].code]
 
 
-def test_step_limit_before_undefined_behavior():
+def _assert_limits_agree_up_to_the_undefined_behavior(programs, order):
     # Every limit up to and past the undefined operation: where the walker
-    # charges the steps that reach max_steps before the operation, both
-    # report the step limit, and past it both report the operation.
-    walker = CheckerOptions(engine="walker")
-    compiled = CheckerOptions(engine="compiled")
-    for name in UNDEFINED_DECLARATIONS:
-        source = DECLARATION_PROGRAMS[name]
+    # charges the steps that reach max_steps before the operation, the VM
+    # and the lowered closures report the step limit, and past it all three
+    # report the operation.
+    walker = CheckerOptions(engine="walker", evaluation_order=order)
+    engines = [CheckerOptions(engine=engine, evaluation_order=order)
+               for engine in ("compiled", "lowered")]
+    for name, source in programs.items():
         unit = KccTool(walker).compile_unit(source, filename=name)
         max_steps = 1
         while True:
             expected = _limit_facts(walker, unit, max_steps)
-            assert _limit_facts(compiled, unit, max_steps) == expected, (name, max_steps)
+            for options in engines:
+                assert _limit_facts(options, unit, max_steps) == expected, (
+                    name, options.engine, max_steps)
             if expected[0][0] == "UNDEFINED":
                 break
             max_steps += 1
+
+
+def test_step_limit_before_undefined_behavior():
+    _assert_limits_agree_up_to_the_undefined_behavior(
+        {name: DECLARATION_PROGRAMS[name] for name in UNDEFINED_DECLARATIONS},
+        "left-to-right",
+    )
+
+
+#: Constant operands whose fold is undefined, beside an operand that is not
+#: constant or that is undefined too.  Right to left the walker evaluates
+#: the right operand first, so the folded left operand must not stand for
+#: the whole expression.  Each maps to its diagnostic left to right and
+#: right to left.
+FOLD_PROGRAMS = {
+    "undefined-fold-beside-uninitialized": (
+        "int main(void) { int x; return (2147483647 << 7) + x; }"
+    ),
+    "undefined-fold-beside-calls": """
+int g(int x) { if (x > 0) return x; }
+int main(void) {
+    unsigned char v1 = 3;
+    v1 -= (((0 == 7) * (2147483647 << 7)) & ((g(0) % 1) % g(1)));
+    return v1;
+}
+""",
+    "undefined-folds-on-both-sides": (
+        "int main(void) { return (2147483647 << 7) - (2147483647 << 8); }"
+    ),
+}
+
+FOLD_DIAGNOSTICS = {
+    "undefined-fold-beside-uninitialized": (
+        "Left shift of 2147483647 by 7 overflows int.",
+        "Read of an uninitialized (indeterminate) value of type int.",
+    ),
+    "undefined-fold-beside-calls": (
+        "Left shift of 2147483647 by 7 overflows int.",
+        "Indeterminate value used as left operand of '%'.",
+    ),
+    "undefined-folds-on-both-sides": (
+        "Left shift of 2147483647 by 7 overflows int.",
+        "Left shift of 2147483647 by 8 overflows int.",
+    ),
+}
+
+
+@pytest.mark.parametrize("label", list(POINTER_TOOLS))
+def test_undefined_folds_under_every_ablation(label):
+    assert_native_matrix(FOLD_PROGRAMS, label)
+
+
+@pytest.mark.parametrize("position, order", enumerate(("left-to-right", "right-to-left")))
+def test_undefined_folds_raise_in_evaluation_order(position, order):
+    tool = KccTool(CheckerOptions(evaluation_order=order))
+    for name, source in FOLD_PROGRAMS.items():
+        outcome = tool.check(source, filename=name).outcome
+        assert outcome.kind is OutcomeKind.UNDEFINED, name
+        messages = [diagnostic.message for diagnostic in outcome.diagnostics()]
+        assert messages == [FOLD_DIAGNOSTICS[name][position]], (name, order)
+    _assert_limits_agree_up_to_the_undefined_behavior(FOLD_PROGRAMS, order)

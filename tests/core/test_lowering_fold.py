@@ -12,7 +12,7 @@ import pytest
 from repro.cfront.parser import parse
 from repro.core.config import CheckerOptions
 from repro.core.kcc import KccTool
-from repro.core.plans import _FoldContext, _FoldUB, _try_fold
+from repro.core.plans import _fold_error_steps, _FoldContext, _FoldUB, _try_fold
 from repro.core.values import IntValue
 from repro.errors import OutcomeKind, UBKind
 
@@ -70,6 +70,39 @@ class TestFoldValues:
         with pytest.raises(_FoldUB) as excinfo:
             self.fold("1 / 0")
         assert excinfo.value.kind is UBKind.DIVISION_BY_ZERO
+
+    def test_undefined_operand_beside_one_that_does_not_fold_gives_none(self):
+        # Neither side stands for the whole expression: each operand
+        # compiles on its own and raises at its own place in the order.
+        for order in ("left-to-right", "right-to-left"):
+            folder = _FoldContext(CheckerOptions(evaluation_order=order))
+            for c_expr in (f"({INT_MAX} << 7) + x", f"x + ({INT_MAX} << 7)",
+                           f"-(x * ({INT_MAX} + 1))"):
+                expr = first_expression(
+                    f"int main(void){{ int x = 1; return {c_expr}; }}")
+                assert _try_fold(expr, folder) is None, (order, c_expr)
+
+    @pytest.mark.parametrize("order,count", [("left-to-right", 7),
+                                             ("right-to-left", 8)])
+    def test_undefined_folds_on_both_sides_follow_the_order(self, order, count):
+        folder = _FoldContext(CheckerOptions(evaluation_order=order))
+        expr = first_expression(
+            f"int main(void){{ return ({INT_MAX} << 7) - ({INT_MAX} << 8); }}")
+        with pytest.raises(_FoldUB) as excinfo:
+            _try_fold(expr, folder)
+        assert excinfo.value.message == f"Left shift of {INT_MAX} by {count} overflows int."
+        # The walker stops at the undefined shift: '-', then that shift and
+        # its two literals; the other operand is never visited.
+        assert _fold_error_steps(expr, excinfo.value, folder) == 4
+
+    def test_fold_error_steps_count_the_operands_evaluated_first(self):
+        expr = first_expression(
+            f"int main(void){{ return (1 + 2) * ({INT_MAX} + 1); }}")
+        for order, steps in (("left-to-right", 7), ("right-to-left", 4)):
+            folder = _FoldContext(CheckerOptions(evaluation_order=order))
+            with pytest.raises(_FoldUB) as excinfo:
+                _try_fold(expr, folder)
+            assert _fold_error_steps(expr, excinfo.value, folder) == steps, order
 
     def test_fold_respects_disabled_arithmetic_checks(self):
         relaxed = _FoldContext(CheckerOptions().without(check_arithmetic=False))

@@ -1,7 +1,12 @@
 """Warm worker pool: identity with serial, persistence, failure recovery."""
 
+import pickle
+
 import pytest
 
+from repro.api.batch import check_header
+from repro.cfront import ctypes as ct
+from repro.core.config import DEFAULT_OPTIONS, CheckerOptions
 from repro.service.pool import (
     get_pool,
     pool_stats,
@@ -126,3 +131,57 @@ def test_unpicklable_errors_and_results_arrive_as_runtime_errors():
     # Neither killed a worker.
     assert pool_stats()["replaced"] == replaced
     assert run_staged(_tag, "ok", ["x", "y"], jobs=2) == ["ok:x", "ok:y"]
+
+
+# -- what a chunk message carries ---------------------------------------------
+
+
+def _options_seen(header, item):
+    options = header[0]
+    return options, options.profile is ct.PROFILES[options.profile.name]
+
+
+def test_registered_profiles_pickle_by_name():
+    for profile in ct.PROFILES.values():
+        profile.sizeof_kind("int")  # fills the cached size table
+        data = pickle.dumps(profile, protocol=pickle.HIGHEST_PROTOCOL)
+        assert pickle.loads(data) is profile
+        assert b"_kind_size_table" not in data
+
+
+def test_custom_profiles_pickle_by_value():
+    wide = ct.ImplementationProfile(name="wide-char", char_bits=16, sizeof_pointer=4)
+    assert pickle.loads(pickle.dumps(wide)) == wide
+    # A custom profile that reuses a registered name is not the registered one.
+    impostor = ct.ImplementationProfile(name="lp64", sizeof_int=8, sizeof_long=16)
+    impostor.sizeof_kind("int")
+    back = pickle.loads(pickle.dumps(impostor))
+    assert back == impostor and back is not ct.LP64 and back != ct.LP64
+    assert back.sizeof_kind("int") == 8 and back.sizeof_kind("long") == 16
+    options = pickle.loads(pickle.dumps(CheckerOptions(profile=impostor)))
+    assert options.profile == impostor and options.profile is not ct.LP64
+
+
+def test_options_pickle_by_field_values():
+    options = CheckerOptions(max_steps=12345, evaluation_order="right-to-left",
+                             profile=ct.ILP32)
+    data = pickle.dumps(options, protocol=pickle.HIGHEST_PROTOCOL)
+    assert b"check_memory" not in data
+    back = pickle.loads(data)
+    assert back == options and back.profile is ct.ILP32
+    other = pickle.loads(pickle.dumps(options.without(check_memory=False)))
+    assert other != options and not other.check_memory
+
+
+def test_check_header_pickles_small():
+    header = check_header(DEFAULT_OPTIONS, False, True, None)
+    assert len(pickle.dumps(header, protocol=pickle.HIGHEST_PROTOCOL)) < 256
+
+
+def test_a_warm_worker_gets_its_own_registered_profile_on_every_chunk():
+    pool = get_pool(2)
+    if pool is None:
+        pytest.skip("host cannot spawn worker processes")
+    header = (CheckerOptions(max_steps=777), False, True, None)
+    seen = pool.run_staged(_options_seen, header, list(range(12)), chunksize=1)
+    assert seen == [(header[0], True)] * 12

@@ -38,7 +38,11 @@ from repro.service.pool import (
     run_staged,
     shutdown_pool,
 )
-from repro.service.server import STALL_GRACE_SECONDS, serve_in_background
+from repro.service.server import (
+    STALL_GRACE_SECONDS,
+    check_pair_json,
+    serve_in_background,
+)
 
 pytestmark = pytest.mark.skipif(
     not hasattr(os, "fork"), reason="the warm pool forks its workers"
@@ -55,7 +59,8 @@ PROGRAMS = [
     "int main(void) { int a[2] = {1, 2}; return a[1]; }",
 ]
 
-#: A program whose check kills the worker running it (see _kill_check_pair).
+#: A program whose check kills the worker running it (see _kill_check_pair
+#: and _kill_check_pair_json).
 KILL_PROGRAM = "int main(void) { return 0; } /* KILL */"
 
 SRC = pathlib.Path(__file__).resolve().parents[2] / "src"
@@ -82,6 +87,12 @@ def _kill_check_pair(header, pair):
     if "KILL" in pair[1]:
         os.kill(os.getpid(), signal.SIGKILL)
     return check_pair(header, pair)
+
+
+def _kill_check_pair_json(header, pair):
+    if "KILL" in pair[1]:
+        os.kill(os.getpid(), signal.SIGKILL)
+    return check_pair_json(header, pair)
 
 
 def _slow_check_pair(header, pair):
@@ -219,7 +230,7 @@ def _frames_until_done(reader, job):
 
 def test_killed_worker_fails_one_serve_job(monkeypatch, serial_reports):
     shutdown_pool()
-    monkeypatch.setattr(server_module, "check_pair", _kill_check_pair)
+    monkeypatch.setattr(server_module, "check_pair_json", _kill_check_pair_json)
     with serve_in_background(jobs=2) as endpoint:
         sock, reader, hello = _raw_connection(endpoint)
         assert "replaced" in hello["pool"]

@@ -209,3 +209,30 @@ def test_response_frame_shapes():
     assert (progress["done"], progress["total"]) == (3, 9)
     hello = protocol.hello_frame(version="1.0", pool={"workers": 2})
     assert hello["protocol"] == protocol.PROTOCOL
+
+
+# -- report frames spliced from reports encoded in the worker -----------------
+
+
+@pytest.fixture(scope="module")
+def suite_reports():
+    from repro.api.batch import check_header, check_pair
+    from repro.suites import generate_juliet_suite, generate_undefinedness_suite
+
+    cases = list(generate_undefinedness_suite().cases)
+    cases += list(generate_juliet_suite().cases)
+    header = check_header(DEFAULT_OPTIONS, False, True, None)
+    return [check_pair(header, (case.name, case.source)) for case in cases]
+
+
+def test_spliced_report_frames_equal_encoded_frames(suite_reports):
+    assert len(suite_reports) == 278
+    for index, report in enumerate(suite_reports):
+        data = report.to_dict()
+        encoded = protocol.encode_json(data)
+        for job in ("job-1", 'j"\\é\u2028'):
+            expected = protocol.encode_frame(protocol.report_frame(job, index, data))
+            assert protocol.encode_report_frame(job, index, encoded) == expected, (
+                report.filename,
+                job,
+            )

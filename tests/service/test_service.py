@@ -121,6 +121,68 @@ def test_mid_job_cancellation_stops_between_chunks(endpoint):
         assert client.check([PROGRAMS[0]])[0]["outcome"]["kind"] == "defined"
 
 
+def test_one_program_check_is_one_write(endpoint, expected_reports):
+    # accepted rides on the job's first write and the chunk's frames on
+    # done's: a one-chunk job reaches the client in one recv.
+    sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+    sock.settimeout(60.0)
+    try:
+        sock.connect(endpoint[len("unix:") :])
+        hello = b""
+        while not hello.endswith(b"\n"):
+            hello += sock.recv(65536)
+        assert json.loads(hello)["event"] == "hello"
+        for index, source in enumerate(PROGRAMS):
+            job = f"one-{index}"
+            request = {"op": "check", "id": job,
+                       "sources": [[f"<input:{index}>", source]]}
+            sock.sendall((json.dumps(request) + "\n").encode())
+            data = sock.recv(1 << 20)
+            assert data.endswith(b"\n"), data
+            frames = [json.loads(line) for line in data.splitlines()]
+            assert [frame["event"] for frame in frames] == [
+                "accepted", "report", "progress", "done",
+            ]
+            assert all(frame["job"] == job for frame in frames)
+            assert frames[1]["index"] == 0
+            assert frames[1]["report"] == expected_reports[index]
+            assert (frames[2]["done"], frames[2]["total"]) == (1, 1)
+            assert frames[3]["status"] == "ok"
+    finally:
+        sock.close()
+
+
+def test_multi_chunk_check_frame_order(endpoint, expected_reports):
+    sources = (PROGRAMS * 3)[:12]
+    sock, reader = _raw_connection(endpoint)
+    try:
+        sock.sendall((json.dumps({"op": "check", "id": "twelve",
+                                  "sources": sources}) + "\n").encode())
+        frames = []
+        while not frames or frames[-1]["event"] != "done":
+            frames.append(json.loads(reader.readline()))
+    finally:
+        sock.close()
+    events = [frame["event"] for frame in frames]
+    assert events[0] == "accepted" and frames[0]["total"] == 12
+    assert events[-1] == "done" and frames[-1]["status"] == "ok"
+    assert events.count("accepted") == events.count("done") == 1
+    # One progress per chunk of four, each after the reports it counts.
+    progress = [frame["done"] for frame in frames if frame["event"] == "progress"]
+    assert progress == [4, 8, 12]
+    reported = 0
+    for frame in frames[1:-1]:
+        if frame["event"] == "report":
+            assert frame["index"] == reported
+            expected = expected_reports[reported % len(PROGRAMS)]
+            assert frame["report"] == dict(expected, filename=f"<input:{reported}>")
+            reported += 1
+        else:
+            assert frame == {"event": "progress", "job": "twelve",
+                             "done": reported, "total": 12}
+    assert reported == 12
+
+
 def test_malformed_requests_get_error_frames(endpoint):
     sock, reader = _raw_connection(endpoint)
     try:
