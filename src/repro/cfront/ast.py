@@ -11,7 +11,7 @@ at the offending construct, as kcc's reports do.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Union
+from typing import Iterator, Optional, Union
 
 from repro.cfront.ctypes import CType
 
@@ -335,8 +335,23 @@ def children(node: Node) -> list[Node]:
     return result
 
 
-def walk(node: Node):
-    """Yield ``node`` and all its descendants in preorder."""
-    yield node
-    for child in children(node):
-        yield from walk(child)
+#: ``_CHILD_FIELDS`` back to front, the order ``walk`` pushes children in.
+_CHILD_FIELDS_REVERSED = {cls: names[::-1] for cls, names in _CHILD_FIELDS.items()}
+
+
+def walk(node: Node) -> Iterator[Node]:
+    """Yield ``node`` and all its descendants in preorder: the order of a
+    recursion over :func:`children`, kept on an explicit stack."""
+    stack = [node]
+    push = stack.append
+    while stack:
+        node = stack.pop()
+        yield node
+        for field_name in _CHILD_FIELDS_REVERSED.get(type(node), ()):
+            value = getattr(node, field_name, None)
+            if isinstance(value, Node):
+                push(value)
+            elif isinstance(value, list):
+                for item in reversed(value):
+                    if isinstance(item, Node):
+                        push(item)

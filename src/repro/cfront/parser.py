@@ -22,6 +22,7 @@ semantics must contain extra checks that correct programs never need.
 
 from __future__ import annotations
 
+import operator
 from typing import TYPE_CHECKING, Callable, Optional
 
 from repro.cfront import ast as c_ast
@@ -40,8 +41,9 @@ _TYPE_SPECIFIER_KEYWORDS = frozenset({
 _STORAGE_KEYWORDS = frozenset({"typedef", "extern", "static", "auto", "register"})
 _QUALIFIER_KEYWORDS = frozenset({"const", "volatile", "restrict"})
 _FUNCTION_SPECIFIERS = frozenset({"inline", "_Noreturn"})
+_DECLARATION_KEYWORDS = (_TYPE_SPECIFIER_KEYWORDS | _STORAGE_KEYWORDS | _QUALIFIER_KEYWORDS
+                         | _FUNCTION_SPECIFIERS | {"_Static_assert"})
 
-_ASSIGN_OPS = frozenset({"=", "*=", "/=", "%=", "+=", "-=", "<<=", ">>=", "&=", "^=", "|="})
 
 #: Binary operator precedence, higher binds tighter (C11 6.5.5-6.5.14).  The
 #: expression parser climbs it and the printer parenthesizes by it, so a
@@ -54,6 +56,18 @@ BINARY_PRECEDENCE = {
     "+": 9, "-": 9,
     "*": 10, "/": 10, "%": 10,
 }
+#: Below the binary operators, for ``Parser._parse_assignment``: ``?:``,
+#: then the assignment operators (C11 6.5.15-6.5.16).
+_CONDITIONAL = 0
+_ASSIGNMENT = -1
+_PRECEDENCE = {
+    **BINARY_PRECEDENCE, "?": _CONDITIONAL,
+    **dict.fromkeys(("=", "*=", "/=", "%=", "+=", "-=", "<<=", ">>=", "&=", "^=", "|="),
+                    _ASSIGNMENT),
+}
+_PREFIX_OPERATORS = frozenset({"&", "*", "+", "-", "~", "!"})
+#: Only punctuators are spelled so: a literal's text keeps its quotes.
+_POSTFIX_OPERATORS = frozenset({"[", "(", ".", "->", "++", "--"})
 
 
 class Parser:
@@ -140,7 +154,7 @@ class Parser:
 
     def parse_constant_expression(self) -> c_ast.Expression:
         """Parse the whole token list as one conditional expression."""
-        expr = self._parse_conditional()
+        expr = self._parse_assignment(_CONDITIONAL)
         if not self._at_eof():
             raise self._error(f"unexpected token {self._peek().text!r} after expression")
         return expr
@@ -192,7 +206,7 @@ class Parser:
     def _parse_static_assert(self) -> c_ast.StaticAssert:
         token = self._expect_keyword("_Static_assert")
         self._expect_punct("(")
-        condition = self._parse_conditional()
+        condition = self._parse_assignment(_CONDITIONAL)
         message = ""
         if self._accept_punct(","):
             msg_token = self._next()
@@ -203,13 +217,9 @@ class Parser:
         return c_ast.StaticAssert(line=token.line, condition=condition, message=message)
 
     def _starts_declaration(self) -> bool:
-        token = self._peek()
+        token = self.tokens[self.index]
         if token.kind is TokenKind.KEYWORD:
-            return (token.text in _TYPE_SPECIFIER_KEYWORDS
-                    or token.text in _STORAGE_KEYWORDS
-                    or token.text in _QUALIFIER_KEYWORDS
-                    or token.text in _FUNCTION_SPECIFIERS
-                    or token.text == "_Static_assert")
+            return token.text in _DECLARATION_KEYWORDS
         if token.kind is TokenKind.IDENTIFIER and token.text in self.typedefs:
             # A typedef name only starts a declaration when followed by
             # something that can continue a declarator.
@@ -225,32 +235,37 @@ class Parser:
         volatile = False
         specifiers: list[str] = []
         base_type: Optional[ct.CType] = None
+        tokens = self.tokens
         while True:
-            token = self._peek()
-            if token.kind is TokenKind.KEYWORD and token.text in _STORAGE_KEYWORDS:
-                self._next()
-                if storage is not None and storage != token.text:
-                    raise self._error("multiple storage class specifiers")
-                storage = token.text
-            elif token.kind is TokenKind.KEYWORD and token.text in _QUALIFIER_KEYWORDS:
-                self._next()
-                if token.text == "const":
-                    const = True
-                elif token.text == "volatile":
-                    volatile = True
-            elif token.kind is TokenKind.KEYWORD and token.text in _FUNCTION_SPECIFIERS:
-                self._next()
-            elif token.is_keyword("struct", "union"):
-                base_type = self._parse_struct_or_union_specifier()
-            elif token.is_keyword("enum"):
-                base_type = self._parse_enum_specifier()
-            elif token.kind is TokenKind.KEYWORD and token.text in _TYPE_SPECIFIER_KEYWORDS:
-                self._next()
-                specifiers.append(token.text)
-            elif (token.kind is TokenKind.IDENTIFIER and token.text in self.typedefs
+            token = tokens[self.index]
+            text = token.text
+            if token.kind is TokenKind.KEYWORD:
+                if text == "struct" or text == "union":
+                    base_type = self._parse_struct_or_union_specifier()
+                elif text == "enum":
+                    base_type = self._parse_enum_specifier()
+                elif text in _TYPE_SPECIFIER_KEYWORDS:
+                    self.index += 1
+                    specifiers.append(text)
+                elif text in _STORAGE_KEYWORDS:
+                    self.index += 1
+                    if storage is not None and storage != text:
+                        raise self._error("multiple storage class specifiers")
+                    storage = text
+                elif text in _QUALIFIER_KEYWORDS:
+                    self.index += 1
+                    if text == "const":
+                        const = True
+                    elif text == "volatile":
+                        volatile = True
+                elif text in _FUNCTION_SPECIFIERS:
+                    self.index += 1
+                else:
+                    break
+            elif (token.kind is TokenKind.IDENTIFIER and text in self.typedefs
                   and base_type is None and not specifiers):
-                self._next()
-                base_type = self.typedefs[token.text]
+                self.index += 1
+                base_type = self.typedefs[text]
             else:
                 break
         if base_type is None:
@@ -265,7 +280,6 @@ class Parser:
         if not specifiers:
             # Implicit int (pre-C99 style); we accept it for the test corpus.
             return ct.INT
-        spec = sorted(specifiers)
         counts = {s: specifiers.count(s) for s in set(specifiers)}
         if "void" in counts:
             return ct.VOID
@@ -292,7 +306,8 @@ class Parser:
             return ct.USHORT if unsigned else ct.SHORT
         if "int" in counts or signed or unsigned:
             return ct.UINT if unsigned else ct.INT
-        raise self._error(f"unsupported type specifier combination: {' '.join(spec)}")
+        raise self._error("unsupported type specifier combination: "
+                          + " ".join(sorted(specifiers)))
 
     # -- struct/union/enum -------------------------------------------------
     def _parse_struct_or_union_specifier(self) -> ct.CType:
@@ -331,7 +346,7 @@ class Parser:
                     name, build, _ = self._parse_declarator()
                     full_type = build(base_type)
                 if self._accept_punct(":"):
-                    width_expr = self._parse_conditional()
+                    width_expr = self._parse_assignment(_CONDITIONAL)
                     bit_width = fold_constant(width_expr, self.profile)
                 if name is not None:
                     fields.append(ct.StructField(name=name, type=full_type, bit_width=bit_width))
@@ -352,7 +367,7 @@ class Parser:
                 name_token = self._expect_identifier()
                 value = next_value
                 if self._accept_punct("="):
-                    expr = self._parse_conditional()
+                    expr = self._parse_assignment(_CONDITIONAL)
                     folded = fold_constant(expr, self.profile)
                     if folded is None:
                         raise self._error("enumerator value is not a constant expression")
@@ -385,36 +400,43 @@ class Parser:
         declarator nearest the name, the ones a function definition binds,
         or None if there is no function declarator.
         """
+        tokens = self.tokens
         pointer_layers: list[tuple[bool, bool]] = []
-        while self._peek().is_punct("*"):
-            self._next()
+        while (token := tokens[self.index]).kind is TokenKind.PUNCTUATOR and token.text == "*":
+            self.index += 1
             const = volatile = False
-            while self._peek().kind is TokenKind.KEYWORD and self._peek().text in _QUALIFIER_KEYWORDS:
-                qual = self._next().text
-                const = const or qual == "const"
-                volatile = volatile or qual == "volatile"
+            while ((token := tokens[self.index]).kind is TokenKind.KEYWORD
+                   and token.text in _QUALIFIER_KEYWORDS):
+                self.index += 1
+                const = const or token.text == "const"
+                volatile = volatile or token.text == "volatile"
             pointer_layers.append((const, volatile))
 
         name: Optional[str] = None
         inner: Optional[Callable[[ct.CType], ct.CType]] = None
         param_names: Optional[list[str]] = None
-        if self._peek().is_punct("(") and self._is_nested_declarator():
-            self._next()
+        token = tokens[self.index]
+        if token.kind is TokenKind.IDENTIFIER:
+            self.index += 1
+            name = token.text
+        elif (token.kind is TokenKind.PUNCTUATOR and token.text == "("
+              and self._is_nested_declarator()):
+            self.index += 1
             name, inner, param_names = self._parse_declarator()
             self._expect_punct(")")
-        elif self._peek().kind is TokenKind.IDENTIFIER:
-            name = self._next().text
 
         suffixes: list[tuple] = []
-        while True:
-            if self._accept_punct("["):
+        while (token := tokens[self.index]).kind is TokenKind.PUNCTUATOR:
+            if token.text == "[":
+                self.index += 1
                 if self._accept_punct("]"):
                     suffixes.append(("array", None))
                 else:
-                    size_expr = self._parse_conditional()
+                    size_expr = self._parse_assignment(_CONDITIONAL)
                     self._expect_punct("]")
                     suffixes.append(("array", size_expr))
-            elif self._accept_punct("("):
+            elif token.text == "(":
+                self.index += 1
                 params, variadic, names, has_prototype = self._parse_parameter_list()
                 self._expect_punct(")")
                 suffixes.append(("function", params, variadic, has_prototype))
@@ -506,79 +528,49 @@ class Parser:
     def _parse_compound_statement(self) -> c_ast.Compound:
         start = self._expect_punct("{")
         block = c_ast.Compound(line=start.line)
-        while not self._peek().is_punct("}"):
-            if self._at_eof():
+        tokens = self.tokens
+        while True:
+            token = tokens[self.index]
+            if token.kind is TokenKind.PUNCTUATOR and token.text == "}":
+                self.index += 1
+                return block
+            if token.kind is TokenKind.EOF:
                 raise self._error("unterminated block")
             block.items.extend(self._parse_block_item())
-        self._expect_punct("}")
-        return block
 
     def _parse_block_item(self) -> list[c_ast.Node]:
-        if self._peek().is_keyword("_Static_assert"):
-            return [self._parse_static_assert()]
         if self._starts_declaration():
+            if self.tokens[self.index].text == "_Static_assert":
+                return [self._parse_static_assert()]
             return self._parse_declaration(file_scope=False)
         return [self._parse_statement()]
 
     def _parse_statement(self) -> c_ast.Statement:
-        token = self._peek()
-        if token.is_punct("{"):
-            return self._parse_compound_statement()
-        if token.is_keyword("if"):
-            return self._parse_if()
-        if token.is_keyword("while"):
-            return self._parse_while()
-        if token.is_keyword("do"):
-            return self._parse_do_while()
-        if token.is_keyword("for"):
-            return self._parse_for()
-        if token.is_keyword("return"):
-            self._next()
-            value = None
-            if not self._peek().is_punct(";"):
-                value = self._parse_expression()
-            self._expect_punct(";")
-            return c_ast.Return(line=token.line, value=value)
-        if token.is_keyword("break"):
-            self._next()
-            self._expect_punct(";")
-            return c_ast.Break(line=token.line)
-        if token.is_keyword("continue"):
-            self._next()
-            self._expect_punct(";")
-            return c_ast.Continue(line=token.line)
-        if token.is_keyword("switch"):
-            return self._parse_switch()
-        if token.is_keyword("case"):
-            self._next()
-            expr = self._parse_conditional()
-            self._expect_punct(":")
-            stmt = self._parse_statement()
-            return c_ast.Case(line=token.line, expression=expr, statement=stmt)
-        if token.is_keyword("default"):
-            self._next()
-            self._expect_punct(":")
-            stmt = self._parse_statement()
-            return c_ast.Default(line=token.line, statement=stmt)
-        if token.is_keyword("goto"):
-            self._next()
-            label = self._expect_identifier().text
-            self._expect_punct(";")
-            return c_ast.Goto(line=token.line, label=label)
-        if token.is_punct(";"):
-            self._next()
-            return c_ast.ExpressionStmt(line=token.line, expression=None)
-        if (token.kind is TokenKind.IDENTIFIER and self._peek(1).is_punct(":")):
-            self._next()
-            self._next()
-            stmt = self._parse_statement()
-            return c_ast.Label(line=token.line, name=token.text, statement=stmt)
+        """A statement (C11 6.8): keyword-led ones through ``_STATEMENTS``."""
+        token = self.tokens[self.index]
+        kind = token.kind
+        if kind is TokenKind.KEYWORD:
+            rule = self._STATEMENTS.get(token.text)
+            if rule is not None:
+                return rule(self)
+        elif kind is TokenKind.PUNCTUATOR:
+            if token.text == "{":
+                return self._parse_compound_statement()
+            if token.text == ";":
+                self.index += 1
+                return c_ast.ExpressionStmt(line=token.line, expression=None)
+        elif kind is TokenKind.IDENTIFIER and self._peek(1).is_punct(":"):
+            self.index += 2
+            return c_ast.Label(line=token.line, name=token.text,
+                               statement=self._parse_statement())
         expr = self._parse_expression()
         self._expect_punct(";")
         return c_ast.ExpressionStmt(line=token.line, expression=expr)
 
+    # Each rule below starts at its keyword, which ``_parse_statement`` has
+    # looked up in ``_STATEMENTS``.
     def _parse_if(self) -> c_ast.If:
-        token = self._expect_keyword("if")
+        token = self._next()
         self._expect_punct("(")
         condition = self._parse_expression()
         self._expect_punct(")")
@@ -589,7 +581,7 @@ class Parser:
         return c_ast.If(line=token.line, condition=condition, then=then, otherwise=otherwise)
 
     def _parse_while(self) -> c_ast.While:
-        token = self._expect_keyword("while")
+        token = self._next()
         self._expect_punct("(")
         condition = self._parse_expression()
         self._expect_punct(")")
@@ -597,7 +589,7 @@ class Parser:
         return c_ast.While(line=token.line, condition=condition, body=body)
 
     def _parse_do_while(self) -> c_ast.DoWhile:
-        token = self._expect_keyword("do")
+        token = self._next()
         body = self._parse_statement()
         self._expect_keyword("while")
         self._expect_punct("(")
@@ -607,7 +599,7 @@ class Parser:
         return c_ast.DoWhile(line=token.line, body=body, condition=condition)
 
     def _parse_for(self) -> c_ast.For:
-        token = self._expect_keyword("for")
+        token = self._next()
         self._expect_punct("(")
         init: Optional[object] = None
         if not self._peek().is_punct(";"):
@@ -630,59 +622,93 @@ class Parser:
         return c_ast.For(line=token.line, init=init, condition=condition, step=step, body=body)
 
     def _parse_switch(self) -> c_ast.Switch:
-        token = self._expect_keyword("switch")
+        token = self._next()
         self._expect_punct("(")
         expression = self._parse_expression()
         self._expect_punct(")")
         body = self._parse_statement()
         return c_ast.Switch(line=token.line, expression=expression, body=body)
 
+    def _parse_case(self) -> c_ast.Case:
+        token = self._next()
+        expr = self._parse_assignment(_CONDITIONAL)
+        self._expect_punct(":")
+        return c_ast.Case(line=token.line, expression=expr, statement=self._parse_statement())
+
+    def _parse_default(self) -> c_ast.Default:
+        token = self._next()
+        self._expect_punct(":")
+        return c_ast.Default(line=token.line, statement=self._parse_statement())
+
+    def _parse_return(self) -> c_ast.Return:
+        token = self._next()
+        value = None
+        if not self._peek().is_punct(";"):
+            value = self._parse_expression()
+        self._expect_punct(";")
+        return c_ast.Return(line=token.line, value=value)
+
+    def _parse_break_or_continue(self) -> c_ast.Break | c_ast.Continue:
+        token = self._next()
+        self._expect_punct(";")
+        node = c_ast.Break if token.text == "break" else c_ast.Continue
+        return node(line=token.line)
+
+    def _parse_goto(self) -> c_ast.Goto:
+        token = self._next()
+        label = self._expect_identifier().text
+        self._expect_punct(";")
+        return c_ast.Goto(line=token.line, label=label)
+
+    _STATEMENTS: dict[str, Callable[[Parser], c_ast.Statement]] = {
+        "if": _parse_if, "while": _parse_while, "do": _parse_do_while,
+        "for": _parse_for, "switch": _parse_switch, "case": _parse_case,
+        "default": _parse_default, "return": _parse_return,
+        "break": _parse_break_or_continue, "continue": _parse_break_or_continue,
+        "goto": _parse_goto,
+    }
+
     # ------------------------------------------------------------------
     # Expressions
     # ------------------------------------------------------------------
     def _parse_expression(self) -> c_ast.Expression:
         expr = self._parse_assignment()
-        while self._peek().is_punct(","):
-            token = self._next()
-            rhs = self._parse_assignment()
-            expr = c_ast.Comma(line=token.line, left=expr, right=rhs)
+        tokens = self.tokens
+        while (token := tokens[self.index]).kind is TokenKind.PUNCTUATOR and token.text == ",":
+            self.index += 1
+            expr = c_ast.Comma(line=token.line, left=expr, right=self._parse_assignment())
         return expr
 
-    def _parse_assignment(self) -> c_ast.Expression:
-        left = self._parse_conditional()
-        token = self._peek()
-        if token.kind is TokenKind.PUNCTUATOR and token.text in _ASSIGN_OPS:
-            self._next()
-            value = self._parse_assignment()
-            return c_ast.Assignment(line=token.line, op=token.text, target=left, value=value)
-        return left
+    def _parse_assignment(self, min_precedence: int = _ASSIGNMENT) -> c_ast.Expression:
+        """An assignment expression (C11 6.5.16), by precedence climbing.
 
-    def _parse_conditional(self) -> c_ast.Expression:
-        condition = self._parse_binary()
-        if self._peek().is_punct("?"):
-            token = self._next()
-            then = self._parse_expression()
-            self._expect_punct(":")
-            otherwise = self._parse_conditional()
-            return c_ast.Conditional(line=token.line, condition=condition,
-                                     then=then, otherwise=otherwise)
-        return condition
-
-    def _parse_binary(self, min_precedence: int = 1) -> c_ast.Expression:
-        """Precedence climbing over ``BINARY_PRECEDENCE``, left-associative.
-
-        Only punctuators spell binary operators, so the token's text alone
-        selects its precedence.
+        One loop takes every operator that binds at least ``min_precedence``
+        (``_PRECEDENCE``): the binary operators left-associative, ``?:`` and
+        assignment right-associative.  ``_CONDITIONAL`` asks for a
+        conditional expression (6.5.15), as constant expressions are.  An
+        assignment's target is the whole operand before its operator, an
+        lvalue or not (``a + b = c``).  Only punctuators spell operators, so
+        the token's text alone selects its precedence.
         """
-        expr = self._parse_cast()
+        expr = self._parse_unary()
+        tokens = self.tokens
         while True:
-            token = self.tokens[self.index]
-            precedence = BINARY_PRECEDENCE.get(token.text)
+            token = tokens[self.index]
+            precedence = _PRECEDENCE.get(token.text)
             if precedence is None or precedence < min_precedence:
                 return expr
             self.index += 1
-            rhs = self._parse_binary(precedence + 1)
-            expr = c_ast.BinaryOp(line=token.line, op=token.text, left=expr, right=rhs)
+            if precedence > _CONDITIONAL:
+                expr = c_ast.BinaryOp(line=token.line, op=token.text, left=expr,
+                                      right=self._parse_assignment(precedence + 1))
+            elif precedence == _CONDITIONAL:
+                then = self._parse_expression()
+                self._expect_punct(":")
+                expr = c_ast.Conditional(line=token.line, condition=expr, then=then,
+                                         otherwise=self._parse_assignment(_CONDITIONAL))
+            else:
+                expr = c_ast.Assignment(line=token.line, op=token.text, target=expr,
+                                        value=self._parse_assignment())
 
     def _starts_type_name(self, offset: int = 0) -> bool:
         token = self._peek(offset)
@@ -690,61 +716,99 @@ class Parser:
             return token.text in _TYPE_SPECIFIER_KEYWORDS or token.text in _QUALIFIER_KEYWORDS
         return token.kind is TokenKind.IDENTIFIER and token.text in self.typedefs
 
-    def _parse_cast(self) -> c_ast.Expression:
-        if self._peek().is_punct("(") and self._starts_type_name(1):
-            token = self._next()
-            target_type = self._parse_type_name()
-            self._expect_punct(")")
-            if self._peek().is_punct("{"):
-                # Compound literal: treat as an initializer-list expression
-                # cast to the target type.
-                init = self._parse_initializer()
-                return c_ast.Cast(line=token.line, target_type=target_type, operand=init)
-            operand = self._parse_cast()
-            return c_ast.Cast(line=token.line, target_type=target_type, operand=operand)
-        return self._parse_unary()
-
-    def _parse_unary(self) -> c_ast.Expression:
-        token = self._peek()
-        if token.is_punct("++", "--"):
-            self._next()
-            operand = self._parse_unary()
-            op = "++pre" if token.text == "++" else "--pre"
-            return c_ast.UnaryOp(line=token.line, op=op, operand=operand)
-        if token.is_punct("&", "*", "+", "-", "~", "!"):
-            self._next()
-            operand = self._parse_cast()
-            return c_ast.UnaryOp(line=token.line, op=token.text, operand=operand)
-        if token.is_keyword("sizeof"):
-            self._next()
+    def _parse_unary(self, cast: bool = True) -> c_ast.Expression:
+        """A cast expression (C11 6.5.4), or with ``cast`` False a unary
+        expression (6.5.3): its prefix operators, or its primary expression
+        (6.5.1) and the postfix operators after it (6.5.2).
+        """
+        token = self.tokens[self.index]
+        kind = token.kind
+        text = token.text
+        if kind is TokenKind.IDENTIFIER:
+            self.index += 1
+            value = self.enum_constants.get(text)
+            if value is None:
+                expr = c_ast.Identifier(line=token.line, name=text)
+            else:
+                expr = c_ast.IntegerLiteral(line=token.line, value=value, type=ct.INT)
+        elif kind is TokenKind.INT_CONST:
+            self.index += 1
+            constant = token.value
+            assert isinstance(constant, IntConstant)
+            expr = c_ast.IntegerLiteral(line=token.line, value=constant.value,
+                                        type=self._integer_constant_type(constant))
+        elif kind is TokenKind.PUNCTUATOR:
+            if text == "(":
+                if cast and self._starts_type_name(1):
+                    self.index += 1
+                    target_type = self._parse_type_name()
+                    self._expect_punct(")")
+                    if self._peek().is_punct("{"):
+                        # A compound literal: an initializer list cast to the
+                        # target type.
+                        operand = self._parse_initializer()
+                    else:
+                        operand = self._parse_unary()
+                    return c_ast.Cast(line=token.line, target_type=target_type, operand=operand)
+                self.index += 1
+                expr = self._parse_expression()
+                self._expect_punct(")")
+            elif text == "++" or text == "--":
+                self.index += 1
+                return c_ast.UnaryOp(line=token.line, op=text + "pre",
+                                     operand=self._parse_unary(cast=False))
+            elif text in _PREFIX_OPERATORS:
+                self.index += 1
+                return c_ast.UnaryOp(line=token.line, op=text, operand=self._parse_unary())
+            else:
+                raise self._error(f"unexpected token {text!r} in expression")
+        elif kind is TokenKind.KEYWORD and text == "sizeof":
+            self.index += 1
             if self._peek().is_punct("(") and self._starts_type_name(1):
-                self._next()
+                self.index += 1
                 type_name = self._parse_type_name()
                 self._expect_punct(")")
                 return c_ast.SizeofType(line=token.line, type_name=type_name)
-            operand = self._parse_unary()
-            return c_ast.UnaryOp(line=token.line, op="sizeof", operand=operand)
-        if token.is_keyword("_Alignof"):
-            self._next()
+            return c_ast.UnaryOp(line=token.line, op="sizeof",
+                                 operand=self._parse_unary(cast=False))
+        elif kind is TokenKind.KEYWORD and text == "_Alignof":
+            self.index += 1
             self._expect_punct("(")
             type_name = self._parse_type_name()
             self._expect_punct(")")
-            node = c_ast.SizeofType(line=token.line, type_name=type_name)
-            node.type_name = type_name
-            return node
-        return self._parse_postfix()
+            return c_ast.SizeofType(line=token.line, type_name=type_name)
+        elif kind is TokenKind.STRING:
+            self.index += 1
+            text = str(token.value)
+            # Adjacent string literals concatenate (§6.4.5).
+            while self._peek().kind is TokenKind.STRING:
+                text += str(self._next().value)
+            expr = c_ast.StringLiteral(line=token.line, value=text)
+        elif kind is TokenKind.CHAR_CONST:
+            self.index += 1
+            expr = c_ast.CharLiteral(line=token.line, value=int(token.value))
+        elif kind is TokenKind.FLOAT_CONST:
+            self.index += 1
+            constant = token.value
+            assert isinstance(constant, FloatConstant)
+            ftype = ct.FLOAT if constant.is_float else (
+                ct.LDOUBLE if constant.is_long_double else ct.DOUBLE)
+            expr = c_ast.FloatLiteral(line=token.line, value=constant.value, type=ftype)
+        else:
+            raise self._error(f"unexpected token {text!r} in expression")
 
-    def _parse_postfix(self) -> c_ast.Expression:
-        expr = self._parse_primary()
+        tokens = self.tokens
         while True:
-            token = self._peek()
-            if token.is_punct("["):
-                self._next()
+            token = tokens[self.index]
+            text = token.text
+            if text not in _POSTFIX_OPERATORS:
+                return expr
+            self.index += 1
+            if text == "[":
                 index = self._parse_expression()
                 self._expect_punct("]")
                 expr = c_ast.ArraySubscript(line=token.line, array=expr, index=index)
-            elif token.is_punct("("):
-                self._next()
+            elif text == "(":
                 arguments: list[c_ast.Expression] = []
                 if not self._peek().is_punct(")"):
                     arguments.append(self._parse_assignment())
@@ -752,61 +816,12 @@ class Parser:
                         arguments.append(self._parse_assignment())
                 self._expect_punct(")")
                 expr = c_ast.Call(line=token.line, function=expr, arguments=arguments)
-            elif token.is_punct("."):
-                self._next()
+            elif text == "." or text == "->":
                 member = self._expect_identifier().text
-                expr = c_ast.Member(line=token.line, object=expr, member=member, arrow=False)
-            elif token.is_punct("->"):
-                self._next()
-                member = self._expect_identifier().text
-                expr = c_ast.Member(line=token.line, object=expr, member=member, arrow=True)
-            elif token.is_punct("++"):
-                self._next()
-                expr = c_ast.UnaryOp(line=token.line, op="++post", operand=expr)
-            elif token.is_punct("--"):
-                self._next()
-                expr = c_ast.UnaryOp(line=token.line, op="--post", operand=expr)
+                expr = c_ast.Member(line=token.line, object=expr, member=member,
+                                    arrow=text == "->")
             else:
-                return expr
-
-    def _parse_primary(self) -> c_ast.Expression:
-        token = self._peek()
-        if token.kind is TokenKind.INT_CONST:
-            self._next()
-            constant = token.value
-            assert isinstance(constant, IntConstant)
-            return c_ast.IntegerLiteral(
-                line=token.line, value=constant.value,
-                type=self._integer_constant_type(constant))
-        if token.kind is TokenKind.FLOAT_CONST:
-            self._next()
-            constant = token.value
-            assert isinstance(constant, FloatConstant)
-            ftype = ct.FLOAT if constant.is_float else (
-                ct.LDOUBLE if constant.is_long_double else ct.DOUBLE)
-            return c_ast.FloatLiteral(line=token.line, value=constant.value, type=ftype)
-        if token.kind is TokenKind.CHAR_CONST:
-            self._next()
-            return c_ast.CharLiteral(line=token.line, value=int(token.value))
-        if token.kind is TokenKind.STRING:
-            self._next()
-            text = str(token.value)
-            # Adjacent string literals concatenate (§6.4.5).
-            while self._peek().kind is TokenKind.STRING:
-                text += str(self._next().value)
-            return c_ast.StringLiteral(line=token.line, value=text)
-        if token.kind is TokenKind.IDENTIFIER:
-            self._next()
-            if token.text in self.enum_constants:
-                return c_ast.IntegerLiteral(
-                    line=token.line, value=self.enum_constants[token.text], type=ct.INT)
-            return c_ast.Identifier(line=token.line, name=token.text)
-        if token.is_punct("("):
-            self._next()
-            expr = self._parse_expression()
-            self._expect_punct(")")
-            return expr
-        raise self._error(f"unexpected token {token.text!r} in expression")
+                expr = c_ast.UnaryOp(line=token.line, op=text + "post", operand=expr)
 
     def _integer_constant_type(self, constant: IntConstant) -> ct.CType:
         """Pick the type of an integer constant (§6.4.4.1)."""
@@ -835,42 +850,24 @@ MAX_FOLDED_SHIFT = 4096
 
 def fold_constant(expr: c_ast.Expression,
                   profile: ct.ImplementationProfile = ct.LP64) -> Optional[int]:
-    """Best-effort integer constant folding used at parse/static-check time."""
-    if isinstance(expr, c_ast.IntegerLiteral):
-        return expr.value
-    if isinstance(expr, c_ast.CharLiteral):
+    """Best-effort integer constant folding used at parse/static-check time.
+
+    The static checker folds in its own pass, bottom-up, by the same
+    per-operator rules: :func:`fold_sizeof`, :func:`fold_unary`,
+    :func:`fold_cast` and :func:`fold_binary`.
+    """
+    if isinstance(expr, (c_ast.IntegerLiteral, c_ast.CharLiteral)):
         return expr.value
     if isinstance(expr, c_ast.SizeofType) and expr.type_name is not None:
-        try:
-            return ct.size_of(expr.type_name, profile)
-        except ct.LayoutError:
-            return None
+        return fold_sizeof(expr.type_name, profile)
     if isinstance(expr, c_ast.UnaryOp) and expr.operand is not None:
         inner = fold_constant(expr.operand, profile)
-        if inner is None:
-            return None
-        if expr.op == "-":
-            return -inner
-        if expr.op == "+":
-            return inner
-        if expr.op == "~":
-            return ~inner
-        if expr.op == "!":
-            return 0 if inner else 1
-        return None
+        return None if inner is None else fold_unary(expr.op, inner)
     if isinstance(expr, c_ast.Cast) and expr.operand is not None:
         inner = fold_constant(expr.operand, profile)
         if inner is None or expr.target_type is None:
             return None
-        if expr.target_type.is_integer:
-            if ct.is_signed_type(expr.target_type, profile):
-                bits = ct.integer_bits(expr.target_type, profile)
-                inner &= (1 << bits) - 1
-                if inner >= (1 << (bits - 1)):
-                    inner -= 1 << bits
-                return inner
-            return ct.wrap_unsigned(inner, expr.target_type, profile)
-        return None
+        return fold_cast(expr.target_type, inner, profile)
     if isinstance(expr, c_ast.Conditional):
         cond = fold_constant(expr.condition, profile) if expr.condition else None
         if cond is None:
@@ -882,51 +879,70 @@ def fold_constant(expr: c_ast.Expression,
         right = fold_constant(expr.right, profile)
         if left is None or right is None:
             return None
-        op = expr.op
-        try:
-            if op == "+":
-                return left + right
-            if op == "-":
-                return left - right
-            if op == "*":
-                return left * right
-            if op == "/":
-                if right == 0:
-                    return None
-                return ct.trunc_div(left, right)
-            if op == "%":
-                if right == 0:
-                    return None
-                return left - ct.trunc_div(left, right) * right
-            if op == "<<":
-                return left << right if 0 <= right <= MAX_FOLDED_SHIFT else None
-            if op == ">>":
-                return left >> right if right >= 0 else None
-            if op == "&":
-                return left & right
-            if op == "|":
-                return left | right
-            if op == "^":
-                return left ^ right
-            if op == "==":
-                return int(left == right)
-            if op == "!=":
-                return int(left != right)
-            if op == "<":
-                return int(left < right)
-            if op == ">":
-                return int(left > right)
-            if op == "<=":
-                return int(left <= right)
-            if op == ">=":
-                return int(left >= right)
-            if op == "&&":
-                return int(bool(left) and bool(right))
-            if op == "||":
-                return int(bool(left) or bool(right))
-        except (ValueError, OverflowError):
-            return None
+        return fold_binary(expr.op, left, right)
     return None
+
+
+def fold_sizeof(ctype: ct.CType, profile: ct.ImplementationProfile) -> Optional[int]:
+    try:
+        return ct.size_of(ctype, profile)
+    except ct.LayoutError:
+        return None
+
+
+def fold_unary(op: str, value: int) -> Optional[int]:
+    if op == "-":
+        return -value
+    if op == "+":
+        return value
+    if op == "~":
+        return ~value
+    if op == "!":
+        return 0 if value else 1
+    return None
+
+
+def fold_cast(target_type: ct.CType, value: int,
+              profile: ct.ImplementationProfile) -> Optional[int]:
+    if not target_type.is_integer:
+        return None
+    if ct.is_signed_type(target_type, profile):
+        bits = ct.integer_bits(target_type, profile)
+        value &= (1 << bits) - 1
+        if value >= (1 << (bits - 1)):
+            value -= 1 << bits
+        return value
+    return ct.wrap_unsigned(value, target_type, profile)
+
+
+_BINARY_FOLDS: dict[str, Callable[[int, int], int]] = {
+    "+": operator.add, "-": operator.sub, "*": operator.mul,
+    "&": operator.and_, "|": operator.or_, "^": operator.xor,
+    "==": lambda a, b: int(a == b), "!=": lambda a, b: int(a != b),
+    "<": lambda a, b: int(a < b), ">": lambda a, b: int(a > b),
+    "<=": lambda a, b: int(a <= b), ">=": lambda a, b: int(a >= b),
+    "&&": lambda a, b: int(bool(a) and bool(b)), "||": lambda a, b: int(bool(a) or bool(b)),
+}
+
+
+def fold_binary(op: str, left: int, right: int) -> Optional[int]:
+    """``left op right``, or None where C leaves it undefined or the fold
+    gives up (a zero divisor, a negative shift, a left shift past
+    ``MAX_FOLDED_SHIFT``)."""
+    try:
+        if op == "/" or op == "%":
+            if right == 0:
+                return None
+            quotient = ct.trunc_div(left, right)
+            return quotient if op == "/" else left - quotient * right
+        if op == "<<":
+            return left << right if 0 <= right <= MAX_FOLDED_SHIFT else None
+        if op == ">>":
+            return left >> right if right >= 0 else None
+        fold = _BINARY_FOLDS.get(op)
+        return None if fold is None else fold(left, right)
+    except (ValueError, OverflowError):
+        return None
 
 
 # ---------------------------------------------------------------------------

@@ -67,6 +67,9 @@ class MacroDefinition:
 # the text), or an identifier: what macro expansion looks at.
 _LITERAL_OR_NAME_RE = re.compile(
     r"""(["'])(?:\\.|(?!\1)[^\\])*\1?|[A-Za-z_]\w*""", re.S | re.A)
+# Every name in a text, literals included: a superset of what expansion
+# looks up, so a text none of whose names is a macro expands to itself.
+_NAME_RE = re.compile(r"[A-Za-z_]\w*", re.A)
 _DEFINE_RE = re.compile(
     r"^\s*#\s*define\s+(?P<name>[A-Za-z_][A-Za-z0-9_]*)"
     r"(?P<params>\([^)]*\))?(?P<body>.*)$")
@@ -160,9 +163,9 @@ class Preprocessor:
             return all(frame[0] for frame in cond_stack)
 
         for lineno, line in enumerate(lines, start=1):
-            directive = self._match_directive(line)
+            directive = self._match_directive(line) if "#" in line else None
             if directive is None:
-                if active():
+                if not cond_stack or active():
                     output.append(self._expand_line(line, lineno, filename))
                 else:
                     output.append("")
@@ -273,6 +276,10 @@ class Preprocessor:
     # Macro expansion
     # ------------------------------------------------------------------
     def _expand_line(self, line: str, lineno: int, filename: str) -> str:
+        # One scan and a set test: a line that names no macro, as every line
+        # of a unit without macros, skips the search loop.
+        if not self.macros or self.macros.keys().isdisjoint(_NAME_RE.findall(line)):
+            return line
         return self._expand_text(line, lineno, frozenset())
 
     def _expand_text(self, text: str, lineno: int, active: frozenset[str]) -> str:

@@ -185,9 +185,13 @@ def _warm_worker() -> None:  # pragma: no cover - runs in the worker process
     """Pre-import the modules every task would pull in.
 
     A cold worker used to pay these imports inside its first task; paying
-    them at start keeps task latency flat from the first chunk on.  They
-    run in the worker, not before the fork, so a parent that never needs
-    them (the ``serve`` process) does not hold them.
+    them at start keeps task latency flat from the first chunk on.  A
+    ``serve`` parent already holds the checker's modules before it forks:
+    ``server.py`` imports ``repro.api.batch``, which brings in
+    ``repro.api.session``, ``repro.core.kcc``, ``repro.core.interpreter``
+    and ``repro.kframework.engine``, so in its workers those imports are
+    no-ops.  Only the fuzz modules are left for a ``serve`` worker to load
+    here; a pool started by a process without them loads them all.
     """
     import repro.api.session  # noqa: F401  (SHARED_COMPILE_CACHE lives here)
     import repro.core.interpreter  # noqa: F401

@@ -1,6 +1,9 @@
 """Unit tests for the translation-time (static) undefinedness checks."""
 
-from repro import UBKind
+import pytest
+
+from repro import CheckerOptions, UBKind
+from repro.core.config import ENGINES
 from repro.cfront.parser import parse
 from repro.sema.static_checks import check_translation_unit
 from tests.util import expect_static_error, run_ok
@@ -140,6 +143,41 @@ class TestExpressions:
     def test_constant_overflow_in_expression(self):
         assert UBKind.SIGNED_OVERFLOW in kinds_of(
             "int main(void){ return (2147483647 + 1) > 0; }")
+
+
+class TestUnevaluatedSizeofOperands:
+    """The operand of ``sizeof`` is not evaluated (C11 6.5.3.4:2), so the
+    checks of what evaluating it would do stay silent there."""
+
+    UNEVALUATED = {
+        "division": "int main(void){ return (int)sizeof(1/0) - 4; }",
+        "shift": "int main(void){ return (int)sizeof(1 << 40) - 4; }",
+        "overflow": "int main(void){ return (int)sizeof(2147483647 + 1) - 4; }",
+        "index": "int main(void){ int a[4] = {0}; return (int)sizeof(a[10]) - 4 + a[0]; }",
+    }
+
+    @pytest.mark.parametrize("name", sorted(UNEVALUATED))
+    def test_no_static_violation(self, name):
+        assert kinds_of(self.UNEVALUATED[name]) == []
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    @pytest.mark.parametrize("name", sorted(UNEVALUATED))
+    def test_defined_on_every_engine(self, name, engine):
+        assert run_ok(self.UNEVALUATED[name], CheckerOptions(engine=engine)).exit_code == 0
+
+    def test_evaluated_operands_still_flagged(self):
+        assert UBKind.DIVISION_BY_ZERO in kinds_of(
+            "int main(void){ return (int)sizeof(int) + 1/0; }")
+        assert UBKind.NEGATIVE_ARRAY_INDEX_CONSTANT in kinds_of(
+            "int main(void){ int a[4] = {0}; return (int)sizeof(a) + a[10]; }")
+
+    def test_constraint_checks_still_fire(self):
+        assert UBKind.CONST_VIOLATION in kinds_of(
+            "int main(void){ const int c = 1; return (int)sizeof(c = 2) - 4; }")
+        assert UBKind.VOID_VALUE_USED in kinds_of(
+            "int main(void){ return (int)sizeof((int)(void)0) - 4; }")
+        expect_static_error("int main(void){ const int c = 1; return (int)sizeof(c = 2) - 4; }",
+                            UBKind.CONST_VIOLATION)
 
 
 class TestIntegrationWithTheTool:
