@@ -119,7 +119,8 @@ class UBVerdictProbe(Probe):
     (``family=None`` — checks no profile can disable) always match.  A
     subclass can override :meth:`judge` to re-decide family-enabled events
     with a custom model (the Valgrind probe re-judges memory access checks
-    with its stack-slack rules).
+    with its stack-slack rules).  The first match is the verdict, so the
+    probe is settled from then on.
     """
 
     continue_past_ub = True
@@ -130,6 +131,10 @@ class UBVerdictProbe(Probe):
         #: First matching event, rewritten by :meth:`judge` if applicable.
         self.matched: Optional[tuple[UBKind, str]] = None
         self.end: Optional[RunEnd] = None
+
+    @property
+    def settled(self) -> bool:
+        return self.matched is not None
 
     def on_event(self, event) -> None:
         if self.matched is not None or event.kind != "ub":
@@ -201,7 +206,8 @@ def run_probe_group(tools: Sequence["SemanticsBasedTool"], source: str, *,
                     checker: Optional[Checker] = None) -> list[ToolResult]:
     """Run one observed execution of ``source`` feeding every tool's probe.
 
-    The probes continue past UB, so the execution runs on the walker.
+    The probes continue past UB, so the execution runs on the walker; it
+    stops at the check after which every probe has matched.
 
     Returns one :class:`ToolResult` per tool, in order.  All results carry
     the same ``runtime_seconds`` — the dynamic stage they shared.

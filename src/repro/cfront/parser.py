@@ -79,6 +79,7 @@ class Parser:
         self.index = 0
         self.filename = filename
         self.profile = profile
+        self._constant_types = _constant_type_chains(profile)
         self.typedefs: dict[str, ct.CType] = {}
         self.struct_tags: dict[str, ct.StructType] = {}
         self.union_tags: dict[str, ct.UnionType] = {}
@@ -824,22 +825,47 @@ class Parser:
                 expr = c_ast.UnaryOp(line=token.line, op=text + "post", operand=expr)
 
     def _integer_constant_type(self, constant: IntConstant) -> ct.CType:
-        """Pick the type of an integer constant (§6.4.4.1)."""
-        candidates: list[ct.CType]
-        if constant.unsigned:
-            candidates = [ct.UINT, ct.ULONG, ct.ULLONG]
-        elif constant.base != 10:
-            candidates = [ct.INT, ct.UINT, ct.LONG, ct.ULONG, ct.LLONG, ct.ULLONG]
-        else:
-            candidates = [ct.INT, ct.LONG, ct.LLONG]
-        if constant.long_long:
-            candidates = [c for c in candidates if isinstance(c, ct.IntType) and c.rank >= 5]
-        elif constant.long:
-            candidates = [c for c in candidates if isinstance(c, ct.IntType) and c.rank >= 4]
-        for candidate in candidates:
-            if ct.fits_in(constant.value, candidate, self.profile):
-                return candidate
-        return candidates[-1] if candidates else ct.ULLONG
+        """Pick the type of an integer constant (§6.4.4.1:5): the first of
+        its candidate types that can represent its value, else the last."""
+        chain = self._constant_types[
+            constant.unsigned, constant.base == 10,
+            2 if constant.long_long else 1 if constant.long else 0]
+        value = constant.value
+        for largest, ctype in chain:
+            if value <= largest:
+                return ctype
+        return ctype
+
+
+#: ``_constant_type_chains(profile)``'s tables, one per profile.
+_CONSTANT_TYPE_CHAINS: dict[ct.ImplementationProfile, dict[tuple, tuple]] = {}
+
+
+def _constant_type_chains(profile: ct.ImplementationProfile) -> dict[tuple, tuple]:
+    """The candidate types of an integer constant (C11 6.4.4.1:5) under
+    ``profile``, each with the largest value it represents, keyed by
+    ``(unsigned suffix, decimal, length suffix: 0, 1 for l or 2 for ll)``.
+
+    A constant's value is never negative, so its largest value alone
+    decides whether a candidate type represents it.
+    """
+    chains = _CONSTANT_TYPE_CHAINS.get(profile)
+    if chains is None:
+        chains = {}
+        for unsigned in (False, True):
+            for decimal in (False, True):
+                if unsigned:
+                    candidates = (ct.UINT, ct.ULONG, ct.ULLONG)
+                elif decimal:
+                    candidates = (ct.INT, ct.LONG, ct.LLONG)
+                else:
+                    candidates = (ct.INT, ct.UINT, ct.LONG, ct.ULONG, ct.LLONG, ct.ULLONG)
+                for length, least_rank in enumerate((0, 4, 5)):
+                    chains[unsigned, decimal, length] = tuple(
+                        (ct.integer_range(ctype, profile)[1], ctype)
+                        for ctype in candidates if ctype.rank >= least_rank)
+        _CONSTANT_TYPE_CHAINS[profile] = chains
+    return chains
 
 
 #: ``fold_constant`` gives up on a left shift by more than this: far beyond

@@ -2158,6 +2158,8 @@ def compile_unit_bytecode(
             fallbacks[definition.name] = str(reason)
         except _FoldUB as fold_error:
             fallbacks[definition.name] = f"constant folding: {fold_error.message}"
+        except RecursionError:
+            fallbacks[definition.name] = "nests too deeply to compile"
     for fn in functions.values():
         fn.code = tuple(
             _link_call(ins, functions, options.profile) if ins[0] == OP_CALL else ins

@@ -25,7 +25,7 @@ from repro.cfront import ast as c_ast
 from repro.cfront import ctypes as ct
 from repro.cfront.parser import parse_unit
 from repro.core.config import CheckerOptions, DEFAULT_OPTIONS
-from repro.core.interpreter import ExecutionResult, Interpreter
+from repro.core.interpreter import ExecutionResult, Interpreter, _cover_call_depth
 from repro.errors import (
     CParseError,
     Diagnostic,
@@ -225,22 +225,30 @@ class KccTool:
         on the implementation profile), so one compiled unit can be shared by
         tools that honor them and tools that do not; :meth:`run_unit` decides
         whether they count, according to ``run_static_checks``.
+
+        The parser and the static checks recurse once per nesting level.
+        They run under the recursion limit a default run covers, whatever
+        this checker's ``max_call_depth`` and whatever the process ran
+        before, and a program that nests too deeply for it is a parse
+        error, not an exception.
         """
         compiled = CompiledUnit(source=source, filename=filename,
                                 hash=content_hash(source),
                                 profile_name=self.options.profile.name,
                                 profile=self.options.profile)
+        _cover_call_depth(DEFAULT_OPTIONS.max_call_depth)
         try:
-            compiled.unit, prelude = parse_unit(source, filename=filename,
-                                                profile=self.options.profile)
+            unit, prelude = parse_unit(source, filename=filename,
+                                       profile=self.options.profile)
+            violations = check_translation_unit(unit, self.options.profile, prelude)
         except CParseError as error:
             compiled.parse_error = str(error)
-            return compiled
         except UnsupportedFeatureError as error:
             compiled.parse_error = f"unsupported feature: {error}"
-            return compiled
-        compiled.static_violations = check_translation_unit(
-            compiled.unit, self.options.profile, prelude)
+        except RecursionError:
+            compiled.parse_error = "the program nests too deeply to translate"
+        else:
+            compiled.unit, compiled.static_violations = unit, violations
         return compiled
 
     # ------------------------------------------------------------------
@@ -259,9 +267,13 @@ class KccTool:
         ``continue_past_ub``, the run switches to *observed* mode: gated
         undefinedness checks record events and execution continues with the
         check-disabled semantics, so one execution can feed several
-        detection profiles (the outcome still reports the first check this
-        checker's own options would have stopped at, though ``stdout`` may
-        then include output from past that point).
+        detection profiles.  The run stops at the recorded check after
+        which every probe is settled (:attr:`repro.events.Probe.settled`):
+        the probes then get ``RunEnd("undefined")`` and no further event.
+        Whether the run stops there, at a terminal check, at a resource
+        limit or at its end, the outcome reports the first check this
+        checker's own options would have stopped at; ``stdout`` includes
+        any output from past that point.
 
         A run whose probes subscribe to events, observed runs included,
         goes to the walker whatever ``engine`` says; probes that subscribe
@@ -361,13 +373,20 @@ class KccTool:
             with observed_execution(recorder):
                 result = interpreter.run(argv)
         except UndefinedBehaviorError as error:
-            # Terminal: an ungated check (or, without a recorder, any check)
-            # stopped the run.  Deliver it to the probes as a final event —
-            # every detection profile reports ungated checks.
+            # Either every probe settled at a recorded check (the probes
+            # have seen it), or a terminal check stopped the run: an
+            # ungated one or, without a recorder, any.  A terminal error
+            # goes to the probes as a final event — every detection
+            # profile reports ungated checks.
             if probe_set is not None:
-                probe_set.emit(UBEvent(error.kind, error.message, error.line,
-                                       error.function, family=None))
+                if recorder is None or not recorder.stopped:
+                    probe_set.emit(UBEvent(error.kind, error.message, error.line,
+                                           error.function, family=None))
                 probe_set.finish(RunEnd("undefined", error=error))
+            if recorder is not None and recorder.first_error is not None:
+                # A strict run of these options would have stopped at the
+                # first recorded check, before this one.
+                error = recorder.first_error
             outcome = Outcome(kind=OutcomeKind.UNDEFINED, error=error,
                               stdout=interpreter.stdout)
             return outcome, None

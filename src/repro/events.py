@@ -22,7 +22,11 @@ Three pieces live here:
   ``check_* = False`` ablation uses.  That is what lets one execution serve
   tools with different detection profiles: each probe decides which fired
   checks *its* model would have reported, while the trajectory is the one
-  every profile shares;
+  every profile shares.  A verdict, once reached, is final: when every
+  probe of the run is :attr:`Probe.settled` after a recorded check, there
+  is nothing left to observe, so the funnel raises there exactly as a
+  strict run would, and the probes' ``finish`` receives
+  ``RunEnd("undefined")`` with that check's error and no further event;
 * :class:`TraceRecorderProbe` / :class:`ExecutionTrace`: a probe that turns
   a run into a replayable JSON trace for post-hoc querying.
 
@@ -309,11 +313,20 @@ class Probe:
     lets several detection profiles share one execution.  Passive probes
     (tracing, profiling, coverage) leave it ``False`` so the engine's
     verdict — and its report — are byte-identical to an unprobed run.
+
+    An observed run stops at the recorded check after which every probe
+    is :attr:`settled`, as a strict run stops at its first check: no
+    further event is delivered, and :meth:`finish` receives
+    ``RunEnd("undefined")`` carrying that check's error.  A probe that
+    never settles (the default) keeps the run going to its end.
     """
 
     name = "probe"
     #: Whether this probe needs execution to continue past gated checks.
     continue_past_ub = False
+    #: Whether this probe's verdict is final, so that nothing later in the
+    #: run can change it; a subclass that reaches one overrides this.
+    settled = False
     #: Event kinds this probe wants (a tuple of ``Event.kind`` strings), or
     #: None for everything.  Subscription is pay-per-use: kinds outside the
     #: set are never delivered to :meth:`on_event`, and a probe subscribing
@@ -382,6 +395,11 @@ class ProbeSet:
         return any(getattr(probe, "continue_past_ub", False)
                    for probe in self.probes)
 
+    @property
+    def settled(self) -> bool:
+        """Whether every probe's verdict is final."""
+        return all(getattr(probe, "settled", False) for probe in self.probes)
+
 
 # ---------------------------------------------------------------------------
 # The undefinedness funnel (strict raise vs observed record-and-continue)
@@ -400,14 +418,15 @@ def report_undefined(error: UndefinedBehaviorError, family: Optional[str], *,
     seed semantics.  Observed mode: records a :class:`UBEvent` and returns,
     and the caller **must** fall through to the behavior the corresponding
     ``check_* = False`` ablation exhibits (that fallthrough is what keeps
-    the shared trajectory equal to every individual profile's trajectory).
-    Ungated checks pass ``family=None`` and always raise: they are terminal
-    for every detection profile.
+    the shared trajectory equal to every individual profile's trajectory);
+    once the record leaves every probe settled, it raises as strict mode
+    does.  Ungated checks pass ``family=None`` and always raise: they are
+    terminal for every detection profile.
     """
     sink = _UB_SINK.get()
     if sink is not None and family is not None:
-        sink.record(error, family, check, data)
-        return
+        if not sink.record(error, family, check, data):
+            return
     raise error
 
 
@@ -430,18 +449,21 @@ class UBRecorder:
     ``first_error`` keeps the first recorded error; because a check only
     runs when its ``check_*`` flag is enabled, the first recorded event is
     exactly where a strict run of the same options would have stopped, so
-    the engine's own verdict is preserved under observation.
+    the engine's own verdict is preserved under observation.  ``stopped``
+    turns True when a record leaves every probe settled, which ends the run.
     """
 
-    __slots__ = ("interp", "events", "first_error")
+    __slots__ = ("interp", "events", "first_error", "stopped")
 
     def __init__(self, interp, events: ProbeSet) -> None:
         self.interp = interp
         self.events = events
         self.first_error: Optional[UndefinedBehaviorError] = None
+        self.stopped = False
 
     def record(self, error: UndefinedBehaviorError, family: Optional[str],
-               check: Optional[str], data: Optional[dict[str, Any]]) -> None:
+               check: Optional[str], data: Optional[dict[str, Any]]) -> bool:
+        """Record a fired gated check; return whether the run stops here."""
         interp = self.interp
         if error.function is None:
             error.function = interp.current_function
@@ -451,6 +473,8 @@ class UBRecorder:
             self.first_error = error
         self.events.emit(UBEvent(error.kind, error.message, error.line,
                                  error.function, family, check, data))
+        self.stopped = self.events.settled
+        return self.stopped
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,9 @@ hard invariant of the system:
 * ``strict-observed`` — an observed run (a ``continue_past_ub`` probe
   attached, so it runs on the walker) must reach the same verdict as the
   closures' strict run, and the probe's own first-matched event must agree
-  with it;
+  with it.  The probe is settled once it matches, so the run stops at that
+  check as the strict run does; continuation past a check is held to the
+  strict verdict by ``tests/core/test_observed_runs.py`` instead;
 * ``ablation`` — disabling the planted defect's check family must
   *un-detect* it (the planted kinds disappear from the verdict), pinning
   the check-to-family wiring;

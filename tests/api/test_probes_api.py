@@ -1,8 +1,11 @@
 """The instrumentation surface of the public API: Checker.run(probes=...),
 check_many(probe_factory=...), and writing custom probes."""
 
+from repro.analyzers.base import UBVerdictProbe
+from repro.analyzers.valgrind_like import VALGRIND_OPTIONS, ValgrindProbe
 from repro.api import Checker
-from repro.core.config import CheckerOptions
+from repro.core.config import CheckerOptions, DEFAULT_OPTIONS
+from repro.core.kcc import KccTool
 from repro.errors import OutcomeKind
 from repro.events import (
     BranchEvent,
@@ -100,6 +103,133 @@ class TestCheckerRunProbes:
         # walker: the same events, and neither faster engine was built.
         assert a.trace.events == b.trace.events
         assert compiled._lowered == {} and compiled._bytecode == {}
+
+
+#: Two gated checks with output before, between and after them.
+TWO_CHECKS = """
+#include <stdio.h>
+int main(void){
+    int d = 0;
+    printf("before\\n");
+    int a = 5 / d;            /* gated: arithmetic */
+    printf("between\\n");
+    int x = 2147483647;
+    int b = (x + 1) < x;      /* gated: arithmetic */
+    printf("after\\n");
+    return a + b;
+}
+"""
+
+
+class UBCollector(Probe):
+    """Records every ``ub`` event and how the run ended; never settles."""
+
+    continue_past_ub = True
+
+    def __init__(self):
+        self.seen = []
+        self.end = None
+
+    def on_event(self, event):
+        if isinstance(event, UBEvent):
+            self.seen.append((event.ub_kind.name, event.family))
+
+    def finish(self, end):
+        self.end = end
+
+
+class SettlesOnFirstUB(UBCollector):
+    @property
+    def settled(self):
+        return bool(self.seen)
+
+
+def _observe(source, probes, options=DEFAULT_OPTIONS):
+    tool = KccTool(options.without(engine="walker"))
+    compiled = tool.compile_unit(source)
+    return tool.run_unit(compiled), tool.run_unit(compiled, probes=probes)
+
+
+class TestSettledProbes:
+    """An observed run stops at the check after which every probe's
+    verdict is final, exactly where a strict run stops."""
+
+    def test_probes_are_unsettled_by_default_and_a_verdict_probe_settles_on_its_match(self):
+        assert Probe.settled is False and TraceRecorderProbe().settled is False
+        probe = UBVerdictProbe("kcc", DEFAULT_OPTIONS)
+        assert not probe.settled
+        _observe(TWO_CHECKS, [probe])
+        assert probe.matched[0].name == "DIVISION_BY_ZERO" and probe.settled
+
+    def test_the_run_stops_once_every_probe_is_settled(self):
+        strict, observed = _observe(TWO_CHECKS, [UBVerdictProbe("kcc", DEFAULT_OPTIONS)])
+        assert observed.to_dict() == strict.to_dict()
+        assert observed.outcome.stdout == "before\n"
+
+    def test_settled_probes_get_no_second_event_and_an_undefined_end(self):
+        probe = SettlesOnFirstUB()
+        _strict, observed = _observe(TWO_CHECKS, [probe])
+        assert probe.seen == [("DIVISION_BY_ZERO", "arithmetic")]
+        assert probe.end.status == "undefined"
+        assert probe.end.error.kind.name == "DIVISION_BY_ZERO"
+        assert observed.outcome.error.kind.name == "DIVISION_BY_ZERO"
+
+    def test_one_unsettled_probe_keeps_the_run_going(self):
+        verdict, collector = UBVerdictProbe("kcc", DEFAULT_OPTIONS), UBCollector()
+        strict, observed = _observe(TWO_CHECKS, [verdict, collector])
+        assert collector.seen == [("DIVISION_BY_ZERO", "arithmetic"),
+                                  ("SIGNED_OVERFLOW", "arithmetic")]
+        assert collector.end.status == "defined"
+        assert verdict.matched[0].name == "DIVISION_BY_ZERO"
+        assert observed.outcome.error.kind.name == "DIVISION_BY_ZERO"
+        assert observed.outcome.stdout == "before\nbetween\nafter\n"
+        assert strict.outcome.stdout == "before\n"
+
+    def test_a_valgrind_probe_that_ignores_the_first_check_keeps_the_run_going(self):
+        source = """
+        #include <stdio.h>
+        #include <stdlib.h>
+        int main(void){
+            int x = 2147483647;
+            x = x + 1;                 /* kcc reports it; valgrind does not */
+            printf("between\\n");
+            int *p = malloc(sizeof(int));
+            p[1] = 0;                  /* valgrind reports it */
+            printf("after\\n");
+            return 0;
+        }
+        """
+        kcc = UBVerdictProbe("kcc", DEFAULT_OPTIONS)
+        valgrind = ValgrindProbe("valgrind", VALGRIND_OPTIONS)
+        _strict, observed = _observe(source, [kcc, valgrind])
+        assert kcc.matched[0].name == "SIGNED_OVERFLOW"
+        assert valgrind.matched[0].name == "BUFFER_OVERFLOW"
+        assert valgrind.end.status == "undefined"
+        assert observed.outcome.error.kind.name == "SIGNED_OVERFLOW"
+        assert observed.outcome.stdout == "between\n"
+
+    def test_the_outcome_is_the_first_recorded_check_not_a_later_terminal_one(self):
+        # A probe that never settles lets the run reach the ungated bad
+        # free; the outcome still reports the check a strict run stops at,
+        # while the probes see the terminal error.
+        source = """
+        #include <stdlib.h>
+        int main(void){
+            int x = 2147483647;
+            x = x + 1;
+            int y = 0;
+            free(&y);
+            return 0;
+        }
+        """
+        collector = UBCollector()
+        strict, observed = _observe(source, [collector])
+        assert strict.outcome.error.kind.name == "SIGNED_OVERFLOW"
+        assert observed.outcome.error.kind.name == "SIGNED_OVERFLOW"
+        assert observed.to_dict() == strict.to_dict()
+        assert collector.seen == [("SIGNED_OVERFLOW", "arithmetic"), ("BAD_FREE", None)]
+        assert collector.end.status == "undefined"
+        assert collector.end.error.kind.name == "BAD_FREE"
 
 
 class TestBatchProbes:
