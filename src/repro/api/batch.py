@@ -6,10 +6,11 @@ serial API uses, and hand verdicts back **in input order**.  With ``jobs=1``
 (the default) everything runs in the calling process through the session's
 compile cache; with ``jobs>1`` the work fans out over the process-wide warm
 pool (:mod:`repro.service.pool`): long-lived workers that pre-import the
-engine, keep the shared compile cache across batches, receive work as
-chunked tasks (the per-batch configuration is pickled once per chunk, not
-once per program, and its options by field values), and take large corpora
-by file-backed reference.
+engine, keep the shared compile cache across batches, and receive work as
+chunked tasks.  A chunk carries its own programs and the per-batch
+configuration, pickled once per chunk, not once per program, and its
+options by field values.  ``check_many`` is ``iter_check_many`` collected
+into a list, so a pooled batch takes one path either way.
 
 Reports that cross a process boundary are identical to serial reports except
 that the parsed AST (``CheckReport.unit``) is dropped — shipping a full
@@ -24,11 +25,7 @@ from typing import Iterable, Iterator, Optional, Sequence, Tuple, Union
 
 from repro.core.config import CheckerOptions, DEFAULT_OPTIONS
 from repro.core.kcc import CheckReport, KccTool
-from repro.service.pool import (
-    get_pool,
-    resolve_jobs,
-    run_staged,
-)
+from repro.service.pool import get_pool, resolve_jobs
 
 SourceSpec = Union[str, Tuple[str, str]]
 
@@ -178,19 +175,8 @@ def check_many(sources: Sequence[SourceSpec], *,
                probe_factory=None,
                search_options=None) -> list[CheckReport]:
     """Check a batch of programs; the list is ordered like the input."""
-    pairs = _normalize(sources)
-    worker_count = resolve_jobs(jobs)
-    if probe_factory is not None or worker_count <= 1 or len(pairs) <= 1:
-        return list(_iter_serial(
-            pairs, options=options,
-            search_evaluation_order=search_evaluation_order,
-            run_static_checks=run_static_checks, checker=checker,
-            probe_factory=probe_factory, search_options=search_options))
-    header = check_header(options, search_evaluation_order,
-                          run_static_checks, search_options)
-    reports = run_staged(check_pair, header, pairs, jobs=worker_count,
-                         chunksize=DEFAULT_CHUNKSIZE)
-    if checker is not None:
-        for _ in reports:
-            checker.stats.bump("run_count")
-    return reports
+    return list(iter_check_many(
+        sources, options=options,
+        search_evaluation_order=search_evaluation_order,
+        run_static_checks=run_static_checks, jobs=jobs, checker=checker,
+        probe_factory=probe_factory, search_options=search_options))

@@ -257,6 +257,9 @@ class FunctionDef(Node):
     parameter_names: list[str] = field(default_factory=list)
     body: Optional[Compound] = None
     storage: Optional[str] = None
+    #: The names the definition applies ``&`` to (``&name``), recorded by the
+    #: parser; the bytecode compiler keeps each of them in memory.
+    addressed: frozenset = field(default=frozenset(), repr=False, compare=False)
 
 
 @dataclass

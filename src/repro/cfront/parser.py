@@ -85,6 +85,9 @@ class Parser:
         self.union_tags: dict[str, ct.UnionType] = {}
         self.enum_tags: dict[str, ct.EnumType] = {}
         self.enum_constants: dict[str, int] = {}
+        #: The names under ``&`` in the function body being parsed (see
+        #: ``FunctionDef.addressed``).
+        self.addressed: set[str] = set()
 
     # ------------------------------------------------------------------
     # Token helpers
@@ -181,10 +184,12 @@ class Parser:
             name, build, param_names = self._parse_declarator()
             full_type = build(base_type)
             if may_define and isinstance(full_type, ct.FunctionType) and self._peek().is_punct("{"):
+                self.addressed = set()
                 body = self._parse_compound_statement()
                 declarations.append(c_ast.FunctionDef(
                     line=start.line, name=name or "", type=full_type,
-                    parameter_names=param_names or [], body=body, storage=storage))
+                    parameter_names=param_names or [], body=body, storage=storage,
+                    addressed=frozenset(self.addressed)))
                 return declarations
             may_define = False
             initializer = None
@@ -760,7 +765,10 @@ class Parser:
                                      operand=self._parse_unary(cast=False))
             elif text in _PREFIX_OPERATORS:
                 self.index += 1
-                return c_ast.UnaryOp(line=token.line, op=text, operand=self._parse_unary())
+                operand = self._parse_unary()
+                if text == "&" and type(operand) is c_ast.Identifier:
+                    self.addressed.add(operand.name)
+                return c_ast.UnaryOp(line=token.line, op=text, operand=operand)
             else:
                 raise self._error(f"unexpected token {text!r} in expression")
         elif kind is TokenKind.KEYWORD and text == "sizeof":

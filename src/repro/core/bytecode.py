@@ -46,7 +46,9 @@ The native subset
 
 A register is sound only while nothing can point at it, so the rule is per
 variable: a scalar that appears as ``&name`` anywhere in its function is a
-slot, and every other scalar is a register (:func:`_compile_function`).
+slot, and every other scalar is a register.  The parser records those
+names on the definition (``FunctionDef.addressed``), so each function
+compiles once.
 ``&`` of anything but a slot, an array element or a pointer subscript
 leaves the subset.  Anything else outside it — floats, structs, pointers
 to pointers or records, function pointers, ``goto``/``switch``/labels,
@@ -170,13 +172,6 @@ UNINIT = UninitType()
 
 class _Unsupported(Exception):
     """The function under compilation leaves the native subset."""
-
-
-class _AddressTaken(Exception):
-    """``&name`` met a register: compile again with ``name`` in memory."""
-
-    def __init__(self, name: str) -> None:
-        self.name = name
 
 
 # ---------------------------------------------------------------------------
@@ -589,7 +584,6 @@ class _FnCompiler:
         options: CheckerOptions,
         order_mode: int,
         folder: _FoldContext,
-        addressed: frozenset = frozenset(),
     ) -> None:
         self.definition = definition
         self.unit_globals = unit_globals  # name -> CType (objects)
@@ -610,10 +604,10 @@ class _FnCompiler:
         self.pending_bases = 0  # register declarations not yet reserved
         self.read_regs: set[int] = set()  # variable registers read so far
         self.unset: set[int] = set()  # variables that may be read unwritten
-        # Names that live in memory because they appear as `&name` (see
-        # _compile_function): a variable is a register only while nothing
+        # Names that live in memory because they appear as `&name`, which
+        # the parser records: a variable is a register only while nothing
         # can point at it.
-        self.addressed = addressed
+        self.addressed = definition.addressed
         self.dirty = False  # memory locs possibly nonempty
         self.pending_names: set[str] = set()  # register writes this region
         self.loop_stack: list[tuple] = []  # (break_l, cont_l, run_scopes)
@@ -1499,13 +1493,14 @@ class _FnCompiler:
 
     def _compile_address(self, operand) -> _Value:
         """``&x`` of a slot, and ``&a[i]`` or ``&p[i]``: the walker's
-        lvalue, with no read.  A register never has its address taken: every
-        name that appears as ``&name`` is a slot (see ``addressed``)."""
+        lvalue, with no read.  A register never has its address taken: the
+        parser records every name that appears as ``&name`` on the
+        definition (``FunctionDef.addressed``), and each of them is a slot.
+        Only a hand-built definition without that record can meet a
+        register here, and it leaves the subset."""
         self.pending_steps += 2  # the & node and its lvalue
         if isinstance(operand, c_ast.Identifier):
             var = self.lookup(operand.name)
-            if isinstance(var, _RegVar):
-                raise _AddressTaken(operand.name)
             if not isinstance(var, _MemVar) or var.is_array:
                 raise _Unsupported(f"address of '{operand.name}'")
             return self.slot_pointer(var)
@@ -2153,7 +2148,7 @@ def compile_unit_bytecode(
     context = (unit_globals, unit_functions, defined, options, order_mode, folder)
     for definition in definitions:
         try:
-            functions[definition.name] = _compile_function(definition, context)
+            functions[definition.name] = _FnCompiler(definition, *context).compile()
         except _Unsupported as reason:
             fallbacks[definition.name] = str(reason)
         except _FoldUB as fold_error:
@@ -2166,21 +2161,6 @@ def compile_unit_bytecode(
             for ins in fn.code
         )
     return CompiledProgram(functions, fallbacks, order_mode, options)
-
-
-def _compile_function(definition: c_ast.FunctionDef, context: tuple) -> FnCode:
-    """Compile one definition, every name it applies ``&`` to in memory.
-
-    Most functions take no address, so the first attempt assumes none; each
-    ``&`` that meets a register compiles the function again with that name
-    in memory.  A compiled function thus never takes a register's address.
-    """
-    addressed = frozenset()
-    while True:
-        try:
-            return _FnCompiler(definition, *context, addressed).compile()
-        except _AddressTaken as taken:
-            addressed |= {taken.name}
 
 
 def _link_call(ins: tuple, functions: dict, profile) -> tuple:

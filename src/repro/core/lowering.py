@@ -1177,14 +1177,20 @@ def _item_contains_label(item: c_ast.Node, label: str) -> bool:
 
 
 def lower_block(block: c_ast.Compound, L: LoweringContext) -> LoweredBlock:
+    """Lower each item once; a label's statement and a nested block serve
+    both as the item's thunk and as its ``goto`` seek target."""
     items: list[tuple[c_ast.Node, StmtThunk, object]] = []
     for item in block.items:
-        thunk = lower_stmt(item, L)
         extra: object = None
-        if isinstance(item, c_ast.Label) and item.statement is not None:
-            extra = lower_stmt(item.statement, L)
+        if isinstance(item, c_ast.Label):
+            if item.statement is not None:
+                extra = lower_stmt(item.statement, L)
+            thunk = _label_thunk(item, extra, L)
         elif isinstance(item, c_ast.Compound):
             extra = lower_block(item, L)
+            thunk = _compound_thunk(item, extra, L)
+        else:
+            thunk = lower_stmt(item, L)
         items.append((item, thunk, extra))
     return LoweredBlock(block, items)
 
@@ -1325,9 +1331,14 @@ def _lower_Goto(stmt: c_ast.Goto, L: LoweringContext) -> StmtThunk:
 
 
 def _lower_Label(stmt: c_ast.Label, L: LoweringContext) -> StmtThunk:
+    inner_run = lower_stmt(stmt.statement, L) if stmt.statement is not None else None
+    return _label_thunk(stmt, inner_run, L)
+
+
+def _label_thunk(stmt: c_ast.Label, inner_run: Optional[StmtThunk],
+                 L: LoweringContext) -> StmtThunk:
     line = stmt.line
     max_steps = L.max_steps
-    inner_run = lower_stmt(stmt.statement, L) if stmt.statement is not None else None
 
     def run(interp) -> None:
         interp._steps += 1
@@ -1341,9 +1352,13 @@ def _lower_Label(stmt: c_ast.Label, L: LoweringContext) -> StmtThunk:
 
 
 def _lower_Compound(stmt: c_ast.Compound, L: LoweringContext) -> StmtThunk:
+    return _compound_thunk(stmt, lower_block(stmt, L), L)
+
+
+def _compound_thunk(stmt: c_ast.Compound, block: LoweredBlock,
+                    L: LoweringContext) -> StmtThunk:
     line = stmt.line
     max_steps = L.max_steps
-    block = lower_block(stmt, L)
 
     def run(interp) -> None:
         interp._steps += 1

@@ -54,14 +54,15 @@ Design notes
   arithmetic needs a live object and an offset within ``0..size``; an
   access needs a live object, an in-bounds aligned offset, ``elem``
   identical to the target type, a writable object (stores), no pending
-  sequenced write (loads), and concrete bytes, which the object's
-  arena-backed byte store reads and writes as integers
-  (``read_int``/``write_int``).  Otherwise the slow path boxes the
-  operands and calls ``_pointer_add``, ``apply_binary``,
-  ``_subscript_to_lvalue``, ``_deref_to_lvalue``,
+  sequenced write (loads), and concrete bytes, which the object's byte
+  store reads and writes as integers (``read_int``/``write_int``).
+  Otherwise the slow path boxes the operands and calls ``_pointer_add``,
+  ``apply_binary``, ``_subscript_to_lvalue``, ``_deref_to_lvalue``,
   ``_read_with_plan``/``_write_with_plan``, ``_incdec_value`` or
   ``convert``, so every memory verdict comes from the same code as the
-  walker's.
+  walker's.  A compiled run keeps every object of nonzero size in an
+  ``ArenaBytes`` or, from ``SPARSE_OBJECT_THRESHOLD`` bytes on, a
+  ``SparseBytes``, and both have the integer path.
 * **Sequencing** keeps feeding ``Memory.locs_written`` with plain
   ``(base, offset)`` tuples (hash-equal to the ``ByteLocation`` entries of
   the generic path), so unsequenced-conflict detection composes with any
@@ -144,7 +145,7 @@ from repro.core.bytecode import (
 )
 from repro.core.conversions import convert, to_boolean
 from repro.core.environment import Frame
-from repro.core.memory import ArenaBytes, StorageKind
+from repro.core.memory import StorageKind
 from repro.core.plans import _read_with_plan, _write_with_plan
 from repro.core.values import (
     ConcreteByte,
@@ -159,37 +160,6 @@ from repro.core.values import (
 from repro.errors import ResourceLimitError, UBKind, UndefinedBehaviorError
 
 __all__ = ["run_native"]
-
-
-# ---------------------------------------------------------------------------
-# Raw byte-store access (tolerates the dict store's plain byte lists)
-# ---------------------------------------------------------------------------
-
-def _read_flat(data, offset: int, size: int, signed: bool):
-    """Read a little-endian integer; None when any byte is not concrete."""
-    if type(data) is ArenaBytes:
-        return data.read_int(offset, size, signed)
-    value = 0
-    for index in range(size):
-        byte = data[offset + index]
-        if type(byte) is not ConcreteByte:
-            return None
-        value |= (byte.value & 0xFF) << (8 * index)
-    if signed:
-        half = 1 << (size * 8 - 1)
-        if value >= half:
-            value -= half << 1
-    return value
-
-
-def _write_flat(data, offset: int, size: int, value: int) -> None:
-    """Write a masked (non-negative) little-endian integer."""
-    if type(data) is ArenaBytes:
-        data.write_int(offset, size, value)
-        return
-    data[offset:offset + size] = [
-        ConcreteByte((value >> (8 * index)) & 0xFF) for index in range(size)
-    ]
 
 
 # ---------------------------------------------------------------------------
@@ -610,7 +580,7 @@ def run_native(interp, program: CompiledProgram, fn: FnCode, args=None):
                             and offset % esize == 0
                             and not (check_seq and memory.locs_written)
                         ):
-                            value = _read_flat(obj.data, offset, esize, ins[6])
+                            value = obj.data.read_int(offset, esize, ins[6])
                             if value is not None:
                                 R[ins[1]] = value
                                 continue
@@ -753,7 +723,7 @@ def run_native(interp, program: CompiledProgram, fn: FnCode, args=None):
                     obj = R[ins[1]][0]
                     value = R[ins[2]]
                     if value.__class__ is int:
-                        _write_flat(obj.data, ins[3], ins[4], value & ins[5])
+                        obj.data.write_int(ins[3], ins[4], value & ins[5])
                     else:
                         _init_slow(interp, obj, value, ins[3], ins[6])
                     if ins[7]:
@@ -776,7 +746,7 @@ def run_native(interp, program: CompiledProgram, fn: FnCode, args=None):
                                 _seq_conflict_check(
                                     memory, obj.base, offset, esize, ins[6][0]
                                 )
-                            _write_flat(obj.data, offset, esize, value & ins[5])
+                            obj.data.write_int(offset, esize, value & ins[5])
                             continue
                     _pst_slow(interp, pointer, value, ins[6])
                 elif op == OP_NOT:
@@ -809,7 +779,7 @@ def run_native(interp, program: CompiledProgram, fn: FnCode, args=None):
                 elif op == OP_BINDR:
                     binding = interp.frames[-1].lookup(ins[2])
                     obj = memory.objects[binding.base]
-                    value = _read_flat(obj.data, 0, ins[3], ins[4])
+                    value = obj.data.read_int(0, ins[3], ins[4])
                     R[ins[1]] = UNINIT if value is None else value
                 elif op == OP_ALLOC:
                     R[ins[1]] = _alloc_slot(interp, ins)

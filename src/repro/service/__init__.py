@@ -6,8 +6,8 @@ Two layers:
   parallel call site routes through (``check_many(jobs=N)``, fuzz
   campaigns, harness grids, search root-shards).  Long-lived forked
   workers pre-import the engine, keep the shared compile cache across
-  batches, take work as chunked tasks over one duplex pipe each, and
-  receive large corpora by file-backed reference.
+  batches, and take work as chunked tasks over one duplex pipe each; a
+  chunk carries its own items.
 
 * :mod:`repro.service.server` / :mod:`repro.service.client` /
   :mod:`repro.service.protocol` — the **checking service**: ``kcc-check

@@ -8,22 +8,24 @@ talks to each worker directly:
 * **One duplex pipe per worker.**  :class:`WarmPool` forks its workers
   itself and keeps the parent's end of one :func:`multiprocessing.Pipe` per
   worker.  A chunk is one message each way: the parent sends the pickled
-  ``(fn, header, payload, span)``, the worker runs :func:`_run_staged_chunk`
-  and sends back one pickled ``(ok, value)`` reply.  Nothing relays a chunk
+  ``(fn, header, items)``, the worker runs :func:`_run_chunk` and sends
+  back one pickled ``(ok, value)`` reply.  Nothing relays a chunk
   in between: the ``serve`` event loop waits for a reply with
   ``loop.add_reader`` on the worker's pipe (:meth:`WarmPool.run_chunk`),
-  and blocking callers (:func:`run_staged` — ``check_many``, fuzz
-  campaigns, the harness, search shards — ``iter_check_many`` and the
-  campaign scheduler) wait with :func:`multiprocessing.connection.wait` on
-  the pipes they have in flight (:class:`InFlight`), keeping every worker
+  and blocking callers (:func:`run_staged` — fuzz campaigns, the harness,
+  search shards — ``check_many``/``iter_check_many`` and the campaign
+  scheduler) wait with :func:`multiprocessing.connection.wait` on the
+  pipes they have in flight (:class:`InFlight`), keeping every worker
   busy and still returning results in input order.
 
-* **Small chunk messages.**  ``fn`` pickles by name, and a header's
-  :class:`~repro.core.config.CheckerOptions` by its field values, with a
-  registered profile by its name, which the worker resolves to its own
-  profile object.  A task whose result the caller only encodes (the
-  ``serve`` check job's :func:`repro.service.server.check_pair_json`)
-  returns the encoded bytes, which pickle as they are.
+* **Small chunk messages.**  A chunk carries its own items and nothing
+  else of the batch, so each item crosses a pipe once.  ``fn`` pickles by
+  name, and a header's :class:`~repro.core.config.CheckerOptions` by its
+  field values, with a registered profile by its name, which the worker
+  resolves to its own profile object.  A task whose result the caller only
+  encodes (the ``serve`` check job's
+  :func:`repro.service.server.check_pair_json`) returns the encoded bytes,
+  which pickle as they are.
 
 * **A LIFO stack of idle workers.**  Idle workers sit on a stack behind one
   lock, and callers that find none idle queue in FIFO order.  Last in,
@@ -39,12 +41,6 @@ talks to each worker directly:
   worker is replaced.  Each worker then pre-imports the heavy ``repro``
   modules (:func:`_warm_worker`) and keeps the process-shared compile cache
   and per-configuration tool cache across chunks.
-
-* **File-backed corpus handoff.**  When a staged item list pickles past
-  :data:`STAGE_THRESHOLD_BYTES`, it is written to a spool file once and
-  workers receive ``(path, digest)`` references plus a span; each worker
-  loads and caches the payload by digest, so a large corpus crosses the
-  process boundary once per worker instead of once per chunk.
 
 The invariants the pipe protocol keeps:
 
@@ -76,12 +72,10 @@ from __future__ import annotations
 import atexit
 import collections
 import contextlib
-import hashlib
 import multiprocessing
 import os
 import pickle
 import signal
-import tempfile
 import threading
 import traceback
 import warnings
@@ -90,7 +84,6 @@ from typing import Any, Callable, Iterator, Optional, Sequence
 
 __all__ = [
     "DEFAULT_CHUNKSIZE",
-    "STAGE_THRESHOLD_BYTES",
     "InFlight",
     "WarmPool",
     "WorkerLost",
@@ -104,13 +97,6 @@ __all__ = [
 #: How many items one chunk task carries by default; larger chunks amortize
 #: pickling and per-chunk round trips, smaller chunks stream results sooner.
 DEFAULT_CHUNKSIZE = 8
-
-#: Staged item lists whose pickled size exceeds this are handed to workers
-#: by file reference (see module docstring) instead of inline in each chunk.
-STAGE_THRESHOLD_BYTES = 256 * 1024
-
-#: Worker-side payload cache: at most this many staged corpora stay loaded.
-_PAYLOAD_CACHE_ENTRIES = 4
 
 #: How long reaping a worker whose pipe hit EOF may take before it is killed.
 _REAP_SECONDS = 5.0
@@ -177,7 +163,7 @@ def _unpack(reply: bytes) -> Any:
 
 
 # ---------------------------------------------------------------------------
-# Worker side: warm-up, chunk execution, staged-payload cache
+# Worker side: warm-up and chunk execution
 # ---------------------------------------------------------------------------
 
 
@@ -201,30 +187,6 @@ def _warm_worker() -> None:  # pragma: no cover - runs in the worker process
     import repro.kframework.engine  # noqa: F401
 
 
-_payload_cache: dict[str, Any] = {}
-
-
-def _load_payload(ref: tuple[str, str]) -> Any:
-    """Load (and cache) a file-staged payload in this worker process."""
-    path, digest = ref
-    cached = _payload_cache.get(digest)
-    if cached is not None:
-        return cached
-    with open(path, "rb") as handle:
-        data = handle.read()
-    actual = hashlib.sha256(data).hexdigest()
-    if actual != digest:
-        raise RuntimeError(
-            f"staged payload {path} digest mismatch: "
-            f"expected {digest[:12]}..., read {actual[:12]}..."
-        )
-    payload = pickle.loads(data)
-    while len(_payload_cache) >= _PAYLOAD_CACHE_ENTRIES:
-        _payload_cache.pop(next(iter(_payload_cache)))
-    _payload_cache[digest] = payload
-    return payload
-
-
 def _reap_after_task() -> None:
     """Reap any stray forked children a task left behind.
 
@@ -240,17 +202,8 @@ def _reap_after_task() -> None:
     reap_stray_children()
 
 
-def _run_staged_chunk(
-    fn: Callable[[Any, Any], Any],
-    header: Any,
-    payload: Any,
-    span: Optional[tuple[int, int]],
-) -> list:
-    """Staged chunk task: ``fn(header, item)`` over an inline or staged span."""
-    if span is not None:
-        items = _load_payload(payload)[span[0] : span[1]]
-    else:
-        items = payload
+def _run_chunk(fn: Callable[[Any, Any], Any], header: Any, items: list) -> list:
+    """A chunk task: ``fn(header, item)`` over the chunk's own items."""
     try:
         return [fn(header, item) for item in items]
     finally:
@@ -270,7 +223,7 @@ def _error_reply(error: BaseException) -> bytes:
 def _answer(request: bytes) -> bytes:
     """Run one pickled chunk; returns the pickled ``(ok, value)`` reply."""
     try:
-        result = _run_staged_chunk(*pickle.loads(request))
+        result = _run_chunk(*pickle.loads(request))
     except BaseException as error:  # the caller raises it
         return _error_reply(error)
     try:
@@ -533,7 +486,7 @@ class WarmPool:
         the reply and releases the worker when the reply lands, so ``loop``
         must keep running until then.
         """
-        request = _dumps((fn, header, list(items), None))
+        request = _dumps((fn, header, list(items)))
         for _ in range(2):
             worker = await self._acquire_async(loop)
             lost = self._send(worker, request)
@@ -566,46 +519,31 @@ class WarmPool:
     ) -> Iterator[list]:
         """``fn(header, item)`` over ``items``: each chunk's results, in order.
 
-        ``header`` is pickled once per chunk; when the item list itself is
-        large it is staged to a spool file and shipped by reference.  Every
-        idle worker is kept busy; an error in any chunk stops new chunks
-        from starting and is raised once the others are discarded.  While
-        the consumer holds a result, the worker that produced it is idle,
-        so a consumer may run another pooled batch meanwhile.
+        Each chunk message carries ``header`` and that chunk's own items.
+        Every idle worker is kept busy; an error in any chunk stops new
+        chunks from starting and is raised once the others are discarded.
+        While the consumer holds a result, the worker that produced it is
+        idle, so a consumer may run another pooled batch meanwhile.
         """
         items = list(items)
         size = self._effective_chunksize(len(items), chunksize)
-        spans = [
-            (start, min(start + size, len(items)))
-            for start in range(0, len(items), size)
-        ]
-        staged_path: Optional[str] = None
-        try:
-            payload_blob = _dumps(items)
-            if len(payload_blob) >= STAGE_THRESHOLD_BYTES and len(spans) > 1:
-                staged_path, digest = _stage_blob(payload_blob)
-                ref = (staged_path, digest)
-                chunks = [(fn, header, ref, span) for span in spans]
-            else:
-                chunks = [(fn, header, items[lo:hi], None) for lo, hi in spans]
-            results: dict[int, Any] = {}
-            started = 0
-            with InFlight(self) as flight:
-                for index in range(len(chunks)):
-                    while index not in results:
-                        while started < len(chunks) and flight.start(
-                            *chunks[started], tag=started
-                        ):
-                            started += 1
-                        for tag, error, result in flight.collect():
-                            if error is not None:
-                                raise error
-                            results[tag] = result
-                    yield results.pop(index)
-        finally:
-            if staged_path is not None:
-                with contextlib.suppress(OSError):
-                    os.unlink(staged_path)
+        chunks = [items[start : start + size] for start in range(0, len(items), size)]
+        with self._lock:
+            self.batches_run += 1
+        results: dict[int, Any] = {}
+        started = 0
+        with InFlight(self) as flight:
+            for index in range(len(chunks)):
+                while index not in results:
+                    while started < len(chunks) and flight.start(
+                        fn, header, chunks[started], tag=started
+                    ):
+                        started += 1
+                    for tag, error, result in flight.collect():
+                        if error is not None:
+                            raise error
+                        results[tag] = result
+                yield results.pop(index)
 
     def run_staged(
         self,
@@ -616,12 +554,8 @@ class WarmPool:
         chunksize: Optional[int] = None,
     ) -> list:
         """Every result of :meth:`iter_staged`, in input order."""
-        results = []
-        for chunk_results in self.iter_staged(fn, header, items, chunksize=chunksize):
-            results.extend(chunk_results)
-        with self._lock:
-            self.batches_run += 1
-        return results
+        chunks = self.iter_staged(fn, header, items, chunksize=chunksize)
+        return [result for chunk in chunks for result in chunk]
 
     def _effective_chunksize(self, total: int, chunksize: Optional[int]) -> int:
         if chunksize is not None:
@@ -695,13 +629,12 @@ class InFlight:
         self,
         fn: Callable[[Any, Any], Any],
         header: Any,
-        payload: Any,
-        span: Optional[tuple[int, int]] = None,
+        items: list,
         *,
         tag: Any = None,
     ) -> bool:
         """Send one chunk; ``False`` when no worker is idle (collect first)."""
-        request = _dumps((fn, header, payload, span))
+        request = _dumps((fn, header, items))
         for _ in range(2):
             if self._owned:
                 worker = self._pool._try_acquire()
@@ -733,19 +666,6 @@ class InFlight:
                 worker, _ = self._owned.pop(conn)
                 with contextlib.suppress(WorkerLost):
                     self._pool._receive(worker)
-
-
-def _stage_blob(blob: bytes) -> tuple[str, str]:
-    """Write a pickled payload to a spool file; returns (path, digest)."""
-    digest = hashlib.sha256(blob).hexdigest()
-    fd, path = tempfile.mkstemp(prefix="repro-pool-", suffix=".pkl")
-    try:
-        with os.fdopen(fd, "wb") as handle:
-            handle.write(blob)
-    except BaseException:
-        os.unlink(path)
-        raise
-    return path, digest
 
 
 # ---------------------------------------------------------------------------
@@ -832,7 +752,7 @@ def run_staged(
     jobs: Optional[int],
     chunksize: Optional[int] = None,
 ) -> list:
-    """Map ``fn(header, item)`` over ``items``, staging large item lists.
+    """Map ``fn(header, item)`` over ``items`` on the warm pool, in order.
 
     The serial fallback (``jobs=1``, single item, or no subprocess support)
     applies ``fn`` in the calling process — verdicts are identical either

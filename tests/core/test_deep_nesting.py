@@ -7,7 +7,9 @@ out of it reports a parse error (inconclusive, exit 2), and a function the
 bytecode compiler cannot compile for depth runs on the walker.  So a
 program's verdict does not depend on what its process checked before: a
 fresh ``python -m repro check`` (recursion limit 1,000 until a check raises
-it) and a process that has already run a program (20,000) agree.
+it) and a process that has already run a program (20,000) agree.  The
+lowered closures lower each nested block once, so a deep program gets the
+walker's verdict on ``engine="lowered"`` too.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -24,6 +27,8 @@ import pytest
 from repro.api.cli import main
 from repro.core.config import DEFAULT_OPTIONS
 from repro.core.interpreter import _FRAMES_PER_CALL
+from repro.core.kcc import KccTool, check_program
+from repro.errors import OutcomeKind
 
 SRC = Path(__file__).resolve().parents[2] / "src"
 
@@ -88,3 +93,34 @@ def test_in_process_verdict_equals_a_fresh_process(name, prior_limit, programs,
     finally:
         sys.setrecursionlimit(saved)
     assert (code, json.loads(out.getvalue())) == fresh_process_verdicts[name]
+
+
+def _nested_blocks(depth: int, body: str) -> str:
+    return "int main(void){ int d = 0; " + "{" * depth + body + "}" * depth + " }\n"
+
+
+def test_lowering_lowers_each_nested_block_once(monkeypatch):
+    from repro.core import lowering
+
+    calls = 0
+    lower_block = lowering.lower_block
+
+    def counted(block, L):
+        nonlocal calls
+        calls += 1
+        return lower_block(block, L)
+
+    options = replace(DEFAULT_OPTIONS, engine="lowered")
+    compiled = KccTool(options).compile_unit(_nested_blocks(12, "return 0;"))
+    monkeypatch.setattr(lowering, "lower_block", counted)
+    compiled.lowered_for(options)
+    assert calls == 13  # main's body and the 12 blocks in it
+
+
+@pytest.mark.parametrize("engine", ["lowered", "compiled"])
+def test_a_300_deep_block_gets_the_walker_verdict(engine):
+    source = _nested_blocks(300, "return 1 / d;")
+    walker = check_program(source, replace(DEFAULT_OPTIONS, engine="walker"))
+    other = check_program(source, replace(DEFAULT_OPTIONS, engine=engine))
+    assert walker.outcome.kind is OutcomeKind.UNDEFINED
+    assert other.to_dict() == walker.to_dict()

@@ -14,6 +14,7 @@ three different tools.
 """
 
 import ast
+import dataclasses
 import inspect
 
 import pytest
@@ -1818,6 +1819,30 @@ def test_no_native_declaration_runs_the_walker(monkeypatch):
     assert ops.count(OP_RSV) == 2 and OP_PUSHSC not in ops
     code = _native_program(tool, STREAM_PROGRAMS["break-continue-nested"])
     assert OP_PUSHSC not in [ins[0] for ins in code.functions["main"].code]
+
+
+def test_a_function_that_takes_an_address_compiles_once(monkeypatch):
+    # The parser records the names under `&` on the definition, so the
+    # compiler knows which locals are slots before it starts.
+    source = "int main(void){ int x = 1; int *p = &x; return *p - 1; }"
+    attempts = []
+    compile_definition = bytecode._FnCompiler.compile
+
+    def counted(self):
+        attempts.append(self.definition.name)
+        return compile_definition(self)
+
+    monkeypatch.setattr(bytecode._FnCompiler, "compile", counted)
+    tool = TOOLS["default"]["compiled"]
+    unit = tool.compile_unit(source).unit
+    assert unit.declarations[0].addressed == {"x"}
+    program = bytecode.compile_unit_bytecode(unit, tool.options)
+    assert attempts == ["main"] and "main" in program.functions
+    # A hand-built definition without the record leaves the subset at `&x`.
+    unit.declarations[0] = dataclasses.replace(unit.declarations[0],
+                                               addressed=frozenset())
+    program = bytecode.compile_unit_bytecode(unit, tool.options)
+    assert program.fallbacks == {"main": "address of 'x'"}
 
 
 def _assert_limits_agree_up_to_the_undefined_behavior(programs, order):

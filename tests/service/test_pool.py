@@ -1,6 +1,7 @@
 """Warm worker pool: identity with serial, persistence, failure recovery."""
 
 import pickle
+import tempfile
 
 import pytest
 
@@ -76,13 +77,25 @@ def test_task_error_propagates_and_pool_survives():
     assert run_staged(_tag, "ok", ["x", "y"], jobs=2) == ["ok:x", "ok:y"]
 
 
-def test_large_item_lists_travel_by_file_reference():
-    # ~1.5 MiB of items: well past the staging threshold, so the chunk
-    # payload ships as a spool-file reference instead of inline pickles.
-    items = [("x" * 1024) + str(index) for index in range(1500)]
-    serial = run_staged(_length, "hh", items, jobs=1)
-    parallel = run_staged(_length, "hh", items, jobs=2)
+#: About 1.5 MiB of pickled items.
+LARGE_ITEMS = [("x" * 1024) + str(index) for index in range(1500)]
+
+
+def test_a_large_batch_equals_serial():
+    serial = run_staged(_length, "hh", LARGE_ITEMS, jobs=1)
+    parallel = run_staged(_length, "hh", LARGE_ITEMS, jobs=2)
     assert parallel == serial
+
+
+def _no_files(*args, **kwargs):
+    raise OSError("a pooled batch must not write a file")
+
+
+def test_a_large_batch_travels_in_its_chunks_not_through_a_file(monkeypatch):
+    # Each chunk message carries its own items, however large the batch.
+    serial = run_staged(_length, "hh", LARGE_ITEMS, jobs=1)
+    monkeypatch.setattr(tempfile, "mkstemp", _no_files)
+    assert run_staged(_length, "hh", LARGE_ITEMS, jobs=2) == serial
 
 
 def test_shutdown_then_respawn():

@@ -7,7 +7,6 @@ down first, so the workers they use are forked after that state is set.
 """
 
 import asyncio
-import errno
 import json
 import os
 import pathlib
@@ -316,41 +315,7 @@ def test_workers_exit_when_serve_is_killed(tmp_path, serial_reports):
         _stop(process)
 
 
-# -- (e) a failed spool-file write -------------------------------------------
-
-
-class _FullDisk:
-    def __init__(self, fd):
-        self._fd = fd
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc_info):
-        os.close(self._fd)
-
-    def write(self, data):
-        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
-
-
-def test_spool_write_failure_raises_and_the_next_batch_runs(tmp_path, monkeypatch):
-    import tempfile
-
-    get_pool(2)
-    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
-    items = [("x" * 1024) + str(index) for index in range(600)]  # ~600 KiB
-    with monkeypatch.context() as patch:
-        patch.setattr(os, "fdopen", lambda fd, mode: _FullDisk(fd))
-        with pytest.raises(OSError) as full:
-            run_staged(_tag, "h", items, jobs=2)
-    assert full.value.errno == errno.ENOSPC
-    assert list(tmp_path.iterdir()) == []  # the spool file was removed
-    assert run_staged(_tag, "h", items, jobs=2) == [f"h:{item}" for item in items]
-    assert list(tmp_path.iterdir()) == []
-    assert _all_idle()
-
-
-# -- (f) no caller reads another caller's reply --------------------------------
+# -- (e) no caller reads another caller's reply --------------------------------
 
 
 def test_abandoned_iter_check_many_leaves_no_stale_reply(monkeypatch, serial_reports):
@@ -393,7 +358,7 @@ def test_cancelled_server_chunk_leaves_no_stale_reply():
     assert pool.stats()["idle"] == pool.stats()["workers"] == 1
 
 
-# -- (g) threads and an event loop on one pool -------------------------------
+# -- (f) threads and an event loop on one pool -------------------------------
 
 
 def test_threads_and_a_loop_share_one_pool_under_stress():
