@@ -84,31 +84,6 @@ def checkpoint_supported() -> bool:
     return hasattr(os, "fork")
 
 
-def reap_stray_children() -> int:
-    """Reap any already-exited forked children; returns how many were reaped.
-
-    The engine waits on every checkpoint child it forks, but a task that
-    dies between ``fork`` and ``waitpid`` (a crashing oracle, a cancelled
-    pool future) can leave zombies behind.  A short-lived worker took those
-    zombies down with it; the warm pool's workers are long-lived
-    (:mod:`repro.service.pool`), so chunk tasks sweep here between batches.
-    Non-blocking: live children are left alone.  Call this only from
-    processes whose children you own (pool workers) — in a parent that also
-    manages executor workers it would race their own ``waitpid``.
-    """
-    if not hasattr(os, "waitpid") or not hasattr(os, "WNOHANG"):
-        return 0  # pragma: no cover - non-POSIX hosts fork nothing anyway
-    reaped = 0
-    while True:
-        try:
-            pid, _status = os.waitpid(-1, os.WNOHANG)
-        except (ChildProcessError, OSError):
-            return reaped
-        if pid == 0:
-            return reaped
-        reaped += 1
-
-
 def resolve_checkpoint(options: SearchOptions) -> bool:
     """Validate a checkpoint configuration; True means fork mode.
 

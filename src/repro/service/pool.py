@@ -10,13 +10,23 @@ talks to each worker directly:
   worker.  A chunk is one message each way: the parent sends the pickled
   ``(fn, header, items)``, the worker runs :func:`_run_chunk` and sends
   back one pickled ``(ok, value)`` reply.  Nothing relays a chunk
-  in between: the ``serve`` event loop waits for a reply with
-  ``loop.add_reader`` on the worker's pipe (:meth:`WarmPool.run_chunk`),
-  and blocking callers (:func:`run_staged` — fuzz campaigns, the harness,
-  search shards — ``check_many``/``iter_check_many`` and the campaign
-  scheduler) wait with :func:`multiprocessing.connection.wait` on the
-  pipes they have in flight (:class:`InFlight`), keeping every worker
+  in between.  Blocking callers (:func:`run_staged` — fuzz campaigns, the
+  harness, search shards — ``check_many``/``iter_check_many`` and the
+  campaign scheduler) wait with :func:`multiprocessing.connection.wait` on
+  the pipes they have in flight (:class:`InFlight`), keeping every worker
   busy and still returning results in input order.
+
+* **An event loop watches a worker's pipe once.**  The ``serve`` event
+  loop reads a reply with a reader on the worker's pipe
+  (:meth:`WarmPool.run_chunk`).  It adds that reader with the first chunk
+  it sends the worker and leaves it in place, so a run of chunks costs no
+  selector calls.  The reader reads only a reply its own loop is owed;
+  anything else that wakes it (an idle worker's EOF, a blocking caller's
+  reply, another loop's) makes it drop its watch unread, until the loop
+  sends that worker a chunk again.  Only the loop that holds a watch
+  removes it, always before the pipe closes: a selector's stale key for a
+  closed fd number would make a later ``add_reader`` of that number (a
+  replacement worker's pipe, a client socket) a silent no-op.
 
 * **Small chunk messages.**  A chunk carries its own items and nothing
   else of the batch, so each item crosses a pipe once.  ``fn`` pickles by
@@ -76,6 +86,7 @@ import multiprocessing
 import os
 import pickle
 import signal
+import sys
 import threading
 import traceback
 import warnings
@@ -152,6 +163,13 @@ def _clip(value: Any) -> str:
     return text
 
 
+def _running_loop():
+    """The event loop running on this thread, or ``None``."""
+    from asyncio import _get_running_loop  # loaded by whoever runs a loop
+
+    return _get_running_loop()
+
+
 def _unpack(reply: bytes) -> Any:
     """The result a worker's reply carries, or its task's error raised here."""
     ok, value = pickle.loads(reply)
@@ -187,27 +205,54 @@ def _warm_worker() -> None:  # pragma: no cover - runs in the worker process
     import repro.kframework.engine  # noqa: F401
 
 
-def _reap_after_task() -> None:
-    """Reap any stray forked children a task left behind.
+#: Whether this worker may have children to reap: set by each fork it makes
+#: (an at-fork hook, :func:`_worker_main`), cleared by a sweep that finds none.
+_may_have_children = False
 
-    Search tasks fork prefix checkpoints (:mod:`repro.kframework.engine`);
-    in a short-lived pool a leaked child died with its worker, but warm
-    workers live for the process lifetime, so each chunk sweeps zombies
-    before returning.
+
+def _note_fork() -> None:  # pragma: no cover - runs in the worker process
+    global _may_have_children
+    _may_have_children = True
+
+
+def _reap_after_task() -> None:
+    """Reap the exited children a task left behind; live ones are left alone.
+
+    Search tasks fork prefix checkpoints (:mod:`repro.kframework.engine`)
+    and wait for each, but a task that dies between ``fork`` and
+    ``waitpid`` (a crashing oracle) leaves a zombie, and warm workers live
+    as long as the pool.  A worker sweeps only while it may have children:
+    from its first fork until a sweep finds none, so a worker that never
+    forks makes no ``waitpid`` call.
     """
-    try:
-        from repro.kframework.engine import reap_stray_children
-    except ImportError:  # pragma: no cover - partial installs
-        return
-    reap_stray_children()
+    global _may_have_children
+    while True:
+        try:
+            pid, _status = os.waitpid(-1, os.WNOHANG)
+        except OSError:  # ChildProcessError: no child left
+            _may_have_children = False
+            return
+        if pid == 0:  # only live children left
+            return
 
 
 def _run_chunk(fn: Callable[[Any, Any], Any], header: Any, items: list) -> list:
-    """A chunk task: ``fn(header, item)`` over the chunk's own items."""
+    """A chunk task: ``fn(header, item)`` over the chunk's own items.
+
+    A check raises the process's recursion limit to cover its
+    ``max_call_depth`` (:mod:`repro.core.interpreter`), and the front end
+    runs under whatever limit the process has.  So a chunk ends with the
+    limit it found, and one caller's ``max_call_depth`` cannot decide how
+    deep a later caller's program may nest in a warm worker.
+    """
+    limit = sys.getrecursionlimit()
     try:
         return [fn(header, item) for item in items]
     finally:
-        _reap_after_task()
+        if sys.getrecursionlimit() != limit:
+            sys.setrecursionlimit(limit)
+        if _may_have_children:
+            _reap_after_task()
 
 
 def _error_reply(error: BaseException) -> bytes:
@@ -236,12 +281,14 @@ def _answer(request: bytes) -> bytes:
 
 def _worker_main(conn, inherited) -> None:  # pragma: no cover - worker process
     """A worker's life: one chunk in, one reply out, until EOF."""
-    global _pool, _lock
+    global _pool, _lock, _may_have_children
     for other in inherited:
         other.close()
     # The parent's pool and its lock came along with the fork; a task that
     # starts a pool of its own must not touch them.
     _pool, _lock = None, threading.RLock()
+    _may_have_children = False
+    os.register_at_fork(after_in_parent=_note_fork)
     # A parent running an asyncio loop had its signals routed to the loop's
     # wakeup pipe.  The parent ends a worker's life by EOF, so a worker
     # ignores the terminal's ^C and dies on a plain SIGTERM.
@@ -263,11 +310,18 @@ def _worker_main(conn, inherited) -> None:  # pragma: no cover - worker process
 
 
 class _Worker:
-    __slots__ = ("process", "conn")
+    __slots__ = ("process", "conn", "fd", "reply", "loops", "sender")
 
     def __init__(self, process, conn) -> None:
         self.process = process
         self.conn = conn
+        self.fd = conn.fileno()
+        #: The future of the event-loop chunk whose reply is owed.
+        self.reply = None
+        #: The event loops whose selectors watch this pipe.
+        self.loops: set = set()
+        #: The loop that sent the last chunk; ``None`` for a blocking caller.
+        self.sender = None
 
 
 class _ThreadWaiter:
@@ -422,7 +476,36 @@ class WarmPool:
             if not self._closed:
                 self._hand_off_locked(worker)
                 return
-        worker.conn.close()  # shutting down: EOF ends the worker
+        self._close(worker)  # shutting down: EOF ends the worker
+
+    def _close(self, worker: _Worker) -> None:
+        """Close a worker's pipe once no event loop's selector watches it.
+
+        A selector keeps a key per fd number, so closing a watched pipe
+        would leave a stale key that turns a later ``add_reader`` of the
+        same number (a replacement worker's pipe, a client socket) into a
+        silent no-op.  Each loop drops its own watch: here, or, for a loop
+        running on another thread, in a call handed to that loop, which
+        then closes the pipe (so that loop must keep running until then).
+        """
+        while True:
+            with self._lock:
+                if not worker.loops:
+                    break
+                loop = worker.loops.pop()
+            if loop.is_closed():  # its selector went with it
+                continue
+            if loop.is_running() and _running_loop() is not loop:
+                with contextlib.suppress(RuntimeError):  # closed meanwhile
+                    loop.call_soon_threadsafe(self._unwatch_and_close, loop, worker)
+                    return
+                continue
+            loop.remove_reader(worker.fd)
+        worker.conn.close()
+
+    def _unwatch_and_close(self, loop, worker: _Worker) -> None:
+        loop.remove_reader(worker.fd)
+        self._close(worker)
 
     async def _acquire_async(self, loop) -> _Worker:
         """:meth:`_acquire` for an event-loop task."""
@@ -457,7 +540,7 @@ class WarmPool:
 
     def _lost(self, worker: _Worker) -> WorkerLost:
         """Reap a worker whose pipe hit EOF and fork its replacement."""
-        worker.conn.close()
+        self._close(worker)
         process = worker.process
         process.join(_REAP_SECONDS)
         if process.exitcode is None:
@@ -482,24 +565,54 @@ class WarmPool:
     ) -> list:
         """One chunk from an event loop: the reply is read by ``loop``'s reader.
 
-        A cancelled caller leaves the reader in place; it reads and discards
-        the reply and releases the worker when the reply lands, so ``loop``
-        must keep running until then.
+        ``loop`` watches a worker's pipe from the first chunk it sends that
+        worker on, so a run of chunks from one loop adds one reader per
+        worker and removes none.  A cancelled caller leaves its reply to
+        the reader, which reads and discards it and releases the worker
+        when it lands, so ``loop`` must keep running until then.
         """
         request = _dumps((fn, header, list(items)))
+        reply = loop.create_future()
         for _ in range(2):
             worker = await self._acquire_async(loop)
+            worker.reply = reply
             lost = self._send(worker, request)
             if lost is None:
                 break
         else:
             raise lost
-        reply = loop.create_future()
-        loop.add_reader(worker.conn.fileno(), self._read_reply, loop, worker, reply)
+        if worker.sender is not loop:
+            self._watch(loop, worker)
         return _unpack(await reply)
 
-    def _read_reply(self, loop, worker: _Worker, reply) -> None:
-        loop.remove_reader(worker.conn.fileno())
+    def _watch(self, loop, worker: _Worker) -> None:
+        with self._lock:
+            if loop not in worker.loops:
+                closed = {other for other in worker.loops if other.is_closed()}
+                worker.loops -= closed
+                worker.loops.add(loop)
+        # Also replaces a wakeup this loop may still hold for the reply of
+        # the worker's previous caller, which has read it by now.
+        loop.add_reader(worker.fd, self._read_reply, loop, worker)
+        worker.sender = loop
+
+    def _read_reply(self, loop, worker: _Worker) -> None:
+        """``loop``'s reader: the reply its chunk is owed, or stop watching.
+
+        Anything else that wakes it (an idle worker's EOF, the reply of a
+        blocking caller or of another loop's chunk) is not this loop's to
+        read, so the loop drops its watch until it sends the worker a chunk
+        again.
+        """
+        reply = worker.reply
+        if reply is None or reply.get_loop() is not loop:
+            loop.remove_reader(worker.fd)
+            with self._lock:
+                worker.loops.discard(loop)
+            if worker.sender is loop:
+                worker.sender = None
+            return
+        worker.reply = None
         try:
             data = self._receive(worker)
         except WorkerLost as error:
@@ -595,7 +708,7 @@ class WarmPool:
         for waiter in waiters:
             waiter.wake(None)
         for worker in idle if wait else workers:
-            worker.conn.close()
+            self._close(worker)
         if wait:
             for worker in workers:
                 worker.process.join()
@@ -633,8 +746,12 @@ class InFlight:
         *,
         tag: Any = None,
     ) -> bool:
-        """Send one chunk; ``False`` when no worker is idle (collect first)."""
-        request = _dumps((fn, header, items))
+        """Send one chunk; ``False`` when no worker is idle (collect first).
+
+        The chunk is pickled once a worker is held, so a chunk that has to
+        wait for one is pickled once, however often it is offered.
+        """
+        request = None
         for _ in range(2):
             if self._owned:
                 worker = self._pool._try_acquire()
@@ -642,6 +759,13 @@ class InFlight:
                     return False
             else:
                 worker = self._pool._acquire()
+            if request is None:
+                try:
+                    request = _dumps((fn, header, items))
+                except BaseException:
+                    self._pool._release(worker)
+                    raise
+            worker.sender = None
             lost = self._pool._send(worker, request)
             if lost is None:
                 self._owned[worker.conn] = (worker, tag)

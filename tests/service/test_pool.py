@@ -2,9 +2,11 @@
 
 import pickle
 import tempfile
+import time
 
 import pytest
 
+import repro.service.pool as pool_module
 from repro.api.batch import check_header
 from repro.cfront import ctypes as ct
 from repro.core.config import DEFAULT_OPTIONS, CheckerOptions
@@ -85,6 +87,25 @@ def test_a_large_batch_equals_serial():
     serial = run_staged(_length, "hh", LARGE_ITEMS, jobs=1)
     parallel = run_staged(_length, "hh", LARGE_ITEMS, jobs=2)
     assert parallel == serial
+
+
+def _nap(header, item):
+    time.sleep(0.01)
+    return item
+
+
+def test_a_chunk_is_pickled_once_however_long_it_waits_for_a_worker(monkeypatch):
+    pool = get_pool(2)
+    if pool is None:
+        pytest.skip("host cannot spawn worker processes")
+    pickled = []
+    dumps = pool_module._dumps
+    monkeypatch.setattr(
+        pool_module, "_dumps", lambda value: pickled.append(value) or dumps(value)
+    )
+    items = list(range(40))
+    assert pool.run_staged(_nap, None, items, chunksize=2) == items
+    assert len(pickled) == 20
 
 
 def _no_files(*args, **kwargs):
